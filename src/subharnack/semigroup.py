@@ -18,7 +18,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammaln, log_ndtr, ndtr
+from scipy.special import erfcx, gammaln, log_ndtr, ndtr
 
 from .subordinator import QuadratureSpec, StableSubordinator, integrate_against
 
@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 _MAX_DIM = 3
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -87,8 +88,9 @@ def _as_point(x, d):
 # --- test functions ----------------------------------------------------
 
 class TestFunction:
-    """Bounded non-negative test function; subclasses may expose a closed
-    Gaussian expectation and closure under positive powers."""
+    """Bounded non-negative test function, evaluated elementwise on arrays;
+    subclasses may expose a closed Gaussian expectation, closure under
+    positive powers, and the breakpoints the numerical rule needs."""
 
     def __call__(self, y):
         raise NotImplementedError
@@ -102,10 +104,10 @@ class TestFunction:
         """E f(m + sigma*Z) in closed form, or None if unavailable."""
         return None
 
-    def scalar(self, y):
-        """Evaluate at a single float; hot quadrature loops use this to
-        skip the numpy scalar overhead of ``__call__``."""
-        return float(self(y))
+    def breakpoints(self):
+        """Points y where f has a kink or changes scale; the fixed
+        Gaussian rule starts a new panel at each one in its window."""
+        return ()
 
     def describe(self):
         return type(self).__name__
@@ -150,8 +152,8 @@ class GaussBump(TestFunction):
     def pow(self, p):
         return GaussBump(self.center, self.width / math.sqrt(p))
 
-    def scalar(self, y):
-        return math.exp(-((y - self.center) ** 2) / (2.0 * self.width ** 2))
+    def breakpoints(self):
+        return tuple(self.center + self.width * k for k in (0, -1, 1, -4, 4, -12, 12))
 
     def gauss_expect(self, m, sigma):
         v = self.width ** 2 + sigma ** 2
@@ -179,8 +181,8 @@ class Indicator(TestFunction):
     def pow(self, p):
         return self
 
-    def scalar(self, y):
-        return 1.0 if self.lo <= y <= self.hi else 0.0
+    def breakpoints(self):
+        return (self.lo, self.hi)
 
     def gauss_expect(self, m, sigma):
         return float(ndtr((self.hi - m) / sigma) - ndtr((self.lo - m) / sigma))
@@ -210,21 +212,31 @@ class ExpAffine(TestFunction):
     def pow(self, p):
         return ExpAffine(self.slope * p, self.clip)
 
-    def scalar(self, y):
-        if self.clip is not None:
-            y = min(y, self.clip)
-        return math.exp(self.slope * y)
+    def breakpoints(self):
+        if self.clip is None:
+            return ()
+        if self.slope <= 0:
+            return (self.clip,)
+        # below the clip f decays on the scale 1/slope
+        return tuple(self.clip - k / self.slope for k in (0, 1, 4, 12, 40))
 
     def gauss_expect(self, m, sigma):
         lam = self.slope
         if self.clip is None:
             return math.exp(lam * m + 0.5 * lam ** 2 * sigma ** 2)
         z = (self.clip - m) / sigma
+        u = z - lam * sigma
         # E[e^{lam*min(m+sZ, L)}] split at Z = z; assembled in log domain
         # because the lognormal factor alone overflows at large sigma
         # while the product with the truncated tail stays bounded
-        log_t1 = (lam * m + 0.5 * lam ** 2 * sigma ** 2
-                  + float(log_ndtr(z - lam * sigma)))
+        if u < 0.0:
+            # lam*m + lam^2 sigma^2/2 - u^2/2 = lam*L - z^2/2 removes the
+            # cancellation between two terms of size (lam*sigma)^2, and
+            # ndtr(u) = erfcx(-u/sqrt2) * exp(-u^2/2) / 2
+            log_t1 = (lam * self.clip - 0.5 * z * z
+                      + math.log(0.5 * float(erfcx(-u / math.sqrt(2.0)))))
+        else:
+            log_t1 = lam * m + 0.5 * lam ** 2 * sigma ** 2 + float(log_ndtr(u))
         log_t2 = lam * self.clip + float(log_ndtr(-z))
         return math.exp(log_t1) + math.exp(log_t2)
 
@@ -247,8 +259,8 @@ class ShiftedForLog(TestFunction):
     def __call__(self, y):
         return self.floor + self.base(y)
 
-    def scalar(self, y):
-        return self.floor + self.base.scalar(y)
+    def breakpoints(self):
+        return self.base.breakpoints()
 
     def log(self):
         return _LogOf(self)
@@ -273,8 +285,8 @@ class _LogOf(TestFunction):
     def __call__(self, y):
         return np.log(self.inner(y))
 
-    def scalar(self, y):
-        return math.log(self.inner.scalar(y))
+    def breakpoints(self):
+        return self.inner.breakpoints()
 
     def gauss_expect(self, m, sigma):
         # log composed with a two-level function is again two-level:
@@ -311,11 +323,11 @@ def kernel_density(base, s, x, y):
 
 
 def _gauss_expectation_quad(g, m, sigma, spec):
-    """E g(m + sigma*Z) by quadrature over the +-12 sigma window."""
-    point = g.scalar if isinstance(g, TestFunction) else (lambda y: float(g(y)))
-
+    """E g(m + sigma*Z) for a plain callable g, by adaptive quadrature over
+    the +-12 sigma window. It samples g only where the adaptive rule looks,
+    so it can miss a feature of g much narrower than sigma."""
     def integrand(z):
-        return point(m + sigma * z) * math.exp(-0.5 * z * z)
+        return float(g(m + sigma * z)) * math.exp(-0.5 * z * z)
     # piecewise: one adaptive pass over the full window hits roundoff
     # extrapolation trouble when the integrand is sharply localized
     val = 0.0
@@ -328,23 +340,57 @@ def _gauss_expectation_quad(g, m, sigma, spec):
             limit=spec.max_subdivisions,
         )
         val += part
-    return val / math.sqrt(2.0 * math.pi)
+    return val / _SQRT_2PI
+
+
+# the fixed rule: Gauss-Legendre nodes and weights mapped to [0, 1], and
+# the panel breaks in units of sigma around the mean
+_RULE_NODES, _RULE_WEIGHTS = np.polynomial.legendre.leggauss(20)
+_RULE_NODES = 0.5 * (_RULE_NODES + 1.0)
+_RULE_WEIGHTS = 0.5 * _RULE_WEIGHTS
+_RULE_WINDOW = np.array([-12.0, -4.0, 0.0, 4.0, 12.0])
+
+
+def _gauss_expectation_rule(f, m, sigma):
+    """E f(m + sigma*Z) for a TestFunction, by one fixed composite
+    Gauss-Legendre rule on the line y = m + sigma*z over [m - 12 sigma,
+    m + 12 sigma].
+
+    Panels break at m + sigma*{-12, -4, 0, 4, 12} and at every breakpoint
+    f declares inside the window, so a kink or a feature much narrower
+    than sigma gets panels of its own scale. f is evaluated once, on the
+    array of all panel nodes.
+    """
+    b = np.asarray(f.breakpoints(), dtype=float)
+    b = b[np.abs(b - m) < 12.0 * sigma]
+    edges = np.unique(np.concatenate((m + sigma * _RULE_WINDOW, b)))
+    h = np.diff(edges)
+    y = (edges[:-1, None] + h[:, None] * _RULE_NODES).ravel()
+    z = (y - m) / sigma
+    vals = f(y) * np.exp(-0.5 * z * z)
+    return float(vals @ (h[:, None] * _RULE_WEIGHTS).ravel()) / (sigma * _SQRT_2PI)
 
 
 @lru_cache(maxsize=1 << 16)
-def _gauss_quad_memo(f, m, sigma, spec):
-    """Memoized expectation for hashable test functions without a closed
-    form; repeated sweeps revisit identical (f, m, sigma) nodes."""
-    return _gauss_expectation_quad(f, m, sigma, spec)
+def _gauss_quad_memo(f, m, sigma):
+    """Memoized fixed-rule expectation for hashable test functions without
+    a closed form; repeated sweeps revisit identical (f, m, sigma) nodes."""
+    return _gauss_expectation_rule(f, m, sigma)
 
 
 def apply(base, f, s, x, spec=QuadratureSpec(), method="auto"):
     """P_s f(x) = E f(m_s(x) + sigma_s * Z).
 
     ``method`` is 'auto' (closed form when the test function provides
-    one), 'closed' (require it) or 'quad' (force quadrature, used as a
-    cross-check of the closed forms). Arbitrary callables are accepted
-    and integrated numerically; general callables need d = 1.
+    one), 'closed' (require it) or 'quad' (force the numerical path, used
+    as a cross-check of the closed forms).
+
+    Numerically, a TestFunction goes through the fixed breakpoint-aware
+    rule of ``_gauss_expectation_rule``, memoized per (f, m, sigma); its
+    accuracy does not depend on ``spec``. An arbitrary callable declares
+    no breakpoints, so it goes through adaptive quadrature over the
+    +-12 sigma window at ``spec``'s tolerances, which can miss features
+    much narrower than sigma. General callables need d = 1.
     """
     if s <= 0.0:
         raise ValueError(f"s must be > 0, got {s!r}")
@@ -355,18 +401,18 @@ def apply(base, f, s, x, spec=QuadratureSpec(), method="auto"):
     if base.d != 1:
         raise ValueError("non-constant test functions are supported for d = 1 only")
     m0 = float(m[0])
-    if isinstance(f, TestFunction) and method in ("auto", "closed"):
+    if not isinstance(f, TestFunction):
+        return _gauss_expectation_quad(f, m0, sigma, spec)
+    if method in ("auto", "closed"):
         cf = f.gauss_expect(m0, sigma)
         if cf is not None:
             return cf
         if method == "closed":
             raise ValueError(f"no closed form for {f.describe()}")
-    if isinstance(f, TestFunction):
-        try:
-            return _gauss_quad_memo(f, m0, sigma, spec)
-        except TypeError:  # unhashable subclass
-            pass
-    return _gauss_expectation_quad(f, m0, sigma, spec)
+    try:
+        return _gauss_quad_memo(f, m0, sigma)
+    except TypeError:  # unhashable subclass
+        return _gauss_expectation_rule(f, m0, sigma)
 
 
 def subordinated_apply(base, sub, f, x, spec=QuadratureSpec()):

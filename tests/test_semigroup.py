@@ -33,6 +33,18 @@ FUNCTIONS = [
     ExpAffine(-0.7, clip=0.0),
 ]
 
+# every family with a closed form that the fixed Gaussian rule must match
+RULE_FUNCTIONS = [
+    GaussBump(0.3, 0.8),
+    GaussBump(-0.5, 0.2),
+    GaussBump(-0.5, 0.2).pow(3.0),
+    Indicator(-1.0, 1.0),
+    Indicator(-1.0, 0.5),
+    ExpAffine(0.4, clip=1.2),
+    ExpAffine(1.6, clip=-0.5),
+    ShiftedForLog(Indicator(-1.0, 1.0), 1.0).log(),
+]
+
 
 class TestKernels:
     def test_rejects_unknown_kind(self):
@@ -87,10 +99,40 @@ class TestApply:
     @pytest.mark.parametrize("base", [gauss_heat(1), ou1d()],
                              ids=lambda b: b.kind)
     def test_closed_matches_quadrature(self, base, f):
+        # method='quad' on a TestFunction runs the fixed breakpoint-aware rule
         for s, x in ((0.3, 0.2), (1.5, -0.7)):
             closed = apply(base, f, s, [x], SPEC, method="closed")
             quad_val = apply(base, f, s, [x], SPEC, method="quad")
-            assert math.isclose(closed, quad_val, rel_tol=1e-8)
+            assert math.isclose(closed, quad_val, rel_tol=1e-12)
+
+    @given(st.sampled_from(RULE_FUNCTIONS),
+           st.floats(min_value=-3.0, max_value=3.0),
+           st.floats(min_value=-4.0, max_value=7.0))
+    @settings(max_examples=300, deadline=None)
+    def test_rule_matches_closed_forms(self, f, m, log_sigma):
+        # heat kernel from x = m at time s has sigma = sqrt(2 s)
+        s = 0.5 * (10.0 ** log_sigma) ** 2
+        closed = apply(gauss_heat(1), f, s, [m], method="closed")
+        rule = apply(gauss_heat(1), f, s, [m], method="quad")
+        tol = QuadratureSpec()
+        # the absolute floor covers far-tail values such as E 1_[-1,1]
+        # at m = 2.5, sigma = 0.056 (about 1e-150)
+        assert abs(rule - closed) <= tol.rel_tol * abs(closed) + tol.abs_tol
+
+    def test_rule_resolves_feature_narrower_than_sigma(self):
+        # log(1 + bump) has no closed form; at sigma ~ 986.88 the bump is a
+        # spike the adaptive path over the +-12 sigma window can step over
+        mp = pytest.importorskip("mpmath")
+        s = 486961.6867990451
+        sigma = math.sqrt(2.0 * s)
+        f = ShiftedForLog(GaussBump(0.0, 1.0), 1.0).log()
+        got = apply(gauss_heat(1), f, s, [0.0])
+        with mp.workdps(30):
+            ref = mp.quad(
+                lambda y: mp.log(1 + mp.exp(-y * y / 2)) * mp.npdf(y, 0, sigma),
+                [-40, -12, -4, -1, 0, 1, 4, 12, 40])
+        assert math.isclose(float(ref), 7.75322248700086e-4, rel_tol=1e-12)
+        assert math.isclose(got, float(ref), rel_tol=1e-12)
 
     def test_power_closure_consistent(self):
         # f.pow(p) must agree with pointwise f(y)**p under the kernel
@@ -137,6 +179,21 @@ class TestTestFunctions:
         f = ExpAffine(0.4, clip=1.2).pow(2.0)
         ys = np.linspace(-3, 3, 30)
         assert np.allclose(f(ys), ExpAffine(0.4, clip=1.2)(ys) ** 2)
+
+    @pytest.mark.parametrize("slope", [0.4, 1.6])
+    @pytest.mark.parametrize("sigma", [0.05, 1.0, 1e3, 1e5, 1e7])
+    def test_clipped_expaffine_closed_form_mpmath(self, slope, sigma):
+        # at large sigma the truncated lognormal term is a difference of
+        # two numbers of size (slope*sigma)^2 unless assembled around the clip
+        mp = pytest.importorskip("mpmath")
+        clip, m = 1.2, -0.3
+        with mp.workdps(50):
+            lam, L, mm, sg = map(mp.mpf, (slope, clip, m, sigma))
+            z = (L - mm) / sg
+            ref = (mp.exp(lam * mm + lam ** 2 * sg ** 2 / 2) * mp.ncdf(z - lam * sg)
+                   + mp.exp(lam * L) * mp.ncdf(-z))
+        got = ExpAffine(slope, clip).gauss_expect(m, sigma)
+        assert math.isclose(got, float(ref), rel_tol=1e-13)
 
     def test_unclipped_expaffine_closed_form(self):
         # lognormal mean: E e^(lam(m + sigma Z)) = e^(lam m + lam^2 sigma^2/2)
