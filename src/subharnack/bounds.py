@@ -29,6 +29,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .specfun import log_gamma
 from .subordinator import SeriesEval, sum_log_series
 
@@ -173,10 +175,10 @@ def series_factor(delta, alpha, kappa, t, rel_tol=1e-12):
     log_r = math.log(c * delta) - (kappa / alpha) * math.log(t)
     expo = kappa * (1.0 / alpha - 1.0) - 1.0  # negative on the open window
 
-    def log_term(n):
-        return n * expo * math.log(n) + n * log_r
+    def log_terms(n):
+        return n * expo * np.log(n) + n * log_r
 
-    return sum_log_series(log_term, rel_tol)
+    return sum_log_series(log_terms, rel_tol)
 
 
 def _b_exponent(alpha, kappa):

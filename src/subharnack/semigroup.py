@@ -64,10 +64,11 @@ class BaseKernel:
         return 0.0 if self.kind == "gauss_heat" else -1.0
 
     def mean_sigma(self, s, x):
-        """Per-coordinate Gaussian transition parameters at time s from x."""
+        """Per-coordinate Gaussian transition parameters at time s from x,
+        a float coordinate or a float array of coordinates."""
         if self.kind == "gauss_heat":
-            return np.asarray(x, dtype=float), math.sqrt(2.0 * s)
-        return math.exp(-s) * np.asarray(x, dtype=float), math.sqrt(-math.expm1(-2.0 * s))
+            return x, math.sqrt(2.0 * s)
+        return math.exp(-s) * x, math.sqrt(-math.expm1(-2.0 * s))
 
 
 def gauss_heat(d=1):
@@ -394,13 +395,24 @@ def apply(base, f, s, x, spec=QuadratureSpec(), method="auto"):
     """
     if s <= 0.0:
         raise ValueError(f"s must be > 0, got {s!r}")
+    return _apply_at(base, f, s, _first_coordinate(base, f, x), spec, method)
+
+
+def _first_coordinate(base, f, x):
+    """Check the point x for P_s f(x) and return its first coordinate as a
+    float; f must be Constant unless d = 1."""
     x = _as_point(x, base.d)
-    m, sigma = base.mean_sigma(s, x)
+    if base.d != 1 and not isinstance(f, Constant):
+        raise ValueError("non-constant test functions are supported for d = 1 only")
+    return float(x[0])
+
+
+def _apply_at(base, f, s, x0, spec, method="auto"):
+    """``apply`` at s > 0 and a point already checked by
+    ``_first_coordinate``, with x0 its first coordinate."""
     if isinstance(f, Constant):
         return f.c
-    if base.d != 1:
-        raise ValueError("non-constant test functions are supported for d = 1 only")
-    m0 = float(m[0])
+    m0, sigma = base.mean_sigma(s, x0)
     if not isinstance(f, TestFunction):
         return _gauss_expectation_quad(f, m0, sigma, spec)
     if method in ("auto", "closed"):
@@ -416,10 +428,12 @@ def apply(base, f, s, x, spec=QuadratureSpec(), method="auto"):
 
 
 def subordinated_apply(base, sub, f, x, spec=QuadratureSpec()):
-    """P_t^alpha f(x) = int P_s f(x) mu_t(ds)."""
+    """P_t^alpha f(x) = int P_s f(x) mu_t(ds); x is checked once, not at
+    every node s."""
     if sub.degenerate:
         return apply(base, f, sub.t, x, spec)
-    return integrate_against(lambda s: apply(base, f, s, x, spec), sub, spec)
+    x0 = _first_coordinate(base, f, x)
+    return integrate_against(lambda s: _apply_at(base, f, s, x0, spec), sub, spec)
 
 
 def subordinated_density(base, sub, x, y, spec=QuadratureSpec()):

@@ -10,6 +10,7 @@ two-sided control of Gamma values via the classical remainder bound
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.special import gammaln
 
 __all__ = ["StirlingBracket", "log_gamma", "stirling_bracket"]
@@ -20,8 +21,19 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 def log_gamma(r):
     """Natural log of Gamma(r) for r > 0.
 
-    Accurate to at least 12 significant digits on (0.1, 200].
+    A scalar gives a float; a numpy array gives an array of the same
+    shape, equal element by element to the scalar values, and is rejected
+    whole if any element is not finite and positive. Accurate to at
+    least 12 significant digits on (0.1, 200].
     """
+    if isinstance(r, np.ndarray) and r.ndim:
+        r = r.astype(float, copy=False)
+        bad = ~((r > 0.0) & (r < math.inf))
+        if bad.any():
+            raise ValueError(
+                f"log_gamma requires finite r > 0, got {float(r[bad][0])!r} in an array"
+            )
+        return gammaln(r)
     r = float(r)
     if not math.isfinite(r) or r <= 0.0:
         raise ValueError(f"log_gamma requires finite r > 0, got {r!r}")

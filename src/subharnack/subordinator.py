@@ -225,10 +225,15 @@ def laplace(sub, x):
 # --- moments -----------------------------------------------------------
 
 def log_fractional_moment(sub, r):
-    """log of int s**(-r) mu_t(ds) = Gamma(r/alpha)/(alpha*Gamma(r)) * t**(-r/alpha)."""
-    r = float(r)
-    if r <= 0.0:
-        raise ValueError(f"fractional moment requires r > 0, got {r!r}")
+    """log of int s**(-r) mu_t(ds) = Gamma(r/alpha)/(alpha*Gamma(r)) * t**(-r/alpha).
+
+    ``r`` may also be a numpy array of orders; ``log_gamma`` then rejects
+    any order that is not positive.
+    """
+    if not isinstance(r, np.ndarray):
+        r = float(r)
+        if r <= 0.0:
+            raise ValueError(f"fractional moment requires r > 0, got {r!r}")
     a = sub.alpha
     return (
         log_gamma(r / a)
@@ -248,34 +253,66 @@ def fractional_moment(sub, r):
     return math.exp(log_fractional_moment(sub, r))
 
 
-def sum_log_series(log_term, rel_tol, max_terms=200000):
-    """Sum 1 + sum_{n>=1} exp(log_term(n)) in log domain.
+_FIRST_BLOCK = 64  # terms in the first block; each next one is 4x, up to the cap
+_MAX_BLOCK = 4096
+_STOP_MARGIN = 1e-6  # slack of the numpy pre-screen of the stopping rule
+
+
+def sum_log_series(log_terms, rel_tol, max_terms=200000):
+    """Sum 1 + sum_{n>=1} exp(log_terms(n)) in log domain.
+
+    ``log_terms`` maps an integer numpy array of indices n to the array
+    of the log terms at those n (same shape). It is called on blocks of
+    consecutive n: 64 terms first, each block 4x the last, capped at
+    4096 terms, so it may see indices past the stopping point.
 
     Assumes the series is known to converge (the callers classify
     divergence analytically from the exact asymptotic term ratio before
-    summing). Stops once the geometric tail estimate drops below rel_tol
-    times the partial sum and at least 20 terms are in.
+    summing). Stops at the first n >= 20 where the observed term ratio
+    q = term_n / term_{n-1} is below 1 and the geometric tail estimate
+    term_n * q/(1-q) drops below rel_tol times the partial sum. The
+    running sum, the stop index and the tail estimate are those of the
+    term-by-term loop: the partial sums come from
+    ``np.logaddexp.accumulate``, and each index the numpy pre-screen
+    lets through is confirmed with the scalar formulas, in order.
     """
+    log_rel_tol = math.log(rel_tol)
     log_sum = 0.0  # the leading 1
     prev = -math.inf
-    for n in range(1, max_terms + 1):
-        lt = log_term(n)
-        log_sum = float(np.logaddexp(log_sum, lt))
-        # geometric tail bound term_n * q/(1-q) with q the observed ratio
-        q = math.exp(lt - prev) if prev > -math.inf else 0.0
-        if n >= 20 and q < 1.0:
-            log_tail = lt + math.log(q) - math.log1p(-q) if q > 0.0 else -math.inf
-            if log_tail < math.log(rel_tol) + log_sum:
+    n0, size = 1, _FIRST_BLOCK
+    while n0 <= max_terms:
+        n = np.arange(n0, min(n0 + size, max_terms + 1))
+        lt = np.asarray(log_terms(n), dtype=float)
+        sums = np.logaddexp.accumulate(np.concatenate(([log_sum], lt)))[1:]
+        prevs = np.concatenate(([prev], lt[:-1]))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            q = np.where(prevs > -np.inf, np.exp(lt - prevs), 0.0)
+            log_tail = lt + np.log(q) - np.log1p(-q)
+            # every index where the scalar rule might stop: ratios next to
+            # 1 (where rounding moves log1p(-q) most) and tails within the
+            # margin of the threshold
+            maybe = (n >= 20) & (q < 1.0 + _STOP_MARGIN) & (
+                (q > 1.0 - _STOP_MARGIN)
+                | (log_tail < log_rel_tol + sums + _STOP_MARGIN)
+            )
+        for i in np.flatnonzero(maybe):
+            lt_i, prev_i, log_sum_i = float(lt[i]), float(prevs[i]), float(sums[i])
+            # geometric tail bound term_n * q/(1-q) with q the observed ratio
+            q_i = math.exp(lt_i - prev_i) if prev_i > -math.inf else 0.0
+            if q_i >= 1.0:
+                continue
+            tail = lt_i + math.log(q_i) - math.log1p(-q_i) if q_i > 0.0 else -math.inf
+            if tail < log_rel_tol + log_sum_i:
                 return SeriesEval(
-                    value=math.exp(log_sum) if log_sum < 709.0 else math.inf,
-                    terms_used=n,
-                    truncation_bound=(
-                        math.exp(log_tail) if log_tail < 709.0 else math.inf
-                    ),
+                    value=math.exp(log_sum_i) if log_sum_i < 709.0 else math.inf,
+                    terms_used=int(n[i]),
+                    truncation_bound=math.exp(tail) if tail < 709.0 else math.inf,
                     converged=True,
-                    log_value=log_sum,
+                    log_value=log_sum_i,
                 )
-        prev = lt
+        log_sum, prev = float(sums[-1]), float(lt[-1])
+        n0 += len(n)
+        size = min(4 * size, _MAX_BLOCK)
     return SeriesEval(
         value=math.inf,
         terms_used=max_terms,
@@ -302,6 +339,11 @@ def exp_moment(sub, delta, kappa, spec=QuadratureSpec()):
     term ratio q = delta*kappa*((kappa+1)/(kappa*t))**(kappa+1), which is
     sharp (sharper by a factor e than the sufficient condition of the
     boundary-case factor); below the boundary any delta > 0 diverges.
+
+    At alpha = 1/2, kappa = 1 with q = 4*delta/t**2 < 1 the moment is the
+    closed form t / (2*sqrt(t**2/4 - delta)) = (1 - q)**(-1/2), returned
+    with ``terms_used = 0`` and ``truncation_bound = 0``: the series
+    there needs ~1/(1-q) terms and runs out of them as q -> 1.
     """
     delta = float(delta)
     kappa = float(kappa)
@@ -334,16 +376,26 @@ def exp_moment(sub, delta, kappa, spec=QuadratureSpec()):
                     f"ratio {q:.6g} >= 1"
                 ),
             )
+        t = sub.t
+        # q can round below 1 at delta = t^2/4 exactly; the series then
+        # runs out of terms and reports non-convergence, as it should
+        if sub.alpha == 0.5 and kappa == 1.0 and delta < t * t / 4.0:
+            # 1/S_t is Gamma(1/2) with rate t^2/4 under the Levy law
+            return SeriesEval(
+                value=t / (2.0 * math.sqrt(t * t / 4.0 - delta)),
+                terms_used=0, truncation_bound=0.0, converged=True,
+                log_value=-0.5 * math.log1p(-4.0 * delta / (t * t)),
+            )
     log_delta = math.log(delta)
 
-    def log_term(n):
+    def log_terms(n):
         return (
             n * log_delta
             - log_gamma(n + 1.0)
             + log_fractional_moment(sub, kappa * n)
         )
 
-    return sum_log_series(log_term, spec.rel_tol)
+    return sum_log_series(log_terms, spec.rel_tol)
 
 
 # --- quadrature against the law ---------------------------------------

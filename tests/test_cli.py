@@ -92,7 +92,13 @@ class TestExpMoment:
         code, _, err = run_cli(capsys, "expmoment", "--alpha", "0.4",
                                "--t", "1", "--delta", "0.1", *FAST)
         assert code == 2
-        assert "alpha <= kappa/(kappa+1)" in err
+        assert "series diverges: alpha below kappa/(kappa+1)" in err
+
+    def test_boundary_message_names_the_ratio(self, capsys):
+        code, _, err = run_cli(capsys, "expmoment", "--alpha", "0.5",
+                               "--t", "1", "--delta", "0.5", *FAST)
+        assert code == 2
+        assert "boundary index with geometric term ratio 2 >= 1" in err
 
 
 class TestBound:

@@ -21,7 +21,11 @@ from subharnack.semigroup import (
     subordinated_apply,
     subordinated_density,
 )
-from subharnack.subordinator import QuadratureSpec, StableSubordinator
+from subharnack.subordinator import (
+    QuadratureSpec,
+    StableSubordinator,
+    integrate_against,
+)
 
 SPEC = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
 
@@ -248,6 +252,28 @@ class TestSubordinated:
         a = subordinated_apply(gauss_heat(1), sub, f, [0.2], SPEC)
         b = apply(gauss_heat(1), f, 0.7, [0.2], SPEC)
         assert a == b
+
+    @pytest.mark.parametrize("base", [gauss_heat(1), ou1d()])
+    @pytest.mark.parametrize("f", [Indicator(-1.0, 0.5), GaussBump(0.3, 0.8),
+                                   ShiftedForLog(GaussBump(0.0, 0.4)).log(),
+                                   lambda y: np.cos(y) ** 2])
+    def test_subordinated_apply_equals_public_apply_at_each_node(self, base, f):
+        # the point is checked once; each node must still give apply's value
+        sub = StableSubordinator(0.7, 1.0)
+        x = [0.4]
+        got = subordinated_apply(base, sub, f, x, SPEC)
+        want = integrate_against(lambda s: apply(base, f, s, x, SPEC), sub, SPEC)
+        assert got == want
+
+    def test_subordinated_apply_checks_the_point(self):
+        sub = StableSubordinator(0.7, 1.0)
+        with pytest.raises(ValueError):
+            subordinated_apply(gauss_heat(1), sub, GaussBump(), [0.0, 1.0], SPEC)
+        with pytest.raises(ValueError):
+            subordinated_apply(gauss_heat(2), sub, GaussBump(), [0.0, 1.0], SPEC)
+        total = subordinated_apply(gauss_heat(2), sub, Constant(1.0), [0.0, 1.0],
+                                   SPEC)
+        assert math.isclose(total, 1.0, rel_tol=1e-9)
 
     def test_semigroup_monotone_in_bump(self):
         # the subordinated kernel keeps total mass one

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,28 @@ def test_log_gamma_rejects_nonpositive():
 @given(st.floats(min_value=1e-3, max_value=500.0))
 def test_log_gamma_matches_scipy(r):
     assert math.isclose(log_gamma(r), float(gammaln(r)), rel_tol=1e-12, abs_tol=1e-12)
+
+
+@given(st.lists(st.floats(min_value=1e-3, max_value=1e6), min_size=1, max_size=50))
+def test_log_gamma_array_equals_scalar(rs):
+    got = log_gamma(np.array(rs))
+    assert isinstance(got, np.ndarray) and got.shape == (len(rs),)
+    assert [float(g) for g in got] == [log_gamma(r) for r in rs]
+
+
+def test_log_gamma_array_keeps_shape_and_int_input():
+    n = np.arange(1, 7).reshape(2, 3)
+    got = log_gamma(n)
+    assert got.shape == (2, 3)
+    assert got.ravel().tolist() == [log_gamma(k) for k in range(1, 7)]
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.5, math.nan, math.inf, -math.inf])
+def test_log_gamma_array_rejects_any_bad_element(bad):
+    with pytest.raises(ValueError):
+        log_gamma(np.array([1.0, 2.5, bad, 4.0]))
+    with pytest.raises(ValueError):
+        log_gamma(bad)
 
 
 @given(st.floats(min_value=0.05, max_value=400.0))

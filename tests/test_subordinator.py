@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma as gamma_fn
 
+from subharnack.specfun import log_gamma
 from subharnack.subordinator import (
     MCSpec,
     QuadratureSpec,
+    SeriesEval,
     StableSubordinator,
     density,
     exp_moment,
@@ -16,11 +18,55 @@ from subharnack.subordinator import (
     geometric_term_ratio,
     integrate_against,
     laplace,
+    log_fractional_moment,
     sample,
     sum_log_series,
 )
 
 SPEC = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
+
+
+def reference_sum_log_series(log_term, rel_tol, max_terms=200000):
+    """The term-by-term loop that ``sum_log_series`` replaced, kept as the
+    reference the block summation must reproduce field for field."""
+    log_sum = 0.0  # the leading 1
+    prev = -math.inf
+    for n in range(1, max_terms + 1):
+        lt = log_term(n)
+        log_sum = float(np.logaddexp(log_sum, lt))
+        # geometric tail bound term_n * q/(1-q) with q the observed ratio
+        q = math.exp(lt - prev) if prev > -math.inf else 0.0
+        if n >= 20 and q < 1.0:
+            log_tail = lt + math.log(q) - math.log1p(-q) if q > 0.0 else -math.inf
+            if log_tail < math.log(rel_tol) + log_sum:
+                return SeriesEval(
+                    value=math.exp(log_sum) if log_sum < 709.0 else math.inf,
+                    terms_used=n,
+                    truncation_bound=(
+                        math.exp(log_tail) if log_tail < 709.0 else math.inf
+                    ),
+                    converged=True,
+                    log_value=log_sum,
+                )
+        prev = lt
+    return SeriesEval(
+        value=math.inf,
+        terms_used=max_terms,
+        truncation_bound=math.inf,
+        converged=False,
+        divergence_reason="max_terms reached without convergence",
+    )
+
+
+def reference_exp_moment(sub, delta, kappa, rel_tol):
+    """The exponential-moment series with scalar terms, summed term by term."""
+    log_delta = math.log(delta)
+
+    def log_term(n):
+        return (n * log_delta - log_gamma(n + 1.0)
+                + log_fractional_moment(sub, kappa * n))
+
+    return reference_sum_log_series(log_term, rel_tol)
 
 
 def levy_density(t, s):
@@ -186,6 +232,76 @@ class TestExpMoment:
         res = exp_moment(StableSubordinator(0.3, 1.0), 0.0, 1.0, SPEC)
         assert res.converged and res.value == 1.0
 
+    @given(st.floats(min_value=0.5, max_value=1.0, exclude_min=True,
+                     exclude_max=True),
+           st.floats(min_value=0.5, max_value=2.0),
+           st.floats(min_value=-3.0, max_value=0.5),
+           st.sampled_from([0.5, 1.0, 2.0]),
+           st.sampled_from([1e-9, 1e-10, 1e-12]))
+    @settings(max_examples=100, deadline=None)
+    def test_block_sum_matches_term_by_term(self, alpha, t, log10_delta,
+                                            kappa, rel_tol):
+        # above the boundary window exp_moment always sums the series
+        assume(alpha - kappa / (kappa + 1.0) > 1e-12)
+        sub = StableSubordinator(alpha, t)
+        delta = 10.0 ** log10_delta
+        got = exp_moment(sub, delta, kappa, QuadratureSpec(rel_tol=rel_tol))
+        assert got == reference_exp_moment(sub, delta, kappa, rel_tol)
+
+    @pytest.mark.parametrize("kappa", [0.5, 2.0])
+    @pytest.mark.parametrize("q", [0.3, 0.9, 0.99])
+    def test_block_sum_matches_at_boundary(self, kappa, q):
+        # at alpha = kappa/(kappa+1) the series converges geometrically
+        t = 1.3
+        sub = StableSubordinator(kappa / (kappa + 1.0), t)
+        delta = q / geometric_term_ratio(1.0, kappa, t)
+        got = exp_moment(sub, delta, kappa, SPEC)
+        assert got.converged
+        assert got == reference_exp_moment(sub, delta, kappa, SPEC.rel_tol)
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("frac", [0.1, 0.5, 0.9, 0.99, 0.9996, 0.9999])
+    def test_half_closed_form(self, t, frac):
+        delta = frac * t * t / 4.0
+        res = exp_moment(StableSubordinator(0.5, t), delta, 1.0, SPEC)
+        assert res.converged
+        assert res.terms_used == 0 and res.truncation_bound == 0.0
+        want = t / (2.0 * math.sqrt(t * t / 4.0 - delta))
+        assert math.isclose(res.value, want, rel_tol=1e-13)
+        assert math.isclose(res.log_value, math.log(want), rel_tol=1e-12,
+                            abs_tol=1e-15)
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("frac", [0.3, 0.9, 0.99, 0.9999])
+    def test_half_against_mpmath(self, t, frac):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            delta = frac * t * t / 4.0
+            gap = mp.mpf(t) ** 2 / 4 - mp.mpf(delta)
+
+            def levy_exp(s):  # Levy density times exp(delta/s), merged
+                return (t / mp.sqrt(4 * mp.pi) * s ** mp.mpf(-1.5)
+                        * mp.exp(-gap / s))
+
+            want = float(mp.quad(levy_exp, [0, gap / 10, gap, 10 * gap, 1,
+                                            mp.inf]))
+        res = exp_moment(StableSubordinator(0.5, t), delta, 1.0, SPEC)
+        assert math.isclose(res.value, want, rel_tol=1e-12)
+
+    def test_half_near_radius_converges(self):
+        # the series needs ~1/(1-q) terms here and used to run out of them
+        res = exp_moment(StableSubordinator(0.5, 1.0), 0.9999 * 0.25, 1.0, SPEC)
+        assert res.converged
+        assert math.isclose(res.value, 100.0, rel_tol=1e-12)
+
+    def test_half_at_radius_is_not_a_division_by_zero(self):
+        # here the rounded ratio q is 1 - 2**-53 while t^2/4 - delta is 0
+        t = 1.0 / 97.0
+        delta = t * t / 4.0
+        assert geometric_term_ratio(delta, 1.0, t) < 1.0
+        res = exp_moment(StableSubordinator(0.5, t), delta, 1.0, SPEC)
+        assert not res.converged
+
     def test_known_value_sqrt2(self):
         # alpha=1/2, kappa=1, t=2, delta=0.5: sum_n (1/2)^n/n! * 2 n!/(n! 4^n)...
         # oracle: quadrature of exp(delta/s) against the Levy law
@@ -204,8 +320,6 @@ class TestSumLogSeries:
         assert math.isclose(res.value, 2.0, rel_tol=1e-10)
 
     def test_exponential(self):
-        from subharnack.specfun import log_gamma
-
         res = sum_log_series(lambda n: n * math.log(3.0) - log_gamma(n + 1.0),
                              1e-13)
         assert math.isclose(res.value, math.exp(3.0), rel_tol=1e-11)
@@ -216,6 +330,56 @@ class TestSumLogSeries:
         assert res.converged
         assert res.value == math.inf
         assert math.isfinite(res.log_value)
+        assert res == reference_sum_log_series(lambda n: 800.0 - n, 1e-12)
+
+    def test_stops_at_twenty(self):
+        # the tail is below tolerance from n = 1; the rule waits for n = 20
+        res = sum_log_series(lambda n: n * math.log(0.01), 1e-10)
+        assert res.terms_used == 20
+        assert res == reference_sum_log_series(lambda n: n * math.log(0.01), 1e-10)
+
+    @pytest.mark.parametrize("stop", [64, 65, 320, 321, 1344, 1345])
+    def test_stop_at_block_edges(self, stop):
+        # blocks are 64, 256, 1024, ... terms: the first block ends at 64,
+        # the second at 320, the third at 1344. For 1 + sum q^n the tail
+        # estimate over the partial sum at n is q^(n+1) / (1 - q^(n+1));
+        # a rel_tol between its values at stop - 1 and stop makes the rule
+        # first hold at stop.
+        q = 0.99
+        log_q = math.log(q)
+        log_ratio = [(n + 1) * log_q - math.log1p(-q ** (n + 1))
+                     for n in (stop - 1, stop)]
+        rel_tol = math.exp(0.5 * sum(log_ratio))
+        res = sum_log_series(lambda n: n * log_q, rel_tol)
+        assert res.terms_used == stop
+        assert res == reference_sum_log_series(lambda n: n * log_q, rel_tol)
+
+    @pytest.mark.parametrize("max_terms", [19, 100, 1000, 5001])
+    def test_max_terms_not_a_block_multiple(self, max_terms):
+        seen = []
+
+        def log_terms(n):
+            seen.append(n.max())
+            return -2.0 * np.log(n)  # sum 1/n^2: too slow for rel_tol 1e-12
+
+        res = sum_log_series(log_terms, 1e-12, max_terms=max_terms)
+        assert not res.converged
+        assert res.terms_used == max_terms
+        assert max(seen) == max_terms
+        assert res == reference_sum_log_series(lambda n: -2.0 * math.log(n),
+                                               1e-12, max_terms=max_terms)
+
+    def test_zero_term_stops_like_the_loop(self):
+        # an exact zero term (log -inf) has ratio q = 0: the rule stops there
+        def log_terms(n):
+            return np.where(n == 30, -np.inf, -0.5 * n)
+
+        def log_term(n):
+            return -math.inf if n == 30 else -0.5 * n
+
+        res = sum_log_series(log_terms, 1e-300)
+        assert res.terms_used == 30
+        assert res == reference_sum_log_series(log_term, 1e-300)
 
 
 class TestSampling:
