@@ -313,12 +313,28 @@ def kernel_density(base, s, x, y):
     """Transition density p_s(x, y) of the base kernel."""
     if s <= 0.0:
         raise ValueError(f"s must be > 0, got {s!r}")
+    return _kernel_density_at(base, s, *_checked_pair(base, x, y))
+
+
+def _checked_pair(base, x, y):
+    """Check the points x and y against the kernel's dimension and return
+    (x0, y0, rho_sq): their first coordinates and |x - y|^2, as floats."""
     x = _as_point(x, base.d)
     y = _as_point(y, base.d)
-    m, sigma = base.mean_sigma(s, x)
-    d = base.d
-    q = float(np.sum((y - m) ** 2))
-    return (2.0 * math.pi * sigma ** 2) ** (-0.5 * d) * math.exp(
+    return float(x[0]), float(y[0]), float(np.sum((y - x) ** 2))
+
+
+def _kernel_density_at(base, s, x0, y0, rho_sq):
+    """p_s(x, y) = (2 pi sigma^2)^(-d/2) exp(-q / (2 sigma^2)) at s > 0 and
+    points already checked by ``_checked_pair``: q is rho_sq for the heat
+    kernel and (y0 - m_s(x0))^2 for OU. Plain floats only, since the
+    subordinated density calls it at every quadrature node."""
+    m, sigma = base.mean_sigma(s, x0)
+    if base.kind == "gauss_heat":
+        q = rho_sq
+    else:
+        q = (y0 - m) * (y0 - m)
+    return (2.0 * math.pi * sigma ** 2) ** (-0.5 * base.d) * math.exp(
         -q / (2.0 * sigma ** 2)
     )
 
@@ -438,15 +454,14 @@ def subordinated_apply(base, sub, f, x, spec=QuadratureSpec()):
 
 def subordinated_density(base, sub, x, y, spec=QuadratureSpec()):
     """Transition density of the time-changed kernel,
-    int p_s(x, y) mu_t(ds)."""
-    x = _as_point(x, base.d)
-    y = _as_point(y, base.d)
+    int p_s(x, y) mu_t(ds); x and y are checked once, not at every node s."""
+    x0, y0, rho_sq = _checked_pair(base, x, y)
     if sub.degenerate:
-        return kernel_density(base, sub.t, x, y)
-    rho_sq = float(np.sum((x - y) ** 2))
+        return _kernel_density_at(base, sub.t, x0, y0, rho_sq)
     breaks = [rho_sq] if rho_sq > 0 else []
     return integrate_against(
-        lambda s: kernel_density(base, s, x, y), sub, spec, extra_breaks=breaks
+        lambda s: _kernel_density_at(base, s, x0, y0, rho_sq), sub, spec,
+        extra_breaks=breaks,
     )
 
 

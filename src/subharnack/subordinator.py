@@ -101,16 +101,20 @@ class SeriesEval:
 
 # --- density -----------------------------------------------------------
 
-def _kanter_log_a(theta, alpha):
+def _kanter_log_a(theta, alpha, sin=np.sin, log=np.log):
     """log A(theta) for the Zolotarev-Kanter kernel, theta in (0, pi).
 
     A(theta) = (sin(a*th)/sin th)**(a/(1-a)) * sin((1-a)*th)/sin(th).
+    ``sin`` and ``log`` default to numpy's, for arrays of theta; the
+    density's quadrature passes ``math.sin`` and ``math.log`` for its
+    float nodes, where a numpy call per operation costs more than the
+    arithmetic.
     """
     a = alpha
-    s = np.sin(theta)
-    return (a / (1.0 - a)) * (np.log(np.sin(a * theta)) - np.log(s)) + np.log(
-        np.sin((1.0 - a) * theta)
-    ) - np.log(s)
+    s = log(sin(theta))
+    return (a / (1.0 - a)) * (log(sin(a * theta)) - s) + log(
+        sin((1.0 - a) * theta)
+    ) - s
 
 
 _TAIL_SWITCH = 5.0  # above this the large-argument series is used
@@ -150,6 +154,11 @@ def _standard_density(alpha, v, spec):
     if v <= 0.0:
         return 0.0
     if alpha == 0.5:
+        # tested in log domain first: v**-1.5 alone overflows for v below
+        # about 1e-206, where the density itself underflows
+        log_d = -0.5 * math.log(4.0 * math.pi) - 1.5 * math.log(v) - 0.25 / v
+        if log_d < -_LOG_HUGE:
+            return 0.0
         return (4.0 * math.pi) ** -0.5 * v ** -1.5 * math.exp(-0.25 / v)
     if v >= _TAIL_SWITCH:
         return _tail_series_density(alpha, v)
@@ -159,7 +168,7 @@ def _standard_density(alpha, v, spec):
     log_c = pow_v * math.log(v)  # log of v**(-a/(1-a))
 
     def integrand(u):
-        la = _kanter_log_a(math.pi * u, a)
+        la = _kanter_log_a(math.pi * u, a, math.sin, math.log)
         expo = la + log_c
         if expo > _LOG_HUGE:
             return 0.0
@@ -339,6 +348,9 @@ def exp_moment(sub, delta, kappa, spec=QuadratureSpec()):
     term ratio q = delta*kappa*((kappa+1)/(kappa*t))**(kappa+1), which is
     sharp (sharper by a factor e than the sufficient condition of the
     boundary-case factor); below the boundary any delta > 0 diverges.
+    The boundary is alpha == kappa/(kappa+1.0) exactly: an alpha one
+    rounding step above it has a finite moment, which the series sums or
+    reports as "max_terms reached" when it cannot.
 
     At alpha = 1/2, kappa = 1 with q = 4*delta/t**2 < 1 the moment is the
     closed form t / (2*sqrt(t**2/4 - delta)) = (1 - q)**(-1/2), returned
@@ -358,14 +370,14 @@ def exp_moment(sub, delta, kappa, spec=QuadratureSpec()):
         lv = delta / sub.t ** kappa
         return SeriesEval(value=math.exp(lv), terms_used=0, truncation_bound=0.0,
                           converged=True, log_value=lv)
-    margin = sub.alpha - kappa / (kappa + 1.0)
-    if margin < -1e-12:
+    boundary = kappa / (kappa + 1.0)
+    if sub.alpha < boundary:
         return SeriesEval(
             value=math.inf, terms_used=0, truncation_bound=math.inf,
             converged=False,
             divergence_reason="series diverges: alpha below kappa/(kappa+1)",
         )
-    if margin <= 1e-12:
+    if sub.alpha == boundary:
         q = geometric_term_ratio(delta, kappa, sub.t)
         if q >= 1.0:
             return SeriesEval(

@@ -21,6 +21,7 @@ Harnack profiles for the concrete bases (kappa = 1 throughout):
 """
 
 import math
+import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -51,7 +52,6 @@ from .semigroup import (
     apply,
     cauchy_closed_form,
     gauss_heat,
-    kernel_density,
     ondiag,
     ou1d,
     subordinated_apply,
@@ -84,6 +84,7 @@ __all__ = [
 ]
 
 _TOL_MULT = 10.0
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # math.exp overflows above it
 
 
 def _rho_sq(x, y):
@@ -111,8 +112,12 @@ def log_profile(base, rho_sq):
     return HarnackProfile(kappa=1.0, epsilon=1.0, H_value=rho_sq / 2.0, K=-1.0)
 
 
-def _report(lhs, rhs, valid, method, detail, rel_tol, params):
+def _report(lhs, rhs, valid, method, detail, rel_tol, params, log_rhs=None):
+    """``log_rhs`` defaults to log(rhs); a caller that formed rhs in log
+    domain passes its log, which stays finite where rhs is inf."""
     slack = rhs - lhs if valid else math.nan
+    if log_rhs is None:
+        log_rhs = math.log(rhs) if rhs > 0 else -math.inf
     return BoundReport(
         lhs=lhs,
         rhs=rhs,
@@ -121,7 +126,7 @@ def _report(lhs, rhs, valid, method, detail, rel_tol, params):
         method=method,
         detail=detail,
         log_lhs=math.log(lhs) if lhs > 0 else -math.inf,
-        log_rhs=math.log(rhs) if rhs > 0 else -math.inf,
+        log_rhs=log_rhs,
         params=params,
     )
 
@@ -179,19 +184,24 @@ def check_subordinated_harnack(base, sub, p, x, y, f, mode="numeric",
                            f"exponential moment diverges: {moment.divergence_reason}",
                            spec.rel_tol, params)
         factor = transfer_factor_numeric(p, profile, moment)
-        method = "series"
+        lhs = subordinated_apply(base, sub, f, x, spec) ** p
+        rhs = factor * subordinated_apply(base, sub, f.pow(p), y, spec)
+        return _report(lhs, rhs, True, "series", "", spec.rel_tol, params)
+    if not (kappa / (kappa + 1.0) < alpha < 1.0):
+        return _report(math.inf, math.inf, False, "closed-form",
+                       "alpha outside (kappa/(kappa+1), 1)", spec.rel_tol, params)
+    if mode == "intermediate":
+        log_factor = log_thm11_intermediate_factor(p, profile, alpha, t)
     else:
-        if not (kappa / (kappa + 1.0) < alpha < 1.0):
-            return _report(math.inf, math.inf, False, "closed-form",
-                           "alpha outside (kappa/(kappa+1), 1)", spec.rel_tol, params)
-        if mode == "intermediate":
-            factor = math.exp(log_thm11_intermediate_factor(p, profile, alpha, t))
-        else:
-            factor = math.exp(log_thm11_factor(p, profile, alpha, t))
-        method = "closed-form"
+        log_factor = log_thm11_factor(p, profile, alpha, t)
     lhs = subordinated_apply(base, sub, f, x, spec) ** p
-    rhs = factor * subordinated_apply(base, sub, f.pow(p), y, spec)
-    return _report(lhs, rhs, True, method, "", spec.rel_tol, params)
+    # in log domain: near alpha = kappa/(kappa+1) the closed-form factor
+    # passes float range (log above 709) and rhs is then reported as inf
+    rhs_p = subordinated_apply(base, sub, f.pow(p), y, spec)
+    log_rhs = log_factor + (math.log(rhs_p) if rhs_p > 0 else -math.inf)
+    rhs = math.exp(log_rhs) if log_rhs < _LOG_FLOAT_MAX else math.inf
+    return _report(lhs, rhs, True, "closed-form", "", spec.rel_tol, params,
+                   log_rhs=log_rhs)
 
 
 def check_prop13(base, p, t, x, y, f, spec=QuadratureSpec()):

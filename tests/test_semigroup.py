@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subharnack.semigroup import (
+    _checked_pair,
+    _kernel_density_at,
     BaseKernel,
     Constant,
     ExpAffine,
@@ -28,6 +30,18 @@ from subharnack.subordinator import (
 )
 
 SPEC = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
+
+
+def reference_kernel_density(base, s, x, y):
+    """The numpy form ``kernel_density`` had before its float path; kept as
+    the reference the float path must reproduce bit for bit."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    m, sigma = base.mean_sigma(s, x)
+    q = float(np.sum((y - m) ** 2))
+    return (2.0 * math.pi * sigma ** 2) ** (-0.5 * base.d) * math.exp(
+        -q / (2.0 * sigma ** 2)
+    )
 
 FUNCTIONS = [
     Constant(2.0),
@@ -290,6 +304,50 @@ class TestSubordinated:
     def test_ondiag_rejects_ou(self):
         with pytest.raises(ValueError):
             ondiag(ou1d(), StableSubordinator(0.5, 1.0), [0.0], SPEC)
+
+    @pytest.mark.parametrize("base, x, y", [
+        (gauss_heat(1), [0.2], [1.1]),
+        (gauss_heat(2), [0.2, -0.4], [1.1, 0.3]),
+        (gauss_heat(3), [0.2, -0.4, 0.7], [1.1, 0.3, -0.5]),
+        (ou1d(), [0.2], [1.1]),
+    ])
+    def test_float_kernel_equals_numpy_reference_at_each_node(self, base, x, y):
+        sub = StableSubordinator(0.7, 1.0)
+        nodes = []
+
+        def reference(s):
+            nodes.append(s)
+            return reference_kernel_density(base, s, x, y)
+
+        rho_sq = float(np.sum((np.asarray(x) - np.asarray(y)) ** 2))
+        want = integrate_against(reference, sub, SPEC, extra_breaks=[rho_sq])
+        assert subordinated_density(base, sub, x, y, SPEC) == want
+        point = _checked_pair(base, x, y)
+        for s in nodes:
+            ref = reference_kernel_density(base, s, x, y)
+            assert _kernel_density_at(base, s, *point) == ref
+            assert kernel_density(base, s, x, y) == ref
+
+    def test_subordinated_density_checks_the_points(self):
+        sub = StableSubordinator(0.7, 1.0)
+        with pytest.raises(ValueError):
+            subordinated_density(gauss_heat(2), sub, [0.0], [0.0, 1.0], SPEC)
+        with pytest.raises(ValueError):
+            subordinated_density(gauss_heat(1), sub, [0.0], [0.0, 1.0], SPEC)
+        with pytest.raises(ValueError):
+            subordinated_density(ou1d(), StableSubordinator(1.0, 1.0),
+                                 [0.0, 1.0], [0.0], SPEC)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("rho, t", [(0.01, 0.5), (0.02, 1.0), (0.05, 2.0)])
+    def test_cauchy_oracle_near_diagonal(self, d, rho, t):
+        # the alpha = 1/2 density used to overflow at the tiny nodes that
+        # the break at rho^2 sends the outer quadrature to
+        x = [0.1] * d
+        y = [0.1 + rho] + [0.1] * (d - 1)
+        num = subordinated_density(gauss_heat(d), StableSubordinator(0.5, t),
+                                   x, y, SPEC)
+        assert math.isclose(num, cauchy_closed_form(d, t, x, y), rel_tol=1e-8)
 
     def test_subordinated_density_symmetry(self):
         base = gauss_heat(1)

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
 from subharnack.specfun import log_gamma
 from subharnack.subordinator import (
+    _kanter_log_a,
+    _standard_density,
     MCSpec,
     QuadratureSpec,
     SeriesEval,
@@ -67,6 +70,26 @@ def reference_exp_moment(sub, delta, kappa, rel_tol):
                 + log_fractional_moment(sub, kappa * n))
 
     return reference_sum_log_series(log_term, rel_tol)
+
+
+def reference_standard_density(alpha, v, spec):
+    """``_standard_density`` below the tail switch, with the numpy form of
+    ``_kanter_log_a`` in its integrand: the float path must reproduce it."""
+    a = alpha
+    log_c = (-a / (1.0 - a)) * math.log(v)
+
+    def integrand(u):
+        la = float(_kanter_log_a(np.float64(math.pi * u), a))
+        if la + log_c > 700.0:
+            return 0.0
+        return math.exp(la - math.exp(la + log_c))
+
+    val, _ = quad(integrand, 0.0, 1.0, epsabs=spec.abs_tol,
+                  epsrel=spec.rel_tol, limit=spec.max_subdivisions)
+    if val <= 0.0:
+        return 0.0
+    log_val = math.log(a / (1.0 - a)) - math.log(v) / (1.0 - a) + math.log(val)
+    return 0.0 if log_val < -700.0 else math.exp(log_val)
 
 
 def levy_density(t, s):
@@ -134,6 +157,39 @@ class TestDensity:
     def test_nonnegative(self, alpha, s):
         sub = StableSubordinator(alpha, 1.0)
         assert density(sub, s, SPEC) >= 0.0
+
+    @given(st.floats(min_value=0.26, max_value=0.97),
+           st.floats(min_value=-3.0, max_value=math.log10(5.0), exclude_max=True))
+    @settings(max_examples=150, deadline=None)
+    def test_float_integrand_matches_numpy_reference(self, alpha, log10_v):
+        v = 10.0 ** log10_v
+        assume(v < 5.0 and alpha != 0.5)  # 1/2 has its closed form
+        assert math.isclose(_standard_density(alpha, v, SPEC),
+                            reference_standard_density(alpha, v, SPEC),
+                            rel_tol=1e-13)
+
+    @pytest.mark.parametrize("alpha, v", [(0.3, 0.05), (0.3, 1.0), (0.6, 0.2),
+                                          (0.6, 2.0), (0.8, 0.5), (0.9, 4.0)])
+    def test_zolotarev_against_mpmath(self, alpha, v):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            a, v_mp = mp.mpf(alpha), mp.mpf(v)
+            c = v_mp ** (-a / (1 - a))
+
+            def kernel(th):  # A(theta) exp(-A(theta) v^(-a/(1-a)))
+                big_a = ((mp.sin(a * th) / mp.sin(th)) ** (a / (1 - a))
+                         * mp.sin((1 - a) * th) / mp.sin(th))
+                return big_a * mp.exp(-big_a * c)
+
+            integral = mp.quad(kernel, mp.linspace(0, mp.pi, 9)) / mp.pi
+            want = float(a / (1 - a) * v_mp ** (-1 / (1 - a)) * integral)
+        assert math.isclose(_standard_density(alpha, v, SPEC), want,
+                            rel_tol=1e-12)
+
+    def test_half_underflows_to_zero(self):
+        # v**-1.5 alone overflows here; the density is far below float range
+        assert _standard_density(0.5, 1e-250, SPEC) == 0.0
+        assert _standard_density(0.5, 1e-3, SPEC) == levy_density(1.0, 1e-3)
 
 
 class TestLaplace:
@@ -217,6 +273,13 @@ class TestExpMoment:
         res = exp_moment(StableSubordinator(0.3, 1.0), 1e-6, 1.0, SPEC)
         assert not res.converged
         assert "below" in res.divergence_reason
+
+    def test_one_step_above_boundary_is_not_divergent(self):
+        # alpha one rounding step above 1/2 has a finite moment; the series
+        # cannot reach it in max_terms, which it reports as such
+        res = exp_moment(StableSubordinator(0.5000000000000001, 1.0), 1.0, 1.0,
+                         SPEC)
+        assert not res.divergence_reason.startswith("series diverges")
 
     def test_above_boundary_always_converges(self):
         res = exp_moment(StableSubordinator(0.6, 0.5), 2.0, 1.0, SPEC)

@@ -80,6 +80,24 @@ class TestChecks:
         assert (reports["numeric"].rhs <= reports["intermediate"].rhs
                 <= reports["simplified"].rhs)
 
+    @pytest.mark.parametrize("mode", ["intermediate", "simplified"])
+    def test_subordinated_closed_form_factor_past_float_range(self, mode):
+        # log factor ~4.4e3 at alpha = 0.55: rhs is inf, its log is kept
+        sub = StableSubordinator(0.55, 1.0)
+        rep = check_subordinated_harnack(gauss_heat(1), sub, 2.0, [0.0], [1.0],
+                                         Indicator(-1.0, 1.0), mode, SPEC)
+        assert rep.valid_domain and passes(rep, SPEC.rel_tol)
+        assert rep.rhs == math.inf
+        assert 709.0 < rep.log_rhs < math.inf
+        assert math.isfinite(rep.lhs) and rep.lhs > 0
+
+    def test_subordinated_log_rhs_is_log_of_rhs(self):
+        sub = StableSubordinator(0.75, 1.0)
+        for mode in ("intermediate", "simplified"):
+            rep = check_subordinated_harnack(gauss_heat(1), sub, 2.0, [0.0],
+                                             [1.0], BUMP, mode, SPEC)
+            assert math.isclose(rep.log_rhs, math.log(rep.rhs), rel_tol=1e-14)
+
     def test_subordinated_unknown_mode(self):
         sub = StableSubordinator(0.75, 1.0)
         with pytest.raises(ValueError):
