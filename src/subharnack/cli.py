@@ -33,6 +33,7 @@ from .verify import (
     KNOWN_CHECKS,
     SweepConfig,
     check_base_harnack,
+    passes,
     run_sweep,
 )
 
@@ -220,8 +221,11 @@ def _load_config(path, seed=None, checks=None):
 def _cmd_verify(args):
     config = _load_config(args.config, checks=[args.check])
     report = run_sweep(config, threads=_threads(args))
+    rel_tol = config.quadrature.rel_tol
     for e in report.entries:
-        status = "ok" if e.lhs <= e.rhs or not e.valid_domain else "VIOLATED"
+        # the same banded test as the summary, so each line agrees with
+        # the exit code
+        status = "ok" if passes(e, rel_tol) else "VIOLATED"
         print(f"{(e.params or {}).get('check', '?')}: lhs={_fmt(e.lhs)} "
               f"rhs={_fmt(e.rhs)} {status}")
     print(f"summary: {report.summary}")

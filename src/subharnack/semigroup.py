@@ -445,10 +445,27 @@ def _apply_at(base, f, s, x0, spec, method="auto"):
 
 def subordinated_apply(base, sub, f, x, spec=QuadratureSpec()):
     """P_t^alpha f(x) = int P_s f(x) mu_t(ds); x is checked once, not at
-    every node s."""
+    every node s. For a hashable TestFunction the value is memoized per
+    (base, sub, f, x, spec); a plain callable is integrated every time."""
     if sub.degenerate:
         return apply(base, f, sub.t, x, spec)
     x0 = _first_coordinate(base, f, x)
+    if isinstance(f, TestFunction):
+        try:
+            return _subordinated_apply_memo(base, sub, f, x0, spec)
+        except TypeError:  # unhashable subclass
+            pass
+    return _subordinated_apply_memo.__wrapped__(base, sub, f, x0, spec)
+
+
+@lru_cache(maxsize=1 << 16)
+def _subordinated_apply_memo(base, sub, f, x0, spec):
+    """int P_s f(x) mu_t(ds) at a point already checked by
+    ``_first_coordinate``, with x0 its first coordinate. The Harnack checks
+    ask for the same integral for every p (an indicator is its own power)
+    and every factor mode, so the sweeps revisit identical keys. Only
+    hashable TestFunctions enter: a plain callable hashes by identity,
+    which a new object can reuse once the old one is collected."""
     return integrate_against(lambda s: _apply_at(base, f, s, x0, spec), sub, spec)
 
 

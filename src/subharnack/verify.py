@@ -61,6 +61,7 @@ from .subordinator import (
     QuadratureSpec,
     StableSubordinator,
     exp_moment,
+    integrate_against,
     laplace,
     sample,
 )
@@ -309,8 +310,6 @@ def _sub_ou_density(sub, x, z, spec):
     """Lebesgue transition density of the time-changed OU kernel."""
     if sub.degenerate:
         return _ou_density_scalar(sub.t, x, z)
-    from .subordinator import integrate_against
-
     return integrate_against(
         lambda s: _ou_density_scalar(s, x, z), sub, spec
     )
@@ -373,8 +372,6 @@ def check_entropy_cost(base, sub, shift, spec=QuadratureSpec()):
         if sub.degenerate:
             e = math.exp(-t)
             return math.exp(m * e * z - 0.5 * m * m * e * e)
-        from .subordinator import integrate_against
-
         return integrate_against(
             lambda s: math.exp(m * math.exp(-s) * z
                                - 0.5 * m * m * math.exp(-2.0 * s)),

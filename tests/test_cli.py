@@ -4,7 +4,9 @@ import os
 
 import pytest
 
+from subharnack.bounds import BoundReport
 from subharnack.cli import parse_and_dispatch
+from subharnack.verify import SweepReport, _classify
 
 # quadrature flags loosened a little throughout: CLI smoke tests need
 # speed, the numerical accuracy itself is covered elsewhere
@@ -163,6 +165,30 @@ class TestVerify:
                                "--config", config_path)
         assert code == 0
         assert "base_harnack" in out and "ok" in out
+
+    @pytest.mark.parametrize("lhs, status, code", [
+        (1.0 + 1e-8, "ok", 0),          # above rhs but inside the band
+        (1.0 + 1e-6, "VIOLATED", 3),    # beyond the band
+    ])
+    def test_line_status_agrees_with_exit_code(self, capsys, config_path,
+                                               monkeypatch, lhs, status, code):
+        # the config's rel_tol is 1e-8, so the band is rhs * (1 + 1e-7)
+        def fake_run_sweep(config, threads=1):
+            entry = BoundReport(lhs=lhs, rhs=1.0, slack=1.0 - lhs,
+                                valid_domain=True, method="closed_form",
+                                params={"check": "base_harnack"})
+            summary = {"holds": 0, "violated": 0, "out_of_domain": 0,
+                       "non_converged": 0}
+            summary[_classify(entry, config.quadrature.rel_tol)] += 1
+            return SweepReport(entries=[entry], summary=summary,
+                               worst_slack=entry.slack)
+
+        monkeypatch.setattr("subharnack.cli.run_sweep", fake_run_sweep)
+        got, out, _ = run_cli(capsys, "verify", "--check", "base_harnack",
+                              "--config", config_path)
+        assert got == code
+        line = out.splitlines()[0]
+        assert line.startswith("base_harnack:") and line.endswith(f" {status}")
 
     def test_unknown_check_rejected(self, capsys, config_path):
         code, _, _ = run_cli(capsys, "verify", "--check", "harnak",

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ from hypothesis import strategies as st
 from subharnack.semigroup import (
     _checked_pair,
     _kernel_density_at,
+    _subordinated_apply_memo,
     BaseKernel,
     Constant,
     ExpAffine,
     GaussBump,
     Indicator,
     ShiftedForLog,
+    TestFunction,
     apply,
     cauchy_closed_form,
     gauss_heat,
@@ -363,3 +366,116 @@ def test_cauchy_closed_form_values():
                         1.0 / (2.0 * math.pi), rel_tol=1e-14)
     assert math.isclose(cauchy_closed_form(3, 1.0, [0, 0, 0], [0, 0, 0]),
                         1.0 / math.pi ** 2, rel_tol=1e-14)
+
+
+@dataclass
+class _MutableBump(TestFunction):
+    """A non-frozen dataclass with eq=True, so its instances are unhashable;
+    no closed form, so it also takes the uncached fixed Gaussian rule."""
+
+    center: float = 0.0
+    width: float = 1.0
+
+    def __call__(self, y):
+        y = np.asarray(y, dtype=float)
+        return np.exp(-((y - self.center) ** 2) / (2.0 * self.width ** 2))
+
+    def breakpoints(self):
+        return (self.center,)
+
+
+def uncached_subordinated_apply(base, sub, f, x, spec):
+    """P_t^alpha f(x) integrated from the public ``apply`` at every node."""
+    return integrate_against(lambda s: apply(base, f, s, x, spec), sub, spec)
+
+
+MEMO_FUNCTIONS = [
+    Indicator(-1.0, 0.5),
+    GaussBump(0.3, 0.8),
+    GaussBump(0.3, 0.8).pow(2.5),
+    ExpAffine(0.4, clip=1.2),
+    ShiftedForLog(GaussBump(0.0, 0.4)).log(),
+]
+
+
+class TestSubordinatedApplyMemo:
+    KEY = (gauss_heat(1), StableSubordinator(0.7, 1.0), GaussBump(0.3, 0.8),
+           0.4, SPEC)
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        _subordinated_apply_memo.cache_clear()
+
+    @staticmethod
+    def call(base, sub, f, x0, spec):
+        return subordinated_apply(base, sub, f, [x0], spec)
+
+    @given(st.floats(min_value=0.3, max_value=0.95),
+           st.floats(min_value=0.5, max_value=2.0),
+           st.floats(min_value=-2.0, max_value=2.0),
+           st.sampled_from([gauss_heat(1), ou1d()]),
+           st.sampled_from(MEMO_FUNCTIONS))
+    @settings(max_examples=40, deadline=None)
+    def test_memoized_equals_uncached(self, alpha, t, x, base, f):
+        sub = StableSubordinator(alpha, t)
+        got = subordinated_apply(base, sub, f, [x], SPEC)
+        assert got == uncached_subordinated_apply(base, sub, f, [x], SPEC)
+
+    def test_same_key_is_a_hit(self):
+        first = self.call(*self.KEY)
+        before = _subordinated_apply_memo.cache_info()
+        second = self.call(*self.KEY)
+        after = _subordinated_apply_memo.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert second is first
+
+    @pytest.mark.parametrize("position, value", [
+        (0, ou1d()),
+        (1, StableSubordinator(0.8, 1.0)),
+        (1, StableSubordinator(0.7, 1.5)),
+        (2, GaussBump(0.3, 0.9)),
+        (2, GaussBump(0.3, 0.8).pow(2.0)),
+        (3, 0.5),
+        (4, QuadratureSpec(rel_tol=1e-9, abs_tol=1e-13)),
+    ])
+    def test_any_changed_part_is_a_miss(self, position, value):
+        self.call(*self.KEY)
+        key = list(self.KEY)
+        key[position] = value
+        before = _subordinated_apply_memo.cache_info()
+        got = self.call(*key)
+        after = _subordinated_apply_memo.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses + 1)
+        base, sub, f, x0, spec = key
+        assert got == uncached_subordinated_apply(base, sub, f, [x0], spec)
+
+    def test_plain_callable_is_not_memoized(self):
+        sub = StableSubordinator(0.7, 1.0)
+        before = _subordinated_apply_memo.cache_info()
+        got = subordinated_apply(gauss_heat(1), sub, lambda y: np.cos(y) ** 2,
+                                 [0.4], SPEC)
+        assert _subordinated_apply_memo.cache_info() == before
+        assert 0.0 < got < 1.0
+
+    def test_unhashable_test_function_is_integrated_uncached(self):
+        f = _MutableBump(0.3, 0.8)
+        with pytest.raises(TypeError):
+            hash(f)
+        sub = StableSubordinator(0.7, 1.0)
+        before = _subordinated_apply_memo.cache_info()
+        got = subordinated_apply(gauss_heat(1), sub, f, [0.4], SPEC)
+        assert _subordinated_apply_memo.cache_info() == before
+        assert got == uncached_subordinated_apply(gauss_heat(1), sub, f, [0.4],
+                                                  SPEC)
+
+    def test_wrong_dimension_raises_after_a_cached_entry(self):
+        sub = StableSubordinator(0.7, 1.0)
+        self.call(gauss_heat(1), sub, GaussBump(), 0.4, SPEC)
+        with pytest.raises(ValueError):
+            subordinated_apply(gauss_heat(1), sub, GaussBump(), [0.4, 1.0], SPEC)
+        subordinated_apply(gauss_heat(2), sub, Constant(1.0), [0.4, 1.0], SPEC)
+        assert _subordinated_apply_memo.cache_info().currsize == 2
+        with pytest.raises(ValueError):
+            subordinated_apply(gauss_heat(2), sub, Constant(1.0), [0.4], SPEC)
+        with pytest.raises(ValueError):
+            subordinated_apply(gauss_heat(2), sub, GaussBump(), [0.4, 1.0], SPEC)

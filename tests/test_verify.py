@@ -1,11 +1,25 @@
+import importlib.resources as resources
 import json
 import math
 
 import pytest
 
 from subharnack.bounds import BoundReport
-from subharnack.semigroup import GaussBump, Indicator, ShiftedForLog, gauss_heat, ou1d
-from subharnack.subordinator import MCSpec, QuadratureSpec, StableSubordinator
+from subharnack.semigroup import (
+    _gauss_quad_memo,
+    _subordinated_apply_memo,
+    GaussBump,
+    Indicator,
+    ShiftedForLog,
+    gauss_heat,
+    ou1d,
+)
+from subharnack.subordinator import (
+    _standard_density,
+    MCSpec,
+    QuadratureSpec,
+    StableSubordinator,
+)
 from subharnack.verify import (
     KNOWN_CHECKS,
     SweepConfig,
@@ -250,6 +264,28 @@ class TestRunSweep:
         a = json.dumps(run_sweep(cfg, threads=1).to_dict(), sort_keys=True)
         b = json.dumps(run_sweep(cfg, threads=3).to_dict(), sort_keys=True)
         assert a == b
+
+    def test_threaded_default_sweep_recomputes_every_value(self):
+        # in one process a second sweep would read the first one's values
+        # back from the memos, so empty them before each run
+        text = resources.files("subharnack").joinpath(
+            "data/default_sweep.json").read_text()
+
+        def fresh_run(threads):
+            for memo in (_subordinated_apply_memo, _gauss_quad_memo,
+                         _standard_density):
+                memo.cache_clear()
+            report = run_sweep(SweepConfig.from_dict(json.loads(text)),
+                               threads=threads)
+            text_out = json.dumps(report.to_dict(), indent=2, sort_keys=True)
+            return text_out, _subordinated_apply_memo.cache_info()
+
+        serial, first = fresh_run(1)
+        threaded, second = fresh_run(2)
+        assert threaded == serial
+        assert second.currsize == first.currsize > 0
+        assert second.misses >= second.currsize
+        assert _standard_density.cache_info().misses > 0
 
     def test_divergent_entries_marked_non_converged(self):
         # alpha = 1/2 numeric mode with a divergent moment
