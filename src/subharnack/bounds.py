@@ -37,6 +37,7 @@ from .subordinator import SeriesEval, sum_log_series
 __all__ = [
     "HarnackProfile",
     "BoundReport",
+    "STATUSES",
     "base_harnack_exponent",
     "constant_c",
     "series_factor",
@@ -72,23 +73,33 @@ class HarnackProfile:
             raise ValueError("epsilon and H_value must be >= 0")
 
 
+STATUSES = ("holds", "violated", "out_of_domain", "non_converged")
+
+
 @dataclass(frozen=True)
 class BoundReport:
-    """One inequality check: sides, slack and provenance."""
+    """One inequality check: sides, slack, verdict and provenance.
+
+    ``status`` is one of ``STATUSES``, set by the check that builds the
+    report: ``holds``/``violated`` for an in-domain entry,
+    ``out_of_domain`` where the inequality's hypotheses fail, and
+    ``non_converged`` where a series it needs diverges.
+    """
 
     lhs: float
     rhs: float
     slack: float
     valid_domain: bool
     method: str
+    status: str
     detail: str = ""
     log_lhs: float = math.nan
     log_rhs: float = math.nan
     params: Optional[dict] = None
 
-    @property
-    def holds(self):
-        return (not self.valid_domain) or self.lhs <= self.rhs
+    def __post_init__(self):
+        if self.status not in STATUSES:
+            raise ValueError(f"status must be one of {STATUSES}, got {self.status!r}")
 
     def to_dict(self):
         d = {
@@ -97,6 +108,7 @@ class BoundReport:
             "slack": _json_float(self.slack),
             "valid_domain": self.valid_domain,
             "method": self.method,
+            "status": self.status,
             "detail": self.detail,
             "log_lhs": _json_float(self.log_lhs),
             "log_rhs": _json_float(self.log_rhs),

@@ -1,11 +1,13 @@
 """Inequality checkers: closed-form bounds against quadrature truth.
 
 Each check evaluates both sides of one inequality on a concrete base
-semigroup, returning a BoundReport; ``run_sweep`` drives the checks over
-a parameter grid and aggregates. A check "holds" when
-lhs <= rhs * (1 + 10 * rel_tol), since both sides carry quadrature
-error. Out-of-domain and non-converged entries are recorded but never
-counted as violations.
+semigroup and returns a BoundReport whose ``status`` it sets itself:
+``out_of_domain`` where the inequality's hypotheses fail,
+``non_converged`` where the exponential-moment series it needs diverges,
+and otherwise ``holds`` when lhs <= rhs * (1 + 10 * rel_tol) (the band of
+``passes``, since both sides carry quadrature error) and ``violated``
+when not. ``run_sweep`` runs the checks serially over a parameter grid
+and counts the statuses; only ``violated`` entries count as violations.
 
 Harnack profiles for the concrete bases (kappa = 1 throughout):
 
@@ -20,10 +22,10 @@ Harnack profiles for the concrete bases (kappa = 1 throughout):
   eps = 1.
 """
 
+import itertools
 import math
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -32,6 +34,7 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.special import ndtri
 
 from .bounds import (
+    STATUSES,
     BoundReport,
     HarnackProfile,
     base_harnack_exponent,
@@ -113,18 +116,24 @@ def log_profile(base, rho_sq):
     return HarnackProfile(kappa=1.0, epsilon=1.0, H_value=rho_sq / 2.0, K=-1.0)
 
 
-def _report(lhs, rhs, valid, method, detail, rel_tol, params, log_rhs=None):
-    """``log_rhs`` defaults to log(rhs); a caller that formed rhs in log
-    domain passes its log, which stays finite where rhs is inf."""
-    slack = rhs - lhs if valid else math.nan
+def _verdict(lhs, rhs, rel_tol):
+    """Status of an in-domain entry: ``holds`` within the band of ``passes``."""
+    return "holds" if lhs <= rhs * (1.0 + _TOL_MULT * rel_tol) else "violated"
+
+
+def _report(lhs, rhs, method, detail, rel_tol, params, log_rhs=None):
+    """In-domain report. ``log_rhs`` defaults to log(rhs); a caller that
+    formed rhs in log domain passes its log, which stays finite where rhs
+    is inf."""
     if log_rhs is None:
         log_rhs = math.log(rhs) if rhs > 0 else -math.inf
     return BoundReport(
         lhs=lhs,
         rhs=rhs,
-        slack=slack,
-        valid_domain=valid,
+        slack=rhs - lhs,
+        valid_domain=True,
         method=method,
+        status=_verdict(lhs, rhs, rel_tol),
         detail=detail,
         log_lhs=math.log(lhs) if lhs > 0 else -math.inf,
         log_rhs=log_rhs,
@@ -132,11 +141,18 @@ def _report(lhs, rhs, valid, method, detail, rel_tol, params, log_rhs=None):
     )
 
 
+def _unchecked(status, method, detail, params):
+    """Report of an entry whose inequality was not evaluated: ``status``
+    is ``out_of_domain`` or ``non_converged``."""
+    return BoundReport(lhs=math.inf, rhs=math.inf, slack=math.nan,
+                       valid_domain=False, method=method, status=status,
+                       detail=detail, log_lhs=math.inf, log_rhs=math.inf,
+                       params=params)
+
+
 def passes(report, rel_tol):
     """True unless the report is an in-domain violation beyond tolerance."""
-    if not report.valid_domain:
-        return True
-    return report.lhs <= report.rhs * (1.0 + _TOL_MULT * rel_tol)
+    return not report.valid_domain or _verdict(report.lhs, report.rhs, rel_tol) == "holds"
 
 
 # --- checks ------------------------------------------------------------
@@ -149,7 +165,7 @@ def check_base_harnack(base, p, t, x, y, f, spec=QuadratureSpec()):
     rhs = math.exp(expo) * apply(base, f.pow(p), t, y, spec)
     params = {"check": "base_harnack", "p": p, "t": t, "x": float(np.atleast_1d(x)[0]),
               "y": float(np.atleast_1d(y)[0]), "f": f.describe()}
-    return _report(lhs, rhs, True, "quadrature", "", spec.rel_tol, params)
+    return _report(lhs, rhs, "quadrature", "", spec.rel_tol, params)
 
 
 def check_subordinated_harnack(base, sub, p, x, y, f, mode="numeric",
@@ -164,33 +180,31 @@ def check_subordinated_harnack(base, sub, p, x, y, f, mode="numeric",
         raise ValueError(f"unknown mode {mode!r}")
     t = sub.t
     alpha = sub.alpha
-    rho_sq = _rho_sq(x, y)
     params = {"check": "subordinated_harnack", "alpha": alpha, "p": p, "t": t,
               "x": float(np.atleast_1d(x)[0]), "y": float(np.atleast_1d(y)[0]),
               "f": f.describe(), "mode": mode}
     if sub.degenerate:
         rep = check_base_harnack(base, p, t, x, y, f, spec)
-        return _report(rep.lhs, rep.rhs, rep.valid_domain, rep.method,
+        return _report(rep.lhs, rep.rhs, rep.method,
                        "alpha=1 reduces to base inequality", spec.rel_tol, params)
-    profile, in_domain = power_profile(base, p, rho_sq)
-    kappa = profile.kappa
+    profile, in_domain = power_profile(base, p, _rho_sq(x, y))
+    kappa = params["kappa"] = profile.kappa
     if not in_domain:
-        return _report(math.inf, math.inf, False, "closed-form",
-                       "profile requires p >= 4/3 for the heat kernel",
-                       spec.rel_tol, params)
+        return _unchecked("out_of_domain", "closed-form",
+                          "profile requires p >= 4/3 for the heat kernel", params)
     if mode == "numeric":
         moment = exp_moment(sub, profile.H_value / (p - 1.0), kappa, spec)
         if not moment.converged:
-            return _report(math.inf, math.inf, False, "series",
-                           f"exponential moment diverges: {moment.divergence_reason}",
-                           spec.rel_tol, params)
+            return _unchecked("non_converged", "series",
+                              f"exponential moment diverges: {moment.divergence_reason}",
+                              params)
         factor = transfer_factor_numeric(p, profile, moment)
         lhs = subordinated_apply(base, sub, f, x, spec) ** p
         rhs = factor * subordinated_apply(base, sub, f.pow(p), y, spec)
-        return _report(lhs, rhs, True, "series", "", spec.rel_tol, params)
+        return _report(lhs, rhs, "series", "", spec.rel_tol, params)
     if not (kappa / (kappa + 1.0) < alpha < 1.0):
-        return _report(math.inf, math.inf, False, "closed-form",
-                       "alpha outside (kappa/(kappa+1), 1)", spec.rel_tol, params)
+        return _unchecked("out_of_domain", "closed-form",
+                          "alpha outside (kappa/(kappa+1), 1)", params)
     if mode == "intermediate":
         log_factor = log_thm11_intermediate_factor(p, profile, alpha, t)
     else:
@@ -201,7 +215,7 @@ def check_subordinated_harnack(base, sub, p, x, y, f, mode="numeric",
     rhs_p = subordinated_apply(base, sub, f.pow(p), y, spec)
     log_rhs = log_factor + (math.log(rhs_p) if rhs_p > 0 else -math.inf)
     rhs = math.exp(log_rhs) if log_rhs < _LOG_FLOAT_MAX else math.inf
-    return _report(lhs, rhs, True, "closed-form", "", spec.rel_tol, params,
+    return _report(lhs, rhs, "closed-form", "", spec.rel_tol, params,
                    log_rhs=log_rhs)
 
 
@@ -216,32 +230,33 @@ def check_prop13(base, p, t, x, y, f, spec=QuadratureSpec()):
     if base.kind != "gauss_heat":
         raise ValueError("the boundary-case check is set up on the heat kernel")
     sub = StableSubordinator(alpha=0.5, t=t)
-    rho_sq = _rho_sq(x, y)
-    params = {"check": "prop13", "alpha": 0.5, "p": p, "t": t,
+    profile, in_domain = power_profile(base, p, _rho_sq(x, y))
+    kappa = profile.kappa
+    params = {"check": "prop13", "alpha": 0.5, "kappa": kappa, "p": p, "t": t,
               "x": float(np.atleast_1d(x)[0]), "y": float(np.atleast_1d(y)[0]),
               "f": f.describe()}
-    profile, in_domain = power_profile(base, p, rho_sq)
     if not in_domain:
-        return _report(math.inf, math.inf, False, "closed-form",
-                       "profile requires p >= 4/3 for the heat kernel",
-                       spec.rel_tol, params)
-    valid, factor, q = prop13_factor(p, 1.0, profile.H_value, t)
+        return _unchecked("out_of_domain", "closed-form",
+                          "profile requires p >= 4/3 for the heat kernel", params)
+    valid, factor, q = prop13_factor(p, kappa, profile.H_value, t)
     if valid and q >= 1.0:
-        moment = exp_moment(sub, profile.H_value / (p - 1.0), 1.0, spec)
+        moment = exp_moment(sub, profile.H_value / (p - 1.0), kappa, spec)
         detail = ("discrepancy: sufficient condition holds but exact term "
                   f"ratio q={q:.6g} >= 1; moment series "
                   f"{'diverges' if not moment.converged else 'CONVERGED (unexpected)'}")
-        return _report(math.inf, math.inf, False, "series", detail,
-                       spec.rel_tol, params)
+        # a convergent series here contradicts the ratio test; the entry
+        # stays outside the checked domain
+        status = "out_of_domain" if moment.converged else "non_converged"
+        return _unchecked(status, "series", detail, params)
     if not valid:
-        return _report(math.inf, math.inf, False, "closed-form",
-                       "sufficient condition fails", spec.rel_tol, params)
+        return _unchecked("out_of_domain", "closed-form",
+                          "sufficient condition fails", params)
     lhs = subordinated_apply(base, sub, f, x, spec) ** p
     rhs = math.exp(profile.epsilon * profile.H_value) * factor * subordinated_apply(
         base, sub, f.pow(p), y, spec
     )
-    return _report(lhs, rhs, True, "closed-form",
-                   f"exact_ratio={q:.6g}", spec.rel_tol, params)
+    return _report(lhs, rhs, "closed-form", f"exact_ratio={q:.6g}",
+                   spec.rel_tol, params)
 
 
 def check_log_harnack(base, sub, x, y, f, spec=QuadratureSpec()):
@@ -256,13 +271,14 @@ def check_log_harnack(base, sub, x, y, f, spec=QuadratureSpec()):
     term = log_harnack_term(sub.alpha, profile.kappa, profile.epsilon,
                             profile.H_value, t)
     rhs = math.log(subordinated_apply(base, sub, f, y, spec)) + term
-    params = {"check": "log_harnack", "alpha": sub.alpha, "t": t,
-              "x": float(np.atleast_1d(x)[0]), "y": float(np.atleast_1d(y)[0]),
-              "f": f.describe()}
+    params = {"check": "log_harnack", "alpha": sub.alpha, "kappa": profile.kappa,
+              "t": t, "x": float(np.atleast_1d(x)[0]),
+              "y": float(np.atleast_1d(y)[0]), "f": f.describe()}
     # both sides can be negative; report raw values, the slack carries the check
     return BoundReport(lhs=lhs, rhs=rhs, slack=rhs - lhs, valid_domain=True,
-                       method="quadrature", detail=f"additive term={term:.12g}",
-                       params=params)
+                       method="quadrature",
+                       status=_verdict(lhs, rhs, spec.rel_tol),
+                       detail=f"additive term={term:.12g}", params=params)
 
 
 def check_ondiag_rate(d, alpha, ts, spec=QuadratureSpec()):
@@ -293,7 +309,8 @@ def check_ondiag_rate(d, alpha, ts, spec=QuadratureSpec()):
     params = {"check": "ondiag_rate", "alpha": alpha, "d": d,
               "t": ts[0], "f": "", "criterion": which}
     return BoundReport(lhs=err, rhs=tol, slack=tol - err, valid_domain=True,
-                       method="quadrature", detail=detail, params=params)
+                       method="quadrature", status=_verdict(err, tol, spec.rel_tol),
+                       detail=detail, params=params)
 
 
 def _ou_density_scalar(s, x, z):
@@ -340,9 +357,9 @@ def check_entropy_kernel(base, sub, x, y, spec=QuadratureSpec()):
     profile = log_profile(base, (x - y) ** 2)
     rhs = log_harnack_term(sub.alpha, profile.kappa, profile.epsilon,
                            profile.H_value, sub.t)
-    params = {"check": "entropy_kernel", "alpha": sub.alpha, "t": sub.t,
-              "x": x, "y": y, "f": ""}
-    return _report(lhs, rhs, True, "quadrature", "", spec.rel_tol, params)
+    params = {"check": "entropy_kernel", "alpha": sub.alpha,
+              "kappa": profile.kappa, "t": sub.t, "x": x, "y": y, "f": ""}
+    return _report(lhs, rhs, "quadrature", "", spec.rel_tol, params)
 
 
 def wasserstein_cost_1d(quantile1, quantile2, cost, spec=QuadratureSpec()):
@@ -388,15 +405,17 @@ def check_entropy_cost(base, sub, shift, spec=QuadratureSpec()):
         lhs, _ = quad(integrand, -14.0 - abs(m), 14.0 + abs(m),
                       epsabs=spec.abs_tol, epsrel=max(spec.rel_tol, 1e-9),
                       limit=spec.max_subdivisions)
-    # OU log profile H(x,y) = (x-y)^2/2, eps = 1, kappa = 1
+    # the transport cost of the OU log profile's H(a, b) = (a-b)^2/2 takes
+    # the place of H(x, y)
+    profile = log_profile(base, 0.0)
     w_cost = wasserstein_cost_1d(
         lambda u: m + ndtri(u), ndtri, lambda a, b: 0.5 * (a - b) ** 2, spec
     )
-    rhs = log_harnack_term(sub.alpha, 1.0, 1.0, w_cost, t)
-    params = {"check": "entropy_cost", "alpha": sub.alpha, "t": t,
-              "x": m, "y": 0.0, "f": "gaussian-shift"}
-    return _report(lhs, rhs, True, "quadrature",
-                   f"W_H={w_cost:.12g}", spec.rel_tol, params)
+    rhs = log_harnack_term(sub.alpha, profile.kappa, profile.epsilon, w_cost, t)
+    params = {"check": "entropy_cost", "alpha": sub.alpha, "kappa": profile.kappa,
+              "t": t, "x": m, "y": 0.0, "f": "gaussian-shift"}
+    return _report(lhs, rhs, "quadrature", f"W_H={w_cost:.12g}", spec.rel_tol,
+                   params)
 
 
 def check_laplace_mc(sub, x_probe, mc):
@@ -407,27 +426,69 @@ def check_laplace_mc(sub, x_probe, mc):
     mean = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(mc.n_samples))
     exact = laplace(sub, x_probe)
+    err, band = abs(mean - exact), 4.0 * se
     params = {"check": "laplace_mc", "alpha": sub.alpha, "t": sub.t,
               "x": x_probe, "f": ""}
-    return BoundReport(lhs=abs(mean - exact), rhs=4.0 * se,
-                       slack=4.0 * se - abs(mean - exact), valid_domain=True,
-                       method="monte-carlo",
+    # no quadrature error to allow for: the band is the 4-SE band itself
+    return BoundReport(lhs=err, rhs=band, slack=band - err, valid_domain=True,
+                       method="monte-carlo", status=_verdict(err, band, 0.0),
                        detail=f"mean={mean:.12g} exact={exact:.12g} se={se:.3g}",
                        params=params)
 
 
 # --- sweep -------------------------------------------------------------
 
-KNOWN_CHECKS = (
-    "base_harnack",
-    "subordinated_harnack",
-    "prop13",
-    "log_harnack",
-    "ondiag_rate",
-    "entropy_kernel",
-    "entropy_cost",
-    "laplace_mc",
+def _mc_stream(config, i, j):
+    """Seed of the Monte Carlo stream of the laplace_mc entry at the i-th
+    alpha below 1 and the j-th t. ``config.seed`` enters through an odd
+    multiplier, so seeds that differ mod 2**32 give different streams,
+    and seed 0 keeps the stream that ``mc.seed`` alone gives."""
+    return ((config.mc.seed * 1000003 + i * 1009 + j)
+            ^ (config.seed * 0x9E3779B1)) & 0xFFFFFFFF
+
+
+# One row per check, in entry order: its name, its axes (outermost first,
+# as values taken from the config) and the builder of one entry from the
+# config and one value per axis. Builders look each check_* up at call
+# time, so a rebinding of the module attribute sees every call.
+_SWEEP = (
+    ("base_harnack",
+     lambda c: (c.ps, c.ts, c.point_pairs, c.functions),
+     lambda c, p, t, xy, f: check_base_harnack(c.base, p, t, *xy, f, c.quadrature)),
+    ("subordinated_harnack",
+     lambda c: (c.alphas, c.ps, c.ts, c.point_pairs, c.functions,
+                ("numeric", "intermediate", "simplified")),
+     lambda c, a, p, t, xy, f, mode: check_subordinated_harnack(
+         c.base, StableSubordinator(a, t), p, *xy, f, mode, c.quadrature)),
+    ("prop13",
+     lambda c: (c.ps, c.ts, c.point_pairs, c.functions),
+     lambda c, p, t, xy, f: check_prop13(c.base, p, t, *xy, f, c.quadrature)),
+    ("log_harnack",
+     lambda c: (c.alphas, c.ts, c.point_pairs, c.functions),
+     lambda c, a, t, xy, f: check_log_harnack(
+         c.base, StableSubordinator(a, t), *xy,
+         f if isinstance(f, ShiftedForLog) else ShiftedForLog(f, 1.0), c.quadrature)),
+    ("ondiag_rate",
+     lambda c: (c.alphas,),
+     lambda c, a: check_ondiag_rate(c.base.d if c.base.kind == "gauss_heat" else 1,
+                                    a, c.rate_ts, c.quadrature)),
+    ("entropy_kernel",
+     lambda c: (c.alphas, c.ts, c.point_pairs),
+     lambda c, a, t, xy: check_entropy_kernel(ou1d(), StableSubordinator(a, t),
+                                              *xy, c.quadrature)),
+    ("entropy_cost",
+     lambda c: (c.alphas, c.ts, c.point_pairs),
+     lambda c, a, t, xy: check_entropy_cost(ou1d(), StableSubordinator(a, t),
+                                            min(abs(xy[0] - xy[1]), 0.5), c.quadrature)),
+    # the positions of alpha and t enter the Monte Carlo stream seed
+    ("laplace_mc",
+     lambda c: (enumerate(a for a in c.alphas if a < 1.0), enumerate(c.ts)),
+     lambda c, ia, jt: check_laplace_mc(
+         StableSubordinator(ia[1], jt[1]), 1.0,
+         MCSpec(c.mc.n_samples, _mc_stream(c, ia[0], jt[0])))),
 )
+
+KNOWN_CHECKS = tuple(name for name, _, _ in _SWEEP)
 
 _FUNCTION_KINDS = {
     "constant": lambda d: Constant(d.get("c", 1.0)),
@@ -551,101 +612,18 @@ class SweepReport:
         return self.summary["violated"]
 
 
-def _classify(report, rel_tol):
-    if not report.valid_domain:
-        if "diverg" in report.detail:
-            return "non_converged"
-        return "out_of_domain"
-    return "holds" if passes(report, rel_tol) else "violated"
-
-
-def _sweep_tasks(config):
-    """Deterministic list of thunks, one per sweep entry."""
-    base = config.base
-    spec = config.quadrature
-    tasks = []
-    if "base_harnack" in config.checks:
-        for p in config.ps:
-            for t in config.ts:
-                for x, y in config.point_pairs:
-                    for f in config.functions:
-                        tasks.append(lambda p=p, t=t, x=x, y=y, f=f:
-                                     check_base_harnack(base, p, t, x, y, f, spec))
-    if "subordinated_harnack" in config.checks:
-        for alpha in config.alphas:
-            for p in config.ps:
-                for t in config.ts:
-                    for x, y in config.point_pairs:
-                        for f in config.functions:
-                            for mode in ("numeric", "intermediate", "simplified"):
-                                tasks.append(
-                                    lambda alpha=alpha, p=p, t=t, x=x, y=y, f=f, mode=mode:
-                                    check_subordinated_harnack(
-                                        base, StableSubordinator(alpha, t),
-                                        p, x, y, f, mode, spec))
-    if "prop13" in config.checks:
-        for p in config.ps:
-            for t in config.ts:
-                for x, y in config.point_pairs:
-                    for f in config.functions:
-                        tasks.append(lambda p=p, t=t, x=x, y=y, f=f:
-                                     check_prop13(base, p, t, x, y, f, spec))
-    if "log_harnack" in config.checks:
-        for alpha in config.alphas:
-            for t in config.ts:
-                for x, y in config.point_pairs:
-                    for f in config.functions:
-                        g = f if isinstance(f, ShiftedForLog) else ShiftedForLog(f, 1.0)
-                        tasks.append(lambda alpha=alpha, t=t, x=x, y=y, g=g:
-                                     check_log_harnack(
-                                         base, StableSubordinator(alpha, t),
-                                         x, y, g, spec))
-    if "ondiag_rate" in config.checks:
-        for alpha in config.alphas:
-            tasks.append(lambda alpha=alpha:
-                         check_ondiag_rate(base.d if base.kind == "gauss_heat" else 1,
-                                           alpha, config.rate_ts, spec))
-    if "entropy_kernel" in config.checks:
-        for alpha in config.alphas:
-            for t in config.ts:
-                for x, y in config.point_pairs:
-                    tasks.append(lambda alpha=alpha, t=t, x=x, y=y:
-                                 check_entropy_kernel(
-                                     ou1d(), StableSubordinator(alpha, t),
-                                     x, y, spec))
-    if "entropy_cost" in config.checks:
-        for alpha in config.alphas:
-            for t in config.ts:
-                for x, y in config.point_pairs:
-                    shift = min(abs(x - y), 0.5)
-                    tasks.append(lambda alpha=alpha, t=t, shift=shift:
-                                 check_entropy_cost(
-                                     ou1d(), StableSubordinator(alpha, t),
-                                     shift, spec))
-    if "laplace_mc" in config.checks:
-        for i, alpha in enumerate(a for a in config.alphas if a < 1.0):
-            for j, t in enumerate(config.ts):
-                mc = MCSpec(config.mc.n_samples,
-                            (config.mc.seed * 1000003 + i * 1009 + j) & 0xFFFFFFFF)
-                tasks.append(lambda alpha=alpha, t=t, mc=mc:
-                             check_laplace_mc(StableSubordinator(alpha, t), 1.0, mc))
-    return tasks
-
-
 def run_sweep(config, threads=1):
-    """Run every configured check over the grid; deterministic given the config."""
+    """Run every configured check over its grid, serially in the order of
+    ``_SWEEP``; the report depends on the config alone. ``threads`` is
+    accepted and ignored: the checks hold the interpreter lock, so a
+    thread pool made the sweep slower."""
     config.validate()
-    tasks = _sweep_tasks(config)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            entries = list(pool.map(lambda th: th(), tasks))
-    else:
-        entries = [th() for th in tasks]
-    summary = {"holds": 0, "violated": 0, "out_of_domain": 0, "non_converged": 0}
-    worst = math.inf
-    rel_tol = config.quadrature.rel_tol
+    entries = [build(config, *point)
+               for name, axes, build in _SWEEP if name in config.checks
+               for point in itertools.product(*axes(config))]
+    summary = dict.fromkeys(STATUSES, 0)
     for e in entries:
-        summary[_classify(e, rel_tol)] += 1
-        if e.valid_domain and math.isfinite(e.slack):
-            worst = min(worst, e.slack)
+        summary[e.status] += 1
+    worst = min((e.slack for e in entries
+                 if e.valid_domain and math.isfinite(e.slack)), default=math.inf)
     return SweepReport(entries=entries, summary=summary, worst_slack=worst)

@@ -219,19 +219,21 @@ class TestTransferFactor:
 
 
 class TestBoundReport:
-    def test_holds_semantics(self):
-        ok = BoundReport(lhs=1.0, rhs=2.0, slack=1.0, valid_domain=True,
-                         method="m")
-        bad = BoundReport(lhs=3.0, rhs=2.0, slack=-1.0, valid_domain=True,
-                          method="m")
-        vacuous = BoundReport(lhs=3.0, rhs=2.0, slack=-1.0, valid_domain=False,
-                              method="m")
-        assert ok.holds and not bad.holds and vacuous.holds
+    def test_status_is_one_of_four(self):
+        for status in ("holds", "violated", "out_of_domain", "non_converged"):
+            rep = BoundReport(lhs=3.0, rhs=2.0, slack=-1.0, valid_domain=True,
+                              method="m", status=status)
+            assert rep.to_dict()["status"] == status
+        for status in ("ok", "", None):
+            with pytest.raises(ValueError, match="status"):
+                BoundReport(lhs=1.0, rhs=2.0, slack=1.0, valid_domain=True,
+                            method="m", status=status)
 
     def test_to_dict_is_json_safe(self):
         import json
 
         rep = BoundReport(lhs=math.inf, rhs=math.nan, slack=math.inf,
-                          valid_domain=False, method="m")
+                          valid_domain=False, method="m",
+                          status="out_of_domain")
         text = json.dumps(rep.to_dict(), allow_nan=False)
         assert "inf" in text and "nan" in text

@@ -4,9 +4,8 @@ import os
 
 import pytest
 
-from subharnack.bounds import BoundReport
 from subharnack.cli import parse_and_dispatch
-from subharnack.verify import SweepReport, _classify
+from subharnack.verify import SweepReport, _report
 
 # quadrature flags loosened a little throughout: CLI smoke tests need
 # speed, the numerical accuracy itself is covered elsewhere
@@ -174,12 +173,11 @@ class TestVerify:
                                                monkeypatch, lhs, status, code):
         # the config's rel_tol is 1e-8, so the band is rhs * (1 + 1e-7)
         def fake_run_sweep(config, threads=1):
-            entry = BoundReport(lhs=lhs, rhs=1.0, slack=1.0 - lhs,
-                                valid_domain=True, method="closed_form",
-                                params={"check": "base_harnack"})
+            entry = _report(lhs, 1.0, "closed_form", "",
+                            config.quadrature.rel_tol, {"check": "base_harnack"})
             summary = {"holds": 0, "violated": 0, "out_of_domain": 0,
                        "non_converged": 0}
-            summary[_classify(entry, config.quadrature.rel_tol)] += 1
+            summary[entry.status] += 1
             return SweepReport(entries=[entry], summary=summary,
                                worst_slack=entry.slack)
 
@@ -226,6 +224,26 @@ class TestSweep:
         monkeypatch.delenv("SUBHARNACK_THREADS")
         _, b, _ = run_cli(capsys, "sweep", "--config", config_path)
         assert a == b
+
+    def test_seed_moves_the_monte_carlo_streams(self, capsys, tmp_path):
+        d = small_config_dict()
+        d.update(checks=["laplace_mc"], alphas=[0.6, 0.8], ts=[0.5, 1.0],
+                 mc={"n_samples": 500, "seed": 3})
+        path = tmp_path / "mc.json"
+        path.write_text(json.dumps(d))
+
+        def sweep(*seed):
+            code, out, err = run_cli(capsys, "sweep", "--config", str(path),
+                                     *seed)
+            assert code == 0, err
+            return out
+
+        entries = {seed: json.loads(sweep("--seed", seed))["entries"]
+                   for seed in ("0", "7")}
+        assert all(a["detail"] != b["detail"]
+                   for a, b in zip(entries["0"], entries["7"]))
+        assert sweep("--seed", "7") == sweep("--seed", "7")
+        assert sweep("--seed", "0") == sweep()  # the config's seed is 0
 
     def test_missing_config_exit_1(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "sweep", "--config",

@@ -1,10 +1,12 @@
 import importlib.resources as resources
 import json
 import math
+from collections import Counter
 
 import pytest
 
-from subharnack.bounds import BoundReport
+from subharnack import verify
+from subharnack.bounds import STATUSES, BoundReport
 from subharnack.semigroup import (
     _gauss_quad_memo,
     _subordinated_apply_memo,
@@ -67,13 +69,13 @@ class TestProfiles:
 class TestPasses:
     def test_within_tolerance_band(self):
         rep = BoundReport(lhs=1.0 + 5e-9, rhs=1.0, slack=-5e-9,
-                          valid_domain=True, method="m")
+                          valid_domain=True, method="m", status="holds")
         assert passes(rep, 1e-9)
         assert not passes(rep, 1e-11)
 
     def test_out_of_domain_always_passes(self):
         rep = BoundReport(lhs=5.0, rhs=1.0, slack=-4.0, valid_domain=False,
-                          method="m")
+                          method="m", status="out_of_domain")
         assert passes(rep, 1e-12)
 
 
@@ -122,7 +124,7 @@ class TestChecks:
         sub = StableSubordinator(0.5, 1.0)
         rep = check_subordinated_harnack(gauss_heat(1), sub, 2.0, [0.0], [1.0],
                                          BUMP, "simplified", SPEC)
-        assert not rep.valid_domain and rep.holds
+        assert not rep.valid_domain and rep.status == "out_of_domain"
 
     def test_subordinated_small_p_out_of_domain(self):
         sub = StableSubordinator(0.75, 1.0)
@@ -138,7 +140,7 @@ class TestChecks:
         # q = rho^2 (2/t)^2 = 1.78 lies in [1, e): sufficient condition
         # admits the point while the true series diverges
         rep = check_prop13(gauss_heat(1), 2.0, 1.2, [0.0], [0.8], BUMP, SPEC)
-        assert not rep.valid_domain
+        assert not rep.valid_domain and rep.status == "non_converged"
         assert "discrepancy" in rep.detail and "diverges" in rep.detail
 
     def test_prop13_needs_heat_kernel(self):
@@ -302,3 +304,266 @@ class TestRunSweep:
         text = json.dumps(run_sweep(cfg).to_dict(), allow_nan=False,
                           sort_keys=True)
         json.loads(text)
+
+
+# two values on every axis, every check; p = 1.2 is outside the heat
+# kernel's power profile and alpha = 1/2 makes some moments diverge
+ALL_CHECKS_CONFIG = small_config(
+    alphas=[0.5, 0.75], ts=[0.5, 1.0], ps=[1.2, 2.0],
+    point_pairs=[[0.0, 0.5], [0.0, 2.0]],
+    functions=[{"kind": "indicator", "lo": -1.0, "hi": 1.0},
+               {"kind": "gauss_bump", "center": 0.0, "width": 1.0}],
+    mc={"n_samples": 2000, "seed": 5}, checks=list(KNOWN_CHECKS))
+
+
+@pytest.fixture(scope="module")
+def all_checks_sweep():
+    """The all-checks sweep and the stream seed of each laplace_mc entry."""
+    seeds = []
+    check = verify.check_laplace_mc
+
+    def recording(sub, x_probe, mc):
+        seeds.append(mc.seed)
+        return check(sub, x_probe, mc)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "check_laplace_mc", recording)
+        cfg = SweepConfig.from_dict(ALL_CHECKS_CONFIG)
+        report = run_sweep(cfg)
+    return cfg, report, seeds
+
+
+class TestSweepTable:
+    def test_entry_order(self, all_checks_sweep):
+        _, report, _ = all_checks_sweep
+        keys = ("check", "alpha", "p", "t", "x", "y", "f", "mode")
+        got = [tuple(e.params.get(k) for k in keys) for e in report.entries]
+        assert got == ALL_CHECKS_ORDER
+
+    def test_laplace_mc_streams(self, all_checks_sweep):
+        # mc.seed * 1000003 + 1009 * (index of alpha) + (index of t)
+        _, _, seeds = all_checks_sweep
+        assert seeds == [5000015, 5000016, 5001024, 5001025]
+
+    def test_status_of_every_entry(self, all_checks_sweep):
+        cfg, report, _ = all_checks_sweep
+        rel_tol = cfg.quadrature.rel_tol
+        for e in report.entries:
+            assert e.status in STATUSES
+            assert e.to_dict()["status"] == e.status
+            if e.valid_domain:
+                assert e.status == ("holds" if passes(e, rel_tol) else "violated")
+            else:
+                assert e.status in ("out_of_domain", "non_converged")
+        statuses = Counter(e.status for e in report.entries)
+        assert Counter(report.summary) == statuses
+        assert set(report.summary) == set(STATUSES)
+        assert statuses["out_of_domain"] > 0 and statuses["non_converged"] > 0
+
+    def test_kappa_in_every_profile_check(self, all_checks_sweep):
+        _, report, _ = all_checks_sweep
+        with_profile = {"subordinated_harnack", "prop13", "log_harnack",
+                        "entropy_kernel", "entropy_cost"}
+        for e in report.entries:
+            if e.params["check"] in with_profile:
+                assert e.params["kappa"] == 1.0
+            else:
+                assert "kappa" not in e.params
+
+    def test_alpha_one_is_the_base_inequality_without_kappa(self):
+        # alpha = 1 builds no profile of its own, as base_harnack builds none
+        sub = StableSubordinator(1.0, 1.0)
+        rep = check_subordinated_harnack(gauss_heat(1), sub, 2.0, [0.0], [1.0],
+                                         BUMP, "numeric", SPEC)
+        base = check_base_harnack(gauss_heat(1), 2.0, 1.0, [0.0], [1.0], BUMP, SPEC)
+        assert (rep.lhs, rep.rhs, rep.status) == (base.lhs, base.rhs, "holds")
+        assert "kappa" not in rep.params
+
+    @pytest.mark.parametrize("lhs, status", [
+        (1.0 + 5e-8, "holds"),      # above rhs but inside the band of passes
+        (1.0 + 2e-7, "violated"),
+    ])
+    def test_in_domain_status_is_the_passes_band(self, lhs, status):
+        rep = verify._report(lhs, 1.0, "m", "", 1e-8, {})
+        assert rep.status == status
+        assert passes(rep, 1e-8) == (status == "holds")
+
+
+# (check, alpha, p, t, x, y, f, mode) of every entry, in sweep order: the
+# order of the nested loops the sweep table replaced
+ALL_CHECKS_ORDER = [
+    # base_harnack
+    ('base_harnack', None, 1.2, 0.5, 0.0, 0.5, 'ind[-1,1]', None),
+    ('base_harnack', None, 1.2, 0.5, 0.0, 0.5, 'bump(0,1)', None),
+    ('base_harnack', None, 1.2, 0.5, 0.0, 2.0, 'ind[-1,1]', None),
+    ('base_harnack', None, 1.2, 0.5, 0.0, 2.0, 'bump(0,1)', None),
+    ('base_harnack', None, 1.2, 1.0, 0.0, 0.5, 'ind[-1,1]', None),
+    ('base_harnack', None, 1.2, 1.0, 0.0, 0.5, 'bump(0,1)', None),
+    ('base_harnack', None, 1.2, 1.0, 0.0, 2.0, 'ind[-1,1]', None),
+    ('base_harnack', None, 1.2, 1.0, 0.0, 2.0, 'bump(0,1)', None),
+    ('base_harnack', None, 2.0, 0.5, 0.0, 0.5, 'ind[-1,1]', None),
+    ('base_harnack', None, 2.0, 0.5, 0.0, 0.5, 'bump(0,1)', None),
+    ('base_harnack', None, 2.0, 0.5, 0.0, 2.0, 'ind[-1,1]', None),
+    ('base_harnack', None, 2.0, 0.5, 0.0, 2.0, 'bump(0,1)', None),
+    ('base_harnack', None, 2.0, 1.0, 0.0, 0.5, 'ind[-1,1]', None),
+    ('base_harnack', None, 2.0, 1.0, 0.0, 0.5, 'bump(0,1)', None),
+    ('base_harnack', None, 2.0, 1.0, 0.0, 2.0, 'ind[-1,1]', None),
+    ('base_harnack', None, 2.0, 1.0, 0.0, 2.0, 'bump(0,1)', None),
+    # subordinated_harnack
+    ('subordinated_harnack', 0.5, 1.2, 0.5, 0.0, 0.5, 'ind[-1,1]', 'numeric'),
+    ('subordinated_harnack', 0.5, 1.2, 0.5, 0.0, 0.5, 'ind[-1,1]', 'intermediate'),
+    ('subordinated_harnack', 0.5, 1.2, 0.5, 0.0, 0.5, 'ind[-1,1]', 'simplified'),
+    ('subordinated_harnack', 0.5, 1.2, 0.5, 0.0, 0.5, 'bump(0,1)', 'numeric'),
+    ('subordinated_harnack', 0.5, 1.2, 0.5, 0.0, 0.5, 'bump(0,1)', 'intermediate'),
+    ('subordinated_harnack', 0.5, 1.2, 0.5, 0.0, 0.5, 'bump(0,1)', 'simplified'),
+    ('subordinated_harnack', 0.5, 1.2, 0.5, 0.0, 2.0, 'ind[-1,1]', 'numeric'),
+    ('subordinated_harnack', 0.5, 1.2, 0.5, 0.0, 2.0, 'ind[-1,1]', 'intermediate'),
+    ('subordinated_harnack', 0.5, 1.2, 0.5, 0.0, 2.0, 'ind[-1,1]', 'simplified'),
+    ('subordinated_harnack', 0.5, 1.2, 0.5, 0.0, 2.0, 'bump(0,1)', 'numeric'),
+    ('subordinated_harnack', 0.5, 1.2, 0.5, 0.0, 2.0, 'bump(0,1)', 'intermediate'),
+    ('subordinated_harnack', 0.5, 1.2, 0.5, 0.0, 2.0, 'bump(0,1)', 'simplified'),
+    ('subordinated_harnack', 0.5, 1.2, 1.0, 0.0, 0.5, 'ind[-1,1]', 'numeric'),
+    ('subordinated_harnack', 0.5, 1.2, 1.0, 0.0, 0.5, 'ind[-1,1]', 'intermediate'),
+    ('subordinated_harnack', 0.5, 1.2, 1.0, 0.0, 0.5, 'ind[-1,1]', 'simplified'),
+    ('subordinated_harnack', 0.5, 1.2, 1.0, 0.0, 0.5, 'bump(0,1)', 'numeric'),
+    ('subordinated_harnack', 0.5, 1.2, 1.0, 0.0, 0.5, 'bump(0,1)', 'intermediate'),
+    ('subordinated_harnack', 0.5, 1.2, 1.0, 0.0, 0.5, 'bump(0,1)', 'simplified'),
+    ('subordinated_harnack', 0.5, 1.2, 1.0, 0.0, 2.0, 'ind[-1,1]', 'numeric'),
+    ('subordinated_harnack', 0.5, 1.2, 1.0, 0.0, 2.0, 'ind[-1,1]', 'intermediate'),
+    ('subordinated_harnack', 0.5, 1.2, 1.0, 0.0, 2.0, 'ind[-1,1]', 'simplified'),
+    ('subordinated_harnack', 0.5, 1.2, 1.0, 0.0, 2.0, 'bump(0,1)', 'numeric'),
+    ('subordinated_harnack', 0.5, 1.2, 1.0, 0.0, 2.0, 'bump(0,1)', 'intermediate'),
+    ('subordinated_harnack', 0.5, 1.2, 1.0, 0.0, 2.0, 'bump(0,1)', 'simplified'),
+    ('subordinated_harnack', 0.5, 2.0, 0.5, 0.0, 0.5, 'ind[-1,1]', 'numeric'),
+    ('subordinated_harnack', 0.5, 2.0, 0.5, 0.0, 0.5, 'ind[-1,1]', 'intermediate'),
+    ('subordinated_harnack', 0.5, 2.0, 0.5, 0.0, 0.5, 'ind[-1,1]', 'simplified'),
+    ('subordinated_harnack', 0.5, 2.0, 0.5, 0.0, 0.5, 'bump(0,1)', 'numeric'),
+    ('subordinated_harnack', 0.5, 2.0, 0.5, 0.0, 0.5, 'bump(0,1)', 'intermediate'),
+    ('subordinated_harnack', 0.5, 2.0, 0.5, 0.0, 0.5, 'bump(0,1)', 'simplified'),
+    ('subordinated_harnack', 0.5, 2.0, 0.5, 0.0, 2.0, 'ind[-1,1]', 'numeric'),
+    ('subordinated_harnack', 0.5, 2.0, 0.5, 0.0, 2.0, 'ind[-1,1]', 'intermediate'),
+    ('subordinated_harnack', 0.5, 2.0, 0.5, 0.0, 2.0, 'ind[-1,1]', 'simplified'),
+    ('subordinated_harnack', 0.5, 2.0, 0.5, 0.0, 2.0, 'bump(0,1)', 'numeric'),
+    ('subordinated_harnack', 0.5, 2.0, 0.5, 0.0, 2.0, 'bump(0,1)', 'intermediate'),
+    ('subordinated_harnack', 0.5, 2.0, 0.5, 0.0, 2.0, 'bump(0,1)', 'simplified'),
+    ('subordinated_harnack', 0.5, 2.0, 1.0, 0.0, 0.5, 'ind[-1,1]', 'numeric'),
+    ('subordinated_harnack', 0.5, 2.0, 1.0, 0.0, 0.5, 'ind[-1,1]', 'intermediate'),
+    ('subordinated_harnack', 0.5, 2.0, 1.0, 0.0, 0.5, 'ind[-1,1]', 'simplified'),
+    ('subordinated_harnack', 0.5, 2.0, 1.0, 0.0, 0.5, 'bump(0,1)', 'numeric'),
+    ('subordinated_harnack', 0.5, 2.0, 1.0, 0.0, 0.5, 'bump(0,1)', 'intermediate'),
+    ('subordinated_harnack', 0.5, 2.0, 1.0, 0.0, 0.5, 'bump(0,1)', 'simplified'),
+    ('subordinated_harnack', 0.5, 2.0, 1.0, 0.0, 2.0, 'ind[-1,1]', 'numeric'),
+    ('subordinated_harnack', 0.5, 2.0, 1.0, 0.0, 2.0, 'ind[-1,1]', 'intermediate'),
+    ('subordinated_harnack', 0.5, 2.0, 1.0, 0.0, 2.0, 'ind[-1,1]', 'simplified'),
+    ('subordinated_harnack', 0.5, 2.0, 1.0, 0.0, 2.0, 'bump(0,1)', 'numeric'),
+    ('subordinated_harnack', 0.5, 2.0, 1.0, 0.0, 2.0, 'bump(0,1)', 'intermediate'),
+    ('subordinated_harnack', 0.5, 2.0, 1.0, 0.0, 2.0, 'bump(0,1)', 'simplified'),
+    ('subordinated_harnack', 0.75, 1.2, 0.5, 0.0, 0.5, 'ind[-1,1]', 'numeric'),
+    ('subordinated_harnack', 0.75, 1.2, 0.5, 0.0, 0.5, 'ind[-1,1]', 'intermediate'),
+    ('subordinated_harnack', 0.75, 1.2, 0.5, 0.0, 0.5, 'ind[-1,1]', 'simplified'),
+    ('subordinated_harnack', 0.75, 1.2, 0.5, 0.0, 0.5, 'bump(0,1)', 'numeric'),
+    ('subordinated_harnack', 0.75, 1.2, 0.5, 0.0, 0.5, 'bump(0,1)', 'intermediate'),
+    ('subordinated_harnack', 0.75, 1.2, 0.5, 0.0, 0.5, 'bump(0,1)', 'simplified'),
+    ('subordinated_harnack', 0.75, 1.2, 0.5, 0.0, 2.0, 'ind[-1,1]', 'numeric'),
+    ('subordinated_harnack', 0.75, 1.2, 0.5, 0.0, 2.0, 'ind[-1,1]', 'intermediate'),
+    ('subordinated_harnack', 0.75, 1.2, 0.5, 0.0, 2.0, 'ind[-1,1]', 'simplified'),
+    ('subordinated_harnack', 0.75, 1.2, 0.5, 0.0, 2.0, 'bump(0,1)', 'numeric'),
+    ('subordinated_harnack', 0.75, 1.2, 0.5, 0.0, 2.0, 'bump(0,1)', 'intermediate'),
+    ('subordinated_harnack', 0.75, 1.2, 0.5, 0.0, 2.0, 'bump(0,1)', 'simplified'),
+    ('subordinated_harnack', 0.75, 1.2, 1.0, 0.0, 0.5, 'ind[-1,1]', 'numeric'),
+    ('subordinated_harnack', 0.75, 1.2, 1.0, 0.0, 0.5, 'ind[-1,1]', 'intermediate'),
+    ('subordinated_harnack', 0.75, 1.2, 1.0, 0.0, 0.5, 'ind[-1,1]', 'simplified'),
+    ('subordinated_harnack', 0.75, 1.2, 1.0, 0.0, 0.5, 'bump(0,1)', 'numeric'),
+    ('subordinated_harnack', 0.75, 1.2, 1.0, 0.0, 0.5, 'bump(0,1)', 'intermediate'),
+    ('subordinated_harnack', 0.75, 1.2, 1.0, 0.0, 0.5, 'bump(0,1)', 'simplified'),
+    ('subordinated_harnack', 0.75, 1.2, 1.0, 0.0, 2.0, 'ind[-1,1]', 'numeric'),
+    ('subordinated_harnack', 0.75, 1.2, 1.0, 0.0, 2.0, 'ind[-1,1]', 'intermediate'),
+    ('subordinated_harnack', 0.75, 1.2, 1.0, 0.0, 2.0, 'ind[-1,1]', 'simplified'),
+    ('subordinated_harnack', 0.75, 1.2, 1.0, 0.0, 2.0, 'bump(0,1)', 'numeric'),
+    ('subordinated_harnack', 0.75, 1.2, 1.0, 0.0, 2.0, 'bump(0,1)', 'intermediate'),
+    ('subordinated_harnack', 0.75, 1.2, 1.0, 0.0, 2.0, 'bump(0,1)', 'simplified'),
+    ('subordinated_harnack', 0.75, 2.0, 0.5, 0.0, 0.5, 'ind[-1,1]', 'numeric'),
+    ('subordinated_harnack', 0.75, 2.0, 0.5, 0.0, 0.5, 'ind[-1,1]', 'intermediate'),
+    ('subordinated_harnack', 0.75, 2.0, 0.5, 0.0, 0.5, 'ind[-1,1]', 'simplified'),
+    ('subordinated_harnack', 0.75, 2.0, 0.5, 0.0, 0.5, 'bump(0,1)', 'numeric'),
+    ('subordinated_harnack', 0.75, 2.0, 0.5, 0.0, 0.5, 'bump(0,1)', 'intermediate'),
+    ('subordinated_harnack', 0.75, 2.0, 0.5, 0.0, 0.5, 'bump(0,1)', 'simplified'),
+    ('subordinated_harnack', 0.75, 2.0, 0.5, 0.0, 2.0, 'ind[-1,1]', 'numeric'),
+    ('subordinated_harnack', 0.75, 2.0, 0.5, 0.0, 2.0, 'ind[-1,1]', 'intermediate'),
+    ('subordinated_harnack', 0.75, 2.0, 0.5, 0.0, 2.0, 'ind[-1,1]', 'simplified'),
+    ('subordinated_harnack', 0.75, 2.0, 0.5, 0.0, 2.0, 'bump(0,1)', 'numeric'),
+    ('subordinated_harnack', 0.75, 2.0, 0.5, 0.0, 2.0, 'bump(0,1)', 'intermediate'),
+    ('subordinated_harnack', 0.75, 2.0, 0.5, 0.0, 2.0, 'bump(0,1)', 'simplified'),
+    ('subordinated_harnack', 0.75, 2.0, 1.0, 0.0, 0.5, 'ind[-1,1]', 'numeric'),
+    ('subordinated_harnack', 0.75, 2.0, 1.0, 0.0, 0.5, 'ind[-1,1]', 'intermediate'),
+    ('subordinated_harnack', 0.75, 2.0, 1.0, 0.0, 0.5, 'ind[-1,1]', 'simplified'),
+    ('subordinated_harnack', 0.75, 2.0, 1.0, 0.0, 0.5, 'bump(0,1)', 'numeric'),
+    ('subordinated_harnack', 0.75, 2.0, 1.0, 0.0, 0.5, 'bump(0,1)', 'intermediate'),
+    ('subordinated_harnack', 0.75, 2.0, 1.0, 0.0, 0.5, 'bump(0,1)', 'simplified'),
+    ('subordinated_harnack', 0.75, 2.0, 1.0, 0.0, 2.0, 'ind[-1,1]', 'numeric'),
+    ('subordinated_harnack', 0.75, 2.0, 1.0, 0.0, 2.0, 'ind[-1,1]', 'intermediate'),
+    ('subordinated_harnack', 0.75, 2.0, 1.0, 0.0, 2.0, 'ind[-1,1]', 'simplified'),
+    ('subordinated_harnack', 0.75, 2.0, 1.0, 0.0, 2.0, 'bump(0,1)', 'numeric'),
+    ('subordinated_harnack', 0.75, 2.0, 1.0, 0.0, 2.0, 'bump(0,1)', 'intermediate'),
+    ('subordinated_harnack', 0.75, 2.0, 1.0, 0.0, 2.0, 'bump(0,1)', 'simplified'),
+    # prop13
+    ('prop13', 0.5, 1.2, 0.5, 0.0, 0.5, 'ind[-1,1]', None),
+    ('prop13', 0.5, 1.2, 0.5, 0.0, 0.5, 'bump(0,1)', None),
+    ('prop13', 0.5, 1.2, 0.5, 0.0, 2.0, 'ind[-1,1]', None),
+    ('prop13', 0.5, 1.2, 0.5, 0.0, 2.0, 'bump(0,1)', None),
+    ('prop13', 0.5, 1.2, 1.0, 0.0, 0.5, 'ind[-1,1]', None),
+    ('prop13', 0.5, 1.2, 1.0, 0.0, 0.5, 'bump(0,1)', None),
+    ('prop13', 0.5, 1.2, 1.0, 0.0, 2.0, 'ind[-1,1]', None),
+    ('prop13', 0.5, 1.2, 1.0, 0.0, 2.0, 'bump(0,1)', None),
+    ('prop13', 0.5, 2.0, 0.5, 0.0, 0.5, 'ind[-1,1]', None),
+    ('prop13', 0.5, 2.0, 0.5, 0.0, 0.5, 'bump(0,1)', None),
+    ('prop13', 0.5, 2.0, 0.5, 0.0, 2.0, 'ind[-1,1]', None),
+    ('prop13', 0.5, 2.0, 0.5, 0.0, 2.0, 'bump(0,1)', None),
+    ('prop13', 0.5, 2.0, 1.0, 0.0, 0.5, 'ind[-1,1]', None),
+    ('prop13', 0.5, 2.0, 1.0, 0.0, 0.5, 'bump(0,1)', None),
+    ('prop13', 0.5, 2.0, 1.0, 0.0, 2.0, 'ind[-1,1]', None),
+    ('prop13', 0.5, 2.0, 1.0, 0.0, 2.0, 'bump(0,1)', None),
+    # log_harnack
+    ('log_harnack', 0.5, None, 0.5, 0.0, 0.5, '1+ind[-1,1]', None),
+    ('log_harnack', 0.5, None, 0.5, 0.0, 0.5, '1+bump(0,1)', None),
+    ('log_harnack', 0.5, None, 0.5, 0.0, 2.0, '1+ind[-1,1]', None),
+    ('log_harnack', 0.5, None, 0.5, 0.0, 2.0, '1+bump(0,1)', None),
+    ('log_harnack', 0.5, None, 1.0, 0.0, 0.5, '1+ind[-1,1]', None),
+    ('log_harnack', 0.5, None, 1.0, 0.0, 0.5, '1+bump(0,1)', None),
+    ('log_harnack', 0.5, None, 1.0, 0.0, 2.0, '1+ind[-1,1]', None),
+    ('log_harnack', 0.5, None, 1.0, 0.0, 2.0, '1+bump(0,1)', None),
+    ('log_harnack', 0.75, None, 0.5, 0.0, 0.5, '1+ind[-1,1]', None),
+    ('log_harnack', 0.75, None, 0.5, 0.0, 0.5, '1+bump(0,1)', None),
+    ('log_harnack', 0.75, None, 0.5, 0.0, 2.0, '1+ind[-1,1]', None),
+    ('log_harnack', 0.75, None, 0.5, 0.0, 2.0, '1+bump(0,1)', None),
+    ('log_harnack', 0.75, None, 1.0, 0.0, 0.5, '1+ind[-1,1]', None),
+    ('log_harnack', 0.75, None, 1.0, 0.0, 0.5, '1+bump(0,1)', None),
+    ('log_harnack', 0.75, None, 1.0, 0.0, 2.0, '1+ind[-1,1]', None),
+    ('log_harnack', 0.75, None, 1.0, 0.0, 2.0, '1+bump(0,1)', None),
+    # ondiag_rate
+    ('ondiag_rate', 0.5, None, 0.1, None, None, '', None),
+    ('ondiag_rate', 0.75, None, 0.1, None, None, '', None),
+    # entropy_kernel
+    ('entropy_kernel', 0.5, None, 0.5, 0.0, 0.5, '', None),
+    ('entropy_kernel', 0.5, None, 0.5, 0.0, 2.0, '', None),
+    ('entropy_kernel', 0.5, None, 1.0, 0.0, 0.5, '', None),
+    ('entropy_kernel', 0.5, None, 1.0, 0.0, 2.0, '', None),
+    ('entropy_kernel', 0.75, None, 0.5, 0.0, 0.5, '', None),
+    ('entropy_kernel', 0.75, None, 0.5, 0.0, 2.0, '', None),
+    ('entropy_kernel', 0.75, None, 1.0, 0.0, 0.5, '', None),
+    ('entropy_kernel', 0.75, None, 1.0, 0.0, 2.0, '', None),
+    # entropy_cost
+    ('entropy_cost', 0.5, None, 0.5, 0.5, 0.0, 'gaussian-shift', None),
+    ('entropy_cost', 0.5, None, 0.5, 0.5, 0.0, 'gaussian-shift', None),
+    ('entropy_cost', 0.5, None, 1.0, 0.5, 0.0, 'gaussian-shift', None),
+    ('entropy_cost', 0.5, None, 1.0, 0.5, 0.0, 'gaussian-shift', None),
+    ('entropy_cost', 0.75, None, 0.5, 0.5, 0.0, 'gaussian-shift', None),
+    ('entropy_cost', 0.75, None, 0.5, 0.5, 0.0, 'gaussian-shift', None),
+    ('entropy_cost', 0.75, None, 1.0, 0.5, 0.0, 'gaussian-shift', None),
+    ('entropy_cost', 0.75, None, 1.0, 0.5, 0.0, 'gaussian-shift', None),
+    # laplace_mc
+    ('laplace_mc', 0.5, None, 0.5, 1.0, None, '', None),
+    ('laplace_mc', 0.5, None, 1.0, 1.0, None, '', None),
+    ('laplace_mc', 0.75, None, 0.5, 1.0, None, '', None),
+    ('laplace_mc', 0.75, None, 1.0, 1.0, None, '', None),
+]
