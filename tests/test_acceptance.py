@@ -254,7 +254,7 @@ def test_criterion_10_entropy_cost():
     report_line(10, "entropy-cost bound via quantile coupling", failures)
 
 
-def test_criterion_11_sweep_determinism():
+def test_criterion_11_sweep_determinism(clear_memos):
     import importlib.resources as resources
 
     text = resources.files("subharnack").joinpath(
@@ -263,6 +263,7 @@ def test_criterion_11_sweep_determinism():
     cfg1 = SweepConfig.from_dict(json.loads(text))
     cfg2 = SweepConfig.from_dict(json.loads(text))
     rep1 = run_sweep(cfg1, threads=1)
+    clear_memos()  # the second run recomputes every value
     rep2 = run_sweep(cfg2, threads=2)
     j1 = json.dumps(rep1.to_dict(), indent=2, sort_keys=True)
     j2 = json.dumps(rep2.to_dict(), indent=2, sort_keys=True)

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 from scipy.special import gamma as gamma_fn
 
 from subharnack.specfun import log_gamma
@@ -27,6 +28,7 @@ from subharnack.subordinator import (
 )
 
 SPEC = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
+PI_LD = np.longdouble("3.14159265358979323846264338327950288")
 
 
 def reference_sum_log_series(log_term, rel_tol, max_terms=200000):
@@ -72,24 +74,43 @@ def reference_exp_moment(sub, delta, kappa, rel_tol):
     return reference_sum_log_series(log_term, rel_tol)
 
 
-def reference_standard_density(alpha, v, spec):
-    """``_standard_density`` below the tail switch, with the numpy form of
-    ``_kanter_log_a`` in its integrand: the float path must reproduce it."""
-    a = alpha
-    log_c = (-a / (1.0 - a)) * math.log(v)
+def reference_standard_density(alpha, v):
+    """``_standard_density`` below the tail switch by adaptive ``quad``,
+    independent of its theta rule: epsabs = 0, the integral split at the
+    peak theta* (where c A = 1, or 0 when c A(0) >= 1), theta near pi taken
+    as pi - eps, and log A in extended precision with the factor
+    A(0) exp(-c A(0)) taken out, so that the left tail keeps its digits."""
+    a = np.longdouble(alpha)
+    p = a / (1 - a)
+    log_v = np.log(np.longdouble(v))
+    la0 = p * np.log(a) + np.log1p(-a)  # log A(0)
+    e0 = np.exp(la0 - p * log_v)  # c A(0), with c = v**(-p)
 
-    def integrand(u):
-        la = float(_kanter_log_a(np.float64(math.pi * u), a))
-        if la + log_c > 700.0:
-            return 0.0
-        return math.exp(la - math.exp(la + log_c))
+    def kernel(eps, left):  # A e^{-cA} / (A(0) e^{-c A(0)}) at eps or pi - eps
+        theta = np.longdouble(eps) if left else PI_LD - np.longdouble(eps)
+        d = _kanter_log_a(theta, a) - la0
+        return float(np.exp(d - e0 * np.expm1(d)))
 
-    val, _ = quad(integrand, 0.0, 1.0, epsabs=spec.abs_tol,
-                  epsrel=spec.rel_tol, limit=spec.max_subdivisions)
-    if val <= 0.0:
+    lo, hi = 0.0, math.pi
+    while e0 < 1.0 and hi - lo > 1e-15:  # A increases: bisect c A = 1
+        mid = 0.5 * (lo + hi)
+        below = _kanter_log_a(np.longdouble(mid), a) - la0 < -np.log(e0)
+        lo, hi = (mid, hi) if below else (lo, mid)
+    total = 0.0
+    for left, peak in ((True, lo), (False, math.pi - lo)):
+        cuts = (0.0, peak, math.pi / 2) if 0.0 < peak < math.pi / 2 else (
+            0.0, math.pi / 2)
+        for x0, x1 in zip(cuts[:-1], cuts[1:]):
+            with warnings.catch_warnings():  # dead pieces cannot meet epsrel
+                warnings.simplefilter("ignore", IntegrationWarning)
+                val, _ = quad(kernel, x0, x1, args=(left,), epsabs=0.0,
+                              epsrel=2e-14, limit=200)
+            total += val
+    if total == 0.0:  # c A(0) is so large that no node sees the peak at 0
         return 0.0
-    log_val = math.log(a / (1.0 - a)) - math.log(v) / (1.0 - a) + math.log(val)
-    return 0.0 if log_val < -700.0 else math.exp(log_val)
+    log_d = (np.log(p) - log_v / (1 - a) + la0 - e0
+             + np.log(np.longdouble(total) / PI_LD))
+    return 0.0 if log_d < -700.0 else float(np.exp(log_d))
 
 
 def levy_density(t, s):
@@ -161,28 +182,45 @@ class TestDensity:
     @given(st.floats(min_value=0.26, max_value=0.97),
            st.floats(min_value=-3.0, max_value=math.log10(5.0), exclude_max=True))
     @settings(max_examples=150, deadline=None)
-    def test_float_integrand_matches_numpy_reference(self, alpha, log10_v):
+    def test_theta_rule_matches_adaptive_reference(self, alpha, log10_v):
         v = 10.0 ** log10_v
         assume(v < 5.0 and alpha != 0.5)  # 1/2 has its closed form
         assert math.isclose(_standard_density(alpha, v, SPEC),
-                            reference_standard_density(alpha, v, SPEC),
+                            reference_standard_density(alpha, v),
                             rel_tol=1e-13)
 
-    @pytest.mark.parametrize("alpha, v", [(0.3, 0.05), (0.3, 1.0), (0.6, 0.2),
-                                          (0.6, 2.0), (0.8, 0.5), (0.9, 4.0)])
+    @pytest.mark.parametrize("alpha, v", [
+        (0.3, 0.05), (0.3, 1.0), (0.6, 0.2), (0.6, 2.0), (0.8, 0.5), (0.9, 4.0),
+        # left tail: densities ~1e-5, ~1e-15 and <= 1e-100 at each alpha
+        (0.55, 0.0296), (0.55, 0.0139), (0.55, 0.0025),
+        (0.75, 0.192), (0.75, 0.14), (0.75, 0.0609),
+        (0.9, 0.516), (0.9, 0.465), (0.9, 0.352),
+        (0.95, 0.703), (0.95, 0.669), (0.95, 0.587),
+    ])
     def test_zolotarev_against_mpmath(self, alpha, v):
         mp = pytest.importorskip("mpmath")
         with mp.workdps(30):
             a, v_mp = mp.mpf(alpha), mp.mpf(v)
             c = v_mp ** (-a / (1 - a))
 
-            def kernel(th):  # A(theta) exp(-A(theta) v^(-a/(1-a)))
-                big_a = ((mp.sin(a * th) / mp.sin(th)) ** (a / (1 - a))
-                         * mp.sin((1 - a) * th) / mp.sin(th))
-                return big_a * mp.exp(-big_a * c)
+            def big_a(th):
+                return ((mp.sin(a * th) / mp.sin(th)) ** (a / (1 - a))
+                        * mp.sin((1 - a) * th) / mp.sin(th))
 
-            integral = mp.quad(kernel, mp.linspace(0, mp.pi, 9)) / mp.pi
-            want = float(a / (1 - a) * v_mp ** (-1 / (1 - a)) * integral)
+            # split at the peak theta*, where c A = 1 (A increases), or at 0
+            # when c A(0) >= 1; exp(-c A(theta*)) is taken out of the
+            # integrand, which mp.quad would otherwise treat as ~0
+            lo, hi = mp.mpf(0), mp.pi
+            e0 = a ** (a / (1 - a)) * (1 - a) * c  # c A(0)
+            if e0 < 1:
+                for _ in range(100):
+                    mid = (lo + hi) / 2
+                    lo, hi = (mid, hi) if big_a(mid) * c < 1 else (lo, mid)
+            y_peak = big_a(lo) * c if lo > 0 else e0
+            integral = mp.quad(lambda th: big_a(th) * mp.exp(y_peak - big_a(th) * c),
+                               [0, lo, mp.pi] if lo > 0 else [0, mp.pi])
+            want = float(a / (1 - a) * v_mp ** (-1 / (1 - a)) * integral
+                         * mp.exp(-y_peak) / mp.pi)
         assert math.isclose(_standard_density(alpha, v, SPEC), want,
                             rel_tol=1e-12)
 
@@ -456,6 +494,22 @@ class TestSampling:
             mean = vals.mean()
             se = vals.std(ddof=1) / math.sqrt(len(vals))
             assert abs(mean - laplace(sub, 1.0)) < 4.0 * se
+
+    def test_pooled_laplace_streams_are_unbiased(self):
+        # laplace_mc checks one stream of 200k draws against a 4-SE band;
+        # pooled over 40 such streams, a bias in the sampler of even a
+        # fraction of one stream's standard error would move z past 4
+        sub = StableSubordinator(0.9, 0.5)
+        n, total, total_sq = 200_000, 0.0, 0.0
+        streams = range(40)
+        for seed in streams:
+            vals = np.exp(-sample(sub, np.random.default_rng(seed), size=n))
+            total += vals.sum()
+            total_sq += (vals * vals).sum()
+        count = n * len(streams)
+        mean = total / count
+        se = math.sqrt((total_sq - count * mean * mean) / (count - 1) / count)
+        assert abs(mean - math.exp(-0.5)) < 4.0 * se
 
     def test_degenerate_sample(self):
         rng = np.random.default_rng(0)

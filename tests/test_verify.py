@@ -8,7 +8,6 @@ import pytest
 from subharnack import verify
 from subharnack.bounds import STATUSES, BoundReport
 from subharnack.semigroup import (
-    _gauss_quad_memo,
     _subordinated_apply_memo,
     GaussBump,
     Indicator,
@@ -261,22 +260,21 @@ class TestRunSweep:
         assert report.summary["holds"] >= 1
         assert len(report.entries) == 1 + 3  # base + three modes
 
-    def test_threaded_matches_serial(self):
+    def test_threaded_matches_serial(self, clear_memos):
         cfg = SweepConfig.from_dict(small_config())
         a = json.dumps(run_sweep(cfg, threads=1).to_dict(), sort_keys=True)
+        clear_memos()  # else the second run reads the first one's values back
         b = json.dumps(run_sweep(cfg, threads=3).to_dict(), sort_keys=True)
         assert a == b
 
-    def test_threaded_default_sweep_recomputes_every_value(self):
+    def test_threaded_default_sweep_recomputes_every_value(self, clear_memos):
         # in one process a second sweep would read the first one's values
         # back from the memos, so empty them before each run
         text = resources.files("subharnack").joinpath(
             "data/default_sweep.json").read_text()
 
         def fresh_run(threads):
-            for memo in (_subordinated_apply_memo, _gauss_quad_memo,
-                         _standard_density):
-                memo.cache_clear()
+            clear_memos()
             report = run_sweep(SweepConfig.from_dict(json.loads(text)),
                                threads=threads)
             text_out = json.dumps(report.to_dict(), indent=2, sort_keys=True)
