@@ -20,7 +20,12 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import erfcx, gammaln, log_ndtr, ndtr
 
-from .subordinator import QuadratureSpec, StableSubordinator, integrate_against
+from .subordinator import (
+    QuadratureSpec,
+    StableSubordinator,
+    _OnArrays,
+    integrate_against,
+)
 
 __all__ = [
     "BaseKernel",
@@ -63,12 +68,14 @@ class BaseKernel:
     def curvature_K(self):
         return 0.0 if self.kind == "gauss_heat" else -1.0
 
-    def mean_sigma(self, s, x):
+    def mean_sigma(self, s, x, xp=math):
         """Per-coordinate Gaussian transition parameters at time s from x,
-        a float coordinate or a float array of coordinates."""
+        a float coordinate or a float array of coordinates. ``xp`` is the
+        module whose exp, expm1 and sqrt it uses: ``math`` for a float s,
+        ``numpy`` for an array of times."""
         if self.kind == "gauss_heat":
-            return x, math.sqrt(2.0 * s)
-        return math.exp(-s) * x, math.sqrt(-math.expm1(-2.0 * s))
+            return x, xp.sqrt(2.0 * s)
+        return xp.exp(-s) * x, xp.sqrt(-xp.expm1(-2.0 * s))
 
 
 def gauss_heat(d=1):
@@ -324,17 +331,18 @@ def _checked_pair(base, x, y):
     return float(x[0]), float(y[0]), float(np.sum((y - x) ** 2))
 
 
-def _kernel_density_at(base, s, x0, y0, rho_sq):
+def _kernel_density_at(base, s, x0, y0, rho_sq, xp=math):
     """p_s(x, y) = (2 pi sigma^2)^(-d/2) exp(-q / (2 sigma^2)) at s > 0 and
     points already checked by ``_checked_pair``: q is rho_sq for the heat
-    kernel and (y0 - m_s(x0))^2 for OU. Plain floats only, since the
-    subordinated density calls it at every quadrature node."""
-    m, sigma = base.mean_sigma(s, x0)
+    kernel and (y0 - m_s(x0))^2 for OU. A float s in plain ``math``; with
+    ``xp=numpy``, an array of times at once (the subordinated density's
+    integrand over all the nodes of its rule)."""
+    m, sigma = base.mean_sigma(s, x0, xp)
     if base.kind == "gauss_heat":
         q = rho_sq
     else:
         q = (y0 - m) * (y0 - m)
-    return (2.0 * math.pi * sigma ** 2) ** (-0.5 * base.d) * math.exp(
+    return (2.0 * math.pi * sigma ** 2) ** (-0.5 * base.d) * xp.exp(
         -q / (2.0 * sigma ** 2)
     )
 
@@ -471,14 +479,25 @@ def _subordinated_apply_memo(base, sub, f, x0, spec):
 
 def subordinated_density(base, sub, x, y, spec=QuadratureSpec()):
     """Transition density of the time-changed kernel,
-    int p_s(x, y) mu_t(ds); x and y are checked once, not at every node s."""
-    x0, y0, rho_sq = _checked_pair(base, x, y)
+    int p_s(x, y) mu_t(ds); x and y are checked once, not at every node s.
+
+    The integral is ``integrate_against``'s fixed rule for alpha, certified
+    when built to 1e-12 relative against the law's closed forms, with the
+    kernel evaluated on all its nodes at once; ``spec`` does not set its
+    accuracy. At alpha = 1/2 the heat kernel's value is within ~4e-13 of
+    the Poisson kernel for |x - y| up to 50 t (d = 1, 2, 3)."""
+    return _subordinated_density_at(base, sub, *_checked_pair(base, x, y), spec)
+
+
+def _subordinated_density_at(base, sub, x0, y0, rho_sq, spec):
+    """``subordinated_density`` at points already checked by
+    ``_checked_pair``; the kernel is evaluated on all the nodes of the
+    law's rule at once."""
     if sub.degenerate:
         return _kernel_density_at(base, sub.t, x0, y0, rho_sq)
-    breaks = [rho_sq] if rho_sq > 0 else []
     return integrate_against(
-        lambda s: _kernel_density_at(base, s, x0, y0, rho_sq), sub, spec,
-        extra_breaks=breaks,
+        _OnArrays(lambda s: _kernel_density_at(base, s, x0, y0, rho_sq, np)),
+        sub, spec,
     )
 
 

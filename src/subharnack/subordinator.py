@@ -8,19 +8,26 @@ summed by one fixed Gauss-Legendre rule in theta per alpha, built on
 first use), exact sampling (Kanter representation), negative-power
 moments and the exponential moment ``int exp(delta / s**kappa) mu_t(ds)``
 summed as a series of those moments. The density's accuracy (a few units
-of 1e-16 relative wherever it exceeds 1e-300, for alpha up to about
-0.997) does not depend on the ``QuadratureSpec``; ``integrate_against`` still integrates against it
-by adaptive quadrature at the spec's tolerances.
+of 1e-16 relative wherever it exceeds 1e-300) does not depend on the
+``QuadratureSpec``.
+
+``integrate_against`` sums h against mu_t with one fixed node set per
+alpha on the standard law (``_law_rule``), which serves every t by
+self-similarity: composite 16-point Gauss-Legendre panels in log v from
+the far left tail to v = 5 and in v^(-alpha) beyond, with the density
+folded into the weights. Each rule is certified when it is built against
+the closed-form Laplace transform and fractional moments, to 1e-12
+relative or it raises. The ``QuadratureSpec`` does not set its accuracy
+either.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad  # unused; bench/tracer.py rebinds it here
 
 from .specfun import log_gamma
 
@@ -123,28 +130,26 @@ def _kanter_log_a(theta, alpha, sin=np.sin, log=np.log):
 _TAIL_SWITCH = 5.0  # above this the large-argument series is used
 
 
-def _tail_series_density(alpha, v):
-    """Convergent large-argument series for the standard density,
-    (1/pi) sum_k (-1)^(k+1) Gamma(alpha*k+1)/k! sin(pi*alpha*k) v^(-alpha*k-1).
-    """
-    log_v = math.log(v)
-    total = 0.0
-    for k in range(1, 400):
-        log_mag = (
-            log_gamma(alpha * k + 1.0)
-            - log_gamma(k + 1.0)
-            - (alpha * k + 1.0) * log_v
-        )
-        mag = math.exp(log_mag) / math.pi
-        term = mag * math.sin(math.pi * alpha * k)
-        if k % 2 == 0:
-            term = -term
-        total += term
-        # stop on the sine-free magnitude: sin(pi*alpha*k) can vanish
-        # accidentally (alpha*k integral) long before the series is done
-        if mag < 1e-18 * max(abs(total), 1e-300):
+def _tail_density_dw(alpha, w):
+    """f(v) v^(1+alpha)/alpha, the standard density f times |dv/dw|, at a
+    float array w = v^(-alpha) of points of [0, 5^(-alpha)]: the convergent
+    large-argument series
+    f(v) = (1/pi) sum_k (-1)^(k+1) Gamma(alpha*k+1)/k! sin(pi*alpha*k) v^(-alpha*k-1)
+    as a power series in w, (1/(pi alpha)) sum_k (same coefficients) w^(k-1),
+    with as many terms as its largest point needs."""
+    log_w = math.log(max(float(np.max(w)), 1e-300))
+    n = 16
+    while True:
+        k = np.arange(1, n + 1)
+        log_coef = log_gamma(alpha * k + 1.0) - log_gamma(k + 1.0)
+        # stop once the last term is negligible at the largest w
+        at_max = log_coef + (k - 1) * log_w
+        if at_max[-1] < at_max.max() + math.log(1e-18):
             break
-    return max(total, 0.0)
+        n *= 2
+    coef = np.exp(log_coef) * np.sin(math.pi * alpha * k)
+    coef[1::2] = -coef[1::2]
+    return np.polynomial.polynomial.polyval(w, coef) / (math.pi * alpha)
 
 
 # The Zolotarev-Kanter integral below the tail switch runs over theta in
@@ -168,11 +173,11 @@ _PANEL_X, _PANEL_W = np.polynomial.legendre.leggauss(16)  # on [-1, 1]
 # density exceeds 1e-300, E0 stays near or below it
 _E_MAX = 1000.0
 _DEAD = 50.0  # c A beyond which exp(-c A) is dead next to the peak
-# cap on log(A / A(0)) at the right end, to keep g and s in float range.
-# It binds only for alpha above about 0.9975, where the rule then stops
-# short of the peak for v close to _TAIL_SWITCH and the density there
-# comes out too small.
-_D_CAP = 700.0
+# log(A / A(0)) up to which a node keeps g and s as floats. Past it (only
+# for alpha above about 0.9975, close to v = _TAIL_SWITCH) g and s overflow,
+# and the node keeps log g and log(A / A(0)) instead.
+_D_FLOAT = 700.0
+_BLOCK = 1 << 18  # matrix elements per block of the batched density sum
 
 
 def _log_a0_ld(a):
@@ -191,12 +196,15 @@ def _panel_nodes(edges):
 
 @lru_cache(maxsize=64)
 def _theta_rule(alpha):
-    """Two float arrays (g, s) such that, with A0 = A(0) and any c > 0,
-    (1/pi) int_0^pi A e^{-c A} dtheta = A0 e^{-c A0} sum_i g_i e^{-c A0 s_i}.
+    """Four float arrays (g, s, far_lg, far_d) such that, with A0 = A(0),
+    E0 = c A0 and any c > 0,
+    (1/pi) int_0^pi A e^{-c A} dtheta
+        = A0 e^{-E0} (sum_i g_i e^{-E0 s_i} + sum_j e^{far_lg_j - E0 expm1(far_d_j)}).
 
-    g_i = w_i A(theta_i) / (pi A0) and s_i = A(theta_i)/A0 - 1 >= 0 (A is
-    increasing), over the nodes and weights w_i of the fixed rule laid out
-    above. Built on first use for each alpha and memoized on alpha alone.
+    At a node of the fixed rule laid out above, with weight w, d = log(A/A0)
+    >= 0 (A is increasing), g = w e^d / pi and s = expm1(d). Nodes with d
+    above _D_FLOAT go to the second sum, as far_lg = log g and far_d = d.
+    Built on first use for each alpha and memoized on alpha alone.
     """
     a = _LD(alpha)
     la0 = _log_a0_ld(a)
@@ -213,8 +221,8 @@ def _theta_rule(alpha):
     # right half in l = log(pi - theta), from the cut where log(A / A(0))
     # reaches d_cut, located by bisection on the float log A (it need not
     # be exact): there c A = _DEAD at v = _TAIL_SWITCH
-    d_cut = min(math.log(_DEAD) - float(la0)
-                + (alpha / (1.0 - alpha)) * math.log(_TAIL_SWITCH), _D_CAP)
+    d_cut = (math.log(_DEAD) - float(la0)
+             + (alpha / (1.0 - alpha)) * math.log(_TAIL_SWITCH))
     lo, hi = -40.0, math.log(half)
     for _ in range(40):
         mid = 0.5 * (lo + hi)
@@ -225,25 +233,65 @@ def _theta_rule(alpha):
     d_right = _kanter_log_a(_PI_LD - np.exp(ell).astype(_LD), a) - la0
     d = np.concatenate((d_left, d_right))
     w = np.concatenate((w_left, w_right * np.exp(ell))).astype(_LD) / _PI_LD
-    return (w * np.exp(d)).astype(float), np.expm1(d).astype(float)
+    near = d <= _D_FLOAT
+    return ((w[near] * np.exp(d[near])).astype(float),
+            np.expm1(d[near]).astype(float),
+            (np.log(w[~near]) + d[~near]).astype(float),
+            d[~near].astype(float))
+
+
+def _log_zolotarev_density(alpha, v):
+    """Log of the standard density at a float array v of points below the
+    tail switch, as a longdouble array (-inf where the sum underflows).
+
+    With p = alpha/(1-alpha) and c = v^(-p), the density is
+    p v^(-1/(1-alpha)) (1/pi) int_0^pi A(theta) exp(-c A(theta)) dtheta,
+    summed over the theta rule of ``_theta_rule`` for all v at once,
+    exp(-outer(E0, s)) @ g, in blocks of at most _BLOCK matrix elements.
+    The scalars are in extended precision: the density is about exp(-E0),
+    and E0 (up to ~1e3 in the left tail) needs more than a double's 16
+    digits.
+    """
+    g, s, far_lg, far_d = _theta_rule(alpha)
+    a = _LD(alpha)
+    p = a / (1 - a)
+    log_v = np.log(np.asarray(v, dtype=float).astype(_LD))
+    la0 = _log_a0_ld(a)
+    log_e0 = la0 - p * log_v
+    e0 = np.exp(log_e0)  # c A(0)
+    log_pref = np.log(p) - log_v / (1 - a) + la0
+    e0f, log_e0f = e0.astype(float)[:, None], log_e0.astype(float)[:, None]
+    log_total = np.empty(len(e0), dtype=_LD)
+    rows = max(1, _BLOCK // (len(s) + len(far_d)))
+    for i in range(0, len(e0), rows):
+        block = slice(i, i + rows)
+        with np.errstate(divide="ignore"):
+            part = np.log((np.exp(-e0f[block] * s) @ g).astype(_LD))
+        if len(far_d):
+            # E0 s = exp(log E0 + d) exactly enough: expm1(d) = e^d past 700
+            with np.errstate(over="ignore"):  # e^-inf = 0: dead nodes
+                x = far_lg - np.exp(log_e0f[block] + far_d)
+            top = x.max(axis=1)
+            far = top + np.log(np.exp(x - top[:, None]).sum(axis=1))
+            part = np.logaddexp(part, far.astype(_LD))
+        log_total[block] = part
+    return log_pref - e0 + log_total
 
 
 @lru_cache(maxsize=1 << 18)
 def _standard_density(alpha, v, spec):
     """Density at v of the standard one-sided stable law (t = 1).
 
-    Closed form at alpha = 1/2 and a convergent series for v >= 5.
-    Otherwise the Zolotarev-Kanter integral: with p = alpha/(1-alpha) and
-    c = v^(-p), the density is p v^(-1/(1-alpha)) (1/pi) int_0^pi
-    A(theta) exp(-c A(theta)) dtheta, summed by the fixed theta rule of
-    ``_theta_rule``: one vectorised sum per v, to within a few units of
-    1e-16 relative wherever the density exceeds 1e-300, its far left tail
-    included, for alpha up to about 0.997 (see ``_D_CAP``). ``spec`` does
-    not set that accuracy; it stays in the signature (and the memo key)
-    for the callers.
+    Closed form at alpha = 1/2 and the convergent series of
+    ``_tail_density_dw`` for v >= 5.
+    Otherwise the Zolotarev-Kanter integral of ``_log_zolotarev_density``,
+    to within a few units of 1e-16 relative wherever the density exceeds
+    1e-300, its far left tail included. ``spec`` does not set that
+    accuracy; it stays in the signature (and the memo key) for the
+    callers.
 
-    Memoized: nested quadratures (subordinated kernels and expectations)
-    revisit the same (alpha, v) nodes many times across related checks.
+    Memoized, though ``integrate_against`` no longer calls it: the
+    benchmark (bench/tracer.py, bench/worker.py) reads its ``cache_info()``.
     """
     if v <= 0.0:
         return 0.0
@@ -255,23 +303,10 @@ def _standard_density(alpha, v, spec):
             return 0.0
         return (4.0 * math.pi) ** -0.5 * v ** -1.5 * math.exp(-0.25 / v)
     if v >= _TAIL_SWITCH:
-        return _tail_series_density(alpha, v)
-    g, s = _theta_rule(alpha)
-    # scalars in extended precision: the density is about exp(-e0), so e0
-    # (up to ~1e3 in the left tail) needs more than a double's 16 digits
-    a = _LD(alpha)
-    p = a / (1 - a)
-    log_v = np.log(_LD(v))
-    la0 = _log_a0_ld(a)
-    e0 = np.exp(la0 - p * log_v)  # c A(0)
-    log_pref = np.log(p) - log_v / (1 - a) + la0
-    if e0 > abs(log_pref) + 800.0:
-        # the sum is at most 1 once e0 >= 1: the density is below e^-800
-        return 0.0
-    total = float(g @ np.exp(-float(e0) * s))
-    if total <= 0.0:
-        return 0.0
-    log_val = log_pref - e0 + np.log(_LD(total))
+        w = v ** -alpha  # f(v) = alpha phi(w) v^(-1-alpha) = alpha phi(w) w / v
+        phi = float(_tail_density_dw(alpha, np.array([w]))[0])
+        return max(alpha * phi * w / v, 0.0)
+    log_val = _log_zolotarev_density(alpha, [v])[0]
     if log_val < -_LOG_HUGE:
         return 0.0
     return float(np.exp(log_val))
@@ -502,69 +537,161 @@ def exp_moment(sub, delta, kappa, spec=QuadratureSpec()):
 
 # --- quadrature against the law ---------------------------------------
 
-def integrate_against(h, sub, spec=QuadratureSpec(), extra_breaks=()):
-    """int_0^inf h(s) mu_t(ds) by adaptive quadrature.
+# One node set per alpha on the standard law (t = 1) serves every t and
+# every h, by self-similarity: int h dmu_t = sum_i w_i h(t^(1/alpha) v_i).
+# Its layout is worked out from alpha alone (``_law_rule``), with p =
+# alpha/(1-alpha) and E0 = v^(-p) A(0), the left tail's log-density scale:
+#   * bulk, u = log v from the left cut where E0 = _E_CUT to log 5:
+#     panels uniform in u up to the mode (E0 = 1), each at most 1/p wide
+#     (E0 changes by a factor e across one) and at most 1; past the mode,
+#     where the density flattens into its power tail, widths double from
+#     there up to 1;
+#   * tail, v >= 5, in w = v^(-alpha) on (0, 5^(-alpha)]: the density times
+#     dv/dw is a power series in w there (``_tail_density_dw``). h
+#     brings fractional powers of w (s^(-r), the heat kernel's s^(-d/2))
+#     and steps like exp(-x s), so the panels are geometric toward w = 0,
+#     each a factor of at most _TAIL_RATIO in w and _TAIL_U in u:
+#     _TAIL_PANELS of them, then one last panel onto 0. (A factor 4 left
+#     the alpha = 1/2 heat kernel 4e-11 off at |x - y| = 50 t.)
+# The density at the bulk nodes is one batched sum over the theta rule
+# (``_log_zolotarev_density``), and both parts take the closed form at
+# alpha = 1/2. Nodes whose weight underflows are dropped, so h is never
+# called where it cannot matter: the left cut keeps exp(delta/s) below
+# float overflow at 0.9 of the exponential-moment radius.
+_E_CUT = 700.0
+_TAIL_RATIO = 3.0  # largest factor in w across one tail panel
+_TAIL_U = 3.0  # largest width of a tail panel in u = log v
+_TAIL_PANELS = 10
+_CERT_TOL = 1e-12
+_CERT_LAPLACE = (0.0, 0.1, 1.0, 10.0)  # x of exp(-x^alpha); 0 is the mass
+_CERT_MOMENTS = (0.5, 1.0, 2.0, 3.0)  # r of the closed-form moments
 
-    Standardizes to the t = 1 law, maps s = exp(u) onto the whole line
-    and splits at the density's mass scale (plus any caller-supplied
-    break scales, given in units of s). For alpha = 1 this is just h(t).
+
+@dataclass(frozen=True)
+class _LawRule:
+    """Nodes ``v`` and weights ``w`` (density folded in) on the standard
+    law, and ``certified_error``: the worst relative error of the rule
+    against the closed-form Laplace transform and fractional moments."""
+
+    v: np.ndarray
+    w: np.ndarray
+    certified_error: float
+
+
+def _certify(alpha, v, w):
+    """Worst relative error of the rule (v, w) on the standard law against
+    exp(-x^alpha) at _CERT_LAPLACE and the closed-form fractional moments
+    Gamma(r/alpha)/(alpha Gamma(r)) at _CERT_MOMENTS; compared in logs,
+    since the moments overflow a float for small alpha, and inf if a sum
+    is not finite and positive."""
+    checks = [(-x ** alpha, -x * v) for x in _CERT_LAPLACE]  # (log want, log h)
+    checks += [(math.lgamma(r / alpha) - math.log(alpha) - math.lgamma(r),
+                -r * np.log(v)) for r in _CERT_MOMENTS]
+    worst = 0.0
+    with np.errstate(over="ignore"):
+        for log_want, log_h in checks:
+            got = _law_sum(w, np.exp(log_h))
+            if not 0.0 < got < math.inf:
+                return math.inf
+            worst = max(worst, abs(math.expm1(math.log(got) - log_want)))
+    return worst
+
+
+@lru_cache(maxsize=64)
+def _law_rule(alpha):
+    """The fixed rule on the standard law for 0 < alpha < 1, laid out as
+    above; built on first use for each alpha, memoized on alpha alone, and
+    certified when it is built (``_certify``).
+
+    Raises ValueError naming alpha if its certified error is above
+    _CERT_TOL: no value is ever summed by an uncertified rule.
+    """
+    a = _LD(alpha)
+    p = alpha / (1.0 - alpha)
+    la0 = float(_log_a0_ld(a))
+    # bulk in u = log v
+    u_cut = (la0 - math.log(_E_CUT)) / p
+    u_mode = la0 / p
+    u_end = math.log(_TAIL_SWITCH)
+    width = min(1.0 / p, 1.0)
+    n_left = math.ceil((u_mode - u_cut) / width)
+    edges = list(np.linspace(u_cut, u_mode, n_left + 1))
+    while edges[-1] + width < u_end:
+        edges.append(edges[-1] + width)
+        width = min(2.0 * width, 1.0)
+    u, wu = _panel_nodes(edges + [u_end])
+    v_bulk = np.exp(u)
+    log_v = np.log(v_bulk.astype(_LD))
+    if alpha == 0.5:
+        log_f = -0.5 * np.log(4.0 * _PI_LD) - 1.5 * log_v - 0.25 / v_bulk.astype(_LD)
+    else:
+        log_f = _log_zolotarev_density(alpha, v_bulk)
+    w_bulk = np.exp(log_f + log_v + np.log(wu.astype(_LD))).astype(float)
+
+    # tail in w = v^(-alpha)
+    w0 = _TAIL_SWITCH ** -alpha
+    step = min(math.log(_TAIL_RATIO), _TAIL_U * alpha)  # panel width in log w
+    ww, wt = _panel_nodes([0.0] + [w0 * math.exp(-step * k)
+                                   for k in range(_TAIL_PANELS, -1, -1)])
+    if alpha == 0.5:
+        w_tail = wt * np.exp(-0.25 * ww * ww) / math.sqrt(math.pi)
+    else:
+        w_tail = wt * _tail_density_dw(alpha, ww)
+    v_tail = np.exp(-np.log(ww) / alpha)
+
+    v = np.concatenate((v_bulk, v_tail[::-1]))
+    w = np.concatenate((w_bulk, w_tail[::-1]))
+    keep = w > 0.0
+    v, w = v[keep], w[keep]
+    error = _certify(alpha, v, w)
+    if not error <= _CERT_TOL:
+        raise ValueError(
+            f"the quadrature rule for alpha = {alpha!r} certifies only to "
+            f"{error:.3g} relative (needs {_CERT_TOL:g})")
+    return _LawRule(v, w, error)
+
+
+def _law_sum(w, values):
+    """sum_i w_i h_i: the one weighted sum every integral against the law
+    ends in."""
+    return float(w @ np.asarray(values, dtype=float))
+
+
+class _OnArrays:
+    """An integrand written on arrays: ``integrate_against`` calls it once,
+    on the array of all the rule's nodes, instead of once per node."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __call__(self, s):
+        return self.fn(s)
+
+
+def integrate_against(h, sub, spec=QuadratureSpec()):
+    """int_0^inf h(s) mu_t(ds), by one fixed rule per alpha.
+
+    The sum sum_i w_i h(t^(1/alpha) v_i) over the nodes v_i and weights w_i
+    of ``_law_rule(alpha)`` on the standard law (336-384 nodes for alpha
+    in [0.5, 0.97], up to 1,200 at alpha = 0.1), laid out as above and
+    certified when built to 1e-12 relative against the closed-form
+    Laplace transform and fractional moments. ``spec`` does not set its
+    accuracy; it stays in the signature for the callers. h should vary on
+    the scale of the panels (about one unit of log s) or slower. Known
+    limit: near the exponential-moment radius h = exp(delta/s) grows into
+    the far left tail faster than that, and at 0.99 of the radius
+    (alpha = 1/2) the sum is ~2e-4 off.
+
+    A plain h is called once per node with a float. An h wrapped in
+    ``_OnArrays`` (the library's own kernels) is called once, on the array
+    of all the nodes. For alpha = 1 this is just h(t).
     """
     if sub.degenerate:
         return float(h(sub.t))
-    a = sub.alpha
-    c = sub.scale
-
-    def g(u):
-        v = math.exp(u)
-        d = _standard_density(a, v, spec)
-        if d == 0.0:
-            return 0.0
-        return h(c * v) * d * v
-
-    breaks = {-6.0, -2.0, 0.0, 2.0}
-    for b in extra_breaks:
-        if b > 0:
-            breaks.add(min(max(math.log(b / c), -35.0), 2.0))
-    knots = sorted(breaks)
-    v_tail = math.exp(max(knots[-1], math.log(_TAIL_SWITCH)))
-    knots.append(math.log(v_tail))
-    edges = [(-np.inf, knots[0])]
-    edges += list(zip(knots[:-1], knots[1:]))
-    total = 0.0
-    # per-segment roundoff warnings are expected: a segment carrying a
-    # negligible share of the mass cannot meet the relative target on its
-    # own; overall accuracy is enforced against oracles in the test suite
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for lo, hi in edges:
-            if hi <= lo:
-                continue
-            val, _ = quad(
-                g, lo, hi,
-                epsabs=spec.abs_tol,
-                epsrel=spec.rel_tol,
-                limit=spec.max_subdivisions,
-            )
-            total += val
-
-    # heavy tail v > v_tail: substitute w = v**(-alpha), which maps the
-    # regularly varying tail density onto a smooth integrand on (0, w0]
-    def g_tail(w):
-        if w <= 0.0:
-            return 0.0
-        v = math.exp(min(-math.log(w) / a, 690.0))
-        d = _standard_density(a, v, spec)
-        if d == 0.0:
-            return 0.0
-        return h(c * v) * d * v / (a * w)
-
-    w0 = v_tail ** -a
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(
-            g_tail, 0.0, w0,
-            epsabs=spec.abs_tol,
-            epsrel=spec.rel_tol,
-            limit=spec.max_subdivisions,
-        )
-    return total + val
+    rule = _law_rule(sub.alpha)
+    s = sub.scale * rule.v
+    if isinstance(h, _OnArrays):
+        return _law_sum(rule.w, h(s))
+    return _law_sum(rule.w, [h(x) for x in s.tolist()])

@@ -45,6 +45,7 @@ from .bounds import (
     transfer_factor_numeric,
 )
 from .semigroup import (
+    _subordinated_density_at,
     BaseKernel,
     Constant,
     ExpAffine,
@@ -63,6 +64,7 @@ from .subordinator import (
     MCSpec,
     QuadratureSpec,
     StableSubordinator,
+    _OnArrays,
     exp_moment,
     integrate_against,
     laplace,
@@ -313,25 +315,6 @@ def check_ondiag_rate(d, alpha, ts, spec=QuadratureSpec()):
                        detail=detail, params=params)
 
 
-def _ou_density_scalar(s, x, z):
-    """OU transition density at scalars; pure-math hot path for the
-    nested entropy quadratures."""
-    m = math.exp(-s) * x
-    var = -math.expm1(-2.0 * s)
-    return math.exp(-(z - m) ** 2 / (2.0 * var)) / math.sqrt(
-        2.0 * math.pi * var
-    )
-
-
-def _sub_ou_density(sub, x, z, spec):
-    """Lebesgue transition density of the time-changed OU kernel."""
-    if sub.degenerate:
-        return _ou_density_scalar(sub.t, x, z)
-    return integrate_against(
-        lambda s: _ou_density_scalar(s, x, z), sub, spec
-    )
-
-
 def check_entropy_kernel(base, sub, x, y, spec=QuadratureSpec()):
     """Relative entropy between time-changed OU kernels vs the additive term."""
     if base.kind != "ou1d":
@@ -343,8 +326,10 @@ def check_entropy_kernel(base, sub, x, y, spec=QuadratureSpec()):
     hi = max(x, y, 0.0) + 14.0
 
     def integrand(z):
-        qx = max(_sub_ou_density(sub, x, z, spec), 1e-300)
-        qy = max(_sub_ou_density(sub, y, z, spec), 1e-300)
+        # Lebesgue densities of the time-changed OU kernel from x and y
+        qx = _subordinated_density_at(base, sub, x, z, (z - x) ** 2, spec)
+        qy = _subordinated_density_at(base, sub, y, z, (z - y) ** 2, spec)
+        qx, qy = max(qx, 1e-300), max(qy, 1e-300)
         return qx * math.log(qx / qy)
 
     with warnings.catch_warnings():
@@ -390,8 +375,8 @@ def check_entropy_cost(base, sub, shift, spec=QuadratureSpec()):
             e = math.exp(-t)
             return math.exp(m * e * z - 0.5 * m * m * e * e)
         return integrate_against(
-            lambda s: math.exp(m * math.exp(-s) * z
-                               - 0.5 * m * m * math.exp(-2.0 * s)),
+            _OnArrays(lambda s: np.exp(m * np.exp(-s) * z
+                                       - 0.5 * m * m * np.exp(-2.0 * s))),
             sub, spec,
         )
 

@@ -27,12 +27,14 @@ from subharnack.semigroup import (
     subordinated_density,
 )
 from subharnack.subordinator import (
+    _OnArrays,
     QuadratureSpec,
     StableSubordinator,
     integrate_against,
 )
 
 SPEC = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
+ULP = np.finfo(float).eps
 
 
 def reference_kernel_density(base, s, x, y):
@@ -322,14 +324,24 @@ class TestSubordinated:
             nodes.append(s)
             return reference_kernel_density(base, s, x, y)
 
-        rho_sq = float(np.sum((np.asarray(x) - np.asarray(y)) ** 2))
-        want = integrate_against(reference, sub, SPEC, extra_breaks=[rho_sq])
-        assert subordinated_density(base, sub, x, y, SPEC) == want
+        want = integrate_against(reference, sub, SPEC)
         point = _checked_pair(base, x, y)
-        for s in nodes:
+        got = subordinated_density(base, sub, x, y, SPEC)
+        # the same arithmetic: the array kernel summed over the same rule
+        assert got == integrate_against(
+            _OnArrays(lambda s: _kernel_density_at(base, s, *point, np)), sub, SPEC)
+        # numpy's vectorised exp, expm1 and power may differ from libm's by
+        # an ulp, so the array kernel is within a few ulp of the reference;
+        # at a node exp's condition number, |log p|, scales an ulp of
+        # difference in its argument
+        assert math.isclose(got, want, rel_tol=4 * ULP)
+        on_nodes = _kernel_density_at(base, np.array(nodes), *point, np)
+        for s, value in zip(nodes, on_nodes):
             ref = reference_kernel_density(base, s, x, y)
             assert _kernel_density_at(base, s, *point) == ref
             assert kernel_density(base, s, x, y) == ref
+            assert math.isclose(value, ref,
+                                rel_tol=4 * ULP * (1.0 + abs(math.log(ref))))
 
     def test_subordinated_density_checks_the_points(self):
         sub = StableSubordinator(0.7, 1.0)
@@ -351,6 +363,17 @@ class TestSubordinated:
         num = subordinated_density(gauss_heat(d), StableSubordinator(0.5, t),
                                    x, y, SPEC)
         assert math.isclose(num, cauchy_closed_form(d, t, x, y), rel_tol=1e-8)
+
+    @given(st.sampled_from([1, 2, 3]), st.floats(min_value=0.0, max_value=5.0),
+           st.floats(min_value=math.log(0.1), max_value=math.log(10.0)))
+    @settings(max_examples=150, deadline=None)
+    def test_half_stable_heat_kernel_is_poisson_kernel(self, d, rho, log_t):
+        t = math.exp(log_t)
+        x = [0.1] * d
+        y = [0.1 + rho] + [0.1] * (d - 1)
+        num = subordinated_density(gauss_heat(d), StableSubordinator(0.5, t),
+                                   x, y, SPEC)
+        assert math.isclose(num, cauchy_closed_form(d, t, x, y), rel_tol=1e-10)
 
     def test_subordinated_density_symmetry(self):
         base = gauss_heat(1)

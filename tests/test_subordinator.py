@@ -11,6 +11,7 @@ from scipy.special import gamma as gamma_fn
 from subharnack.specfun import log_gamma
 from subharnack.subordinator import (
     _kanter_log_a,
+    _law_rule,
     _standard_density,
     MCSpec,
     QuadratureSpec,
@@ -151,14 +152,16 @@ class TestDensity:
         total = integrate_against(lambda s: 1.0, sub, SPEC)
         assert math.isclose(total, 1.0, rel_tol=1e-8)
 
-    @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.8])
+    @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.8, 0.95, 0.99, 0.998, 0.999])
     def test_continuous_at_tail_switch(self, alpha):
         # the integral representation hands over to the tail series at
         # v = 5; both evaluations must agree there
-        from subharnack.subordinator import _standard_density, _tail_series_density
+        from subharnack.subordinator import _standard_density, _tail_density_dw
 
-        left = _standard_density(alpha, 4.9999999, SPEC)
-        right = _tail_series_density(alpha, 4.9999999)
+        v = 4.9999999
+        left = _standard_density(alpha, v, SPEC)
+        w = v ** -alpha  # the series in w gives f(v) = alpha phi(w) w / v
+        right = alpha * _tail_density_dw(alpha, np.array([w]))[0] * w / v
         assert math.isclose(left, right, rel_tol=1e-6)
 
     def test_zero_below_support(self):
@@ -533,13 +536,6 @@ class TestIntegrateAgainst:
         sub = StableSubordinator(1.0, 2.0)
         assert integrate_against(lambda s: s * s, sub, SPEC) == 4.0
 
-    def test_extra_breaks_do_not_change_value(self):
-        sub = StableSubordinator(0.7, 1.0)
-        a = integrate_against(lambda s: math.exp(-s), sub, SPEC)
-        b = integrate_against(lambda s: math.exp(-s), sub, SPEC,
-                              extra_breaks=(0.25, 3.0))
-        assert math.isclose(a, b, rel_tol=1e-9)
-
     def test_scaling_property(self):
         # S_t ~ t^(1/alpha) S_1
         sub_t = StableSubordinator(0.5, 2.0)
@@ -547,6 +543,68 @@ class TestIntegrateAgainst:
         a = integrate_against(lambda s: math.exp(-0.3 * s), sub_t, SPEC)
         b = integrate_against(lambda s: math.exp(-0.3 * 4.0 * s), sub_1, SPEC)
         assert math.isclose(a, b, rel_tol=1e-9)
+
+
+class TestLawRule:
+    """The fixed rule of ``integrate_against`` against closed forms over the
+    parameter domain, not only on pinned grids."""
+
+    @given(st.floats(min_value=0.25, max_value=0.97),
+           st.floats(min_value=math.log(0.1), max_value=math.log(10.0)),
+           st.floats(min_value=math.log(0.01), max_value=math.log(10.0)))
+    @settings(max_examples=150, deadline=None)
+    def test_laplace_transform(self, alpha, log_t, log_x):
+        t, x = math.exp(log_t), math.exp(log_x)
+        want = math.exp(-t * x ** alpha)
+        assume(want > 1e-200)
+        got = integrate_against(lambda s: math.exp(-x * s),
+                                StableSubordinator(alpha, t), SPEC)
+        assert math.isclose(got, want, rel_tol=1e-10)
+
+    @given(st.floats(min_value=0.25, max_value=0.97),
+           st.floats(min_value=math.log(0.1), max_value=math.log(10.0)),
+           st.floats(min_value=0.25, max_value=4.0))
+    @settings(max_examples=150, deadline=None)
+    def test_fractional_moments(self, alpha, log_t, r):
+        sub = StableSubordinator(alpha, math.exp(log_t))
+        assume(log_fractional_moment(sub, r) > math.log(1e-200))
+        got = integrate_against(lambda s: s ** -r, sub, SPEC)
+        assert math.isclose(got, fractional_moment(sub, r), rel_tol=1e-10)
+
+    @given(st.floats(min_value=math.log(0.1), max_value=math.log(10.0)))
+    @settings(max_examples=50, deadline=None)
+    def test_exp_moment_at_nine_tenths_of_the_radius(self, log_t):
+        # the left cut keeps exp(delta/s) finite at every node
+        t = math.exp(log_t)
+        delta = 0.9 * t * t / 4.0
+        got = integrate_against(lambda s: math.exp(delta / s),
+                                StableSubordinator(0.5, t), SPEC)
+        want = t / (2.0 * math.sqrt(t * t / 4.0 - delta))
+        assert math.isclose(got, want, rel_tol=1e-10)
+
+    def test_scalar_only_integrand(self):
+        def h(s):
+            assert type(s) is float
+            return math.exp(-s)
+        got = integrate_against(h, StableSubordinator(0.7, 1.0), SPEC)
+        assert math.isclose(got, math.exp(-1.0), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7,
+                                       0.8, 0.9, 0.95, 0.97])
+    def test_certificate(self, alpha):
+        rule = _law_rule(alpha)
+        assert rule.certified_error <= 1e-12
+        assert np.all(rule.w > 0.0) and np.all(np.isfinite(rule.v))
+
+    def test_uncertified_rule_raises_naming_alpha(self):
+        # at alpha = 0.01 the law reaches past the float range
+        with pytest.raises(ValueError, match="alpha = 0.01"):
+            integrate_against(lambda s: 1.0, StableSubordinator(0.01, 1.0), SPEC)
+
+    def test_extra_breaks_is_gone(self):
+        with pytest.raises(TypeError):
+            integrate_against(lambda s: 1.0, StableSubordinator(0.7, 1.0), SPEC,
+                              extra_breaks=(0.25,))
 
 
 def test_mcspec_fields():

@@ -16,7 +16,7 @@ from subharnack.semigroup import (
     ou1d,
 )
 from subharnack.subordinator import (
-    _standard_density,
+    _law_rule,
     MCSpec,
     QuadratureSpec,
     StableSubordinator,
@@ -285,7 +285,7 @@ class TestRunSweep:
         assert threaded == serial
         assert second.currsize == first.currsize > 0
         assert second.misses >= second.currsize
-        assert _standard_density.cache_info().misses > 0
+        assert _law_rule.cache_info().misses > 0
 
     def test_divergent_entries_marked_non_converged(self):
         # alpha = 1/2 numeric mode with a divergent moment
