@@ -23,6 +23,9 @@ absorption is explicit so the numeric chain
 * the Jensen step turns ``(2*a)**(1/b) / 2`` into ``a**(1/b)`` only
   after a further ``2**(1-b)`` absorption, so the bracket and simplified
   factors use ``2**(1-b) * e * constant_c``.
+
+Powers are formed in logs, and a factor past float range is returned as
+inf, which is still a true upper bound.
 """
 
 import math
@@ -125,10 +128,19 @@ def _json_float(v):
     return v
 
 
+def _exp_or_inf(x):
+    """exp(x), or inf where that passes float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def base_harnack_exponent(p, K, t, rho_sq):
     """Exponent p*K*rho^2 / (2*(p-1)*(exp(2Kt)-1)) of the base inequality.
 
-    Continuous in K; at K = 0 this is the limit p*rho^2 / (4*(p-1)*t).
+    Continuous in K; at K = 0 this is the limit p*rho^2 / (4*(p-1)*t). For
+    K > 0 the rate is formed as K e^{-2Kt}/(1 - e^{-2Kt}), which cannot overflow.
     """
     p = float(p)
     t = float(t)
@@ -141,6 +153,8 @@ def base_harnack_exponent(p, K, t, rho_sq):
         raise ValueError("rho_sq must be >= 0")
     if K == 0.0:
         rate = 0.5 / t
+    elif K > 0.0:
+        rate = K * math.exp(-2.0 * K * t) / -math.expm1(-2.0 * K * t)
     else:
         rate = K / math.expm1(2.0 * K * t)
     return p * rho_sq * rate / (2.0 * (p - 1.0))
@@ -197,10 +211,13 @@ def _b_exponent(alpha, kappa):
     return 1.0 - (1.0 / alpha - 1.0) * kappa
 
 
-def _c_star(alpha, kappa):
-    """The fully absorbed constant 2**(1-b) * e * constant_c."""
+def _log_z(p, kappa, alpha, H, t):
+    """log z, z = (c*H/((p-1)*t**(kappa/alpha)))**(1/b) with the fully absorbed
+    c = 2**(1-b) * e * constant_c: the bracket factor's exponent; b*(p-1)*z is
+    the simplified factor's."""
     b = _b_exponent(alpha, kappa)
-    return 2.0 ** (1.0 - b) * math.e * constant_c(alpha, kappa)
+    log_c = (1.0 - b) * math.log(2.0) + 1.0 + math.log(constant_c(alpha, kappa))
+    return (log_c + math.log(H) - math.log(p - 1.0) - (kappa / alpha) * math.log(t)) / b
 
 
 def C_pka(p, kappa, alpha):
@@ -212,8 +229,7 @@ def C_pka(p, kappa, alpha):
         raise ValueError("p must be > 1")
     _check_alpha_window(float(alpha), float(kappa))
     b = _b_exponent(alpha, kappa)
-    c = _c_star(alpha, kappa)
-    return b * c ** (1.0 / b) / (p - 1.0) ** ((1.0 - b) / b)
+    return _exp_or_inf(math.log(b * (p - 1.0)) + _log_z(p, kappa, alpha, 1.0, 1.0))
 
 
 def log_thm11_factor(p, profile, alpha, t):
@@ -233,12 +249,12 @@ def log_thm11_factor(p, profile, alpha, t):
     if H == 0.0:
         bulge = 0.0
     else:
-        bulge = C_pka(p, kappa, alpha) * (H / t ** (kappa / alpha)) ** (1.0 / b)
+        bulge = _exp_or_inf(math.log(b * (p - 1.0)) + _log_z(p, kappa, alpha, H, t))
     return (p - 1.0) * math.log(2.0) + profile.epsilon * H + bulge
 
 
 def thm11_factor(p, profile, alpha, t):
-    return math.exp(log_thm11_factor(p, profile, alpha, t))
+    return _exp_or_inf(log_thm11_factor(p, profile, alpha, t))
 
 
 def log_thm11_intermediate_factor(p, profile, alpha, t):
@@ -257,8 +273,7 @@ def log_thm11_intermediate_factor(p, profile, alpha, t):
     H = profile.H_value
     if H == 0.0:
         return profile.epsilon * H
-    c = _c_star(alpha, kappa)
-    z = (c * H / ((p - 1.0) * t ** (kappa / alpha))) ** (1.0 / b)
+    z = _exp_or_inf(_log_z(p, kappa, alpha, H, t))
     # log(1 + (e^z - 1)^b), stable for large z where (e^z-1)^b ~ e^{bz}
     if z > 30.0:
         log_br = b * (z + math.log1p(-math.exp(-z)))
@@ -269,7 +284,7 @@ def log_thm11_intermediate_factor(p, profile, alpha, t):
 
 
 def thm11_intermediate_factor(p, profile, alpha, t):
-    return math.exp(log_thm11_intermediate_factor(p, profile, alpha, t))
+    return _exp_or_inf(log_thm11_intermediate_factor(p, profile, alpha, t))
 
 
 def jensen_series_bound(a, b):
@@ -280,9 +295,9 @@ def jensen_series_bound(a, b):
         raise ValueError("a must be > 0")
     if not (0.0 < b <= 1.0):
         raise ValueError("b must lie in (0, 1]")
-    z = (2.0 * a) ** (1.0 / b) / 2.0
+    z = _exp_or_inf(math.log(2.0 * a) / b - math.log(2.0))
     if z > 30.0:
-        return math.exp(b * (z + math.log1p(-math.exp(-z))))
+        return _exp_or_inf(b * (z + math.log1p(-math.exp(-z))))
     return math.expm1(z) ** b
 
 
@@ -324,8 +339,7 @@ def prop13_factor(p, kappa, H_value, t):
     C = math.sqrt((kappa + 1.0) / (2.0 * math.pi * kappa)) * math.exp(
         1.0 / (12.0 * (kappa + 1.0))
     )
-    factor = (1.0 + C / (D - 1.0)) ** (p - 1.0)
-    return True, factor, exact_ratio
+    return True, _exp_or_inf((p - 1.0) * math.log1p(C / (D - 1.0))), exact_ratio
 
 
 def log_harnack_term(alpha, kappa, epsilon, H_value, t):
@@ -371,4 +385,4 @@ def transfer_factor_numeric(p, profile, moment):
     log_m = moment.log_value if math.isfinite(moment.log_value) else math.log(
         moment.value
     )
-    return math.exp(profile.epsilon * profile.H_value + (p - 1.0) * log_m)
+    return _exp_or_inf(profile.epsilon * profile.H_value + (p - 1.0) * log_m)

@@ -2,10 +2,10 @@
 
 The law ``mu_t`` with Laplace transform ``exp(-t * x**alpha)`` for
 ``alpha`` in (0, 1]; ``alpha = 1`` is the degenerate point mass at t.
-Provides the density (closed form at alpha = 1/2, a convergent series
-for large argument, and otherwise the Zolotarev-Kanter single integral
-summed by one fixed Gauss-Legendre rule in theta per alpha, built on
-first use), exact sampling (Kanter representation), negative-power
+Provides the density (a convergent series for large argument, otherwise
+the Zolotarev-Kanter single integral by one fixed Gauss-Legendre rule in
+theta per alpha, built on first use; the Levy closed form at alpha = 1/2
+is an oracle only), exact sampling (Kanter representation), negative-power
 moments and the exponential moment ``int exp(delta / s**kappa) mu_t(ds)``
 summed as a series of those moments. The density's accuracy (a few units
 of 1e-16 relative wherever it exceeds 1e-300) does not depend on the
@@ -279,29 +279,20 @@ def _log_zolotarev_density(alpha, v):
 
 
 @lru_cache(maxsize=1 << 18)
-def _standard_density(alpha, v, spec):
+def _standard_density(alpha, v):
     """Density at v of the standard one-sided stable law (t = 1).
 
-    Closed form at alpha = 1/2 and the convergent series of
-    ``_tail_density_dw`` for v >= 5.
-    Otherwise the Zolotarev-Kanter integral of ``_log_zolotarev_density``,
-    to within a few units of 1e-16 relative wherever the density exceeds
-    1e-300, its far left tail included. ``spec`` does not set that
-    accuracy; it stays in the signature (and the memo key) for the
-    callers.
+    The convergent series of ``_tail_density_dw`` for v >= 5, otherwise
+    the Zolotarev-Kanter integral of ``_log_zolotarev_density``, to within
+    a few units of 1e-16 relative wherever the density exceeds 1e-300,
+    its far left tail included; alpha = 1/2 as well, where the Levy
+    closed form is the tests' oracle.
 
     Memoized, though ``integrate_against`` no longer calls it: the
     benchmark (bench/tracer.py, bench/worker.py) reads its ``cache_info()``.
     """
     if v <= 0.0:
         return 0.0
-    if alpha == 0.5:
-        # tested in log domain first: v**-1.5 alone overflows for v below
-        # about 1e-206, where the density itself underflows
-        log_d = -0.5 * math.log(4.0 * math.pi) - 1.5 * math.log(v) - 0.25 / v
-        if log_d < -_LOG_HUGE:
-            return 0.0
-        return (4.0 * math.pi) ** -0.5 * v ** -1.5 * math.exp(-0.25 / v)
     if v >= _TAIL_SWITCH:
         w = v ** -alpha  # f(v) = alpha phi(w) v^(-1-alpha) = alpha phi(w) w / v
         phi = float(_tail_density_dw(alpha, np.array([w]))[0])
@@ -316,8 +307,8 @@ def density(sub, s, spec=QuadratureSpec()):
     """Density of mu_t at s > 0 (alpha < 1 only).
 
     By self-similarity, the standard density at s / t**(1/alpha); see
-    ``_standard_density``. ``spec`` does not affect the value: off
-    alpha = 1/2 the Zolotarev integral is summed by a fixed theta rule.
+    ``_standard_density``. ``spec`` does not affect the value: the
+    Zolotarev integral is summed by a fixed theta rule.
     """
     if sub.degenerate:
         raise ValueError("alpha = 1 is the point mass at t and has no density")
@@ -325,7 +316,7 @@ def density(sub, s, spec=QuadratureSpec()):
     if s <= 0.0:
         raise ValueError(f"density requires s > 0, got {s!r}")
     c = sub.scale
-    return _standard_density(sub.alpha, s / c, spec) / c
+    return _standard_density(sub.alpha, s / c) / c
 
 
 # --- sampling ----------------------------------------------------------
@@ -554,8 +545,8 @@ def exp_moment(sub, delta, kappa, spec=QuadratureSpec()):
 #     _TAIL_PANELS of them, then one last panel onto 0. (A factor 4 left
 #     the alpha = 1/2 heat kernel 4e-11 off at |x - y| = 50 t.)
 # The density at the bulk nodes is one batched sum over the theta rule
-# (``_log_zolotarev_density``), and both parts take the closed form at
-# alpha = 1/2. Nodes whose weight underflows are dropped, so h is never
+# (``_log_zolotarev_density``), at alpha = 1/2 too. Nodes whose weight
+# underflows are dropped, so h is never
 # called where it cannot matter: the left cut keeps exp(delta/s) below
 # float overflow at 0.9 of the exponential-moment radius.
 _E_CUT = 700.0
@@ -621,11 +612,8 @@ def _law_rule(alpha):
         width = min(2.0 * width, 1.0)
     u, wu = _panel_nodes(edges + [u_end])
     v_bulk = np.exp(u)
+    log_f = _log_zolotarev_density(alpha, v_bulk)
     log_v = np.log(v_bulk.astype(_LD))
-    if alpha == 0.5:
-        log_f = -0.5 * np.log(4.0 * _PI_LD) - 1.5 * log_v - 0.25 / v_bulk.astype(_LD)
-    else:
-        log_f = _log_zolotarev_density(alpha, v_bulk)
     w_bulk = np.exp(log_f + log_v + np.log(wu.astype(_LD))).astype(float)
 
     # tail in w = v^(-alpha)
@@ -633,10 +621,7 @@ def _law_rule(alpha):
     step = min(math.log(_TAIL_RATIO), _TAIL_U * alpha)  # panel width in log w
     ww, wt = _panel_nodes([0.0] + [w0 * math.exp(-step * k)
                                    for k in range(_TAIL_PANELS, -1, -1)])
-    if alpha == 0.5:
-        w_tail = wt * np.exp(-0.25 * ww * ww) / math.sqrt(math.pi)
-    else:
-        w_tail = wt * _tail_density_dw(alpha, ww)
+    w_tail = wt * _tail_density_dw(alpha, ww)
     v_tail = np.exp(-np.log(ww) / alpha)
 
     v = np.concatenate((v_bulk, v_tail[::-1]))

@@ -24,7 +24,6 @@ Harnack profiles for the concrete bases (kappa = 1 throughout):
 
 import itertools
 import math
-import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -37,6 +36,7 @@ from .bounds import (
     STATUSES,
     BoundReport,
     HarnackProfile,
+    _exp_or_inf,
     base_harnack_exponent,
     log_harnack_term,
     log_thm11_factor,
@@ -90,7 +90,6 @@ __all__ = [
 ]
 
 _TOL_MULT = 10.0
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # math.exp overflows above it
 
 
 def _rho_sq(x, y):
@@ -213,10 +212,10 @@ def check_subordinated_harnack(base, sub, p, x, y, f, mode="numeric",
         log_factor = log_thm11_factor(p, profile, alpha, t)
     lhs = subordinated_apply(base, sub, f, x, spec) ** p
     # in log domain: near alpha = kappa/(kappa+1) the closed-form factor
-    # passes float range (log above 709) and rhs is then reported as inf
+    # passes float range (its log may too) and rhs is then reported as inf
     rhs_p = subordinated_apply(base, sub, f.pow(p), y, spec)
-    log_rhs = log_factor + (math.log(rhs_p) if rhs_p > 0 else -math.inf)
-    rhs = math.exp(log_rhs) if log_rhs < _LOG_FLOAT_MAX else math.inf
+    log_rhs = log_factor + math.log(rhs_p) if rhs_p > 0 else -math.inf
+    rhs = _exp_or_inf(log_rhs)
     return _report(lhs, rhs, "closed-form", "", spec.rel_tol, params,
                    log_rhs=log_rhs)
 

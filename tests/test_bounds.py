@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import math
 
@@ -21,6 +23,8 @@ from subharnack.bounds import (
     thm11_intermediate_factor,
     transfer_factor_numeric,
 )
+from subharnack.cli import parse_and_dispatch
+from subharnack.semigroup import Indicator, gauss_heat
 from subharnack.specfun import log_gamma
 from subharnack.subordinator import (
     QuadratureSpec,
@@ -28,8 +32,47 @@ from subharnack.subordinator import (
     exp_moment,
     log_fractional_moment,
 )
+from subharnack.verify import check_subordinated_harnack
 
 SPEC = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-14)
+H10 = HarnackProfile(kappa=1.0, epsilon=0.0, H_value=10.0)
+
+
+def _cli_bound(kind):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert parse_and_dispatch(["bound", "--kind", kind, "--alpha", "0.51",
+                                   "--H", "10"]) == 0
+    return float(out.getvalue())
+
+
+def _sweep_entry_rhs(mode):
+    rep = check_subordinated_harnack(gauss_heat(1), StableSubordinator(0.5001, 1.0),
+                                     2.0, [0.0], [2.0], Indicator(-1, 1), mode)
+    assert rep.status == "holds"
+    return rep.rhs
+
+
+# b = 1 - (1/alpha - 1) is 4e-4 at alpha = 0.5001, so the factors' 1/b
+# powers pass float range: an upper bound that large is reported as inf
+@pytest.mark.parametrize("value, want", [
+    (lambda: C_pka(2.0, 1.0, 0.5001), math.inf),
+    (lambda: log_thm11_factor(2.0, H10, 0.5001, 1.0), math.inf),
+    (lambda: log_thm11_intermediate_factor(2.0, H10, 0.5001, 1.0), math.inf),
+    (lambda: thm11_factor(2.0, H10, 0.51, 1.0), math.inf),
+    (lambda: thm11_intermediate_factor(2.0, H10, 0.51, 1.0), math.inf),
+    (lambda: _cli_bound("simplified"), math.inf),
+    (lambda: _cli_bound("intermediate"), math.inf),
+    (lambda: _sweep_entry_rhs("simplified"), math.inf),
+    (lambda: _sweep_entry_rhs("intermediate"), math.inf),
+    (lambda: jensen_series_bound(1000.0, 0.01), math.inf),
+    # the rate 400 e^-800 / (1 - e^-800) underflows to 0
+    (lambda: base_harnack_exponent(2.0, 400.0, 1.0, 1.0), 0.0),
+], ids=["C_pka", "log_thm11", "log_thm11_intermediate", "thm11",
+        "thm11_intermediate", "cli_simplified", "cli_intermediate",
+        "sweep_simplified", "sweep_intermediate", "jensen", "base_exponent"])
+def test_past_float_range_gives_a_value_not_an_overflow(value, want):
+    assert value() == want
 
 
 class TestBaseExponent:
@@ -142,6 +185,12 @@ class TestCpka:
         # b -> 1 as alpha -> 1; nothing blows up on approach
         assert math.isfinite(C_pka(2.0, 1.0, 0.999999))
         assert C_pka(2.0, 1.0, 0.999999) > 0.0
+
+    def test_log_form_matches_direct_formula(self):
+        b = 1.0 - (1.0 / 0.75 - 1.0)
+        c = 2.0 ** (1.0 - b) * math.e * constant_c(0.75, 1.0)
+        direct = b * c ** (1.0 / b) / (2.0 - 1.0) ** ((1.0 - b) / b)
+        assert math.isclose(C_pka(2.0, 1.0, 0.75), direct, rel_tol=1e-14)
 
     def test_monotone_in_p_near_one(self):
         # the (p-1)^(-(1-b)/b) factor blows up as p -> 1+

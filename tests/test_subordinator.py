@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import gamma as gamma_fn
@@ -119,6 +119,14 @@ def levy_density(t, s):
     return t / math.sqrt(4.0 * math.pi) * s ** -1.5 * math.exp(-t * t / (4.0 * s))
 
 
+def mpmath_levy_density(v):
+    """The standard (t = 1) Levy density at v, in 40-digit mpmath."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        v = mp.mpf(v)
+        return (4 * mp.pi) ** -0.5 * v ** -1.5 * mp.exp(-1 / (4 * v))
+
+
 class TestConstruction:
     def test_rejects_bad_alpha(self):
         for a in (0.0, -0.3, 1.5):
@@ -159,7 +167,7 @@ class TestDensity:
         from subharnack.subordinator import _standard_density, _tail_density_dw
 
         v = 4.9999999
-        left = _standard_density(alpha, v, SPEC)
+        left = _standard_density(alpha, v)
         w = v ** -alpha  # the series in w gives f(v) = alpha phi(w) w / v
         right = alpha * _tail_density_dw(alpha, np.array([w]))[0] * w / v
         assert math.isclose(left, right, rel_tol=1e-6)
@@ -185,16 +193,19 @@ class TestDensity:
     @given(st.floats(min_value=0.26, max_value=0.97),
            st.floats(min_value=-3.0, max_value=math.log10(5.0), exclude_max=True))
     @settings(max_examples=150, deadline=None)
+    @example(0.5, -3.0)
+    @example(0.5, 0.5)
     def test_theta_rule_matches_adaptive_reference(self, alpha, log10_v):
         v = 10.0 ** log10_v
-        assume(v < 5.0 and alpha != 0.5)  # 1/2 has its closed form
-        assert math.isclose(_standard_density(alpha, v, SPEC),
+        assume(v < 5.0)
+        assert math.isclose(_standard_density(alpha, v),
                             reference_standard_density(alpha, v),
                             rel_tol=1e-13)
 
     @pytest.mark.parametrize("alpha, v", [
         (0.3, 0.05), (0.3, 1.0), (0.6, 0.2), (0.6, 2.0), (0.8, 0.5), (0.9, 4.0),
         # left tail: densities ~1e-5, ~1e-15 and <= 1e-100 at each alpha
+        (0.5, 0.0151), (0.5, 0.00611), (0.5, 0.00104),
         (0.55, 0.0296), (0.55, 0.0139), (0.55, 0.0025),
         (0.75, 0.192), (0.75, 0.14), (0.75, 0.0609),
         (0.9, 0.516), (0.9, 0.465), (0.9, 0.352),
@@ -224,13 +235,22 @@ class TestDensity:
                                [0, lo, mp.pi] if lo > 0 else [0, mp.pi])
             want = float(a / (1 - a) * v_mp ** (-1 / (1 - a)) * integral
                          * mp.exp(-y_peak) / mp.pi)
-        assert math.isclose(_standard_density(alpha, v, SPEC), want,
+        assert math.isclose(_standard_density(alpha, v), want,
                             rel_tol=1e-12)
 
     def test_half_underflows_to_zero(self):
-        # v**-1.5 alone overflows here; the density is far below float range
-        assert _standard_density(0.5, 1e-250, SPEC) == 0.0
-        assert _standard_density(0.5, 1e-3, SPEC) == levy_density(1.0, 1e-3)
+        # the density is far below float range here
+        assert _standard_density(0.5, 1e-250) == 0.0
+        assert math.isclose(_standard_density(0.5, 1e-3),
+                            float(mpmath_levy_density(1e-3)), rel_tol=1e-14)
+
+    def test_half_matches_levy_density_to_forty_digits(self):
+        # alpha = 1/2 takes the general path; the Levy closed form, evaluated
+        # in 40 digits, is its oracle from the far left tail (density ~1e-290
+        # at v = 3.7e-4) through the tail series
+        for v in np.geomspace(3.7e-4, 200.0, 41).tolist():
+            assert math.isclose(_standard_density(0.5, v),
+                                float(mpmath_levy_density(v)), rel_tol=1e-14), v
 
 
 class TestLaplace:
@@ -595,6 +615,10 @@ class TestLawRule:
         rule = _law_rule(alpha)
         assert rule.certified_error <= 1e-12
         assert np.all(rule.w > 0.0) and np.all(np.isfinite(rule.v))
+
+    def test_half_certifies_to_rounding(self):
+        # alpha = 1/2 weights come from the general density path
+        assert _law_rule(0.5).certified_error <= 1e-14
 
     def test_uncertified_rule_raises_naming_alpha(self):
         # at alpha = 0.01 the law reaches past the float range

@@ -1,10 +1,14 @@
+import importlib
 import importlib.resources as resources
 import json
 import math
+import pkgutil
 from collections import Counter
 
 import pytest
+from conftest import MEMOS
 
+import subharnack
 from subharnack import verify
 from subharnack.bounds import STATUSES, BoundReport
 from subharnack.semigroup import (
@@ -286,6 +290,18 @@ class TestRunSweep:
         assert second.currsize == first.currsize > 0
         assert second.misses >= second.currsize
         assert _law_rule.cache_info().misses > 0
+
+    def test_clear_memos_empties_every_memo(self):
+        # a memo missing from MEMOS would let the second of two runs in one
+        # process (criterion 11) read the first one's values back unnoticed
+        found = set()
+        for info in pkgutil.iter_modules(subharnack.__path__):
+            module = importlib.import_module(f"subharnack.{info.name}")
+            for obj in vars(module).values():
+                members = vars(obj).values() if isinstance(obj, type) else (obj,)
+                found.update(id(m) for m in members
+                             if callable(getattr(m, "cache_clear", None)))
+        assert found == {id(memo) for memo in MEMOS}
 
     def test_divergent_entries_marked_non_converged(self):
         # alpha = 1/2 numeric mode with a divergent moment
