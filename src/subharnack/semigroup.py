@@ -14,18 +14,13 @@ semigroup, whose closed form is the module's independent oracle.
 import math
 from functools import lru_cache
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import erfcx, gammaln, log_ndtr, ndtr
 
-from .subordinator import (
-    QuadratureSpec,
-    StableSubordinator,
-    _OnArrays,
-    integrate_against,
-)
+from .subordinator import QuadratureSpec, _OnArrays, integrate_against
 
 __all__ = [
     "BaseKernel",
@@ -104,12 +99,16 @@ class TestFunction:
         raise NotImplementedError
 
     def pow(self, p):
-        """Return f**p as a TestFunction when the family is closed under
-        powers, else a plain callable."""
-        return lambda y: self(y) ** p
+        """Return f**p as a TestFunction: a member of f's own family when
+        the family is closed under powers, else a power that keeps f's
+        breakpoints (hashable when f is)."""
+        return _PowOf(self, p)
 
-    def gauss_expect(self, m, sigma):
-        """E f(m + sigma*Z) in closed form, or None if unavailable."""
+    def gauss_expect(self, m, sigma, xp=math):
+        """E f(m + sigma*Z) in closed form, or None if unavailable. With
+        ``xp=math`` m and sigma are floats; with ``xp=numpy`` sigma is an
+        array and m an array of its shape or a float, and the result is an
+        array of that shape (or a float where it does not depend on them)."""
         return None
 
     def breakpoints(self):
@@ -135,7 +134,7 @@ class Constant(TestFunction):
     def pow(self, p):
         return Constant(self.c ** p)
 
-    def gauss_expect(self, m, sigma):
+    def gauss_expect(self, m, sigma, xp=math):
         return self.c
 
     def describe(self):
@@ -163,9 +162,9 @@ class GaussBump(TestFunction):
     def breakpoints(self):
         return tuple(self.center + self.width * k for k in (0, -1, 1, -4, 4, -12, 12))
 
-    def gauss_expect(self, m, sigma):
+    def gauss_expect(self, m, sigma, xp=math):
         v = self.width ** 2 + sigma ** 2
-        return self.width / math.sqrt(v) * math.exp(
+        return self.width / xp.sqrt(v) * xp.exp(
             -((m - self.center) ** 2) / (2.0 * v)
         )
 
@@ -192,8 +191,9 @@ class Indicator(TestFunction):
     def breakpoints(self):
         return (self.lo, self.hi)
 
-    def gauss_expect(self, m, sigma):
-        return float(ndtr((self.hi - m) / sigma) - ndtr((self.lo - m) / sigma))
+    def gauss_expect(self, m, sigma, xp=math):
+        mass = ndtr((self.hi - m) / sigma) - ndtr((self.lo - m) / sigma)
+        return float(mass) if xp is math else mass
 
     def describe(self):
         return f"ind[{self.lo:g},{self.hi:g}]"
@@ -204,8 +204,9 @@ class ExpAffine(TestFunction):
     """exp(slope * y), optionally saturated at y = clip.
 
     The unclipped version is unbounded and its time-changed expectation
-    under the heat kernel diverges for alpha < 1; set ``clip`` to stay in
-    the bounded class (f(y) = exp(slope * min(y, clip)) for slope > 0).
+    under the heat kernel diverges for alpha < 1 (``subordinated_apply``
+    returns inf); set ``clip`` to stay in the bounded class
+    (f(y) = exp(slope * min(y, clip)) for slope > 0).
     """
 
     slope: float
@@ -228,25 +229,34 @@ class ExpAffine(TestFunction):
         # below the clip f decays on the scale 1/slope
         return tuple(self.clip - k / self.slope for k in (0, 1, 4, 12, 40))
 
-    def gauss_expect(self, m, sigma):
+    def gauss_expect(self, m, sigma, xp=math):
         lam = self.slope
         if self.clip is None:
-            return math.exp(lam * m + 0.5 * lam ** 2 * sigma ** 2)
+            # on arrays an exponent past float range gives inf: the
+            # expectation diverges there
+            return xp.exp(lam * m + 0.5 * lam ** 2 * sigma ** 2)
         z = (self.clip - m) / sigma
         u = z - lam * sigma
+
         # E[e^{lam*min(m+sZ, L)}] split at Z = z; assembled in log domain
         # because the lognormal factor alone overflows at large sigma
         # while the product with the truncated tail stays bounded
-        if u < 0.0:
-            # lam*m + lam^2 sigma^2/2 - u^2/2 = lam*L - z^2/2 removes the
-            # cancellation between two terms of size (lam*sigma)^2, and
-            # ndtr(u) = erfcx(-u/sqrt2) * exp(-u^2/2) / 2
-            log_t1 = (lam * self.clip - 0.5 * z * z
-                      + math.log(0.5 * float(erfcx(-u / math.sqrt(2.0)))))
+        def below():
+            # for u < 0: lam*m + lam^2 sigma^2/2 - u^2/2 = lam*L - z^2/2
+            # removes the cancellation between two terms of size
+            # (lam*sigma)^2, and ndtr(u) = erfcx(-u/sqrt2) * exp(-u^2/2) / 2
+            return (lam * self.clip - 0.5 * z * z
+                    + xp.log(0.5 * erfcx(-u / math.sqrt(2.0))))
+
+        def above():
+            return lam * m + 0.5 * lam ** 2 * sigma ** 2 + log_ndtr(u)
+
+        if xp is math:
+            log_t1 = float(below() if u < 0.0 else above())
         else:
-            log_t1 = lam * m + 0.5 * lam ** 2 * sigma ** 2 + float(log_ndtr(u))
-        log_t2 = lam * self.clip + float(log_ndtr(-z))
-        return math.exp(log_t1) + math.exp(log_t2)
+            log_t1 = np.where(u < 0.0, below(), above())
+        log_t2 = lam * self.clip + log_ndtr(-z)
+        return xp.exp(log_t1) + xp.exp(log_t2)
 
     def describe(self):
         tag = f"expaff({self.slope:g}"
@@ -273,8 +283,8 @@ class ShiftedForLog(TestFunction):
     def log(self):
         return _LogOf(self)
 
-    def gauss_expect(self, m, sigma):
-        inner = self.base.gauss_expect(m, sigma)
+    def gauss_expect(self, m, sigma, xp=math):
+        inner = self.base.gauss_expect(m, sigma, xp)
         if inner is None:
             return None
         return self.floor + inner
@@ -296,7 +306,7 @@ class _LogOf(TestFunction):
     def breakpoints(self):
         return self.inner.breakpoints()
 
-    def gauss_expect(self, m, sigma):
+    def gauss_expect(self, m, sigma, xp=math):
         # log composed with a two-level function is again two-level:
         # log(floor + 1_[lo,hi]) takes only the values log(floor) and
         # log(floor + 1), so its expectation is closed whenever the
@@ -307,11 +317,30 @@ class _LogOf(TestFunction):
         if isinstance(base, Indicator):
             lo_val = math.log(self.inner.floor)
             hi_val = math.log(self.inner.floor + 1.0)
-            return lo_val + (hi_val - lo_val) * base.gauss_expect(m, sigma)
+            return lo_val + (hi_val - lo_val) * base.gauss_expect(m, sigma, xp)
         return None
 
     def describe(self):
         return f"log({self.inner.describe()})"
+
+
+@dataclass(frozen=True)
+class _PowOf(TestFunction):
+    """f**p for a test function whose family is not closed under powers;
+    no closed Gaussian form, but f's breakpoints, so its expectations take
+    the fixed rule (and its memo when f is hashable)."""
+
+    inner: TestFunction
+    p: float
+
+    def __call__(self, y):
+        return self.inner(y) ** self.p
+
+    def breakpoints(self):
+        return self.inner.breakpoints()
+
+    def describe(self):
+        return f"({self.inner.describe()})^{self.p:g}"
 
 
 # --- kernels -----------------------------------------------------------
@@ -379,28 +408,36 @@ _RULE_WINDOW = np.array([-12.0, -4.0, 0.0, 4.0, 12.0])
 def _gauss_expectation_rule(f, m, sigma):
     """E f(m + sigma*Z) for a TestFunction, by one fixed composite
     Gauss-Legendre rule on the line y = m + sigma*z over [m - 12 sigma,
-    m + 12 sigma].
+    m + 12 sigma]. m and sigma are floats (one row) or arrays (a row per
+    element, all at once); the result has their broadcast shape.
 
     Panels break at m + sigma*{-12, -4, 0, 4, 12} and at every breakpoint
-    f declares inside the window, so a kink or a feature much narrower
-    than sigma gets panels of its own scale. f is evaluated once, on the
-    array of all panel nodes.
+    f declares, clipped into the window, so a kink or a feature much
+    narrower than sigma gets panels of its own scale. A breakpoint outside
+    the window makes a panel of zero width, which adds nothing, so every
+    row has the same panel count. f is evaluated once, on the array of all
+    rows' panel nodes.
     """
-    b = np.asarray(f.breakpoints(), dtype=float)
-    b = b[np.abs(b - m) < 12.0 * sigma]
-    edges = np.unique(np.concatenate((m + sigma * _RULE_WINDOW, b)))
-    h = np.diff(edges)
-    y = (edges[:-1, None] + h[:, None] * _RULE_NODES).ravel()
-    z = (y - m) / sigma
-    vals = f(y) * np.exp(-0.5 * z * z)
-    return float(vals @ (h[:, None] * _RULE_WEIGHTS).ravel()) / (sigma * _SQRT_2PI)
+    m, sigma = np.broadcast_arrays(np.asarray(m, dtype=float),
+                                   np.asarray(sigma, dtype=float))
+    mc, sc = m[..., None], sigma[..., None]
+    window = mc + sc * _RULE_WINDOW
+    b = np.clip(np.asarray(f.breakpoints(), dtype=float),
+                window[..., :1], window[..., -1:])
+    edges = np.sort(np.concatenate((window, b), axis=-1), axis=-1)
+    h = np.diff(edges, axis=-1)
+    y = edges[..., :-1, None] + h[..., None] * _RULE_NODES
+    z = (y - mc[..., None]) / sc[..., None]
+    vals = (f(y) * np.exp(-0.5 * z * z)).reshape(m.shape + (-1,))
+    wts = (h[..., None] * _RULE_WEIGHTS).reshape(m.shape + (-1,))
+    return np.einsum("...i,...i->...", vals, wts) / (sigma * _SQRT_2PI)
 
 
 @lru_cache(maxsize=1 << 16)
 def _gauss_quad_memo(f, m, sigma):
     """Memoized fixed-rule expectation for hashable test functions without
     a closed form; repeated sweeps revisit identical (f, m, sigma) nodes."""
-    return _gauss_expectation_rule(f, m, sigma)
+    return float(_gauss_expectation_rule(f, m, sigma))
 
 
 def apply(base, f, s, x, spec=QuadratureSpec(), method="auto"):
@@ -448,13 +485,21 @@ def _apply_at(base, f, s, x0, spec, method="auto"):
     try:
         return _gauss_quad_memo(f, m0, sigma)
     except TypeError:  # unhashable subclass
-        return _gauss_expectation_rule(f, m0, sigma)
+        return float(_gauss_expectation_rule(f, m0, sigma))
 
 
 def subordinated_apply(base, sub, f, x, spec=QuadratureSpec()):
     """P_t^alpha f(x) = int P_s f(x) mu_t(ds); x is checked once, not at
-    every node s. For a hashable TestFunction the value is memoized per
-    (base, sub, f, x, spec); a plain callable is integrated every time."""
+    every node s.
+
+    The s-integral is ``integrate_against``'s fixed rule for alpha. For a
+    TestFunction, P_s f(x) is evaluated on all the rule's nodes at once:
+    its closed Gaussian expectation on arrays, or else one batched fixed
+    Gaussian rule (``_gauss_expectation_rule``). Where the integral
+    diverges (an unclipped ExpAffine under the heat kernel) the value is
+    inf. A plain callable takes the adaptive path of ``apply`` at each
+    node. For a hashable TestFunction the value is memoized per
+    (base, sub, f, x, spec); anything else is integrated every time."""
     if sub.degenerate:
         return apply(base, f, sub.t, x, spec)
     x0 = _first_coordinate(base, f, x)
@@ -469,12 +514,29 @@ def subordinated_apply(base, sub, f, x, spec=QuadratureSpec()):
 @lru_cache(maxsize=1 << 16)
 def _subordinated_apply_memo(base, sub, f, x0, spec):
     """int P_s f(x) mu_t(ds) at a point already checked by
-    ``_first_coordinate``, with x0 its first coordinate. The Harnack checks
-    ask for the same integral for every p (an indicator is its own power)
-    and every factor mode, so the sweeps revisit identical keys. Only
-    hashable TestFunctions enter: a plain callable hashes by identity,
-    which a new object can reuse once the old one is collected."""
-    return integrate_against(lambda s: _apply_at(base, f, s, x0, spec), sub, spec)
+    ``_first_coordinate``, with x0 its first coordinate: one array pass
+    over the law rule's nodes for a TestFunction, a call per node for a
+    plain callable. The Harnack checks ask for the same integral for every
+    p (an indicator is its own power) and every factor mode, so the sweeps
+    revisit identical keys. Only hashable TestFunctions enter: a plain
+    callable hashes by identity, which a new object can reuse once the old
+    one is collected."""
+    if not isinstance(f, TestFunction):
+        return integrate_against(lambda s: _apply_at(base, f, s, x0, spec),
+                                 sub, spec)
+    return integrate_against(_OnArrays(lambda s: _expect_on_nodes(base, f, s, x0)),
+                             sub, spec)
+
+
+def _expect_on_nodes(base, f, s, x0):
+    """P_s f(x) for a TestFunction at an array of times s: the closed form
+    on arrays, or else one batched fixed Gaussian rule."""
+    m, sigma = base.mean_sigma(s, x0, np)
+    with np.errstate(over="ignore"):
+        cf = f.gauss_expect(m, sigma, np)
+    if cf is None:
+        return _gauss_expectation_rule(f, m, sigma)
+    return np.full(sigma.shape, cf)
 
 
 def subordinated_density(base, sub, x, y, spec=QuadratureSpec()):

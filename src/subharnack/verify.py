@@ -52,7 +52,6 @@ from .semigroup import (
     GaussBump,
     Indicator,
     ShiftedForLog,
-    TestFunction,
     apply,
     cauchy_closed_form,
     gauss_heat,
@@ -163,10 +162,15 @@ def check_base_harnack(base, p, t, x, y, f, spec=QuadratureSpec()):
     rho_sq = _rho_sq(x, y)
     lhs = apply(base, f, t, x, spec) ** p
     expo = base_harnack_exponent(p, base.curvature_K, t, rho_sq)
-    rhs = math.exp(expo) * apply(base, f.pow(p), t, y, spec)
+    # in log domain: exp(expo) passes float range past expo ~ 709 while
+    # the product with a small P_t f^p(y) stays finite
+    rhs_p = apply(base, f.pow(p), t, y, spec)
+    log_rhs = expo + math.log(rhs_p) if rhs_p > 0 else -math.inf
+    rhs = _exp_or_inf(log_rhs)
     params = {"check": "base_harnack", "p": p, "t": t, "x": float(np.atleast_1d(x)[0]),
               "y": float(np.atleast_1d(y)[0]), "f": f.describe()}
-    return _report(lhs, rhs, "quadrature", "", spec.rel_tol, params)
+    return _report(lhs, rhs, "quadrature", "", spec.rel_tol, params,
+                   log_rhs=log_rhs)
 
 
 def check_subordinated_harnack(base, sub, p, x, y, f, mode="numeric",

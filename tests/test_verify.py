@@ -10,12 +10,13 @@ from conftest import MEMOS
 
 import subharnack
 from subharnack import verify
-from subharnack.bounds import STATUSES, BoundReport
+from subharnack.bounds import STATUSES, BoundReport, base_harnack_exponent
 from subharnack.semigroup import (
     _subordinated_apply_memo,
     GaussBump,
     Indicator,
     ShiftedForLog,
+    apply,
     gauss_heat,
     ou1d,
 )
@@ -87,6 +88,19 @@ class TestChecks:
         for base in (gauss_heat(1), ou1d()):
             rep = check_base_harnack(base, 2.0, 1.0, [0.0], [1.0], BUMP, SPEC)
             assert rep.valid_domain and rep.lhs <= rep.rhs
+
+    def test_base_harnack_exponent_past_float_range(self):
+        # exp(720) alone overflows; P_t f^p(y) ~ 6.8e-134 brings the
+        # product back to ~3.4e179
+        f = Indicator(-1.0, 1.0)
+        rep = check_base_harnack(gauss_heat(1), 2.0, 0.1, [0.0], [12.0], f, SPEC)
+        expo = base_harnack_exponent(2.0, 0.0, 0.1, 144.0)
+        rhs_p = apply(gauss_heat(1), f, 0.1, [12.0], SPEC)
+        assert expo == 720.0 and 0.0 < rhs_p < 1e-130
+        assert rep.status == "holds"
+        assert math.isclose(rep.log_rhs, expo + math.log(rhs_p), rel_tol=1e-15)
+        assert math.isfinite(rep.rhs)
+        assert math.isclose(rep.rhs, math.exp(rep.log_rhs), rel_tol=1e-15)
 
     def test_subordinated_modes_ordered(self):
         sub = StableSubordinator(0.75, 1.0)
