@@ -23,10 +23,10 @@ from .bounds import (
     constant_c,
     jensen_series_bound,
     log_harnack_term,
+    log_thm11_factor,
+    log_thm11_intermediate_factor,
     prop13_factor,
     series_factor,
-    thm11_factor,
-    thm11_intermediate_factor,
     transfer_factor_numeric,
 )
 from .semigroup import (
@@ -60,7 +60,6 @@ from .verify import (
     log_profile,
     power_profile,
     run_sweep,
-    wasserstein_cost_1d,
 )
 
 __version__ = "0.1.0"

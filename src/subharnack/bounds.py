@@ -25,7 +25,8 @@ absorption is explicit so the numeric chain
   factors use ``2**(1-b) * e * constant_c``.
 
 Powers are formed in logs, and a factor past float range is returned as
-inf, which is still a true upper bound.
+inf, which is still a true upper bound. The power-Harnack factors come
+as their logs only; callers take the exp at the edge.
 """
 
 import math
@@ -45,9 +46,7 @@ __all__ = [
     "constant_c",
     "series_factor",
     "C_pka",
-    "thm11_factor",
     "log_thm11_factor",
-    "thm11_intermediate_factor",
     "log_thm11_intermediate_factor",
     "jensen_series_bound",
     "prop13_factor",
@@ -253,10 +252,6 @@ def log_thm11_factor(p, profile, alpha, t):
     return (p - 1.0) * math.log(2.0) + profile.epsilon * H + bulge
 
 
-def thm11_factor(p, profile, alpha, t):
-    return _exp_or_inf(log_thm11_factor(p, profile, alpha, t))
-
-
 def log_thm11_intermediate_factor(p, profile, alpha, t):
     """log of the sharper bracket form
     exp(eps*H) * (1 + [exp((c*H/((p-1)*t**(kappa/alpha)))**(1/b)) - 1]**b)**(p-1).
@@ -281,10 +276,6 @@ def log_thm11_intermediate_factor(p, profile, alpha, t):
     else:
         log_inner = math.log1p(math.expm1(z) ** b)
     return profile.epsilon * H + (p - 1.0) * log_inner
-
-
-def thm11_intermediate_factor(p, profile, alpha, t):
-    return _exp_or_inf(log_thm11_intermediate_factor(p, profile, alpha, t))
 
 
 def jensen_series_bound(a, b):

@@ -13,13 +13,14 @@ import json
 import sys
 
 from .bounds import (
+    HarnackProfile,
+    _exp_or_inf,
     base_harnack_exponent,
     log_harnack_term,
+    log_thm11_factor,
+    log_thm11_intermediate_factor,
     prop13_factor,
-    thm11_factor,
-    thm11_intermediate_factor,
 )
-from .bounds import HarnackProfile
 from .semigroup import BaseKernel, subordinated_density
 from .subordinator import (
     QuadratureSpec,
@@ -188,8 +189,8 @@ def _cmd_bound(args):
                                     args.H, args.t)))
         return 0
     profile = HarnackProfile(kappa=args.kappa, epsilon=args.eps, H_value=args.H)
-    fn = thm11_factor if args.kind == "simplified" else thm11_intermediate_factor
-    print(_fmt(fn(args.p, profile, args.alpha, args.t)))
+    fn = log_thm11_factor if args.kind == "simplified" else log_thm11_intermediate_factor
+    print(_fmt(_exp_or_inf(fn(args.p, profile, args.alpha, args.t))))
     return 0
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import erfcx, gammaln, log_ndtr, ndtr
 
+from .bounds import _exp_or_inf
 from .subordinator import QuadratureSpec, _OnArrays, integrate_against
 
 __all__ = [
@@ -231,10 +232,11 @@ class ExpAffine(TestFunction):
 
     def gauss_expect(self, m, sigma, xp=math):
         lam = self.slope
+        # an exponent past float range gives inf, on floats as on arrays:
+        # the expectation is past float range, or diverges, there
+        exp = _exp_or_inf if xp is math else np.exp
         if self.clip is None:
-            # on arrays an exponent past float range gives inf: the
-            # expectation diverges there
-            return xp.exp(lam * m + 0.5 * lam ** 2 * sigma ** 2)
+            return exp(lam * m + 0.5 * lam ** 2 * sigma ** 2)
         z = (self.clip - m) / sigma
         u = z - lam * sigma
 
@@ -256,7 +258,7 @@ class ExpAffine(TestFunction):
         else:
             log_t1 = np.where(u < 0.0, below(), above())
         log_t2 = lam * self.clip + log_ndtr(-z)
-        return xp.exp(log_t1) + xp.exp(log_t2)
+        return exp(log_t1) + exp(log_t2)
 
     def describe(self):
         tag = f"expaff({self.slope:g}"

@@ -638,8 +638,9 @@ def _law_rule(alpha):
 
 def _law_sum(w, values):
     """sum_i w_i h_i: the one weighted sum every integral against the law
-    ends in."""
-    return float(w @ np.asarray(values, dtype=float))
+    ends in: a float, or an array if values has a row per node."""
+    total = w @ np.asarray(values, dtype=float)
+    return float(total) if total.ndim == 0 else total
 
 
 class _OnArrays:
@@ -671,10 +672,11 @@ def integrate_against(h, sub, spec=QuadratureSpec()):
 
     A plain h is called once per node with a float. An h wrapped in
     ``_OnArrays`` (the library's own kernels) is called once, on the array
-    of all the nodes. For alpha = 1 this is just h(t).
+    of all the nodes, and may return a row per node (one integral per
+    column). For alpha = 1, the point mass at t, this is just h(t).
     """
     if sub.degenerate:
-        return float(h(sub.t))
+        return _law_sum(np.ones(1), [h(sub.t)])
     rule = _law_rule(sub.alpha)
     s = sub.scale * rule.v
     if isinstance(h, _OnArrays):

@@ -19,8 +19,6 @@ from subharnack.bounds import (
     log_thm11_intermediate_factor,
     prop13_factor,
     series_factor,
-    thm11_factor,
-    thm11_intermediate_factor,
     transfer_factor_numeric,
 )
 from subharnack.cli import parse_and_dispatch
@@ -59,8 +57,6 @@ def _sweep_entry_rhs(mode):
     (lambda: C_pka(2.0, 1.0, 0.5001), math.inf),
     (lambda: log_thm11_factor(2.0, H10, 0.5001, 1.0), math.inf),
     (lambda: log_thm11_intermediate_factor(2.0, H10, 0.5001, 1.0), math.inf),
-    (lambda: thm11_factor(2.0, H10, 0.51, 1.0), math.inf),
-    (lambda: thm11_intermediate_factor(2.0, H10, 0.51, 1.0), math.inf),
     (lambda: _cli_bound("simplified"), math.inf),
     (lambda: _cli_bound("intermediate"), math.inf),
     (lambda: _sweep_entry_rhs("simplified"), math.inf),
@@ -68,9 +64,9 @@ def _sweep_entry_rhs(mode):
     (lambda: jensen_series_bound(1000.0, 0.01), math.inf),
     # the rate 400 e^-800 / (1 - e^-800) underflows to 0
     (lambda: base_harnack_exponent(2.0, 400.0, 1.0, 1.0), 0.0),
-], ids=["C_pka", "log_thm11", "log_thm11_intermediate", "thm11",
-        "thm11_intermediate", "cli_simplified", "cli_intermediate",
-        "sweep_simplified", "sweep_intermediate", "jensen", "base_exponent"])
+], ids=["C_pka", "log_thm11", "log_thm11_intermediate", "cli_simplified",
+        "cli_intermediate", "sweep_simplified", "sweep_intermediate", "jensen",
+        "base_exponent"])
 def test_past_float_range_gives_a_value_not_an_overflow(value, want):
     assert value() == want
 
@@ -158,15 +154,6 @@ class TestThm11Chain:
         log_simple = log_thm11_factor(p, profile, alpha, t)
         assert log_transfer <= log_inter + 1e-9
         assert log_inter <= log_simple + 1e-9
-
-    def test_linear_wrappers_agree_with_log(self):
-        profile = HarnackProfile(kappa=1.0, epsilon=0.0, H_value=1.0)
-        a = thm11_factor(2.0, profile, 0.75, 1.0)
-        b = math.exp(log_thm11_factor(2.0, profile, 0.75, 1.0))
-        assert math.isclose(a, b, rel_tol=1e-12)
-        a = thm11_intermediate_factor(2.0, profile, 0.75, 1.0)
-        b = math.exp(log_thm11_intermediate_factor(2.0, profile, 0.75, 1.0))
-        assert math.isclose(a, b, rel_tol=1e-12)
 
     def test_factor_at_H_zero(self):
         # x = y: transfer is exactly 1, simplified collapses to 2^(p-1)

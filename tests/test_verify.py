@@ -5,12 +5,22 @@ import math
 import pkgutil
 from collections import Counter
 
+import numpy as np
 import pytest
 from conftest import MEMOS
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.special import ndtri
 
 import subharnack
 from subharnack import verify
-from subharnack.bounds import STATUSES, BoundReport, base_harnack_exponent
+from subharnack.bounds import (
+    STATUSES,
+    BoundReport,
+    base_harnack_exponent,
+    log_harnack_term,
+)
 from subharnack.semigroup import (
     _subordinated_apply_memo,
     GaussBump,
@@ -19,12 +29,15 @@ from subharnack.semigroup import (
     apply,
     gauss_heat,
     ou1d,
+    subordinated_density,
 )
 from subharnack.subordinator import (
     _law_rule,
+    _OnArrays,
     MCSpec,
     QuadratureSpec,
     StableSubordinator,
+    integrate_against,
 )
 from subharnack.verify import (
     KNOWN_CHECKS,
@@ -41,7 +54,6 @@ from subharnack.verify import (
     passes,
     power_profile,
     run_sweep,
-    wasserstein_cost_1d,
 )
 
 SPEC = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-12)
@@ -199,21 +211,109 @@ class TestChecks:
         assert rep.lhs <= rep.rhs
 
 
-class TestWasserstein:
-    def test_shifted_gaussian_quadratic_cost(self):
-        from scipy.special import ndtri
+def coupling_cost(m):
+    """int_0^1 H(Q_m(u), Q_0(u)) du for H(a, b) = (a - b)^2/2, with Q_m the
+    quantile function of N(m, 1): the quantile-coupling transport cost,
+    by adaptive quadrature over ndtri."""
+    val, _ = quad(lambda u: 0.5 * ((m + ndtri(u)) - ndtri(u)) ** 2, 0.0, 1.0,
+                  epsabs=0.0, epsrel=1e-13)
+    return val
 
-        m = 0.4
-        cost = wasserstein_cost_1d(lambda u: m + ndtri(u), ndtri,
-                                   lambda a, b: 0.5 * (a - b) ** 2, SPEC)
-        assert math.isclose(cost, 0.5 * m * m, rel_tol=1e-9)
+
+class TestWasserstein:
+    """The entropy-cost check takes the transport cost in closed form,
+    m^2/2: the quantile coupling of N(m, 1) and N(0, 1) moves every
+    quantile by m."""
+
+    def test_shifted_gaussian_quadratic_cost(self):
+        alpha, t = 0.75, 1.0
+        profile = log_profile(ou1d(), 0.0)
+        for m in (0.1, 0.25, 0.4, 0.5, 1.0):
+            cost = coupling_cost(m)
+            assert math.isclose(cost, 0.5 * m * m, rel_tol=1e-12)
+            rep = check_entropy_cost(ou1d(), StableSubordinator(alpha, t), m, SPEC)
+            want = log_harnack_term(alpha, profile.kappa, profile.epsilon, cost, t)
+            assert math.isclose(rep.rhs, want, rel_tol=1e-12)
 
     def test_identical_marginals_zero(self):
-        from scipy.special import ndtri
+        assert coupling_cost(0.0) == 0.0
+        rep = check_entropy_cost(ou1d(), StableSubordinator(0.75, 1.0), 0.0, SPEC)
+        # the law rule's weights sum to one within rounding, so P_t 1 = 1
+        # and the entropy is zero to rounding
+        assert abs(rep.lhs) < 1e-14
+        assert rep.rhs == 0.0 and rep.status == "holds"
 
-        cost = wasserstein_cost_1d(ndtri, ndtri,
-                                   lambda a, b: (a - b) ** 2, SPEC)
-        assert abs(cost) < 1e-12
+
+def quad_entropy_kernel(sub, x, y):
+    """The entropy-kernel check's lhs, int q_x log(q_x / q_y) dz, by
+    adaptive quadrature over the check's window, broken at x and y."""
+    base = ou1d()
+
+    def integrand(z):
+        qx = max(subordinated_density(base, sub, [x], [z], SPEC), 1e-300)
+        qy = max(subordinated_density(base, sub, [y], [z], SPEC), 1e-300)
+        return qx * math.log(qx / qy)
+
+    # epsabs below the test's absolute floor: near y = x the entropy is
+    # small, and quad cannot resolve it past rounding
+    val, _ = quad(integrand, min(x, y, 0.0) - 14.0, max(x, y, 0.0) + 14.0,
+                  points=sorted({x, y}), epsabs=1e-15, epsrel=1e-11, limit=400)
+    return val
+
+
+def quad_entropy_cost(sub, m):
+    """The entropy-cost check's lhs, int phi P_t g log P_t g dz with
+    g(z) = exp(m z - m^2/2), by adaptive quadrature over +-(14 + |m|)."""
+    def integrand(z):
+        g = integrate_against(_OnArrays(lambda s: np.exp(
+            m * np.exp(-s) * z - 0.5 * m * m * np.exp(-2.0 * s))), sub, SPEC)
+        return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) * g * math.log(g)
+
+    val, _ = quad(integrand, -14.0 - m, 14.0 + m, epsabs=0.0, epsrel=1e-11,
+                  limit=400)
+    return val
+
+
+class TestEntropyZRule:
+    """Both entropy checks sum their z integral with one fixed rule."""
+
+    # alpha on a 1e-3 grid of [0.5, 1], 1 included: the law rule's build
+    # time grows like 1/(1 - alpha), to seconds within 1e-4 of 1
+    ALPHAS = st.integers(500, 1000).map(lambda k: k / 1000)
+
+    @given(ALPHAS, st.floats(0.5, 2.0), st.floats(-1.0, 2.0),
+           st.floats(-1.0, 2.0))
+    @settings(max_examples=25, deadline=None)
+    def test_kernel_matches_adaptive_quad(self, alpha, t, x, y):
+        sub = StableSubordinator(alpha, t)
+        rep = check_entropy_kernel(ou1d(), sub, [x], [y], SPEC)
+        # the absolute floor is the rounding of log(q_x / q_y), about 1e-16
+        # per unit of mass, which is all that is left as y -> x
+        assert math.isclose(rep.lhs, quad_entropy_kernel(sub, x, y),
+                            rel_tol=1e-10, abs_tol=1e-14)
+
+    @given(ALPHAS, st.floats(0.5, 2.0), st.floats(0.05, 1.0))
+    @settings(max_examples=25, deadline=None)
+    def test_cost_matches_adaptive_quad(self, alpha, t, m):
+        sub = StableSubordinator(alpha, t)
+        rep = check_entropy_cost(ou1d(), sub, m, SPEC)
+        assert math.isclose(rep.lhs, quad_entropy_cost(sub, m), rel_tol=1e-10)
+
+    @pytest.mark.parametrize("alpha", [0.6, 1.0])
+    def test_no_adaptive_quadrature(self, alpha, monkeypatch):
+        def no_quad(*args, **kwargs):
+            raise AssertionError("adaptive quad called")
+
+        monkeypatch.setattr(verify, "quad", no_quad)
+        sub = StableSubordinator(alpha, 1.0)
+        assert check_entropy_kernel(ou1d(), sub, [0.0], [0.5], SPEC).status == "holds"
+        assert check_entropy_cost(ou1d(), sub, 0.5, SPEC).status == "holds"
+
+    def test_adaptive_machinery_is_gone(self):
+        for name in ("wasserstein_cost_1d", "ndtri", "IntegrationWarning",
+                     "warnings"):
+            assert not hasattr(verify, name)
+        assert not hasattr(subharnack, "wasserstein_cost_1d")
 
 
 def small_config(**overrides):
