@@ -118,7 +118,8 @@ def _kanter_log_a(theta, alpha, sin=np.sin, log=np.log):
     A(theta) = (sin(a*th)/sin th)**(a/(1-a)) * sin((1-a)*th)/sin(th).
     ``sin`` and ``log`` default to numpy's, for arrays of theta (longdouble
     ones in the density's theta rule); the rule's bisection for its cut
-    passes ``math.sin`` and ``math.log`` for one float theta at a time.
+    passes ``math.sin`` and ``math.log`` for one float theta at a time, and
+    ``sample`` passes ``_half_angle_sin`` for its float blocks.
     """
     a = alpha
     s = log(sin(theta))
@@ -321,22 +322,59 @@ def density(sub, s, spec=QuadratureSpec()):
 
 # --- sampling ----------------------------------------------------------
 
+# Draws per block of the Kanter transform: its block-sized temporaries are
+# recycled by the allocator, where whole-size ones page-fault afresh on
+# every call, and 4096 draws a block would pay the per-ufunc overhead.
+_SAMPLE_BLOCK = 1 << 14
+
+
+def _half_angle_sin(x):
+    """sin x = 2 tau / (1 + tau^2) with tau = tan(x / 2), for a float array
+    x in [0, pi): within 3 ulp of sin (numpy's sin: 1 ulp), and several
+    times faster where numpy's float64 tan is SIMD-vectorised and its sin
+    is not."""
+    tau = 0.5 * x
+    np.tan(tau, out=tau)
+    return 2.0 * tau / (1.0 + tau * tau)
+
+
 def sample(sub, rng, size=None):
     """Draw from mu_t via the Kanter representation.
 
-    ``rng`` is a numpy Generator owned by the caller. For alpha = 1 the
-    subordinator is the deterministic drift and t is returned.
+    ``rng`` is a numpy Generator owned by the caller; ``size=None`` gives
+    one float. For alpha = 1 the subordinator is the deterministic drift
+    and t is returned.
+
+    Draws theta uniform on [0, pi), then W standard exponential, each all
+    at once, and returns scale * (A(theta) / W)**((1 - alpha) / alpha).
+    The transform runs in blocks of ``_SAMPLE_BLOCK`` draws, in place in
+    the array of W, and takes the sines in A from half-angle tangents
+    (``_half_angle_sin``). The speed-up rests on numpy dispatching float64
+    tan to SIMD code (AVX-512 where it was measured) while its sin stays
+    scalar; without that, samples agree with np.sin's to within a few ulp
+    and cost about as much. At theta = 0 (probability 2**-53 a draw) A is
+    its limit A(0), not 0 * inf.
     """
     if sub.degenerate:
         if size is None:
             return sub.t
         return np.full(size, sub.t)
     a = sub.alpha
-    u = rng.uniform(0.0, np.pi, size=size)
-    w = rng.standard_exponential(size=size)
-    log_a_u = _kanter_log_a(u, a)
-    s1 = np.exp(((1.0 - a) / a) * (log_a_u - np.log(w)))
-    return sub.scale * s1
+    theta = np.ravel(rng.uniform(0.0, np.pi, size=size))
+    w = np.asarray(rng.standard_exponential(size=size))
+    s = w.reshape(-1)  # a view: S overwrites W block by block
+    la0 = float(_log_a0_ld(_LD(a)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(0, len(s), _SAMPLE_BLOCK):
+            th, sb = theta[i:i + _SAMPLE_BLOCK], s[i:i + _SAMPLE_BLOCK]
+            log_a = _kanter_log_a(th, a, sin=_half_angle_sin)
+            np.copyto(log_a, la0, where=th == 0.0)
+            np.log(sb, out=sb)
+            np.subtract(log_a, sb, out=sb)
+            sb *= (1.0 - a) / a
+            np.exp(sb, out=sb)
+            sb *= sub.scale
+    return w[()]  # a float for size=None
 
 
 def laplace(sub, x):

@@ -10,8 +10,11 @@ from scipy.special import gamma as gamma_fn
 
 from subharnack.specfun import log_gamma
 from subharnack.subordinator import (
+    _SAMPLE_BLOCK,
+    _half_angle_sin,
     _kanter_log_a,
     _law_rule,
+    _log_a0_ld,
     _standard_density,
     MCSpec,
     QuadratureSpec,
@@ -522,17 +525,18 @@ class TestSampling:
         # laplace_mc checks one stream of 200k draws against a 4-SE band;
         # pooled over 40 such streams, a bias in the sampler of even a
         # fraction of one stream's standard error would move z past 4
-        sub = StableSubordinator(0.9, 0.5)
-        n, total, total_sq = 200_000, 0.0, 0.0
-        streams = range(40)
-        for seed in streams:
-            vals = np.exp(-sample(sub, np.random.default_rng(seed), size=n))
-            total += vals.sum()
-            total_sq += (vals * vals).sum()
-        count = n * len(streams)
-        mean = total / count
-        se = math.sqrt((total_sq - count * mean * mean) / (count - 1) / count)
-        assert abs(mean - math.exp(-0.5)) < 4.0 * se
+        n, streams = 200_000, range(40)
+        for alpha in (0.55, 0.6, 0.7, 0.8, 0.9):  # harnack_grid's alphas
+            sub = StableSubordinator(alpha, 0.5)
+            total, total_sq = 0.0, 0.0
+            for seed in streams:
+                vals = np.exp(-sample(sub, np.random.default_rng(seed), size=n))
+                total += vals.sum()
+                total_sq += vals @ vals
+            count = n * len(streams)
+            mean = total / count
+            se = math.sqrt((total_sq - count * mean * mean) / (count - 1) / count)
+            assert abs(mean - laplace(sub, 1.0)) < 4.0 * se, alpha
 
     def test_degenerate_sample(self):
         rng = np.random.default_rng(0)
@@ -549,6 +553,68 @@ class TestSampling:
         a = sample(sub, np.random.default_rng(3), size=5)
         b = sample(sub, np.random.default_rng(3), size=5)
         assert np.array_equal(a, b)
+
+
+def reference_sample(sub, rng, size=None):
+    """The unblocked transform with numpy's sin that ``sample`` replaced,
+    kept as the reference it must reproduce to rounding."""
+    a = sub.alpha
+    u = rng.uniform(0.0, np.pi, size=size)
+    w = rng.standard_exponential(size=size)
+    return sub.scale * np.exp(((1.0 - a) / a) * (_kanter_log_a(u, a) - np.log(w)))
+
+
+class StubGenerator:
+    """Returns fixed theta and W draws, in sample's shape."""
+
+    def __init__(self, theta, w):
+        self.theta, self.w = theta, w
+
+    def uniform(self, low, high, size=None):
+        return self.theta if size is None else np.full(size, self.theta)
+
+    def standard_exponential(self, size=None):
+        return self.w if size is None else np.full(size, self.w)
+
+
+class TestBlockedSampler:
+    def test_half_angle_sin_within_4_ulp(self):
+        half, eps = math.pi / 2, np.geomspace(1e-300, 1e-15, 60)
+        x = np.concatenate((
+            np.linspace(0.0, math.pi, 1_000_001)[1:-1],
+            eps, half - eps[-20:], half + eps[-20:],
+            np.nextafter(math.pi, 0.0) - np.spacing(math.pi) * np.arange(5),
+            math.pi - np.geomspace(5e-16, 1e-15, 10)))
+        exact = np.sin(x.astype(np.longdouble))
+        ulps = np.abs(_half_angle_sin(x) - exact) / np.spacing(exact.astype(float))
+        assert ulps.max() <= 4.0
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.55, 0.9, 0.999])
+    def test_matches_unblocked_sin_formula(self, alpha):
+        sub = StableSubordinator(alpha, 0.7)
+        sizes = (1, _SAMPLE_BLOCK - 1, _SAMPLE_BLOCK, _SAMPLE_BLOCK + 1,
+                 200_000, (3, _SAMPLE_BLOCK))
+        for size in sizes:
+            got = sample(sub, np.random.default_rng(5), size=size)
+            want = reference_sample(sub, np.random.default_rng(5), size=size)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        got = sample(sub, np.random.default_rng(5))
+        assert isinstance(got, float)
+        assert got == pytest.approx(
+            reference_sample(sub, np.random.default_rng(5)), rel=1e-13, abs=0.0)
+
+    def test_theta_zero_takes_the_limit(self):
+        # rng.uniform(0, pi) returns exactly 0 with probability 2**-53 a
+        # draw: A is then its limit A(0), not 0 * inf = nan
+        sub = StableSubordinator(0.7, 2.0)
+        a, w = sub.alpha, 1.3
+        want = sub.scale * math.exp(((1 - a) / a) * (float(_log_a0_ld(a)) - math.log(w)))
+        s = sample(sub, StubGenerator(0.0, w), size=_SAMPLE_BLOCK + 2)
+        assert np.all(s == s[0]) and s[0] == pytest.approx(want, rel=1e-14)
+        assert sample(sub, StubGenerator(0.0, w)) == pytest.approx(want, rel=1e-14)
+        near = reference_sample(sub, StubGenerator(1e-300, w))
+        assert near == pytest.approx(want, rel=1e-14)
 
 
 class TestIntegrateAgainst:
