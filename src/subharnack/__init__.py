@@ -25,9 +25,9 @@ from .bounds import (
     log_harnack_term,
     log_thm11_factor,
     log_thm11_intermediate_factor,
+    log_transfer_factor,
     prop13_factor,
     series_factor,
-    transfer_factor_numeric,
 )
 from .semigroup import (
     BaseKernel,

@@ -25,8 +25,9 @@ absorption is explicit so the numeric chain
   factors use ``2**(1-b) * e * constant_c``.
 
 Powers are formed in logs, and a factor past float range is returned as
-inf, which is still a true upper bound. The power-Harnack factors come
-as their logs only; callers take the exp at the edge.
+inf, which is still a true upper bound. The power-Harnack factors,
+closed-form and numeric (``log_transfer_factor``), come as their logs
+only; callers take the exp at the edge.
 """
 
 import math
@@ -51,7 +52,7 @@ __all__ = [
     "jensen_series_bound",
     "prop13_factor",
     "log_harnack_term",
-    "transfer_factor_numeric",
+    "log_transfer_factor",
 ]
 
 
@@ -362,11 +363,13 @@ def log_harnack_term(alpha, kappa, epsilon, H_value, t):
     return H_value * (epsilon + moment)
 
 
-def transfer_factor_numeric(p, profile, moment):
-    """Exact transfer factor exp(eps*H) * moment**(p-1).
+def log_transfer_factor(p, profile, moment):
+    """log of the exact transfer factor exp(eps*H) * moment**(p-1), that
+    is eps*H + (p-1) * log moment.
 
-    ``moment`` is the converged exponential moment
-    int exp(H/((p-1)*s**kappa)) mu_t(ds); non-convergence propagates.
+    ``moment`` is the exponential moment
+    int exp(H/((p-1)*s**kappa)) mu_t(ds) as a SeriesEval; a moment that
+    did not converge gives inf.
     """
     p = float(p)
     if p <= 1.0:
@@ -376,4 +379,4 @@ def transfer_factor_numeric(p, profile, moment):
     log_m = moment.log_value if math.isfinite(moment.log_value) else math.log(
         moment.value
     )
-    return _exp_or_inf(profile.epsilon * profile.H_value + (p - 1.0) * log_m)
+    return profile.epsilon * profile.H_value + (p - 1.0) * log_m

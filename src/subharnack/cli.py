@@ -38,15 +38,6 @@ def _fmt(v):
     return f"{v:.17g}"
 
 
-def _quad_spec(args):
-    return QuadratureSpec(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
-
-
-def _add_quad_flags(p):
-    p.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-10)
-    p.add_argument("--abs-tol", dest="abs_tol", type=float, default=1e-13)
-
-
 _THREADS_HELP = ("accepted and ignored, as is SUBHARNACK_THREADS: "
                  "sweeps run serially")
 
@@ -63,7 +54,6 @@ def _build_parser():
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--s", type=float, required=True)
-    _add_quad_flags(p)
 
     p = sub.add_parser("moment", help="negative-power moment of the subordinator")
     p.add_argument("--alpha", type=float, required=True)
@@ -75,7 +65,8 @@ def _build_parser():
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--kappa", type=float, default=1.0)
-    _add_quad_flags(p)
+    p.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-10,
+                   help="relative tolerance of the series")
 
     p = sub.add_parser("bound", help="closed-form Harnack bound factors")
     p.add_argument("--kind", required=True,
@@ -97,7 +88,6 @@ def _build_parser():
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--x", type=float, nargs="+", required=True)
     p.add_argument("--y", type=float, nargs="+", required=True)
-    _add_quad_flags(p)
 
     p = sub.add_parser("verify", help="run one inequality check")
     p.add_argument("--check", required=True, choices=list(KNOWN_CHECKS))
@@ -155,7 +145,7 @@ def _emit(text, path):
 
 def _cmd_density(args):
     sub_ = StableSubordinator(args.alpha, args.t)
-    print(_fmt(density(sub_, args.s, _quad_spec(args))))
+    print(_fmt(density(sub_, args.s)))
     return 0
 
 
@@ -167,7 +157,8 @@ def _cmd_moment(args):
 
 def _cmd_expmoment(args):
     sub_ = StableSubordinator(args.alpha, args.t)
-    res = exp_moment(sub_, args.delta, args.kappa, _quad_spec(args))
+    res = exp_moment(sub_, args.delta, args.kappa,
+                     QuadratureSpec(rel_tol=args.rel_tol))
     if not res.converged:
         print(res.divergence_reason, file=sys.stderr)
         return 2
@@ -197,7 +188,7 @@ def _cmd_bound(args):
 def _cmd_kernel(args):
     base = BaseKernel(args.base, args.d)
     sub_ = StableSubordinator(args.alpha, args.t)
-    print(_fmt(subordinated_density(base, sub_, args.x, args.y, _quad_spec(args))))
+    print(_fmt(subordinated_density(base, sub_, args.x, args.y)))
     return 0
 
 

@@ -7,6 +7,12 @@ measure, K = -1). Both transition laws are Gaussian, so P_s f reduces to
 a Gaussian expectation with closed forms for the shipped test-function
 family; the time change integrates P_s against the subordinator law.
 
+P_s f is defined for a ``TestFunction`` f only: its closed Gaussian
+expectation where it has one, and otherwise one fixed Gauss-Legendre
+rule whose panels break at the points ``f.breakpoints()`` declares. No
+value is integrated adaptively. A plain callable raises TypeError; to
+use one, subclass TestFunction and declare its breakpoints.
+
 At alpha = 1/2 the subordinated heat semigroup is the Cauchy/Poisson
 semigroup, whose closed form is the module's independent oracle.
 """
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad  # unused; bench/tracer.py rebinds it here
 from scipy.special import erfcx, gammaln, log_ndtr, ndtr
 
 from .bounds import _exp_or_inf
@@ -378,27 +384,6 @@ def _kernel_density_at(base, s, x0, y0, rho_sq, xp=math):
     )
 
 
-def _gauss_expectation_quad(g, m, sigma, spec):
-    """E g(m + sigma*Z) for a plain callable g, by adaptive quadrature over
-    the +-12 sigma window. It samples g only where the adaptive rule looks,
-    so it can miss a feature of g much narrower than sigma."""
-    def integrand(z):
-        return float(g(m + sigma * z)) * math.exp(-0.5 * z * z)
-    # piecewise: one adaptive pass over the full window hits roundoff
-    # extrapolation trouble when the integrand is sharply localized
-    val = 0.0
-    knots = (-12.0, -4.0, 0.0, 4.0, 12.0)
-    for lo, hi in zip(knots, knots[1:]):
-        part, _ = quad(
-            integrand, lo, hi,
-            epsabs=spec.abs_tol,
-            epsrel=spec.rel_tol,
-            limit=spec.max_subdivisions,
-        )
-        val += part
-    return val / _SQRT_2PI
-
-
 # the fixed rule: Gauss-Legendre nodes and weights mapped to [0, 1], and
 # the panel breaks in units of sigma around the mean
 _RULE_NODES, _RULE_WEIGHTS = np.polynomial.legendre.leggauss(20)
@@ -442,48 +427,39 @@ def _gauss_quad_memo(f, m, sigma):
     return float(_gauss_expectation_rule(f, m, sigma))
 
 
-def apply(base, f, s, x, spec=QuadratureSpec(), method="auto"):
-    """P_s f(x) = E f(m_s(x) + sigma_s * Z).
+def apply(base, f, s, x, spec=QuadratureSpec()):
+    """P_s f(x) = E f(m_s(x) + sigma_s * Z) for a TestFunction f.
 
-    ``method`` is 'auto' (closed form when the test function provides
-    one), 'closed' (require it) or 'quad' (force the numerical path, used
-    as a cross-check of the closed forms).
-
-    Numerically, a TestFunction goes through the fixed breakpoint-aware
-    rule of ``_gauss_expectation_rule``, memoized per (f, m, sigma); its
-    accuracy does not depend on ``spec``. An arbitrary callable declares
-    no breakpoints, so it goes through adaptive quadrature over the
-    +-12 sigma window at ``spec``'s tolerances, which can miss features
-    much narrower than sigma. General callables need d = 1.
-    """
+    The closed Gaussian expectation where f has one; otherwise the fixed
+    breakpoint-aware rule of ``_gauss_expectation_rule``, memoized per
+    (f, m, sigma) for a hashable f. ``spec`` does not set the accuracy.
+    Non-constant test functions need d = 1. A plain callable raises
+    TypeError."""
     if s <= 0.0:
         raise ValueError(f"s must be > 0, got {s!r}")
-    return _apply_at(base, f, s, _first_coordinate(base, f, x), spec, method)
+    return _apply_at(base, f, s, _first_coordinate(base, f, x))
 
 
 def _first_coordinate(base, f, x):
-    """Check the point x for P_s f(x) and return its first coordinate as a
-    float; f must be Constant unless d = 1."""
+    """Check f and the point x for P_s f(x) and return x's first
+    coordinate as a float; f must be a TestFunction, and Constant unless
+    d = 1."""
+    if not isinstance(f, TestFunction):
+        raise TypeError(f"P_s f needs a TestFunction, got {type(f).__name__}; "
+                        "subclass TestFunction and declare its breakpoints()")
     x = _as_point(x, base.d)
     if base.d != 1 and not isinstance(f, Constant):
         raise ValueError("non-constant test functions are supported for d = 1 only")
     return float(x[0])
 
 
-def _apply_at(base, f, s, x0, spec, method="auto"):
+def _apply_at(base, f, s, x0):
     """``apply`` at s > 0 and a point already checked by
     ``_first_coordinate``, with x0 its first coordinate."""
-    if isinstance(f, Constant):
-        return f.c
     m0, sigma = base.mean_sigma(s, x0)
-    if not isinstance(f, TestFunction):
-        return _gauss_expectation_quad(f, m0, sigma, spec)
-    if method in ("auto", "closed"):
-        cf = f.gauss_expect(m0, sigma)
-        if cf is not None:
-            return cf
-        if method == "closed":
-            raise ValueError(f"no closed form for {f.describe()}")
+    cf = f.gauss_expect(m0, sigma)
+    if cf is not None:
+        return cf
     try:
         return _gauss_quad_memo(f, m0, sigma)
     except TypeError:  # unhashable subclass
@@ -491,43 +467,36 @@ def _apply_at(base, f, s, x0, spec, method="auto"):
 
 
 def subordinated_apply(base, sub, f, x, spec=QuadratureSpec()):
-    """P_t^alpha f(x) = int P_s f(x) mu_t(ds); x is checked once, not at
-    every node s.
+    """P_t^alpha f(x) = int P_s f(x) mu_t(ds) for a TestFunction f; x is
+    checked once, not at every node s, and a plain callable raises
+    TypeError.
 
-    The s-integral is ``integrate_against``'s fixed rule for alpha. For a
-    TestFunction, P_s f(x) is evaluated on all the rule's nodes at once:
-    its closed Gaussian expectation on arrays, or else one batched fixed
-    Gaussian rule (``_gauss_expectation_rule``). Where the integral
-    diverges (an unclipped ExpAffine under the heat kernel) the value is
-    inf. A plain callable takes the adaptive path of ``apply`` at each
-    node. For a hashable TestFunction the value is memoized per
-    (base, sub, f, x, spec); anything else is integrated every time."""
-    if sub.degenerate:
-        return apply(base, f, sub.t, x, spec)
+    The s-integral is ``integrate_against``'s fixed rule for alpha, with
+    P_s f(x) evaluated on all the rule's nodes at once: f's closed
+    Gaussian expectation on arrays, or else one batched fixed Gaussian
+    rule (``_gauss_expectation_rule``). ``spec`` does not set the
+    accuracy. Where the integral diverges (an unclipped ExpAffine under
+    the heat kernel) the value is inf. For a hashable f the value is
+    memoized per (base, sub, f, x); an unhashable one is integrated every
+    time."""
     x0 = _first_coordinate(base, f, x)
-    if isinstance(f, TestFunction):
-        try:
-            return _subordinated_apply_memo(base, sub, f, x0, spec)
-        except TypeError:  # unhashable subclass
-            pass
-    return _subordinated_apply_memo.__wrapped__(base, sub, f, x0, spec)
+    if sub.degenerate:
+        return _apply_at(base, f, sub.t, x0)
+    try:
+        return _subordinated_apply_memo(base, sub, f, x0)
+    except TypeError:  # unhashable subclass
+        return _subordinated_apply_memo.__wrapped__(base, sub, f, x0)
 
 
 @lru_cache(maxsize=1 << 16)
-def _subordinated_apply_memo(base, sub, f, x0, spec):
+def _subordinated_apply_memo(base, sub, f, x0):
     """int P_s f(x) mu_t(ds) at a point already checked by
     ``_first_coordinate``, with x0 its first coordinate: one array pass
-    over the law rule's nodes for a TestFunction, a call per node for a
-    plain callable. The Harnack checks ask for the same integral for every
-    p (an indicator is its own power) and every factor mode, so the sweeps
-    revisit identical keys. Only hashable TestFunctions enter: a plain
-    callable hashes by identity, which a new object can reuse once the old
-    one is collected."""
-    if not isinstance(f, TestFunction):
-        return integrate_against(lambda s: _apply_at(base, f, s, x0, spec),
-                                 sub, spec)
+    over the law rule's nodes. The Harnack checks ask for the same
+    integral for every p (an indicator is its own power) and every factor
+    mode, so the sweeps revisit identical keys."""
     return integrate_against(_OnArrays(lambda s: _expect_on_nodes(base, f, s, x0)),
-                             sub, spec)
+                             sub)
 
 
 def _expect_on_nodes(base, f, s, x0):
@@ -550,19 +519,17 @@ def subordinated_density(base, sub, x, y, spec=QuadratureSpec()):
     kernel evaluated on all its nodes at once; ``spec`` does not set its
     accuracy. At alpha = 1/2 the heat kernel's value is within ~4e-13 of
     the Poisson kernel for |x - y| up to 50 t (d = 1, 2, 3)."""
-    return _subordinated_density_at(base, sub, *_checked_pair(base, x, y), spec)
+    return _subordinated_density_at(base, sub, *_checked_pair(base, x, y))
 
 
-def _subordinated_density_at(base, sub, x0, y0, rho_sq, spec):
+def _subordinated_density_at(base, sub, x0, y0, rho_sq):
     """``subordinated_density`` at points already checked by
     ``_checked_pair``; the kernel is evaluated on all the nodes of the
     law's rule at once."""
     if sub.degenerate:
         return _kernel_density_at(base, sub.t, x0, y0, rho_sq)
     return integrate_against(
-        _OnArrays(lambda s: _kernel_density_at(base, s, x0, y0, rho_sq, np)),
-        sub, spec,
-    )
+        _OnArrays(lambda s: _kernel_density_at(base, s, x0, y0, rho_sq, np)), sub)
 
 
 def cauchy_closed_form(d, t, x, y):

@@ -73,6 +73,13 @@ class StableSubordinator:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
+    """Tolerances passed to the numerical routines. Only ``rel_tol`` is
+    read: as the exponential-moment series tolerance, and as the checks'
+    verdict band lhs <= rhs * (1 + 10 * rel_tol). No routine integrates
+    adaptively, so ``abs_tol`` and ``max_subdivisions`` are validated but
+    not read; they stay because sweep configs and the benchmark set them.
+    """
+
     rel_tol: float = 1e-10
     abs_tol: float = 1e-13
     max_subdivisions: int = 200

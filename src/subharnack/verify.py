@@ -43,8 +43,8 @@ from .bounds import (
     log_harnack_term,
     log_thm11_factor,
     log_thm11_intermediate_factor,
+    log_transfer_factor,
     prop13_factor,
-    transfer_factor_numeric,
 )
 from .semigroup import (
     _kernel_density_at,
@@ -143,6 +143,15 @@ def _report(lhs, rhs, method, detail, rel_tol, params, log_rhs=None):
     )
 
 
+def _power_report(lhs, log_factor, rhs_p, method, detail, rel_tol, params):
+    """In-domain report of lhs <= factor * P f^p(y), with rhs formed in
+    logs from ``log_factor`` and rhs_p = P f^p(y): the factor alone can
+    pass float range while log rhs stays finite, and rhs is then inf."""
+    log_rhs = log_factor + math.log(rhs_p) if rhs_p > 0 else -math.inf
+    return _report(lhs, _exp_or_inf(log_rhs), method, detail, rel_tol, params,
+                   log_rhs=log_rhs)
+
+
 def _unchecked(status, method, detail, params):
     """Report of an entry whose inequality was not evaluated: ``status``
     is ``out_of_domain`` or ``non_converged``."""
@@ -164,15 +173,10 @@ def check_base_harnack(base, p, t, x, y, f, spec=QuadratureSpec()):
     rho_sq = _rho_sq(x, y)
     lhs = apply(base, f, t, x, spec) ** p
     expo = base_harnack_exponent(p, base.curvature_K, t, rho_sq)
-    # in log domain: exp(expo) passes float range past expo ~ 709 while
-    # the product with a small P_t f^p(y) stays finite
     rhs_p = apply(base, f.pow(p), t, y, spec)
-    log_rhs = expo + math.log(rhs_p) if rhs_p > 0 else -math.inf
-    rhs = _exp_or_inf(log_rhs)
     params = {"check": "base_harnack", "p": p, "t": t, "x": float(np.atleast_1d(x)[0]),
               "y": float(np.atleast_1d(y)[0]), "f": f.describe()}
-    return _report(lhs, rhs, "quadrature", "", spec.rel_tol, params,
-                   log_rhs=log_rhs)
+    return _power_report(lhs, expo, rhs_p, "quadrature", "", spec.rel_tol, params)
 
 
 def check_subordinated_harnack(base, sub, p, x, y, f, mode="numeric",
@@ -193,7 +197,8 @@ def check_subordinated_harnack(base, sub, p, x, y, f, mode="numeric",
     if sub.degenerate:
         rep = check_base_harnack(base, p, t, x, y, f, spec)
         return _report(rep.lhs, rep.rhs, rep.method,
-                       "alpha=1 reduces to base inequality", spec.rel_tol, params)
+                       "alpha=1 reduces to base inequality", spec.rel_tol, params,
+                       log_rhs=rep.log_rhs)
     profile, in_domain = power_profile(base, p, _rho_sq(x, y))
     kappa = params["kappa"] = profile.kappa
     if not in_domain:
@@ -205,25 +210,17 @@ def check_subordinated_harnack(base, sub, p, x, y, f, mode="numeric",
             return _unchecked("non_converged", "series",
                               f"exponential moment diverges: {moment.divergence_reason}",
                               params)
-        factor = transfer_factor_numeric(p, profile, moment)
-        lhs = subordinated_apply(base, sub, f, x, spec) ** p
-        rhs = factor * subordinated_apply(base, sub, f.pow(p), y, spec)
-        return _report(lhs, rhs, "series", "", spec.rel_tol, params)
-    if not (kappa / (kappa + 1.0) < alpha < 1.0):
+        log_factor, method = log_transfer_factor(p, profile, moment), "series"
+    elif not (kappa / (kappa + 1.0) < alpha < 1.0):
         return _unchecked("out_of_domain", "closed-form",
                           "alpha outside (kappa/(kappa+1), 1)", params)
-    if mode == "intermediate":
-        log_factor = log_thm11_intermediate_factor(p, profile, alpha, t)
     else:
-        log_factor = log_thm11_factor(p, profile, alpha, t)
+        factor = (log_thm11_intermediate_factor if mode == "intermediate"
+                  else log_thm11_factor)
+        log_factor, method = factor(p, profile, alpha, t), "closed-form"
     lhs = subordinated_apply(base, sub, f, x, spec) ** p
-    # in log domain: near alpha = kappa/(kappa+1) the closed-form factor
-    # passes float range (its log may too) and rhs is then reported as inf
     rhs_p = subordinated_apply(base, sub, f.pow(p), y, spec)
-    log_rhs = log_factor + math.log(rhs_p) if rhs_p > 0 else -math.inf
-    rhs = _exp_or_inf(log_rhs)
-    return _report(lhs, rhs, "closed-form", "", spec.rel_tol, params,
-                   log_rhs=log_rhs)
+    return _power_report(lhs, log_factor, rhs_p, method, "", spec.rel_tol, params)
 
 
 def check_prop13(base, p, t, x, y, f, spec=QuadratureSpec()):
@@ -259,11 +256,10 @@ def check_prop13(base, p, t, x, y, f, spec=QuadratureSpec()):
         return _unchecked("out_of_domain", "closed-form",
                           "sufficient condition fails", params)
     lhs = subordinated_apply(base, sub, f, x, spec) ** p
-    rhs = math.exp(profile.epsilon * profile.H_value) * factor * subordinated_apply(
-        base, sub, f.pow(p), y, spec
-    )
-    return _report(lhs, rhs, "closed-form", f"exact_ratio={q:.6g}",
-                   spec.rel_tol, params)
+    rhs_p = subordinated_apply(base, sub, f.pow(p), y, spec)
+    return _power_report(lhs, profile.epsilon * profile.H_value + math.log(factor),
+                         rhs_p, "closed-form", f"exact_ratio={q:.6g}",
+                         spec.rel_tol, params)
 
 
 def check_log_harnack(base, sub, x, y, f, spec=QuadratureSpec()):
@@ -334,11 +330,10 @@ def _z_rule(lo, hi, breaks=()):
     return _panel_nodes(np.union1d(edges, breaks))
 
 
-def _on_z(sub, spec, fn):
+def _on_z(sub, fn):
     """int fn(s)[:, j] mu_t(ds) for every z node j at once: fn maps the
     column of the law rule's nodes s to a (law nodes x z nodes) array."""
-    return integrate_against(_OnArrays(lambda s: fn(np.asarray(s)[..., None])),
-                             sub, spec)
+    return integrate_against(_OnArrays(lambda s: fn(np.asarray(s)[..., None])), sub)
 
 
 def check_entropy_kernel(base, sub, x, y, spec=QuadratureSpec()):
@@ -357,7 +352,7 @@ def check_entropy_kernel(base, sub, x, y, spec=QuadratureSpec()):
 
     def q(x0):
         # Lebesgue density of the time-changed OU kernel from x0 at every z
-        return np.maximum(_on_z(sub, spec, lambda s: _kernel_density_at(
+        return np.maximum(_on_z(sub, lambda s: _kernel_density_at(
             base, s, x0, z, None, np)), 1e-300)
 
     qx, qy = q(x), q(y)
@@ -387,8 +382,8 @@ def check_entropy_cost(base, sub, shift, spec=QuadratureSpec()):
     m = float(shift)
     t = sub.t
     z, wz = _z_rule(-_Z_PAD - abs(m), _Z_PAD + abs(m))
-    g = _on_z(sub, spec, lambda s: np.exp(m * np.exp(-s) * z
-                                          - 0.5 * m * m * np.exp(-2.0 * s)))
+    g = _on_z(sub, lambda s: np.exp(m * np.exp(-s) * z
+                                    - 0.5 * m * m * np.exp(-2.0 * s)))
     phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
     lhs = float(wz @ (phi * g * np.log(np.maximum(g, 1e-300))))
     profile = log_profile(base, 0.0)

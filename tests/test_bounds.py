@@ -17,9 +17,9 @@ from subharnack.bounds import (
     log_harnack_term,
     log_thm11_factor,
     log_thm11_intermediate_factor,
+    log_transfer_factor,
     prop13_factor,
     series_factor,
-    transfer_factor_numeric,
 )
 from subharnack.cli import parse_and_dispatch
 from subharnack.semigroup import Indicator, gauss_heat
@@ -251,7 +251,21 @@ class TestTransferFactor:
     def test_trivial_moment(self):
         profile = HarnackProfile(kappa=1.0, epsilon=0.0, H_value=0.0)
         moment = exp_moment(StableSubordinator(0.75, 1.0), 0.0, 1.0, SPEC)
-        assert transfer_factor_numeric(2.0, profile, moment) == 1.0
+        assert log_transfer_factor(2.0, profile, moment) == 0.0
+
+    def test_log_of_the_factor(self):
+        # eps*H + (p-1) log E exp(delta/S), finite where the factor is not
+        profile = HarnackProfile(kappa=1.0, epsilon=1.0, H_value=50.0)
+        moment = exp_moment(StableSubordinator(0.75, 0.5), 50.0, 1.0, SPEC)
+        assert moment.converged and moment.value == math.inf
+        want = 50.0 + 1.0 * moment.log_value
+        assert log_transfer_factor(2.0, profile, moment) == want
+
+    def test_divergent_moment_gives_inf(self):
+        profile = HarnackProfile(kappa=1.0, epsilon=0.0, H_value=0.5)
+        moment = exp_moment(StableSubordinator(0.5, 1.0), 0.5, 1.0, SPEC)
+        assert not moment.converged
+        assert log_transfer_factor(2.0, profile, moment) == math.inf
 
 
 class TestBoundReport:

@@ -7,9 +7,9 @@ import pytest
 from subharnack.cli import parse_and_dispatch
 from subharnack.verify import SweepReport, _report
 
-# quadrature flags loosened a little throughout: CLI smoke tests need
-# speed, the numerical accuracy itself is covered elsewhere
-FAST = ["--rel-tol", "1e-8", "--abs-tol", "1e-11"]
+# the exponential-moment series tolerance loosened a little: CLI smoke
+# tests need speed, the numerical accuracy itself is covered elsewhere
+FAST = ["--rel-tol", "1e-8"]
 
 
 def run_cli(capsys, *argv):
@@ -42,22 +42,37 @@ def config_path(tmp_path):
 class TestDensity:
     def test_levy_value(self, capsys):
         code, out, _ = run_cli(capsys, "density", "--alpha", "0.5",
-                               "--t", "1", "--s", "1", *FAST)
+                               "--t", "1", "--s", "1")
         assert code == 0
         expect = (4 * math.pi) ** -0.5 * math.exp(-0.25)
         assert math.isclose(float(out), expect, rel_tol=1e-10)
 
     def test_seventeen_digit_format(self, capsys):
         code, out, _ = run_cli(capsys, "density", "--alpha", "0.5",
-                               "--t", "1", "--s", "1", *FAST)
+                               "--t", "1", "--s", "1")
         # %.17g round-trips doubles exactly; the printed string must be
         # the canonical 17-significant-digit rendering of its own value
         assert out.strip() == f"{float(out):.17g}"
         assert len(out.strip()) >= 17
 
+    @pytest.mark.parametrize("argv", [
+        ["density", "--alpha", "0.5", "--t", "1", "--s", "1", "--rel-tol", "1e-8"],
+        ["density", "--alpha", "0.5", "--t", "1", "--s", "1", "--abs-tol", "1e-11"],
+        ["expmoment", "--alpha", "0.5", "--t", "2", "--delta", "0.5",
+         "--abs-tol", "1e-11"],
+        ["kernel", "--alpha", "0.5", "--t", "1", "--x", "0", "--y", "0",
+         "--rel-tol", "1e-8"],
+        ["kernel", "--alpha", "0.5", "--t", "1", "--x", "0", "--y", "0",
+         "--abs-tol", "1e-11"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_tolerance_flags_nothing_reads_are_rejected(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert "unrecognized arguments" in err
+
     def test_bad_domain_is_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "density", "--alpha", "0.5",
-                               "--t", "1", "--s", "-1", *FAST)
+                               "--t", "1", "--s", "-1")
         assert code == 1
         assert "error" in err
 
@@ -139,14 +154,14 @@ class TestKernel:
     def test_cauchy_value(self, capsys):
         code, out, _ = run_cli(capsys, "kernel", "--base", "gauss_heat",
                                "--alpha", "0.5", "--t", "1",
-                               "--x", "0", "--y", "0", *FAST)
+                               "--x", "0", "--y", "0")
         assert code == 0
         assert math.isclose(float(out), 1.0 / math.pi, rel_tol=1e-8)
 
     def test_multidim_point(self, capsys):
         code, out, _ = run_cli(capsys, "kernel", "--base", "gauss_heat",
                                "--d", "2", "--alpha", "0.5", "--t", "1",
-                               "--x", "0", "0", "--y", "1", "0", *FAST)
+                               "--x", "0", "0", "--y", "1", "0")
         assert code == 0
         expect = 0.5 / math.pi * 1.0 / 2.0 ** 1.5
         assert math.isclose(float(out), expect, rel_tol=1e-8)
@@ -154,7 +169,7 @@ class TestKernel:
     def test_dimension_mismatch_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "kernel", "--base", "gauss_heat",
                                "--alpha", "0.5", "--t", "1",
-                               "--x", "0", "0", "--y", "1", *FAST)
+                               "--x", "0", "0", "--y", "1")
         assert code == 1
 
 

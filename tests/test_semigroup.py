@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import IntegrationWarning
+from scipy.integrate import IntegrationWarning, quad
 
 from subharnack.semigroup import (
     _checked_pair,
@@ -74,6 +74,29 @@ RULE_FUNCTIONS = [
 ]
 
 
+def quad_gauss_expect(g, m, sigma, breaks=()):
+    """E g(m + sigma*Z) for a float function g, by adaptive quadrature over
+    m +- 12 sigma, split at the breaks inside it: a reference independent
+    of the library's fixed rule."""
+    lo, hi = m - 12.0 * sigma, m + 12.0 * sigma
+    knots = sorted({lo, hi, *(b for b in breaks if lo < b < hi)})
+    total = 0.0
+    for a, b in zip(knots, knots[1:]):
+        part, _ = quad(lambda y: g(y) * math.exp(-0.5 * ((y - m) / sigma) ** 2),
+                       a, b, epsabs=0.0, epsrel=1e-12, limit=200)
+        total += part
+    return total / (sigma * math.sqrt(2.0 * math.pi))
+
+
+@dataclass(frozen=True)
+class _CosSquared(TestFunction):
+    """cos(y)**2 as a user's test function: hashable, with no closed form
+    and no breakpoints, so its expectations take the fixed rule."""
+
+    def __call__(self, y):
+        return np.cos(np.asarray(y, dtype=float)) ** 2
+
+
 class TestKernels:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -127,11 +150,12 @@ class TestApply:
     @pytest.mark.parametrize("base", [gauss_heat(1), ou1d()],
                              ids=lambda b: b.kind)
     def test_closed_matches_quadrature(self, base, f):
-        # method='quad' on a TestFunction runs the fixed breakpoint-aware rule
+        # the fixed breakpoint-aware rule against each closed form
         for s, x in ((0.3, 0.2), (1.5, -0.7)):
-            closed = apply(base, f, s, [x], SPEC, method="closed")
-            quad_val = apply(base, f, s, [x], SPEC, method="quad")
-            assert math.isclose(closed, quad_val, rel_tol=1e-12)
+            m, sigma = base.mean_sigma(s, x)
+            closed = f.gauss_expect(m, sigma)
+            rule = float(_gauss_expectation_rule(f, m, sigma))
+            assert math.isclose(closed, rule, rel_tol=1e-12)
 
     @given(st.sampled_from(RULE_FUNCTIONS),
            st.floats(min_value=-3.0, max_value=3.0),
@@ -140,8 +164,9 @@ class TestApply:
     def test_rule_matches_closed_forms(self, f, m, log_sigma):
         # heat kernel from x = m at time s has sigma = sqrt(2 s)
         s = 0.5 * (10.0 ** log_sigma) ** 2
-        closed = apply(gauss_heat(1), f, s, [m], method="closed")
-        rule = apply(gauss_heat(1), f, s, [m], method="quad")
+        m, sigma = gauss_heat(1).mean_sigma(s, m)
+        closed = f.gauss_expect(m, sigma)
+        rule = float(_gauss_expectation_rule(f, m, sigma))
         tol = QuadratureSpec()
         # the absolute floor covers far-tail values such as E 1_[-1,1]
         # at m = 2.5, sigma = 0.056 (about 1e-150)
@@ -165,11 +190,12 @@ class TestApply:
     def test_power_closure_consistent(self):
         # f.pow(p) must agree with pointwise f(y)**p under the kernel
         base = gauss_heat(1)
+        m, sigma = base.mean_sigma(0.6, 0.1)
         for f in FUNCTIONS:
             for p in (2.0, 3.5):
                 a = apply(base, f.pow(p), 0.6, [0.1], SPEC)
-                b = apply(base, lambda y, f=f, p=p: np.asarray(f(y)) ** p,
-                          0.6, [0.1], SPEC)
+                b = quad_gauss_expect(lambda y, f=f, p=p: float(f(y)) ** p,
+                                      m, sigma, f.breakpoints())
                 assert math.isclose(a, b, rel_tol=1e-8), f.describe()
 
     def test_constant_any_dimension(self):
@@ -287,19 +313,16 @@ class TestSubordinated:
     @pytest.mark.parametrize("base", [gauss_heat(1), ou1d()])
     @pytest.mark.parametrize("f", [Indicator(-1.0, 0.5), GaussBump(0.3, 0.8),
                                    ShiftedForLog(GaussBump(0.0, 0.4)).log(),
-                                   lambda y: np.cos(y) ** 2])
+                                   _CosSquared()])
     def test_subordinated_apply_equals_public_apply_at_each_node(self, base, f):
-        # the point is checked once; each node must still give apply's value
+        # the point is checked once; each node must still give apply's value,
+        # evaluated on all nodes at once: numpy's exp and log against libm's,
+        # and one dot product per row against one per call
         sub = StableSubordinator(0.7, 1.0)
         x = [0.4]
         got = subordinated_apply(base, sub, f, x, SPEC)
         want = integrate_against(lambda s: apply(base, f, s, x, SPEC), sub, SPEC)
-        if isinstance(f, TestFunction):
-            # evaluated on all nodes at once: numpy's exp and log against
-            # libm's, and one dot product per row against one per call
-            assert math.isclose(got, want, rel_tol=4 * ULP)
-        else:
-            assert got == want
+        assert math.isclose(got, want, rel_tol=4 * ULP)
 
     def test_subordinated_apply_checks_the_point(self):
         sub = StableSubordinator(0.7, 1.0)
@@ -439,15 +462,14 @@ MEMO_FUNCTIONS = [
 
 
 class TestSubordinatedApplyMemo:
-    KEY = (gauss_heat(1), StableSubordinator(0.7, 1.0), GaussBump(0.3, 0.8),
-           0.4, SPEC)
+    KEY = (gauss_heat(1), StableSubordinator(0.7, 1.0), GaussBump(0.3, 0.8), 0.4)
 
     @pytest.fixture(autouse=True)
     def empty_memo(self):
         _subordinated_apply_memo.cache_clear()
 
     @staticmethod
-    def call(base, sub, f, x0, spec):
+    def call(base, sub, f, x0, spec=SPEC):
         return subordinated_apply(base, sub, f, [x0], spec)
 
     @given(st.floats(min_value=0.3, max_value=0.95),
@@ -459,7 +481,7 @@ class TestSubordinatedApplyMemo:
     def test_memoized_equals_uncached(self, alpha, t, x, base, f):
         sub = StableSubordinator(alpha, t)
         got = subordinated_apply(base, sub, f, [x], SPEC)
-        assert got == _subordinated_apply_memo.__wrapped__(base, sub, f, x, SPEC)
+        assert got == _subordinated_apply_memo.__wrapped__(base, sub, f, x)
         assert math.isclose(got, uncached_subordinated_apply(base, sub, f, [x], SPEC),
                             rel_tol=4 * ULP)
 
@@ -478,7 +500,6 @@ class TestSubordinatedApplyMemo:
         (2, GaussBump(0.3, 0.9)),
         (2, GaussBump(0.3, 0.8).pow(2.0)),
         (3, 0.5),
-        (4, QuadratureSpec(rel_tol=1e-9, abs_tol=1e-13)),
     ])
     def test_any_changed_part_is_a_miss(self, position, value):
         self.call(*self.KEY)
@@ -488,17 +509,35 @@ class TestSubordinatedApplyMemo:
         got = self.call(*key)
         after = _subordinated_apply_memo.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses + 1)
-        base, sub, f, x0, spec = key
-        assert math.isclose(got, uncached_subordinated_apply(base, sub, f, [x0], spec),
+        base, sub, f, x0 = key
+        assert math.isclose(got, uncached_subordinated_apply(base, sub, f, [x0], SPEC),
                             rel_tol=4 * ULP)
 
-    def test_plain_callable_is_not_memoized(self):
-        sub = StableSubordinator(0.7, 1.0)
+    def test_different_specs_share_an_entry(self):
+        # no value depends on the spec, so it is not part of the key
+        first = self.call(*self.KEY)
         before = _subordinated_apply_memo.cache_info()
-        got = subordinated_apply(gauss_heat(1), sub, lambda y: np.cos(y) ** 2,
-                                 [0.4], SPEC)
+        second = self.call(*self.KEY, QuadratureSpec(rel_tol=1e-6, abs_tol=1e-9,
+                                                     max_subdivisions=7))
+        after = _subordinated_apply_memo.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert second is first
+
+    def test_plain_callable_is_not_memoized(self):
+        # a plain callable declares no breakpoints: it is rejected before
+        # any value is computed or memoized, at alpha = 1 as below it
+        def plain(y):
+            return np.cos(y) ** 2
+
+        self.call(*self.KEY)
+        before = _subordinated_apply_memo.cache_info()
+        with pytest.raises(TypeError, match="breakpoints"):
+            apply(gauss_heat(1), plain, 0.7, [0.4], SPEC)
+        for alpha in (0.7, 1.0):
+            with pytest.raises(TypeError, match="breakpoints"):
+                subordinated_apply(gauss_heat(1), StableSubordinator(alpha, 1.0),
+                                   plain, [0.4], SPEC)
         assert _subordinated_apply_memo.cache_info() == before
-        assert 0.0 < got < 1.0
 
     def test_unhashable_test_function_is_integrated_uncached(self):
         f = _MutableBump(0.3, 0.8)
@@ -509,14 +548,14 @@ class TestSubordinatedApplyMemo:
         got = subordinated_apply(gauss_heat(1), sub, f, [0.4], SPEC)
         assert _subordinated_apply_memo.cache_info() == before
         assert got == _subordinated_apply_memo.__wrapped__(gauss_heat(1), sub, f,
-                                                           0.4, SPEC)
+                                                           0.4)
         assert math.isclose(got, uncached_subordinated_apply(gauss_heat(1), sub, f,
                                                              [0.4], SPEC),
                             rel_tol=4 * ULP)
 
     def test_wrong_dimension_raises_after_a_cached_entry(self):
         sub = StableSubordinator(0.7, 1.0)
-        self.call(gauss_heat(1), sub, GaussBump(), 0.4, SPEC)
+        self.call(gauss_heat(1), sub, GaussBump(), 0.4)
         with pytest.raises(ValueError):
             subordinated_apply(gauss_heat(1), sub, GaussBump(), [0.4, 1.0], SPEC)
         subordinated_apply(gauss_heat(2), sub, Constant(1.0), [0.4, 1.0], SPEC)

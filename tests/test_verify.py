@@ -143,6 +143,32 @@ class TestChecks:
                                              [1.0], BUMP, mode, SPEC)
             assert math.isclose(rep.log_rhs, math.log(rep.rhs), rel_tol=1e-14)
 
+    def test_subordinated_alpha_one_keeps_the_base_log_rhs(self):
+        # exp(845) passes float range, so rhs is inf; its log is finite
+        args = (2.0, [0.0], [13.0], BUMP)
+        base = check_base_harnack(gauss_heat(1), args[0], 0.1, *args[1:], spec=SPEC)
+        rep = check_subordinated_harnack(gauss_heat(1), StableSubordinator(1.0, 0.1),
+                                         *args, spec=SPEC)
+        assert rep.rhs == base.rhs == math.inf
+        assert 709.0 < base.log_rhs < math.inf
+        assert rep.log_rhs == base.log_rhs
+        assert rep.status == base.status == "holds"
+
+    def test_subordinated_numeric_log_rhs_past_float_range(self):
+        # the exact transfer factor passes float range at alpha = 0.75,
+        # t = 0.5, y = 10; its log is finite and below the closed forms'
+        sub = StableSubordinator(0.75, 0.5)
+        reports = {
+            mode: check_subordinated_harnack(gauss_heat(1), sub, 2.0, [0.0],
+                                             [10.0], BUMP, mode, SPEC)
+            for mode in ("numeric", "intermediate", "simplified")
+        }
+        numeric = reports["numeric"]
+        assert numeric.method == "series" and numeric.status == "holds"
+        assert numeric.rhs == math.inf
+        assert (709.0 < numeric.log_rhs <= reports["intermediate"].log_rhs
+                <= reports["simplified"].log_rhs < math.inf)
+
     def test_subordinated_unknown_mode(self):
         sub = StableSubordinator(0.75, 1.0)
         with pytest.raises(ValueError):
