@@ -31,13 +31,19 @@ only; callers take the exp at the edge.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
-from .specfun import log_gamma
-from .subordinator import SeriesEval, sum_log_series
+from .specfun import _exp_or_inf, log_gamma
+from .subordinator import (
+    SeriesEval,
+    StableSubordinator,
+    fractional_moment,
+    geometric_term_ratio,
+    sum_log_series,
+)
 
 __all__ = [
     "HarnackProfile",
@@ -105,18 +111,11 @@ class BoundReport:
             raise ValueError(f"status must be one of {STATUSES}, got {self.status!r}")
 
     def to_dict(self):
-        d = {
-            "lhs": _json_float(self.lhs),
-            "rhs": _json_float(self.rhs),
-            "slack": _json_float(self.slack),
-            "valid_domain": self.valid_domain,
-            "method": self.method,
-            "status": self.status,
-            "detail": self.detail,
-            "log_lhs": _json_float(self.log_lhs),
-            "log_rhs": _json_float(self.log_rhs),
-        }
-        if self.params is not None:
+        """Every field in order, with no ``params`` key where it is None."""
+        d = {f.name: _json_float(getattr(self, f.name)) for f in fields(self)}
+        if self.params is None:
+            del d["params"]
+        else:
             d["params"] = dict(self.params)
         return d
 
@@ -126,14 +125,6 @@ def _json_float(v):
     if isinstance(v, float) and not math.isfinite(v):
         return repr(v)
     return v
-
-
-def _exp_or_inf(x):
-    """exp(x), or inf where that passes float range."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
 
 
 def base_harnack_exponent(p, K, t, rho_sq):
@@ -195,8 +186,7 @@ def series_factor(delta, alpha, kappa, t, rel_tol=1e-12):
         raise ValueError("delta must be >= 0")
     _check_alpha_window(alpha, kappa)
     if delta == 0.0:
-        return SeriesEval(value=1.0, terms_used=0, truncation_bound=0.0,
-                          converged=True, log_value=0.0)
+        return SeriesEval.exact(0.0)
     c = math.e * constant_c(alpha, kappa)
     log_r = math.log(c * delta) - (kappa / alpha) * math.log(t)
     expo = kappa * (1.0 / alpha - 1.0) - 1.0  # negative on the open window
@@ -297,15 +287,15 @@ def prop13_factor(p, kappa, H_value, t):
     """Boundary-index alpha = kappa/(kappa+1) factor.
 
     Returns (valid_domain, factor, exact_ratio):
-      * valid_domain -- the sufficient condition
+      * valid_domain -- the sufficient condition D > 1, that is
         e*(p-1)*(t*kappa)**(kappa+1) > kappa*(kappa+1)**(kappa+1)*H;
       * factor -- (1 + C/(D - 1))**(p-1) with
         D = (e*(p-1)/(H*kappa)) * (kappa*t/(kappa+1))**(kappa+1) and
         C = sqrt((kappa+1)/(2*pi*kappa)) * exp(1/(12*(kappa+1)));
-      * exact_ratio -- the true geometric term ratio
-        q = delta*kappa*((kappa+1)/(kappa*t))**(kappa+1), delta = H/(p-1),
-        which governs actual convergence (q < 1) and is looser than the
-        sufficient condition by the factor e.
+      * exact_ratio -- the true geometric term ratio q of the moment series
+        (``geometric_term_ratio`` at delta = H/(p-1)), which governs actual
+        convergence (q < 1) and is looser than the sufficient condition by
+        the factor e.
     """
     p = float(p)
     kappa = float(kappa)
@@ -319,14 +309,10 @@ def prop13_factor(p, kappa, H_value, t):
         raise ValueError("H_value must be >= 0")
     if H_value == 0.0:
         return True, 1.0, 0.0
-    delta = H_value / (p - 1.0)
-    exact_ratio = delta * kappa * ((kappa + 1.0) / (kappa * t)) ** (kappa + 1.0)
-    # D = 1/q0 with q0 = exact_ratio / e; condition (e1) is D > 1
+    exact_ratio = geometric_term_ratio(H_value / (p - 1.0), kappa, t)
+    # D = 1/q0 with q0 = exact_ratio / e; the sufficient condition is D > 1
     D = math.e / exact_ratio
-    valid = math.e * (p - 1.0) * (t * kappa) ** (kappa + 1.0) > kappa * (
-        kappa + 1.0
-    ) ** (kappa + 1.0) * H_value
-    if not valid:
+    if not D > 1.0:
         return False, math.inf, exact_ratio
     C = math.sqrt((kappa + 1.0) / (2.0 * math.pi * kappa)) * math.exp(
         1.0 / (12.0 * (kappa + 1.0))
@@ -335,7 +321,8 @@ def prop13_factor(p, kappa, H_value, t):
 
 
 def log_harnack_term(alpha, kappa, epsilon, H_value, t):
-    """Additive log-Harnack term H * (eps + Gamma(kappa/alpha)/(alpha*t**(kappa/alpha)*Gamma(kappa)))."""
+    """Additive log-Harnack term H * (eps + Gamma(kappa/alpha)/(alpha*t**(kappa/alpha)*Gamma(kappa))),
+    inf where the moment term passes float range."""
     alpha = float(alpha)
     kappa = float(kappa)
     epsilon = float(epsilon)
@@ -352,9 +339,9 @@ def log_harnack_term(alpha, kappa, epsilon, H_value, t):
     if H_value == 0.0:
         return 0.0
     if alpha == 1.0:
-        moment = t ** -kappa
+        moment = fractional_moment(StableSubordinator(1.0, t), kappa)
     else:
-        moment = math.exp(
+        moment = _exp_or_inf(
             log_gamma(kappa / alpha)
             - math.log(alpha)
             - (kappa / alpha) * math.log(t)
@@ -368,15 +355,13 @@ def log_transfer_factor(p, profile, moment):
     is eps*H + (p-1) * log moment.
 
     ``moment`` is the exponential moment
-    int exp(H/((p-1)*s**kappa)) mu_t(ds) as a SeriesEval; a moment that
-    did not converge gives inf.
+    int exp(H/((p-1)*s**kappa)) mu_t(ds) as a SeriesEval. Only its
+    ``log_value`` is read, so a moment past float range still gives a
+    finite log; a moment that did not converge gives inf.
     """
     p = float(p)
     if p <= 1.0:
         raise ValueError("p must be > 1")
     if not moment.converged:
         return math.inf
-    log_m = moment.log_value if math.isfinite(moment.log_value) else math.log(
-        moment.value
-    )
-    return profile.epsilon * profile.H_value + (p - 1.0) * log_m
+    return profile.epsilon * profile.H_value + (p - 1.0) * moment.log_value

@@ -14,7 +14,6 @@ import sys
 
 from .bounds import (
     HarnackProfile,
-    _exp_or_inf,
     base_harnack_exponent,
     log_harnack_term,
     log_thm11_factor,
@@ -22,6 +21,7 @@ from .bounds import (
     prop13_factor,
 )
 from .semigroup import BaseKernel, subordinated_density
+from .specfun import _exp_or_inf
 from .subordinator import (
     QuadratureSpec,
     StableSubordinator,
@@ -243,10 +243,7 @@ def parse_and_dispatch(argv):
         return 0 if exc.code == 0 else 1
     try:
         return _DISPATCH[args.command](args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.integrate import quad  # unused; bench/tracer.py rebinds it here
 from scipy.special import erfcx, gammaln, log_ndtr, ndtr
 
-from .bounds import _exp_or_inf
+from .specfun import _exp_or_inf
 from .subordinator import QuadratureSpec, _OnArrays, integrate_against
 
 __all__ = [
@@ -460,10 +460,20 @@ def _apply_at(base, f, s, x0):
     cf = f.gauss_expect(m0, sigma)
     if cf is not None:
         return cf
+    return _memoized(_gauss_quad_memo, f, f, m0, sigma)
+
+
+def _memoized(memo, f, *key):
+    """memo(*key), whose key holds f, or uncached for an unhashable f: only a
+    TypeError from hash(f) means that, so f runs once either way."""
     try:
-        return _gauss_quad_memo(f, m0, sigma)
-    except TypeError:  # unhashable subclass
-        return float(_gauss_expectation_rule(f, m0, sigma))
+        return memo(*key)
+    except TypeError:
+        try:
+            hash(f)
+        except TypeError:
+            return memo.__wrapped__(*key)
+        raise
 
 
 def subordinated_apply(base, sub, f, x, spec=QuadratureSpec()):
@@ -482,10 +492,7 @@ def subordinated_apply(base, sub, f, x, spec=QuadratureSpec()):
     x0 = _first_coordinate(base, f, x)
     if sub.degenerate:
         return _apply_at(base, f, sub.t, x0)
-    try:
-        return _subordinated_apply_memo(base, sub, f, x0)
-    except TypeError:  # unhashable subclass
-        return _subordinated_apply_memo.__wrapped__(base, sub, f, x0)
+    return _memoized(_subordinated_apply_memo, f, base, sub, f, x0)
 
 
 @lru_cache(maxsize=1 << 16)

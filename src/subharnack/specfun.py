@@ -18,6 +18,14 @@ __all__ = ["StirlingBracket", "log_gamma", "stirling_bracket"]
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
+def _exp_or_inf(x):
+    """exp(x), or inf where that passes float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def log_gamma(r):
     """Natural log of Gamma(r) for r > 0.
 
@@ -69,8 +77,8 @@ def stirling_bracket(r):
     log_upper = log_lower + 1.0 / (12.0 * r)
     return StirlingBracket(
         r=r,
-        lower=math.exp(log_lower) if log_lower < 709.0 else math.inf,
-        upper=math.exp(log_upper) if log_upper < 709.0 else math.inf,
+        lower=_exp_or_inf(log_lower),
+        upper=_exp_or_inf(log_upper),
         log_lower=log_lower,
         log_upper=log_upper,
     )

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import quad  # unused; bench/tracer.py rebinds it here
 
-from .specfun import log_gamma
+from .specfun import _exp_or_inf, log_gamma
 
 __all__ = [
     "StableSubordinator",
@@ -94,7 +94,7 @@ class QuadratureSpec:
 @dataclass(frozen=True)
 class MCSpec:
     n_samples: int
-    seed: int
+    seed: int = 0
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -103,18 +103,30 @@ class MCSpec:
 
 @dataclass(frozen=True)
 class SeriesEval:
-    """Outcome of a term-by-term series summation.
+    """Outcome of a term-by-term series summation, stored as its log.
 
-    ``value`` is +inf with ``divergence_reason`` set when the ratio test
-    declares divergence; ``log_value`` stays finite whenever the sum does.
+    ``log_value`` is finite whenever the sum is, and nan for a result that
+    did not converge (``divergence_reason`` says why). ``value`` is derived
+    from it: inf past float range and for a result that did not converge.
     """
 
-    value: float
     terms_used: int
     truncation_bound: float
     converged: bool
     divergence_reason: Optional[str] = None
     log_value: float = math.nan
+
+    @property
+    def value(self):
+        return _exp_or_inf(self.log_value) if self.converged else math.inf
+
+    @classmethod
+    def exact(cls, log_value):
+        return cls(0, 0.0, True, log_value=log_value)
+
+    @classmethod
+    def diverges(cls, reason, terms_used=0):
+        return cls(terms_used, math.inf, False, reason)
 
 
 # --- density -----------------------------------------------------------
@@ -414,13 +426,17 @@ def log_fractional_moment(sub, r):
 
 
 def fractional_moment(sub, r):
-    """int s**(-r) mu_t(ds), valid for every r > 0 and alpha in (0, 1]."""
+    """int s**(-r) mu_t(ds), valid for every r > 0 and alpha in (0, 1];
+    inf where that passes float range."""
     if sub.degenerate:
         # point mass at t: exactly t**(-r), bypass the log round trip
         if float(r) <= 0.0:
             raise ValueError(f"fractional moment requires r > 0, got {r!r}")
-        return sub.t ** -float(r)
-    return math.exp(log_fractional_moment(sub, r))
+        try:
+            return sub.t ** -float(r)
+        except OverflowError:
+            return math.inf
+    return _exp_or_inf(log_fractional_moment(sub, r))
 
 
 _FIRST_BLOCK = 64  # terms in the first block; each next one is 4x, up to the cap
@@ -473,23 +489,13 @@ def sum_log_series(log_terms, rel_tol, max_terms=200000):
                 continue
             tail = lt_i + math.log(q_i) - math.log1p(-q_i) if q_i > 0.0 else -math.inf
             if tail < log_rel_tol + log_sum_i:
-                return SeriesEval(
-                    value=math.exp(log_sum_i) if log_sum_i < 709.0 else math.inf,
-                    terms_used=int(n[i]),
-                    truncation_bound=math.exp(tail) if tail < 709.0 else math.inf,
-                    converged=True,
-                    log_value=log_sum_i,
-                )
+                return SeriesEval(terms_used=int(n[i]),
+                                  truncation_bound=_exp_or_inf(tail),
+                                  converged=True, log_value=log_sum_i)
         log_sum, prev = float(sums[-1]), float(lt[-1])
         n0 += len(n)
         size = min(4 * size, _MAX_BLOCK)
-    return SeriesEval(
-        value=math.inf,
-        terms_used=max_terms,
-        truncation_bound=math.inf,
-        converged=False,
-        divergence_reason="max_terms reached without convergence",
-    )
+    return SeriesEval.diverges("max_terms reached without convergence", max_terms)
 
 
 def geometric_term_ratio(delta, kappa, t):
@@ -517,6 +523,7 @@ def exp_moment(sub, delta, kappa, spec=QuadratureSpec()):
     closed form t / (2*sqrt(t**2/4 - delta)) = (1 - q)**(-1/2), returned
     with ``terms_used = 0`` and ``truncation_bound = 0``: the series
     there needs ~1/(1-q) terms and runs out of them as q -> 1.
+    A finite moment past float range has value inf and a finite log.
     """
     delta = float(delta)
     kappa = float(kappa)
@@ -525,40 +532,23 @@ def exp_moment(sub, delta, kappa, spec=QuadratureSpec()):
     if kappa <= 0.0:
         raise ValueError(f"kappa must be > 0, got {kappa!r}")
     if delta == 0.0:
-        return SeriesEval(value=1.0, terms_used=0, truncation_bound=0.0,
-                          converged=True, log_value=0.0)
+        return SeriesEval.exact(0.0)
     if sub.degenerate:
-        lv = delta / sub.t ** kappa
-        return SeriesEval(value=math.exp(lv), terms_used=0, truncation_bound=0.0,
-                          converged=True, log_value=lv)
+        return SeriesEval.exact(delta * fractional_moment(sub, kappa))
     boundary = kappa / (kappa + 1.0)
     if sub.alpha < boundary:
-        return SeriesEval(
-            value=math.inf, terms_used=0, truncation_bound=math.inf,
-            converged=False,
-            divergence_reason="series diverges: alpha below kappa/(kappa+1)",
-        )
+        return SeriesEval.diverges("series diverges: alpha below kappa/(kappa+1)")
     if sub.alpha == boundary:
         q = geometric_term_ratio(delta, kappa, sub.t)
         if q >= 1.0:
-            return SeriesEval(
-                value=math.inf, terms_used=0, truncation_bound=math.inf,
-                converged=False,
-                divergence_reason=(
-                    f"series diverges: boundary index with geometric term "
-                    f"ratio {q:.6g} >= 1"
-                ),
-            )
+            return SeriesEval.diverges("series diverges: boundary index with "
+                                       f"geometric term ratio {q:.6g} >= 1")
         t = sub.t
         # q can round below 1 at delta = t^2/4 exactly; the series then
         # runs out of terms and reports non-convergence, as it should
         if sub.alpha == 0.5 and kappa == 1.0 and delta < t * t / 4.0:
             # 1/S_t is Gamma(1/2) with rate t^2/4 under the Levy law
-            return SeriesEval(
-                value=t / (2.0 * math.sqrt(t * t / 4.0 - delta)),
-                terms_used=0, truncation_bound=0.0, converged=True,
-                log_value=-0.5 * math.log1p(-4.0 * delta / (t * t)),
-            )
+            return SeriesEval.exact(-0.5 * math.log1p(-4.0 * delta / (t * t)))
     log_delta = math.log(delta)
 
     def log_terms(n):

@@ -28,7 +28,7 @@ Harnack profiles for the concrete bases (kappa = 1 throughout):
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -38,7 +38,7 @@ from .bounds import (
     STATUSES,
     BoundReport,
     HarnackProfile,
-    _exp_or_inf,
+    _json_float,
     base_harnack_exponent,
     log_harnack_term,
     log_thm11_factor,
@@ -61,6 +61,7 @@ from .semigroup import (
     ou1d,
     subordinated_apply,
 )
+from .specfun import _exp_or_inf
 from .subordinator import (
     MCSpec,
     QuadratureSpec,
@@ -143,13 +144,21 @@ def _report(lhs, rhs, method, detail, rel_tol, params, log_rhs=None):
     )
 
 
-def _power_report(lhs, log_factor, rhs_p, method, detail, rel_tol, params):
-    """In-domain report of lhs <= factor * P f^p(y), with rhs formed in
-    logs from ``log_factor`` and rhs_p = P f^p(y): the factor alone can
-    pass float range while log rhs stays finite, and rhs is then inf."""
+def _power_report(P, f, p, x, y, log_factor, method, detail, rel_tol, params):
+    """In-domain report of (P(f, x))^p <= factor * P(f^p, y), with rhs
+    formed in logs from ``log_factor``: the factor alone can pass float
+    range while log rhs stays finite, and rhs is then inf."""
+    lhs = P(f, x) ** p
+    rhs_p = P(f.pow(p), y)
     log_rhs = log_factor + math.log(rhs_p) if rhs_p > 0 else -math.inf
     return _report(lhs, _exp_or_inf(log_rhs), method, detail, rel_tol, params,
                    log_rhs=log_rhs)
+
+
+def _params(x, y, f):
+    """The params entries of a point pair and a test function."""
+    return {"x": float(np.atleast_1d(x)[0]), "y": float(np.atleast_1d(y)[0]),
+            "f": f.describe()}
 
 
 def _unchecked(status, method, detail, params):
@@ -170,13 +179,11 @@ def passes(report, rel_tol):
 
 def check_base_harnack(base, p, t, x, y, f, spec=QuadratureSpec()):
     """(P_t f(x))^p <= exp(base exponent) * P_t f^p(y)."""
-    rho_sq = _rho_sq(x, y)
-    lhs = apply(base, f, t, x, spec) ** p
-    expo = base_harnack_exponent(p, base.curvature_K, t, rho_sq)
-    rhs_p = apply(base, f.pow(p), t, y, spec)
-    params = {"check": "base_harnack", "p": p, "t": t, "x": float(np.atleast_1d(x)[0]),
-              "y": float(np.atleast_1d(y)[0]), "f": f.describe()}
-    return _power_report(lhs, expo, rhs_p, "quadrature", "", spec.rel_tol, params)
+    expo = base_harnack_exponent(p, base.curvature_K, t, _rho_sq(x, y))
+    return _power_report(lambda g, z: apply(base, g, t, z, spec), f, p, x, y,
+                         expo, "quadrature", "", spec.rel_tol,
+                         {"check": "base_harnack", "p": p, "t": t,
+                          **_params(x, y, f)})
 
 
 def check_subordinated_harnack(base, sub, p, x, y, f, mode="numeric",
@@ -189,13 +196,10 @@ def check_subordinated_harnack(base, sub, p, x, y, f, mode="numeric",
     """
     if mode not in ("numeric", "intermediate", "simplified"):
         raise ValueError(f"unknown mode {mode!r}")
-    t = sub.t
-    alpha = sub.alpha
-    params = {"check": "subordinated_harnack", "alpha": alpha, "p": p, "t": t,
-              "x": float(np.atleast_1d(x)[0]), "y": float(np.atleast_1d(y)[0]),
-              "f": f.describe(), "mode": mode}
+    params = {"check": "subordinated_harnack", "alpha": sub.alpha, "p": p,
+              "t": sub.t, **_params(x, y, f), "mode": mode}
     if sub.degenerate:
-        rep = check_base_harnack(base, p, t, x, y, f, spec)
+        rep = check_base_harnack(base, p, sub.t, x, y, f, spec)
         return _report(rep.lhs, rep.rhs, rep.method,
                        "alpha=1 reduces to base inequality", spec.rel_tol, params,
                        log_rhs=rep.log_rhs)
@@ -211,16 +215,15 @@ def check_subordinated_harnack(base, sub, p, x, y, f, mode="numeric",
                               f"exponential moment diverges: {moment.divergence_reason}",
                               params)
         log_factor, method = log_transfer_factor(p, profile, moment), "series"
-    elif not (kappa / (kappa + 1.0) < alpha < 1.0):
+    elif not (kappa / (kappa + 1.0) < sub.alpha < 1.0):
         return _unchecked("out_of_domain", "closed-form",
                           "alpha outside (kappa/(kappa+1), 1)", params)
     else:
         factor = (log_thm11_intermediate_factor if mode == "intermediate"
                   else log_thm11_factor)
-        log_factor, method = factor(p, profile, alpha, t), "closed-form"
-    lhs = subordinated_apply(base, sub, f, x, spec) ** p
-    rhs_p = subordinated_apply(base, sub, f.pow(p), y, spec)
-    return _power_report(lhs, log_factor, rhs_p, method, "", spec.rel_tol, params)
+        log_factor, method = factor(p, profile, sub.alpha, sub.t), "closed-form"
+    return _power_report(lambda g, z: subordinated_apply(base, sub, g, z, spec),
+                         f, p, x, y, log_factor, method, "", spec.rel_tol, params)
 
 
 def check_prop13(base, p, t, x, y, f, spec=QuadratureSpec()):
@@ -229,7 +232,7 @@ def check_prop13(base, p, t, x, y, f, spec=QuadratureSpec()):
     Checks the closed-form factor when both the sufficient condition and
     the exact term-ratio test admit it; when the sufficient condition
     holds but the exact ratio is >= 1 the underlying moment integral
-    diverges and a discrepancy-tagged out-of-domain report is emitted.
+    diverges and a discrepancy-tagged ``non_converged`` report is emitted.
     """
     if base.kind != "gauss_heat":
         raise ValueError("the boundary-case check is set up on the heat kernel")
@@ -237,29 +240,24 @@ def check_prop13(base, p, t, x, y, f, spec=QuadratureSpec()):
     profile, in_domain = power_profile(base, p, _rho_sq(x, y))
     kappa = profile.kappa
     params = {"check": "prop13", "alpha": 0.5, "kappa": kappa, "p": p, "t": t,
-              "x": float(np.atleast_1d(x)[0]), "y": float(np.atleast_1d(y)[0]),
-              "f": f.describe()}
+              **_params(x, y, f)}
     if not in_domain:
         return _unchecked("out_of_domain", "closed-form",
                           "profile requires p >= 4/3 for the heat kernel", params)
     valid, factor, q = prop13_factor(p, kappa, profile.H_value, t)
     if valid and q >= 1.0:
-        moment = exp_moment(sub, profile.H_value / (p - 1.0), kappa, spec)
-        detail = ("discrepancy: sufficient condition holds but exact term "
-                  f"ratio q={q:.6g} >= 1; moment series "
-                  f"{'diverges' if not moment.converged else 'CONVERGED (unexpected)'}")
-        # a convergent series here contradicts the ratio test; the entry
-        # stays outside the checked domain
-        status = "out_of_domain" if moment.converged else "non_converged"
-        return _unchecked(status, "series", detail, params)
+        # q is the moment series' own ratio test here, so it diverges
+        return _unchecked("non_converged", "series",
+                          "discrepancy: sufficient condition holds but exact "
+                          f"term ratio q={q:.6g} >= 1; moment series diverges",
+                          params)
     if not valid:
         return _unchecked("out_of_domain", "closed-form",
                           "sufficient condition fails", params)
-    lhs = subordinated_apply(base, sub, f, x, spec) ** p
-    rhs_p = subordinated_apply(base, sub, f.pow(p), y, spec)
-    return _power_report(lhs, profile.epsilon * profile.H_value + math.log(factor),
-                         rhs_p, "closed-form", f"exact_ratio={q:.6g}",
-                         spec.rel_tol, params)
+    log_factor = profile.epsilon * profile.H_value + math.log(factor)
+    return _power_report(lambda g, z: subordinated_apply(base, sub, g, z, spec),
+                         f, p, x, y, log_factor, "closed-form",
+                         f"exact_ratio={q:.6g}", spec.rel_tol, params)
 
 
 def check_log_harnack(base, sub, x, y, f, spec=QuadratureSpec()):
@@ -267,16 +265,13 @@ def check_log_harnack(base, sub, x, y, f, spec=QuadratureSpec()):
     if not isinstance(f, ShiftedForLog):
         raise ValueError("log-Harnack needs f >= 1; wrap the test function "
                          "in ShiftedForLog")
-    t = sub.t
-    rho_sq = _rho_sq(x, y)
-    profile = log_profile(base, rho_sq)
+    profile = log_profile(base, _rho_sq(x, y))
     lhs = subordinated_apply(base, sub, f.log(), x, spec)
     term = log_harnack_term(sub.alpha, profile.kappa, profile.epsilon,
-                            profile.H_value, t)
+                            profile.H_value, sub.t)
     rhs = math.log(subordinated_apply(base, sub, f, y, spec)) + term
     params = {"check": "log_harnack", "alpha": sub.alpha, "kappa": profile.kappa,
-              "t": t, "x": float(np.atleast_1d(x)[0]),
-              "y": float(np.atleast_1d(y)[0]), "f": f.describe()}
+              "t": sub.t, **_params(x, y, f)}
     # both sides can be negative; report raw values, the slack carries the check
     return BoundReport(lhs=lhs, rhs=rhs, slack=rhs - lhs, valid_domain=True,
                        method="quadrature",
@@ -467,11 +462,12 @@ _SWEEP = (
 
 KNOWN_CHECKS = tuple(name for name, _, _ in _SWEEP)
 
+# each test function kind: its class and its parameters' JSON defaults
 _FUNCTION_KINDS = {
-    "constant": lambda d: Constant(d.get("c", 1.0)),
-    "gauss_bump": lambda d: GaussBump(d.get("center", 0.0), d.get("width", 1.0)),
-    "indicator": lambda d: Indicator(d.get("lo", -1.0), d.get("hi", 1.0)),
-    "exp_affine": lambda d: ExpAffine(d.get("slope", 1.0), d.get("clip")),
+    "constant": (Constant, {"c": 1.0}),
+    "gauss_bump": (GaussBump, {"center": 0.0, "width": 1.0}),
+    "indicator": (Indicator, {"lo": -1.0, "hi": 1.0}),
+    "exp_affine": (ExpAffine, {"slope": 1.0, "clip": None}),
 }
 
 
@@ -481,14 +477,22 @@ def _function_from_dict(spec_dict, path):
     kind = spec_dict["kind"]
     if kind not in _FUNCTION_KINDS:
         raise ValueError(f"{path}.kind: unknown test function {kind!r}")
-    allowed = {"constant": {"kind", "c"},
-               "gauss_bump": {"kind", "center", "width"},
-               "indicator": {"kind", "lo", "hi"},
-               "exp_affine": {"kind", "slope", "clip"}}[kind]
-    extra = set(spec_dict) - allowed
+    cls, defaults = _FUNCTION_KINDS[kind]
+    params = {k: v for k, v in spec_dict.items() if k != "kind"}
+    return _from_block(cls, {**defaults, **params}, path, noun="parameter")
+
+
+def _from_block(cls, block, path, read=None, noun="field"):
+    """cls(**block), each value passed through ``read[name]`` if given; an
+    unknown or missing field or a mistyped value raises naming path."""
+    extra = set(block) - {f.name for f in fields(cls)}
     if extra:
-        raise ValueError(f"{path}: unknown parameter(s) {sorted(extra)}")
-    return _FUNCTION_KINDS[kind](spec_dict)
+        raise ValueError(f"{path}: unknown {noun}(s) {sorted(extra)}")
+    read = read or {}
+    try:
+        return cls(**{k: read[k](v) if k in read else v for k, v in block.items()})
+    except TypeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass
@@ -511,10 +515,8 @@ class SweepConfig:
         unknown = set(self.checks) - set(KNOWN_CHECKS)
         if unknown:
             raise ValueError(f"checks: unknown {sorted(unknown)}")
-        for name, lst in (("alphas", self.alphas), ("ts", self.ts),
-                          ("ps", self.ps), ("point_pairs", self.point_pairs),
-                          ("functions", self.functions)):
-            if not lst:
+        for name in ("alphas", "ts", "ps", "point_pairs", "functions"):
+            if not getattr(self, name):
                 raise ValueError(f"{name}: must be non-empty")
         for a in self.alphas:
             if not (0.0 < a <= 1.0):
@@ -527,44 +529,21 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, d):
-        allowed = {"base", "alphas", "ts", "ps", "point_pairs", "functions",
-                   "quadrature", "mc", "checks", "seed", "rate_ts"}
-        extra = set(d) - allowed
-        if extra:
-            raise ValueError(f"config: unknown field(s) {sorted(extra)}")
-        base_d = d.get("base", {"kind": "gauss_heat", "d": 1})
-        extra_b = set(base_d) - {"kind", "d"}
-        if extra_b:
-            raise ValueError(f"config.base: unknown field(s) {sorted(extra_b)}")
-        base = BaseKernel(base_d["kind"], base_d.get("d", 1))
-        quad_d = d.get("quadrature", {})
-        extra_q = set(quad_d) - {"rel_tol", "abs_tol", "max_subdivisions"}
-        if extra_q:
-            raise ValueError(f"config.quadrature: unknown field(s) {sorted(extra_q)}")
-        mc_d = d.get("mc")
-        mc = None
-        if mc_d is not None:
-            extra_m = set(mc_d) - {"n_samples", "seed"}
-            if extra_m:
-                raise ValueError(f"config.mc: unknown field(s) {sorted(extra_m)}")
-            mc = MCSpec(n_samples=mc_d["n_samples"], seed=mc_d.get("seed", 0))
-        funcs = [
-            _function_from_dict(fd, f"config.functions[{i}]")
-            for i, fd in enumerate(d.get("functions", []))
-        ]
-        cfg = cls(
-            base=base,
-            alphas=[float(a) for a in d.get("alphas", [])],
-            ts=[float(t) for t in d.get("ts", [])],
-            ps=[float(p) for p in d.get("ps", [])],
-            point_pairs=[(float(a), float(b)) for a, b in d.get("point_pairs", [])],
-            functions=funcs,
-            quadrature=QuadratureSpec(**quad_d),
-            mc=mc,
-            checks=tuple(d.get("checks", KNOWN_CHECKS[:-1])),
-            seed=int(d.get("seed", 0)),
-            rate_ts=tuple(float(t) for t in d.get("rate_ts", (0.1, 0.3, 1.0, 3.0, 10.0))),
-        )
+        """A field that d leaves out takes its default; base, the heat kernel."""
+        cfg = _from_block(cls, {"base": {"kind": "gauss_heat"}, **d}, "config", {
+            "base": lambda v: _from_block(BaseKernel, v, "config.base"),
+            "alphas": lambda v: list(map(float, v)),
+            "ts": lambda v: list(map(float, v)),
+            "ps": lambda v: list(map(float, v)),
+            "point_pairs": lambda v: [(float(a), float(b)) for a, b in v],
+            "functions": lambda v: [_function_from_dict(fd, f"config.functions[{i}]")
+                                    for i, fd in enumerate(v)],
+            "quadrature": lambda v: _from_block(QuadratureSpec, v, "config.quadrature"),
+            "mc": lambda v: None if v is None else _from_block(MCSpec, v, "config.mc"),
+            "checks": tuple,
+            "seed": int,
+            "rate_ts": lambda v: tuple(map(float, v)),
+        })
         cfg.validate()
         return cfg
 
@@ -576,8 +555,6 @@ class SweepReport:
     worst_slack: float
 
     def to_dict(self):
-        from .bounds import _json_float
-
         return {
             "entries": [e.to_dict() for e in self.entries],
             "summary": dict(self.summary),

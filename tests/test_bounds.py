@@ -246,6 +246,14 @@ class TestLogHarnackTerm:
         assert math.isclose(log_harnack_term(0.75, 1.0, 0.0, 0.7, 1.3),
                             expected, rel_tol=1e-12)
 
+    @pytest.mark.parametrize("alpha, kappa, t", [
+        (0.5, 300.0, 1.0), (0.01, 1.0, 0.001), (1.0, 200.0, 0.01)])
+    def test_past_float_range_is_inf(self, alpha, kappa, t):
+        assert log_harnack_term(alpha, kappa, 0.0, 1.0, t) == math.inf
+
+    def test_alpha_one_is_exactly_t_to_the_minus_kappa(self):
+        assert log_harnack_term(1.0, 100.0, 0.0, 1.0, 0.01) == 0.01 ** -100.0
+
 
 class TestTransferFactor:
     def test_trivial_moment(self):
@@ -267,6 +275,13 @@ class TestTransferFactor:
         assert not moment.converged
         assert log_transfer_factor(2.0, profile, moment) == math.inf
 
+    def test_moment_past_float_range_at_alpha_one(self):
+        # E exp(10 / S) = e^1000 at the point mass S = 0.01
+        profile = HarnackProfile(kappa=1.0, epsilon=0.0, H_value=10.0)
+        moment = exp_moment(StableSubordinator(1.0, 0.01), 10.0, 1.0, SPEC)
+        assert moment.value == math.inf
+        assert log_transfer_factor(2.0, profile, moment) == moment.log_value
+
 
 class TestBoundReport:
     def test_status_is_one_of_four(self):
@@ -278,6 +293,17 @@ class TestBoundReport:
             with pytest.raises(ValueError, match="status"):
                 BoundReport(lhs=1.0, rhs=2.0, slack=1.0, valid_domain=True,
                             method="m", status=status)
+
+    def test_to_dict_keeps_field_order(self):
+        rep = BoundReport(lhs=1.0, rhs=2.0, slack=1.0, valid_domain=True,
+                          method="m", status="holds")
+        assert list(rep.to_dict()) == ["lhs", "rhs", "slack", "valid_domain",
+                                       "method", "status", "detail", "log_lhs",
+                                       "log_rhs"]
+        params = {"check": "c"}
+        d = BoundReport(**{**vars(rep), "params": params}).to_dict()
+        assert list(d)[-1] == "params" and d["params"] == params
+        assert d["params"] is not params
 
     def test_to_dict_is_json_safe(self):
         import json

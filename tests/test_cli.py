@@ -275,6 +275,20 @@ class TestSweep:
         assert "unknown" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["expmoment", "--alpha", "1", "--t", "0.01", "--delta", "10"],
+    ["moment", "--alpha", "0.1", "--t", "1", "--r", "50"],
+    ["moment", "--alpha", "1", "--t", "0.01", "--r", "200"],
+    ["bound", "--kind", "log-harnack", "--alpha", "0.5", "--t", "1",
+     "--kappa", "300"],
+    ["bound", "--kind", "log-harnack", "--alpha", "0.01", "--t", "0.001"],
+])
+def test_value_past_float_range_prints_inf(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == "inf\n"
+
+
 def test_console_script_installed():
     import shutil
 

@@ -566,6 +566,34 @@ class TestSubordinatedApplyMemo:
             subordinated_apply(gauss_heat(2), sub, GaussBump(), [0.4, 1.0], SPEC)
 
 
+
+@dataclass(frozen=True)
+class _RaisesTypeError(TestFunction):
+    """Hashable, with no closed form, and raises TypeError when evaluated;
+    ``calls`` counts its evaluations."""
+
+    calls = [0]
+
+    def __call__(self, y):
+        self.calls[0] += 1
+        raise TypeError("this test function cannot be evaluated")
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda f: apply(gauss_heat(1), f, 0.7, [0.4], SPEC),
+    lambda f: subordinated_apply(gauss_heat(1), StableSubordinator(0.7, 1.0), f,
+                                 [0.4], SPEC),
+], ids=["apply", "subordinated_apply"])
+def test_type_error_from_f_is_raised_after_one_evaluation(evaluate):
+    # a hashable f is memoized; its own TypeError is not taken for
+    # unhashability, so the value is not computed a second time uncached
+    f = _RaisesTypeError()
+    f.calls[0] = 0
+    with pytest.raises(TypeError, match="cannot be evaluated"):
+        evaluate(f)
+    assert f.calls[0] == 1
+
+
 # every family with a closed Gaussian expectation, on both sides of
 # ExpAffine's branch at u = z - slope*sigma = 0
 CLOSED_FUNCTIONS = [

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -49,7 +50,6 @@ def reference_sum_log_series(log_term, rel_tol, max_terms=200000):
             log_tail = lt + math.log(q) - math.log1p(-q) if q > 0.0 else -math.inf
             if log_tail < math.log(rel_tol) + log_sum:
                 return SeriesEval(
-                    value=math.exp(log_sum) if log_sum < 709.0 else math.inf,
                     terms_used=n,
                     truncation_bound=(
                         math.exp(log_tail) if log_tail < 709.0 else math.inf
@@ -59,7 +59,6 @@ def reference_sum_log_series(log_term, rel_tol, max_terms=200000):
                 )
         prev = lt
     return SeriesEval(
-        value=math.inf,
         terms_used=max_terms,
         truncation_bound=math.inf,
         converged=False,
@@ -309,6 +308,13 @@ class TestFractionalMoment:
         with pytest.raises(ValueError):
             fractional_moment(StableSubordinator(0.5, 1.0), 0.0)
 
+    @pytest.mark.parametrize("alpha, t, r", [(0.1, 1.0, 50.0), (1.0, 0.01, 200.0)])
+    def test_past_float_range_is_inf(self, alpha, t, r):
+        assert fractional_moment(StableSubordinator(alpha, t), r) == math.inf
+
+    def test_degenerate_is_exactly_t_to_the_minus_r(self):
+        assert fractional_moment(StableSubordinator(1.0, 0.01), 150.0) == 0.01 ** -150.0
+
 
 class TestExpMoment:
     @pytest.mark.parametrize("t", [1.5, 2.0, 3.0])
@@ -354,6 +360,20 @@ class TestExpMoment:
         res = exp_moment(StableSubordinator(1.0, 2.0), 3.0, 1.0, SPEC)
         assert res.converged
         assert math.isclose(res.value, math.exp(1.5), rel_tol=1e-14)
+
+    def test_past_float_range_keeps_its_log(self):
+        # exp(delta / t) = e^1000 at the point mass t = 0.01
+        res = exp_moment(StableSubordinator(1.0, 0.01), 10.0, 1.0, SPEC)
+        assert res.converged and res.value == math.inf
+        assert res.log_value == 1000.0
+
+    def test_degenerate_with_t_to_the_kappa_out_of_range(self):
+        # t**kappa overflowed (a finite moment e^(1e-400) = 1) or underflowed
+        # to 0 (a moment past float range) in a division
+        res = exp_moment(StableSubordinator(1.0, 1e200), 1.0, 2.0, SPEC)
+        assert res.converged and res.value == 1.0
+        res = exp_moment(StableSubordinator(1.0, 1e-200), 1.0, 2.0, SPEC)
+        assert res.converged and res.log_value == res.value == math.inf
 
     def test_delta_zero(self):
         res = exp_moment(StableSubordinator(0.3, 1.0), 0.0, 1.0, SPEC)
@@ -436,6 +456,22 @@ class TestExpMoment:
         res = exp_moment(sub, 0.5, 1.0, SPEC)
         quad_val = integrate_against(lambda s: math.exp(0.5 / s), sub, SPEC)
         assert math.isclose(res.value, quad_val, rel_tol=1e-6)
+
+
+class TestSeriesEval:
+    def test_value_is_derived_from_the_log(self):
+        assert "value" not in {f.name for f in fields(SeriesEval)}
+        assert SeriesEval.exact(0.5).value == math.exp(0.5)
+        assert SeriesEval.exact(710.0).value == math.inf
+        assert SeriesEval.exact(-800.0).value == 0.0
+
+    def test_constructors(self):
+        assert SeriesEval.exact(0.5) == SeriesEval(
+            terms_used=0, truncation_bound=0.0, converged=True, log_value=0.5)
+        res = SeriesEval.diverges("why", terms_used=7)
+        assert res == SeriesEval(terms_used=7, truncation_bound=math.inf,
+                                 converged=False, divergence_reason="why")
+        assert res.value == math.inf and math.isnan(res.log_value)
 
 
 class TestSumLogSeries:

@@ -3,6 +3,7 @@ import importlib.resources as resources
 import json
 import math
 import pkgutil
+import re
 from collections import Counter
 
 import numpy as np
@@ -198,6 +199,18 @@ class TestChecks:
         assert not rep.valid_domain and rep.status == "non_converged"
         assert "discrepancy" in rep.detail and "diverges" in rep.detail
 
+    def test_prop13_discrepancy_is_decided_from_the_ratio(self, monkeypatch):
+        # q >= 1 is the moment series' own divergence test at alpha = 1/2,
+        # so the check does not sum or classify the series again
+        def no_series(*args, **kwargs):
+            raise AssertionError("exp_moment called")
+
+        monkeypatch.setattr(verify, "exp_moment", no_series)
+        rep = check_prop13(gauss_heat(1), 2.0, 1.2, [0.0], [0.8], BUMP, SPEC)
+        assert rep.status == "non_converged" and rep.method == "series"
+        assert rep.detail == ("discrepancy: sufficient condition holds but exact "
+                              "term ratio q=1.77778 >= 1; moment series diverges")
+
     def test_prop13_needs_heat_kernel(self):
         with pytest.raises(ValueError):
             check_prop13(ou1d(), 2.0, 1.0, [0.0], [1.0], BUMP, SPEC)
@@ -365,6 +378,30 @@ def small_config(**overrides):
     }
     d.update(overrides)
     return d
+
+
+@pytest.mark.parametrize("change, path", [
+    ({"mc": {"seed": 3}}, "config.mc"),
+    ({"mc": {"n_samples": 10, "sed": 3}}, "config.mc"),
+    ({"base": {"d": 1}}, "config.base"),
+    ({"base": {"kind": "ou1d", "dim": 1}}, "config.base"),
+    ({"quadrature": {"rtol": 1e-8}}, "config.quadrature"),
+    ({"functions": [{"kind": "indicator", "high": 1.0}]}, "config.functions[0]"),
+    ({"functions": [{"kind": "constant", "c": "one"}]}, "config.functions[0]"),
+])
+def test_malformed_config_block_names_its_path(change, path):
+    with pytest.raises(ValueError, match=re.escape(path)):
+        SweepConfig.from_dict(small_config(**change))
+
+
+def test_config_fields_left_out_take_their_defaults():
+    d = small_config(mc={"n_samples": 10})
+    for name in ("base", "quadrature", "checks", "seed"):
+        del d[name]
+    cfg = SweepConfig.from_dict(d)
+    assert cfg.base == gauss_heat(1) and cfg.mc == MCSpec(10, 0)
+    assert cfg == SweepConfig(cfg.base, cfg.alphas, cfg.ts, cfg.ps,
+                              cfg.point_pairs, cfg.functions, mc=cfg.mc)
 
 
 class TestSweepConfig:
