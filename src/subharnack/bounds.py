@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .specfun import _exp_or_inf, log_gamma
+from .specfun import _exp_or_inf
 from .subordinator import (
     SeriesEval,
     StableSubordinator,
@@ -66,14 +66,12 @@ __all__ = [
 class HarnackProfile:
     """Parameters (H, epsilon, kappa) of a base Harnack inequality.
 
-    ``H_value`` is H(x, y) for the point pair under consideration; ``K``
-    is the curvature proxy when the profile came from a concrete kernel.
+    ``H_value`` is H(x, y) for the point pair under consideration.
     """
 
     kappa: float
     epsilon: float
     H_value: float
-    K: float = 0.0
 
     def __post_init__(self):
         if self.kappa <= 0.0:
@@ -197,15 +195,21 @@ def series_factor(delta, alpha, kappa, t, rel_tol=1e-12):
     return sum_log_series(log_terms, rel_tol)
 
 
-def _b_exponent(alpha, kappa):
+def _checked_b(p, alpha, kappa, t=1.0):
+    """Check the arguments of a closed-form power-Harnack factor (p > 1,
+    t > 0, alpha in the window) and return b = 1 - (1/alpha - 1)*kappa."""
+    if p <= 1.0:
+        raise ValueError("p must be > 1")
+    if t <= 0.0:
+        raise ValueError("t must be > 0")
+    _check_alpha_window(alpha, kappa)
     return 1.0 - (1.0 / alpha - 1.0) * kappa
 
 
-def _log_z(p, kappa, alpha, H, t):
+def _log_z(p, kappa, alpha, H, t, b):
     """log z, z = (c*H/((p-1)*t**(kappa/alpha)))**(1/b) with the fully absorbed
     c = 2**(1-b) * e * constant_c: the bracket factor's exponent; b*(p-1)*z is
     the simplified factor's."""
-    b = _b_exponent(alpha, kappa)
     log_c = (1.0 - b) * math.log(2.0) + 1.0 + math.log(constant_c(alpha, kappa))
     return (log_c + math.log(H) - math.log(p - 1.0) - (kappa / alpha) * math.log(t)) / b
 
@@ -214,32 +218,22 @@ def C_pka(p, kappa, alpha):
     """The simplified-factor constant
     C = b * c**(1/b) / (p-1)**((1-b)/b), with b = 1 - (1/alpha - 1)*kappa.
     """
-    p = float(p)
-    if p <= 1.0:
-        raise ValueError("p must be > 1")
-    _check_alpha_window(float(alpha), float(kappa))
-    b = _b_exponent(alpha, kappa)
-    return _exp_or_inf(math.log(b * (p - 1.0)) + _log_z(p, kappa, alpha, 1.0, 1.0))
+    p, kappa, alpha = float(p), float(kappa), float(alpha)
+    b = _checked_b(p, alpha, kappa)
+    return _exp_or_inf(math.log(b * (p - 1.0)) + _log_z(p, kappa, alpha, 1.0, 1.0, b))
 
 
 def log_thm11_factor(p, profile, alpha, t):
     """log of the simplified power-Harnack factor
     2**(p-1) * exp(eps*H + C * (H / t**(kappa/alpha))**(1/b)).
     """
-    p = float(p)
-    t = float(t)
-    if p <= 1.0:
-        raise ValueError("p must be > 1")
-    if t <= 0.0:
-        raise ValueError("t must be > 0")
-    kappa = profile.kappa
-    _check_alpha_window(alpha, kappa)
-    b = _b_exponent(alpha, kappa)
-    H = profile.H_value
+    p, t = float(p), float(t)
+    kappa, H = profile.kappa, profile.H_value
+    b = _checked_b(p, alpha, kappa, t)
     if H == 0.0:
         bulge = 0.0
     else:
-        bulge = _exp_or_inf(math.log(b * (p - 1.0)) + _log_z(p, kappa, alpha, H, t))
+        bulge = _exp_or_inf(math.log(b * (p - 1.0)) + _log_z(p, kappa, alpha, H, t, b))
     return (p - 1.0) * math.log(2.0) + profile.epsilon * H + bulge
 
 
@@ -247,19 +241,12 @@ def log_thm11_intermediate_factor(p, profile, alpha, t):
     """log of the sharper bracket form
     exp(eps*H) * (1 + [exp((c*H/((p-1)*t**(kappa/alpha)))**(1/b)) - 1]**b)**(p-1).
     """
-    p = float(p)
-    t = float(t)
-    if p <= 1.0:
-        raise ValueError("p must be > 1")
-    if t <= 0.0:
-        raise ValueError("t must be > 0")
-    kappa = profile.kappa
-    _check_alpha_window(alpha, kappa)
-    b = _b_exponent(alpha, kappa)
-    H = profile.H_value
+    p, t = float(p), float(t)
+    kappa, H = profile.kappa, profile.H_value
+    b = _checked_b(p, alpha, kappa, t)
     if H == 0.0:
         return profile.epsilon * H
-    z = _exp_or_inf(_log_z(p, kappa, alpha, H, t))
+    z = _exp_or_inf(_log_z(p, kappa, alpha, H, t, b))
     # log(1 + (e^z - 1)^b), stable for large z where (e^z-1)^b ~ e^{bz}
     if z > 30.0:
         log_br = b * (z + math.log1p(-math.exp(-z)))
@@ -321,33 +308,22 @@ def prop13_factor(p, kappa, H_value, t):
 
 
 def log_harnack_term(alpha, kappa, epsilon, H_value, t):
-    """Additive log-Harnack term H * (eps + Gamma(kappa/alpha)/(alpha*t**(kappa/alpha)*Gamma(kappa))),
-    inf where the moment term passes float range."""
-    alpha = float(alpha)
+    """Additive log-Harnack term H * (eps + E S_t**(-kappa)), for every alpha
+    in (0, 1]; the moment is ``fractional_moment``'s,
+    Gamma(kappa/alpha)/(alpha*Gamma(kappa)) * t**(-kappa/alpha), and the
+    term is inf where that passes float range. ``StableSubordinator``
+    checks alpha and t."""
+    sub = StableSubordinator(float(alpha), float(t))
     kappa = float(kappa)
     epsilon = float(epsilon)
     H_value = float(H_value)
-    t = float(t)
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError("alpha must lie in (0, 1]")
     if kappa <= 0.0:
         raise ValueError("kappa must be > 0")
     if epsilon < 0.0 or H_value < 0.0:
         raise ValueError("epsilon and H_value must be >= 0")
-    if t <= 0.0:
-        raise ValueError("t must be > 0")
     if H_value == 0.0:
         return 0.0
-    if alpha == 1.0:
-        moment = fractional_moment(StableSubordinator(1.0, t), kappa)
-    else:
-        moment = _exp_or_inf(
-            log_gamma(kappa / alpha)
-            - math.log(alpha)
-            - (kappa / alpha) * math.log(t)
-            - log_gamma(kappa)
-        )
-    return H_value * (epsilon + moment)
+    return H_value * (epsilon + fractional_moment(sub, kappa))
 
 
 def log_transfer_factor(p, profile, moment):

@@ -524,17 +524,10 @@ def subordinated_density(base, sub, x, y, spec=QuadratureSpec()):
     The integral is ``integrate_against``'s fixed rule for alpha, certified
     when built to 1e-12 relative against the law's closed forms, with the
     kernel evaluated on all its nodes at once; ``spec`` does not set its
-    accuracy. At alpha = 1/2 the heat kernel's value is within ~4e-13 of
-    the Poisson kernel for |x - y| up to 50 t (d = 1, 2, 3)."""
-    return _subordinated_density_at(base, sub, *_checked_pair(base, x, y))
-
-
-def _subordinated_density_at(base, sub, x0, y0, rho_sq):
-    """``subordinated_density`` at points already checked by
-    ``_checked_pair``; the kernel is evaluated on all the nodes of the
-    law's rule at once."""
-    if sub.degenerate:
-        return _kernel_density_at(base, sub.t, x0, y0, rho_sq)
+    accuracy. At alpha = 1 it is the base kernel at time t, the point mass
+    of ``integrate_against``. At alpha = 1/2 the heat kernel's value is
+    within ~4e-13 of the Poisson kernel for |x - y| up to 50 t (d = 1, 2, 3)."""
+    x0, y0, rho_sq = _checked_pair(base, x, y)
     return integrate_against(
         _OnArrays(lambda s: _kernel_density_at(base, s, x0, y0, rho_sq, np)), sub)
 

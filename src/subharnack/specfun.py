@@ -50,17 +50,14 @@ def log_gamma(r):
 
 @dataclass(frozen=True)
 class StirlingBracket:
-    """Two-sided Stirling enclosure of Gamma(r).
+    """Two-sided Stirling enclosure of Gamma(r), in logs only.
 
-    ``lower`` is the theta=0 endpoint, ``upper`` the theta=1 endpoint;
-    the true Gamma(r) lies strictly between them for every r > 0.
-    ``log_lower``/``log_upper`` carry the same endpoints in log domain
-    (the linear fields overflow past r ~ 170).
+    ``log_lower`` is the log of the theta=0 endpoint, ``log_upper`` that
+    of the theta=1 endpoint; the true log Gamma(r) lies strictly between
+    them for every r > 0 (Gamma itself overflows a float past r ~ 171).
     """
 
     r: float
-    lower: float
-    upper: float
     log_lower: float
     log_upper: float
 
@@ -75,10 +72,4 @@ def stirling_bracket(r):
         raise ValueError(f"stirling_bracket requires finite r > 0, got {r!r}")
     log_lower = _LOG_SQRT_2PI + (r - 0.5) * math.log(r) - r
     log_upper = log_lower + 1.0 / (12.0 * r)
-    return StirlingBracket(
-        r=r,
-        lower=_exp_or_inf(log_lower),
-        upper=_exp_or_inf(log_upper),
-        log_lower=log_lower,
-        log_upper=log_upper,
-    )
+    return StirlingBracket(r, log_lower, log_upper)

@@ -67,8 +67,16 @@ class StableSubordinator:
 
     @property
     def scale(self):
-        """Self-similar scale t**(1/alpha): S ~ scale * S_standard."""
-        return self.t ** (1.0 / self.alpha)
+        """Self-similar scale t**(1/alpha): S ~ scale * S_standard.
+
+        Raises ValueError where it passes float range (say t = 1e160 at
+        alpha = 1/2); the moments, formed in logs, still serve that t.
+        """
+        try:
+            return self.t ** (1.0 / self.alpha)
+        except OverflowError:
+            raise ValueError(f"scale t**(1/alpha) is past float range at "
+                             f"t={self.t!r}, alpha={self.alpha!r}") from None
 
 
 @dataclass(frozen=True)
@@ -501,9 +509,13 @@ def sum_log_series(log_terms, rel_tol, max_terms=200000):
 def geometric_term_ratio(delta, kappa, t):
     """Exact asymptotic term ratio of the exponential-moment series at the
     boundary index alpha = kappa/(kappa+1):
-    q = delta * kappa * ((kappa+1)/(kappa*t))**(kappa+1).
+    q = delta * kappa * ((kappa+1)/(kappa*t))**(kappa+1);
+    inf where that passes float range (0 at delta = 0).
     """
-    return delta * kappa * ((kappa + 1.0) / (kappa * t)) ** (kappa + 1.0)
+    try:
+        return delta * kappa * ((kappa + 1.0) / (kappa * t)) ** (kappa + 1.0)
+    except OverflowError:
+        return math.inf if delta else 0.0
 
 
 def exp_moment(sub, delta, kappa, spec=QuadratureSpec()):

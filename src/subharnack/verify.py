@@ -47,6 +47,7 @@ from .bounds import (
     prop13_factor,
 )
 from .semigroup import (
+    _checked_pair,
     _kernel_density_at,
     BaseKernel,
     Constant,
@@ -94,12 +95,6 @@ __all__ = [
 _TOL_MULT = 10.0
 
 
-def _rho_sq(x, y):
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    return float(np.sum((x - y) ** 2))
-
-
 def power_profile(base, p, rho_sq):
     """(H, eps, kappa) instance of the base power-Harnack hypothesis.
 
@@ -107,16 +102,16 @@ def power_profile(base, p, rho_sq):
     only valid for p >= 4/3.
     """
     if base.kind == "gauss_heat":
-        return HarnackProfile(kappa=1.0, epsilon=0.0, H_value=rho_sq, K=0.0), p >= 4.0 / 3.0
+        return HarnackProfile(kappa=1.0, epsilon=0.0, H_value=rho_sq), p >= 4.0 / 3.0
     H = p * rho_sq / (2.0 * (p - 1.0))
-    return HarnackProfile(kappa=1.0, epsilon=1.0, H_value=H, K=-1.0), True
+    return HarnackProfile(kappa=1.0, epsilon=1.0, H_value=H), True
 
 
 def log_profile(base, rho_sq):
     """(H, eps, kappa) instance of the base log-Harnack hypothesis."""
     if base.kind == "gauss_heat":
-        return HarnackProfile(kappa=1.0, epsilon=0.0, H_value=rho_sq / 4.0, K=0.0)
-    return HarnackProfile(kappa=1.0, epsilon=1.0, H_value=rho_sq / 2.0, K=-1.0)
+        return HarnackProfile(kappa=1.0, epsilon=0.0, H_value=rho_sq / 4.0)
+    return HarnackProfile(kappa=1.0, epsilon=1.0, H_value=rho_sq / 2.0)
 
 
 def _verdict(lhs, rhs, rel_tol):
@@ -179,7 +174,7 @@ def passes(report, rel_tol):
 
 def check_base_harnack(base, p, t, x, y, f, spec=QuadratureSpec()):
     """(P_t f(x))^p <= exp(base exponent) * P_t f^p(y)."""
-    expo = base_harnack_exponent(p, base.curvature_K, t, _rho_sq(x, y))
+    expo = base_harnack_exponent(p, base.curvature_K, t, _checked_pair(base, x, y)[2])
     return _power_report(lambda g, z: apply(base, g, t, z, spec), f, p, x, y,
                          expo, "quadrature", "", spec.rel_tol,
                          {"check": "base_harnack", "p": p, "t": t,
@@ -203,7 +198,7 @@ def check_subordinated_harnack(base, sub, p, x, y, f, mode="numeric",
         return _report(rep.lhs, rep.rhs, rep.method,
                        "alpha=1 reduces to base inequality", spec.rel_tol, params,
                        log_rhs=rep.log_rhs)
-    profile, in_domain = power_profile(base, p, _rho_sq(x, y))
+    profile, in_domain = power_profile(base, p, _checked_pair(base, x, y)[2])
     kappa = params["kappa"] = profile.kappa
     if not in_domain:
         return _unchecked("out_of_domain", "closed-form",
@@ -237,7 +232,7 @@ def check_prop13(base, p, t, x, y, f, spec=QuadratureSpec()):
     if base.kind != "gauss_heat":
         raise ValueError("the boundary-case check is set up on the heat kernel")
     sub = StableSubordinator(alpha=0.5, t=t)
-    profile, in_domain = power_profile(base, p, _rho_sq(x, y))
+    profile, in_domain = power_profile(base, p, _checked_pair(base, x, y)[2])
     kappa = profile.kappa
     params = {"check": "prop13", "alpha": 0.5, "kappa": kappa, "p": p, "t": t,
               **_params(x, y, f)}
@@ -265,7 +260,7 @@ def check_log_harnack(base, sub, x, y, f, spec=QuadratureSpec()):
     if not isinstance(f, ShiftedForLog):
         raise ValueError("log-Harnack needs f >= 1; wrap the test function "
                          "in ShiftedForLog")
-    profile = log_profile(base, _rho_sq(x, y))
+    profile = log_profile(base, _checked_pair(base, x, y)[2])
     lhs = subordinated_apply(base, sub, f.log(), x, spec)
     term = log_harnack_term(sub.alpha, profile.kappa, profile.epsilon,
                             profile.H_value, sub.t)
@@ -442,8 +437,7 @@ _SWEEP = (
          f if isinstance(f, ShiftedForLog) else ShiftedForLog(f, 1.0), c.quadrature)),
     ("ondiag_rate",
      lambda c: (c.alphas,),
-     lambda c, a: check_ondiag_rate(c.base.d if c.base.kind == "gauss_heat" else 1,
-                                    a, c.rate_ts, c.quadrature)),
+     lambda c, a: check_ondiag_rate(c.base.d, a, c.rate_ts, c.quadrature)),
     ("entropy_kernel",
      lambda c: (c.alphas, c.ts, c.point_pairs),
      lambda c, a, t, xy: check_entropy_kernel(ou1d(), StableSubordinator(a, t),

@@ -90,6 +90,13 @@ class TestMoment:
         assert code == 0
         assert math.isclose(float(out), 0.125, rel_tol=1e-14)
 
+    def test_log_domain_past_the_scale_float_range(self, capsys):
+        # t**(1/alpha) = 1e320 overflows; the log-domain moment does not
+        code, out, _ = run_cli(capsys, "moment", "--alpha", "0.5",
+                               "--t", "1e160", "--r", "1")
+        assert code == 0
+        assert math.isclose(float(out), 2e-320, rel_tol=1e-3)
+
 
 class TestExpMoment:
     def test_convergent(self, capsys):
@@ -116,6 +123,14 @@ class TestExpMoment:
         assert code == 2
         assert "boundary index with geometric term ratio 2 >= 1" in err
 
+    def test_boundary_ratio_past_float_range_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "expmoment", "--alpha", repr(300 / 301),
+                                 "--kappa", "300", "--t", "0.001",
+                                 "--delta", "1", *FAST)
+        assert (code, out) == (2, "")
+        assert err == ("series diverges: boundary index with "
+                       "geometric term ratio inf >= 1\n")
+
 
 class TestBound:
     def test_base_exponent(self, capsys):
@@ -136,6 +151,12 @@ class TestBound:
                                "--p", "2", "--t", "2", "--H", "0.5")
         assert code == 0
         assert "valid_domain=true" in out and "exact_ratio=" in out
+
+    def test_prop13_ratio_past_float_range(self, capsys):
+        code, out, err = run_cli(capsys, "bound", "--kind", "prop13",
+                                 "--kappa", "300", "--t", "0.001")
+        assert (code, err) == (0, "")
+        assert out == "valid_domain=false factor=inf exact_ratio=inf\n"
 
     def test_log_harnack_alpha_one(self, capsys):
         code, out, _ = run_cli(capsys, "bound", "--kind", "log-harnack",
@@ -171,6 +192,13 @@ class TestKernel:
                                "--alpha", "0.5", "--t", "1",
                                "--x", "0", "0", "--y", "1")
         assert code == 1
+
+    def test_scale_past_float_range_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "kernel", "--alpha", "0.5",
+                                 "--t", "1e160", "--x", "0", "--y", "0")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "t=1e+160, alpha=0.5" in err
 
 
 class TestVerify:

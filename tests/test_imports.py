@@ -1,12 +1,16 @@
-"""Every name a subharnack module imports is used in that module.
+"""Every name a subharnack module imports is used in that module, and
+every private top-level helper is named somewhere in the package.
 
 No linter ships with the test extra, so this parses each module with
 ``ast``: an imported name that never appears as a name elsewhere in its
-module fails, unless the allow-lists below say why it stays.
+module fails, and so does a private top-level function or class that no
+module names outside its own definition, unless the allow-lists below
+say why it stays.
 """
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -24,6 +28,9 @@ ALLOWED = {
     ("verify", "quad"): "bench/tracer.py rebinds it in every module "
                         "that integrates, to count quadrature calls",
 }
+
+# (module, name): why the private helper stays although no module names it
+ALLOWED_UNREFERENCED = {}
 
 # modules whose imports are the package's public names
 REEXPORTS = {"__init__": "the package re-exports the public API"}
@@ -61,3 +68,32 @@ def test_no_unused_imports(module):
 def test_allowed_imports_are_still_unused(module, name):
     # an entry for a name the module uses, or no longer imports, is stale
     assert name in _unused(module)
+
+
+def _named(node):
+    """How often each name is named within node, as a name or an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def _unreferenced():
+    """(module, name) of every private top-level function or class that no
+    module names outside its own definition."""
+    trees = {module: _tree(module) for module in MODULES}
+    named = sum((_named(tree) for tree in trees.values()), Counter())
+    return {(module, node.name) for module, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and named[node.name] == _named(node)[node.name]}
+
+
+def test_no_unreferenced_private_helpers():
+    dead = _unreferenced() - set(ALLOWED_UNREFERENCED)
+    assert not dead, f"private helpers that nothing names: {sorted(dead)}"
+
+
+def test_allowed_unreferenced_are_still_unreferenced():
+    # an entry for a helper that some module names, or that is gone, is stale
+    stale = set(ALLOWED_UNREFERENCED) - _unreferenced()
+    assert not stale, f"stale ALLOWED_UNREFERENCED entries: {sorted(stale)}"

@@ -147,6 +147,10 @@ class TestConstruction:
         sub = StableSubordinator(0.5, 2.0)
         assert math.isclose(sub.scale, 4.0)
 
+    def test_scale_past_float_range_raises_naming_t_and_alpha(self):
+        with pytest.raises(ValueError, match=r"t=1e\+160, alpha=0\.5"):
+            StableSubordinator(0.5, 1e160).scale
+
 
 class TestDensity:
     def test_matches_levy_closed_form(self):
@@ -338,6 +342,15 @@ class TestExpMoment:
         # kappa = 1, alpha = 1/2: q = 4 delta / t^2
         assert math.isclose(geometric_term_ratio(0.5, 1.0, 2.0), 0.5)
         assert math.isclose(geometric_term_ratio(1.0, 1.0, 2.0), 1.0)
+
+    def test_boundary_ratio_past_float_range_is_inf(self):
+        assert geometric_term_ratio(1.0, 300.0, 0.001) == math.inf
+        assert geometric_term_ratio(0.0, 300.0, 0.001) == 0.0
+
+    def test_boundary_ratio_past_float_range_diverges(self):
+        res = exp_moment(StableSubordinator(300.0 / 301.0, 0.001), 1.0, 300.0, SPEC)
+        assert not res.converged
+        assert res.divergence_reason.endswith("geometric term ratio inf >= 1")
 
     def test_below_boundary_always_diverges(self):
         res = exp_moment(StableSubordinator(0.3, 1.0), 1e-6, 1.0, SPEC)
