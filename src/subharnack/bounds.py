@@ -40,9 +40,9 @@ from .specfun import _exp_or_inf
 from .subordinator import (
     SeriesEval,
     StableSubordinator,
+    _sum_around_peak,
     fractional_moment,
     geometric_term_ratio,
-    sum_log_series,
 )
 
 __all__ = [
@@ -177,7 +177,8 @@ def series_factor(delta, alpha, kappa, t, rel_tol=1e-12):
 
     The termwise upper envelope of the exponential moment, with
     c = e * constant_c(alpha, kappa) (see the module docstring for the
-    restored factor e).
+    restored factor e). Its log terms are concave from n = 1, so it is
+    summed over the window around their peak, as ``exp_moment`` is.
     """
     delta = float(delta)
     if delta < 0.0:
@@ -192,7 +193,8 @@ def series_factor(delta, alpha, kappa, t, rel_tol=1e-12):
     def log_terms(n):
         return n * expo * np.log(n) + n * log_r
 
-    return sum_log_series(log_terms, rel_tol)
+    # (n e log n)'' = e/n < 0: the log terms are concave from n = 1
+    return _sum_around_peak(log_terms, rel_tol, 1)
 
 
 def _checked_b(p, alpha, kappa, t=1.0):

@@ -7,9 +7,9 @@ the Zolotarev-Kanter single integral by one fixed Gauss-Legendre rule in
 theta per alpha, built on first use; the Levy closed form at alpha = 1/2
 is an oracle only), exact sampling (Kanter representation), negative-power
 moments and the exponential moment ``int exp(delta / s**kappa) mu_t(ds)``
-summed as a series of those moments. The density's accuracy (a few units
-of 1e-16 relative wherever it exceeds 1e-300) does not depend on the
-``QuadratureSpec``.
+summed as a series of those moments, over the window around the peak of
+its terms. The density's accuracy (a few units of 1e-16 relative wherever
+it exceeds 1e-300) does not depend on the ``QuadratureSpec``.
 
 ``integrate_against`` sums h against mu_t with one fixed node set per
 alpha on the standard law (``_law_rule``), which serves every t by
@@ -24,7 +24,7 @@ either.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.integrate import quad  # unused; bench/tracer.py rebinds it here
@@ -450,9 +450,28 @@ def fractional_moment(sub, r):
 _FIRST_BLOCK = 64  # terms in the first block; each next one is 4x, up to the cap
 _MAX_BLOCK = 4096
 _STOP_MARGIN = 1e-6  # slack of the numpy pre-screen of the stopping rule
+_MAX_TERMS = 200000  # the forward rule's default budget of indices
 
 
-def sum_log_series(log_terms, rel_tol, max_terms=200000):
+class _Window(NamedTuple):
+    """Where ``sum_log_series`` starts and what it knows of the indices
+    before: the head [0, first) holds the leading 1 and ``head_terms``
+    more terms, summed exactly to ``log_head``, then a gap whose sum is at
+    most exp(``log_gap``). ``ratio``, if given, maps an index array n to a
+    bound on every term ratio from n on, a floor under the observed ratio
+    in the tail bound where that one does not bound the later ratios."""
+
+    first: int = 1
+    log_head: float = 0.0
+    log_gap: float = -math.inf
+    head_terms: int = 0
+    ratio: Optional[Callable] = None
+
+
+_FROM_ONE = _Window()
+
+
+def sum_log_series(log_terms, rel_tol, max_terms=_MAX_TERMS, _window=_FROM_ONE):
     """Sum 1 + sum_{n>=1} exp(log_terms(n)) in log domain.
 
     ``log_terms`` maps an integer numpy array of indices n to the array
@@ -469,18 +488,29 @@ def sum_log_series(log_terms, rel_tol, max_terms=200000):
     term-by-term loop: the partial sums come from
     ``np.logaddexp.accumulate``, and each index the numpy pre-screen
     lets through is confirmed with the scalar formulas, in order.
+
+    The private ``_window`` (see ``_sum_around_peak``) starts the same
+    rule at index ``first`` on top of the head's exact sum, for at most
+    ``max_terms`` indices; the gap bound joins the tail bound in
+    ``truncation_bound``, and ``terms_used`` counts the head's summed
+    terms too. With the default window every result is that of the sum
+    from n = 1.
     """
+    first, log_sum, log_gap, head_terms, ratio = _window
     log_rel_tol = math.log(rel_tol)
-    log_sum = 0.0  # the leading 1
-    prev = -math.inf
-    n0, size = 1, _FIRST_BLOCK
-    while n0 <= max_terms:
-        n = np.arange(n0, min(n0 + size, max_terms + 1))
+    prev = float(log_terms(np.array([first - 1]))[0]) if first > 1 else -math.inf
+    last = first - 1 + max_terms
+    n0, size = first, _FIRST_BLOCK
+    while n0 <= last:
+        n = np.arange(n0, min(n0 + size, last + 1))
         lt = np.asarray(log_terms(n), dtype=float)
         sums = np.logaddexp.accumulate(np.concatenate(([log_sum], lt)))[1:]
         prevs = np.concatenate(([prev], lt[:-1]))
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             q = np.where(prevs > -np.inf, np.exp(lt - prevs), 0.0)
+            if ratio is not None:
+                floor = ratio(n)
+                q = np.maximum(q, floor)
             log_tail = lt + np.log(q) - np.log1p(-q)
             # every index where the scalar rule might stop: ratios next to
             # 1 (where rounding moves log1p(-q) most) and tails within the
@@ -493,17 +523,117 @@ def sum_log_series(log_terms, rel_tol, max_terms=200000):
             lt_i, prev_i, log_sum_i = float(lt[i]), float(prevs[i]), float(sums[i])
             # geometric tail bound term_n * q/(1-q) with q the observed ratio
             q_i = math.exp(lt_i - prev_i) if prev_i > -math.inf else 0.0
+            if ratio is not None:
+                q_i = max(q_i, float(floor[i]))
             if q_i >= 1.0:
                 continue
             tail = lt_i + math.log(q_i) - math.log1p(-q_i) if q_i > 0.0 else -math.inf
             if tail < log_rel_tol + log_sum_i:
-                return SeriesEval(terms_used=int(n[i]),
+                if log_gap > -math.inf:
+                    tail = float(np.logaddexp(tail, log_gap))
+                return SeriesEval(terms_used=head_terms + int(n[i]) - first + 1,
                                   truncation_bound=_exp_or_inf(tail),
                                   converged=True, log_value=log_sum_i)
         log_sum, prev = float(sums[-1]), float(lt[-1])
         n0 += len(n)
         size = min(4 * size, _MAX_BLOCK)
-    return SeriesEval.diverges("max_terms reached without convergence", max_terms)
+    return SeriesEval.diverges("max_terms reached without convergence",
+                               head_terms + max_terms)
+
+
+# The window around the peak of a series whose log terms l(n) are concave
+# from index m on (l(n+1) - l(n) non-increasing for n >= m): past the peak
+# the observed term ratio bounds every later one, so the forward rule's
+# tail bound is a real bound, and before the window the terms fall at
+# least geometrically, with the ratio at the window's edge.
+_PEAK_CAP = 1 << 30  # the peak search looks at no index past this
+_WINDOW_MARGIN = 10.0  # the window starts where terms reach rel_tol e^-10 of the peak
+_SEARCH_POINTS = 64  # indices per step of the search, one array call each
+
+
+def _first_true(lo, hi, test):
+    """The first n in (lo, hi] where ``test`` holds, given that ``test``
+    (on an index array) is false at lo, true at hi and monotone between;
+    each step tests ``_SEARCH_POINTS`` evenly spaced indices at once."""
+    while hi - lo > 1:
+        if hi - lo > _SEARCH_POINTS:
+            n = lo + (hi - lo) * np.arange(1, _SEARCH_POINTS) // _SEARCH_POINTS
+        else:
+            n = np.arange(lo + 1, hi)
+        ok = test(n)
+        i = int(ok.argmax()) if ok.any() else len(n)
+        lo, hi = (int(n[i - 1]) if i else lo), (int(n[i]) if i < len(n) else hi)
+    return hi
+
+
+def _sum_around_peak(log_terms, rel_tol, concave_from, ratio=None):
+    """``sum_log_series`` over the window where the terms matter.
+
+    ``concave_from`` is an index m from which the log terms l(n) are
+    certified concave. A series the forward rule finishes within its
+    first block of 64 terms is summed that way, as the search would cost
+    more. Otherwise the peak n* is located on the indices m 2^k, up to
+    the first past ``_PEAK_CAP``, then found as the first n with
+    l(n+1) <= l(n) (``_first_true``, on the same ``log_terms`` the sum
+    uses); the window starts at the first n with
+    l(n) >= l(n*) + log(rel_tol) - ``_WINDOW_MARGIN``. The head before it
+    is summed exactly up to m - 1 and bounded geometrically on [m, first)
+    with the term ratio at the window's edge. Where the window would start
+    at or before m, where a head term reaches the window's threshold, or
+    where the gap bound exceeds rel_tol times the peak term, the series is
+    summed from n = 1 (``ratio`` as in ``_Window``). A peak past the cap,
+    or one more than max_terms past the window's start, is reported
+    non-converged, naming the peak. ``terms_used`` counts the terms of the
+    sum returned, not those of a first block given up.
+    """
+    start = _FROM_ONE if ratio is None else _Window(ratio=ratio)
+    quick = sum_log_series(log_terms, rel_tol, _FIRST_BLOCK, start)
+    if quick.converged:  # a short series costs less than the search
+        return quick
+
+    def plain():
+        return sum_log_series(log_terms, rel_tol, _window=start)
+
+    def rises(n):
+        l = log_terms(np.concatenate((n, n + 1)))
+        return l[len(n):] > l[:len(n)]
+
+    def past_cap(n):
+        return SeriesEval.diverges(f"series terms still rise at n = {n}; the "
+                                   f"search for their peak stops at n = {_PEAK_CAP}")
+
+    m = concave_from
+    if m > min(_PEAK_CAP, _MAX_TERMS):  # no concavity to lean on in reach
+        return past_cap(_PEAK_CAP) if rises(np.array([_PEAK_CAP]))[0] else plain()
+    # m, 2m, 4m, ..., up to the first index past the cap
+    ns = m * 2 ** np.arange(int(math.log2(_PEAK_CAP / m)) + 2)
+    up = rises(ns)
+    if not up[0]:  # the peak lies at or before m
+        return plain()
+    if up.all():
+        return past_cap(int(ns[-1]))
+    k = int(up.argmin())
+    peak = _first_true(int(ns[k - 1]), int(ns[k]), lambda n: ~rises(n))
+    # the threshold must pass the leading 1 and l(1), ..., l(m); the head
+    # sums those before m
+    head = np.asarray(log_terms(np.arange(1, m + 1)), dtype=float)
+    top = float(log_terms(np.array([peak]))[0])
+    threshold = top + math.log(rel_tol) - _WINDOW_MARGIN
+    if threshold <= float(head.max(initial=0.0)):
+        return plain()
+    first = _first_true(m, peak, lambda n: log_terms(n) >= threshold)
+    l_before, l_first = (float(v) for v in log_terms(np.array([first - 1, first])))
+    rise = l_first - l_before
+    # terms on [m, first) fall at least by exp(-rise) a step going back
+    log_gap = l_first - rise - math.log(-math.expm1(-rise))
+    if log_gap >= math.log(rel_tol) + top:
+        return plain()
+    if peak - first >= _MAX_TERMS:
+        return SeriesEval.diverges(f"series terms peak at n = {peak}, more than "
+                                   "max_terms past the start of their window")
+    log_head = float(np.logaddexp.reduce(np.concatenate(([0.0], head[:-1]))))
+    return sum_log_series(log_terms, rel_tol,
+                          _window=_Window(first, log_head, log_gap, m - 1))
 
 
 def geometric_term_ratio(delta, kappa, t):
@@ -529,7 +659,20 @@ def exp_moment(sub, delta, kappa, spec=QuadratureSpec()):
     boundary-case factor); below the boundary any delta > 0 diverges.
     The boundary is alpha == kappa/(kappa+1.0) exactly: an alpha one
     rounding step above it has a finite moment, which the series sums or
-    reports as "max_terms reached" when it cannot.
+    reports non-converged, with the reason, when it cannot.
+
+    Above the boundary the log terms are concave from an index m
+    (``_log_concave_from``), and the series is summed over the window
+    around the peak of its terms (``_sum_around_peak``): the terms at
+    alpha = 0.55, t = 0.5, delta = 1 peak at n ~ 404,000, past the forward
+    sum's max_terms, and their window is ~21,600 terms. The head before
+    the window enters ``truncation_bound`` with the tail. Before m, where
+    the observed term ratio need not bound the later ones, the tail bound
+    takes the proven ratio bound of ``_ratio_bound``; at the boundary,
+    where the ratio rises toward q, it takes q. ``truncation_bound`` covers
+    truncation only: each log term is a sum of log-gamma values of size
+    ~n log n, rounded to ~1e-16 of that, so at n ~ 404,000 the log value
+    (73,505.0495) is good to ~2e-9.
 
     At alpha = 1/2, kappa = 1 with q = 4*delta/t**2 < 1 the moment is the
     closed form t / (2*sqrt(t**2/4 - delta)) = (1 - q)**(-1/2), returned
@@ -570,7 +713,59 @@ def exp_moment(sub, delta, kappa, spec=QuadratureSpec()):
             + log_fractional_moment(sub, kappa * n)
         )
 
-    return sum_log_series(log_terms, spec.rel_tol)
+    if sub.alpha == boundary:
+        # the term ratio rises toward q (seen for kappa from 0.3 to 5, up to
+        # n = 200,000), so q bounds every ratio of the tail
+        return sum_log_series(log_terms, spec.rel_tol,
+                              _window=_Window(ratio=lambda n: np.full(n.shape, q)))
+    m = _log_concave_from(sub.alpha, kappa)
+    # the forward rule stops at no n < 20, where the floor is moot
+    ratio = _ratio_bound(sub, delta, kappa, m) if m >= 20 else None
+    return _sum_around_peak(log_terms, spec.rel_tol, m, ratio)
+
+
+def _log_concave_from(alpha, kappa):
+    """An index m from which the exponential-moment series' log terms
+    l(n) = n log delta - log n! + log E S^(-kappa n) are concave: l(n+1) -
+    l(n) does not increase for n >= m, whatever delta and t.
+
+    With b = kappa/alpha, l''(x) = b^2 psi'(b x) - kappa^2 psi'(kappa x)
+    - psi'(x + 1), and 1/y + 1/(2y^2) < psi'(y) < 1/y + 1/(2y^2) + 1/(6y^3)
+    give l''(x) <= 0 wherever c = kappa + 1 - b >= (1/2 + 1/(6b))/x (x >= 1).
+    The second difference at n averages l'' over [n - 1, n + 1], so
+    m = ceil(x) for that x. inf where c <= 0, at and below the boundary.
+    """
+    b = kappa / alpha
+    c = kappa + 1.0 - b
+    if c <= 0.0:
+        return math.inf
+    # 1e-9: room for the rounding of c
+    return math.ceil(max(1.0, (0.5 + 1.0 / (6.0 * b)) / c * (1.0 + 1e-9)))
+
+
+def _ratio_bound(sub, delta, kappa, m):
+    """n -> exp(U(n)) for n <= m, a bound on every term ratio r(k), k >= n,
+    of the exponential-moment series above the boundary; 0 past m, where
+    concavity makes the observed ratio one.
+
+    r(k) = delta t^-b Gamma(bk + b) Gamma(kappa k) / (Gamma(bk)
+    Gamma(kappa k + kappa) (k + 1)) with b = kappa/alpha. The mean value
+    theorem on log Gamma (psi increasing) and log x - 1/x < psi(x) <
+    log x - 1/(2x) give log r(k) < U(k) = log Q - c log(k + 1)
+    + kappa log(1 + 1/k) + 1/k - 1/(2(k + 1)), with c = kappa + 1 - b and
+    Q = delta t^-b b^b / kappa^kappa; U decreases in k.
+    """
+    b = kappa / sub.alpha
+    c = kappa + 1.0 - b
+    log_q = (math.log(delta) - b * math.log(sub.t) + b * math.log(b)
+             - kappa * math.log(kappa))
+
+    def bound(n):
+        u = (log_q - c * np.log1p(n) + kappa * np.log1p(1.0 / n)
+             + 1.0 / n - 0.5 / (n + 1.0))
+        return np.where(n <= m, np.exp(u), 0.0)
+
+    return bound
 
 
 # --- quadrature against the law ---------------------------------------

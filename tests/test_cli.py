@@ -105,6 +105,14 @@ class TestExpMoment:
         assert code == 0
         assert float(out) > 1.0
 
+    def test_far_peak_converges(self, capsys):
+        # log E exp(1/S) = 73505.05: the terms peak at n ~ 404,000, and the
+        # value is past float range
+        code, out, err = run_cli(capsys, "expmoment", "--alpha", "0.55",
+                                 "--t", "0.5", "--delta", "1")
+        assert (code, err) == (0, "")
+        assert float(out) >= 1.0
+
     def test_divergent_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "expmoment", "--alpha", "0.5",
                                "--t", "1", "--delta", "0.5", *FAST)

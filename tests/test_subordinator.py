@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 from dataclasses import fields
 
@@ -9,13 +10,17 @@ from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import gamma as gamma_fn
 
+from subharnack.bounds import constant_c, series_factor
 from subharnack.specfun import log_gamma
 from subharnack.subordinator import (
+    _FIRST_BLOCK,
     _SAMPLE_BLOCK,
     _half_angle_sin,
     _kanter_log_a,
     _law_rule,
     _log_a0_ld,
+    _log_concave_from,
+    _ratio_bound,
     _standard_density,
     MCSpec,
     QuadratureSpec,
@@ -64,6 +69,17 @@ def reference_sum_log_series(log_term, rel_tol, max_terms=200000):
         converged=False,
         divergence_reason="max_terms reached without convergence",
     )
+
+
+def exp_moment_log_terms(sub, delta, kappa):
+    """The exponential-moment series' log terms on an array of indices."""
+    log_delta = math.log(delta)
+
+    def log_terms(n):
+        return (n * log_delta - log_gamma(n + 1.0)
+                + log_fractional_moment(sub, kappa * n))
+
+    return log_terms
 
 
 def reference_exp_moment(sub, delta, kappa, rel_tol):
@@ -359,7 +375,7 @@ class TestExpMoment:
 
     def test_one_step_above_boundary_is_not_divergent(self):
         # alpha one rounding step above 1/2 has a finite moment; the series
-        # cannot reach it in max_terms, which it reports as such
+        # cannot sum it, which it reports as such
         res = exp_moment(StableSubordinator(0.5000000000000001, 1.0), 1.0, 1.0,
                          SPEC)
         assert not res.divergence_reason.startswith("series diverges")
@@ -406,7 +422,17 @@ class TestExpMoment:
         sub = StableSubordinator(alpha, t)
         delta = 10.0 ** log10_delta
         got = exp_moment(sub, delta, kappa, QuadratureSpec(rel_tol=rel_tol))
-        assert got == reference_exp_moment(sub, delta, kappa, rel_tol)
+        want = reference_exp_moment(sub, delta, kappa, rel_tol)
+        if not got.converged:  # the peak lies too far out for either sum
+            assert not want.converged
+        elif got.terms_used <= _FIRST_BLOCK and _log_concave_from(alpha, kappa) < 20:
+            # the first block finishes it: the forward rule, as before
+            assert got == want
+        else:
+            # the window around the peak, or the ratio floor near the
+            # boundary (TestPeakWindow checks their bounds)
+            assert not want.converged or math.isclose(
+                got.log_value, want.log_value, rel_tol=1e-12)
 
     @pytest.mark.parametrize("kappa", [0.5, 2.0])
     @pytest.mark.parametrize("q", [0.3, 0.9, 0.99])
@@ -416,8 +442,18 @@ class TestExpMoment:
         sub = StableSubordinator(kappa / (kappa + 1.0), t)
         delta = q / geometric_term_ratio(1.0, kappa, t)
         got = exp_moment(sub, delta, kappa, SPEC)
+        want = reference_exp_moment(sub, delta, kappa, SPEC.rel_tol)
         assert got.converged
-        assert got == reference_exp_moment(sub, delta, kappa, SPEC.rel_tol)
+        # the tail is bounded with the limit ratio q, at or above the observed
+        # one, so the sum stops where the term-by-term loop did or, at
+        # q = 0.99, a few terms later (test_boundary_tail_bound_holds checks
+        # the bound against the true tail)
+        assert got.terms_used >= want.terms_used
+        if got.terms_used == want.terms_used:
+            assert got.log_value == want.log_value
+            assert got.truncation_bound >= want.truncation_bound
+        else:
+            assert want.log_value <= got.log_value < want.log_value + SPEC.rel_tol
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("frac", [0.1, 0.5, 0.9, 0.99, 0.9996, 0.9999])
@@ -462,6 +498,21 @@ class TestExpMoment:
         res = exp_moment(StableSubordinator(0.5, t), delta, 1.0, SPEC)
         assert not res.converged
 
+    @pytest.mark.parametrize("kappa", [0.5, 2.0])
+    @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
+    def test_boundary_tail_bound_holds(self, kappa, q):
+        # at alpha = kappa/(kappa + 1) the term ratio rises toward q, so a
+        # tail bounded with the observed ratio fell short of the true one
+        # (8.009e-11 against 8.025e-11 at kappa = 2, t = 1, q = 0.5)
+        t = 1.0
+        sub = StableSubordinator(kappa / (kappa + 1.0), t)
+        delta = q / geometric_term_ratio(1.0, kappa, t)
+        res = exp_moment(sub, delta, kappa, SPEC)
+        assert res.converged
+        n = np.arange(res.terms_used + 1, 400001)
+        tail = np.exp(exp_moment_log_terms(sub, delta, kappa)(n)).sum()
+        assert res.truncation_bound >= tail
+
     def test_known_value_sqrt2(self):
         # alpha=1/2, kappa=1, t=2, delta=0.5: sum_n (1/2)^n/n! * 2 n!/(n! 4^n)...
         # oracle: quadrature of exp(delta/s) against the Levy law
@@ -469,6 +520,139 @@ class TestExpMoment:
         res = exp_moment(sub, 0.5, 1.0, SPEC)
         quad_val = integrate_against(lambda s: math.exp(0.5 / s), sub, SPEC)
         assert math.isclose(res.value, quad_val, rel_tol=1e-6)
+
+
+GENEROUS = 500000  # max_terms of the forward sums the window is checked against
+
+
+def within_truncation_bound(got, exact):
+    """The value ``exact`` (a sum to 1e-16) exceeds ``got`` by no more than
+    ``got.truncation_bound``, up to the rounding of the two log sums."""
+    if got.truncation_bound == math.inf:  # an absolute bound past float range
+        return True
+    gap = math.expm1(exact.log_value - got.log_value)
+    rel_bound = math.exp(math.log(got.truncation_bound) - got.log_value)
+    return gap <= rel_bound + 8 * 2.0 ** -52 * max(1.0, abs(got.log_value))
+
+
+class TestPeakWindow:
+    """Above the boundary, exp_moment and series_factor sum the window
+    around the peak of their terms; the forward sum from n = 1 is the
+    oracle."""
+
+    def test_far_peak_against_mpmath(self):
+        # harnack_grid's alpha = 0.55, t = 0.5, delta = 1: the terms peak at
+        # n ~ 404,000, past max_terms of the forward sum. The terms are
+        # smooth and about 1,500 wide, so their sum equals the integral of
+        # exp(l(x)) far below 1e-30 (Poisson summation), and they are
+        # below e^-250 of the peak off [370,000, 440,000].
+        mp = pytest.importorskip("mpmath")
+        alpha, t = 0.55, 0.5
+        res = exp_moment(StableSubordinator(alpha, t), 1.0, 1.0, SPEC)
+        assert res.converged
+        assert res.terms_used < 30000
+        with mp.workdps(30):
+            a = mp.mpf(alpha)
+            b, log_t = 1 / a, mp.log(mp.mpf(t))
+
+            def ell(x):
+                return (mp.loggamma(b * x) - mp.loggamma(x) - mp.loggamma(x + 1)
+                        - mp.log(a) - b * x * log_t)
+
+            top = ell(404000)
+            want = top + mp.log(mp.quad(lambda x: mp.exp(ell(x) - top),
+                                        [370000, 395000, 404000, 413000, 440000]))
+        assert abs(res.log_value - float(want)) < 1e-8
+        assert abs(res.log_value - 73505.0495219006) < 1e-8
+
+    @given(st.sampled_from([0.5, 1.0, 2.0]),
+           st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+                     exclude_max=True),
+           st.floats(min_value=0.5, max_value=2.0),
+           st.floats(min_value=-3.0, max_value=1.5),
+           st.sampled_from([1e-9, 1e-10, 1e-12]))
+    @settings(max_examples=40, deadline=None)
+    # the window of ROADMAP's oracle: 175.79 in 1,458 forward terms
+    @example(1.0, 0.1, 0.5, math.log10(1.0 / 3.0), 1e-10)
+    # next to the boundary the forward rule stops at n = 21, before the
+    # terms are concave; the observed ratio there understated the tail
+    @example(2.0, 0.000255735, 1.636926503534642, math.log10(0.2029617760895449),
+             1e-12)
+    def test_window_matches_forward_sum(self, kappa, u, t, log10_delta, rel_tol):
+        boundary = kappa / (kappa + 1.0)
+        alpha = boundary + u * (1.0 - boundary)
+        assume(boundary < alpha < 1.0)
+        sub = StableSubordinator(alpha, t)
+        delta = 10.0 ** log10_delta
+        terms = exp_moment_log_terms(sub, delta, kappa)
+        plain = sum_log_series(terms, rel_tol, max_terms=GENEROUS)
+        assume(plain.converged)
+        got = exp_moment(sub, delta, kappa, QuadratureSpec(rel_tol=rel_tol))
+        assert got.converged
+        # the same sum to 1e-12 of its log, up to the rel_tol both stop at
+        assert (abs(got.log_value - plain.log_value)
+                <= 1e-12 * abs(plain.log_value) + 2.0 * rel_tol)
+        assert within_truncation_bound(
+            got, sum_log_series(terms, 1e-16, max_terms=GENEROUS))
+
+    @pytest.mark.parametrize("peak", [3e3, 1e5])
+    def test_series_factor_far_peak(self, peak):
+        # the envelope's log terms n e log n + n log r peak at
+        # n = exp(-log r / e - 1); choose delta to put that at ``peak``
+        alpha, kappa, t = 0.55, 1.0, 0.5
+        c = math.e * constant_c(alpha, kappa)
+        expo = kappa * (1.0 / alpha - 1.0) - 1.0
+        log_r = -expo * (math.log(peak) + 1.0)
+        delta = math.exp(log_r + (kappa / alpha) * math.log(t)) / c
+        got = series_factor(delta, alpha, kappa, t)
+
+        def terms(n):
+            return n * expo * np.log(n) + n * log_r
+
+        plain = sum_log_series(terms, 1e-12, max_terms=GENEROUS)
+        assert plain.converged and plain.terms_used > peak
+        assert got.converged and got.terms_used < plain.terms_used - peak / 2
+        assert abs(got.log_value - plain.log_value) <= 1e-12 * plain.log_value
+        assert within_truncation_bound(
+            got, sum_log_series(terms, 1e-16, max_terms=GENEROUS))
+
+    def test_one_step_above_boundary_returns_at_once(self):
+        # concavity is certified only past n ~ 1e15 here and the terms still
+        # rise at the search cap: no forward sum runs to max_terms
+        sub = StableSubordinator(0.5000000000000001, 1.0)
+        seconds = []
+        for _ in range(3):
+            start = time.perf_counter()
+            res = exp_moment(sub, 1.0, 1.0, SPEC)
+            seconds.append(time.perf_counter() - start)
+        assert not res.converged
+        assert not res.divergence_reason.startswith("series diverges")
+        assert "peak" in res.divergence_reason
+        assert min(seconds) < 0.05
+
+    @given(st.sampled_from([0.5, 1.0, 2.0]),
+           st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+                     exclude_max=True))
+    @settings(max_examples=30, deadline=None)
+    def test_concavity_and_ratio_bound(self, kappa, u):
+        # delta and t enter l(n) linearly, so delta = t = 1 tests them all
+        boundary = kappa / (kappa + 1.0)
+        alpha = boundary + u * (1.0 - boundary)
+        assume(boundary < alpha < 1.0)
+        m = _log_concave_from(alpha, kappa)
+        assume(m < 100000)
+        sub = StableSubordinator(alpha, 1.0)
+        n = np.arange(1, m + 2000)
+        lt = exp_moment_log_terms(sub, 1.0, kappa)(n)
+        step = np.diff(lt)  # step[i] = log r(n[i])
+        # l(n+1) - l(n) does not increase from m on (to rounding)
+        tol = 1e-12 * np.abs(lt[m - 1:]).max()
+        assert np.all(np.diff(step[m - 1:]) <= tol)
+        # the ratio bound at n exceeds every ratio r(k), k >= n, up to m + 2000
+        later_max = np.maximum.accumulate(step[::-1])[::-1]
+        bound = _ratio_bound(sub, 1.0, kappa, m)(n[:-1])
+        assert np.all(np.log(bound[:m]) >= later_max[:m] - tol)
+        assert np.all(bound[m:] == 0.0)
 
 
 class TestSeriesEval:

@@ -192,6 +192,17 @@ class TestChecks:
         rep = check_prop13(gauss_heat(1), 2.0, 3.0, [0.0], [1.0], BUMP, SPEC)
         assert rep.valid_domain and rep.lhs <= rep.rhs
 
+    @pytest.mark.parametrize("f", [Indicator(-1.0, 1.0), BUMP])
+    def test_subordinated_harnack_far_peak_moment_holds(self, f):
+        # delta = H/(p - 1) = 1 at alpha = 0.55, t = 0.5: the moment's
+        # series terms peak at n ~ 404,000, past the forward sum's max_terms
+        rep = check_subordinated_harnack(gauss_heat(1), StableSubordinator(0.55, 0.5),
+                                         2.0, [0.0], [1.0], f, "numeric",
+                                         QuadratureSpec(rel_tol=1e-10))
+        assert rep.status == "holds" and rep.method == "series"
+        # the factor (E exp(1/S))^(p - 1) is e^73505.05; P f^p(y) < 1
+        assert 73000.0 < rep.log_rhs < 73505.05
+
     def test_prop13_discrepancy_detail(self):
         # q = rho^2 (2/t)^2 = 1.78 lies in [1, e): sufficient condition
         # admits the point while the true series diverges
