@@ -105,8 +105,8 @@ class MCSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
+        if self.n_samples < 2:
+            raise ValueError("n_samples must be >= 2: a standard error needs two draws")
 
 
 @dataclass(frozen=True)
@@ -352,6 +352,10 @@ def density(sub, s, spec=QuadratureSpec()):
 # Draws per block of the Kanter transform: its block-sized temporaries are
 # recycled by the allocator, where whole-size ones page-fault afresh on
 # every call, and 4096 draws a block would pay the per-ufunc overhead.
+# With S written over theta and W drawn a block at a time, a Monte Carlo
+# check of 200,000 draws takes 5 to 8 minor page faults (getrusage, mean
+# of 75 checks), against 1,140 when theta, W and the check's temporaries
+# were whole-size arrays.
 _SAMPLE_BLOCK = 1 << 14
 
 
@@ -372,36 +376,40 @@ def sample(sub, rng, size=None):
     one float. For alpha = 1 the subordinator is the deterministic drift
     and t is returned.
 
-    Draws theta uniform on [0, pi), then W standard exponential, each all
-    at once, and returns scale * (A(theta) / W)**((1 - alpha) / alpha).
-    The transform runs in blocks of ``_SAMPLE_BLOCK`` draws, in place in
-    the array of W, and takes the sines in A from half-angle tangents
-    (``_half_angle_sin``). The speed-up rests on numpy dispatching float64
-    tan to SIMD code (AVX-512 where it was measured) while its sin stays
-    scalar; without that, samples agree with np.sin's to within a few ulp
-    and cost about as much. At theta = 0 (probability 2**-53 a draw) A is
-    its limit A(0), not 0 * inf.
+    Returns scale * (A(theta) / W)**((1 - alpha) / alpha) for theta uniform
+    on [0, pi) and W standard exponential. All of theta is drawn first, as
+    one array; the transform then runs in blocks of ``_SAMPLE_BLOCK``
+    draws, reading each block of theta before writing S over it, and draws
+    that block's W just before it is used. Successive block draws of W are
+    the stream one whole-size draw would give, and leave ``rng`` in the
+    same state, so samples are unchanged by the blocking while the only
+    draw-sized array is the one returned. The sines in A come from
+    half-angle tangents (``_half_angle_sin``). The speed-up rests on numpy
+    dispatching float64 tan to SIMD code (AVX-512 where it was measured)
+    while its sin stays scalar; without that, samples agree with np.sin's
+    to within a few ulp and cost about as much. At theta = 0 (probability
+    2**-53 a draw) A is its limit A(0), not 0 * inf.
     """
     if sub.degenerate:
         if size is None:
             return sub.t
         return np.full(size, sub.t)
     a = sub.alpha
-    theta = np.ravel(rng.uniform(0.0, np.pi, size=size))
-    w = np.asarray(rng.standard_exponential(size=size))
-    s = w.reshape(-1)  # a view: S overwrites W block by block
+    out = np.asarray(rng.uniform(0.0, np.pi, size=size))
+    s = out.reshape(-1)  # a view: S overwrites theta block by block
     la0 = float(_log_a0_ld(_LD(a)))
     with np.errstate(divide="ignore", invalid="ignore"):
         for i in range(0, len(s), _SAMPLE_BLOCK):
-            th, sb = theta[i:i + _SAMPLE_BLOCK], s[i:i + _SAMPLE_BLOCK]
-            log_a = _kanter_log_a(th, a, sin=_half_angle_sin)
-            np.copyto(log_a, la0, where=th == 0.0)
-            np.log(sb, out=sb)
-            np.subtract(log_a, sb, out=sb)
+            sb = s[i:i + _SAMPLE_BLOCK]
+            log_a = _kanter_log_a(sb, a, sin=_half_angle_sin)
+            np.copyto(log_a, la0, where=sb == 0.0)
+            w = rng.standard_exponential(size=len(sb))
+            np.log(w, out=w)
+            np.subtract(log_a, w, out=sb)
             sb *= (1.0 - a) / a
             np.exp(sb, out=sb)
             sb *= sub.scale
-    return w[()]  # a float for size=None
+    return out[()]  # a float for size=None
 
 
 def laplace(sub, x):

@@ -386,12 +386,28 @@ def check_entropy_cost(base, sub, shift, spec=QuadratureSpec()):
 
 
 def check_laplace_mc(sub, x_probe, mc):
-    """Monte Carlo Laplace-transform identity at x_probe, 4-standard-error band."""
-    rng = np.random.default_rng(mc.seed)
-    s = sample(sub, rng, size=mc.n_samples)
-    vals = np.exp(-x_probe * s)
-    mean = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(mc.n_samples))
+    """Monte Carlo Laplace-transform identity at x_probe, 4-standard-error band.
+
+    exp(-x S) is taken in place in the array ``sample`` returns, and its
+    mean and standard error on that same array: the sum over n, then the
+    deviations squared in place, summed, over n - 1 and the root over
+    sqrt(n). These are ``np.mean`` and ``np.std(ddof=1)``'s operations in
+    their order, so both agree with them bit for bit, without their
+    draw-sized temporaries. At alpha = 1 the law is the point mass at t:
+    the estimate is exp(-x t) with standard error 0, and no stream is
+    drawn.
+    """
+    if sub.degenerate:
+        mean, se = math.exp(-x_probe * sub.t), 0.0
+    else:
+        n = mc.n_samples
+        vals = sample(sub, np.random.default_rng(mc.seed), size=n)
+        np.multiply(vals, -x_probe, out=vals)
+        np.exp(vals, out=vals)
+        mean = float(np.sum(vals) / n)
+        vals -= mean
+        np.square(vals, out=vals)
+        se = float(np.sqrt(np.sum(vals) / (n - 1)) / math.sqrt(n))
     exact = laplace(sub, x_probe)
     err, band = abs(mean - exact), 4.0 * se
     params = {"check": "laplace_mc", "alpha": sub.alpha, "t": sub.t,
@@ -478,14 +494,19 @@ def _function_from_dict(spec_dict, path):
 
 def _from_block(cls, block, path, read=None, noun="field"):
     """cls(**block), each value passed through ``read[name]`` if given; an
-    unknown or missing field or a mistyped value raises naming path."""
+    unknown or missing field, a mistyped value or one that cls refuses
+    raises naming path."""
     extra = set(block) - {f.name for f in fields(cls)}
     if extra:
         raise ValueError(f"{path}: unknown {noun}(s) {sorted(extra)}")
     read = read or {}
     try:
-        return cls(**{k: read[k](v) if k in read else v for k, v in block.items()})
+        values = {k: read[k](v) if k in read else v for k, v in block.items()}
     except TypeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 

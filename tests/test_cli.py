@@ -310,6 +310,16 @@ class TestSweep:
         assert code == 1
         assert "unknown" in err
 
+    def test_one_monte_carlo_draw_exit_1(self, capsys, tmp_path):
+        # a standard error needs two draws
+        path = tmp_path / "one_draw.json"
+        d = small_config_dict()
+        d.update(checks=["laplace_mc"], mc={"n_samples": 1})
+        path.write_text(json.dumps(d))
+        code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+        assert code == 1 and out == ""
+        assert "config.mc" in err and "n_samples" in err
+
 
 @pytest.mark.parametrize("argv", [
     ["expmoment", "--alpha", "1", "--t", "0.01", "--delta", "10"],

@@ -797,6 +797,20 @@ def reference_sample(sub, rng, size=None):
     return sub.scale * np.exp(((1.0 - a) / a) * (_kanter_log_a(u, a) - np.log(w)))
 
 
+def whole_array_sample(sub, rng, size=None):
+    """``sample``'s log-form transform with half-angle sines on whole-size
+    arrays of theta and W, each drawn at once: the blocked sampler must
+    reproduce it bit for bit."""
+    a = sub.alpha
+    theta = np.asarray(rng.uniform(0.0, np.pi, size=size))
+    log_w = np.log(np.ravel(rng.standard_exponential(size=size)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_a = _kanter_log_a(np.ravel(theta), a, sin=_half_angle_sin)
+    log_a[np.ravel(theta) == 0.0] = float(_log_a0_ld(np.longdouble(a)))
+    s = np.exp(((1.0 - a) / a) * (log_a - log_w)) * sub.scale
+    return s.reshape(theta.shape)[()]
+
+
 class StubGenerator:
     """Returns fixed theta and W draws, in sample's shape."""
 
@@ -836,6 +850,31 @@ class TestBlockedSampler:
         assert isinstance(got, float)
         assert got == pytest.approx(
             reference_sample(sub, np.random.default_rng(5)), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.55, 0.9, 0.999])
+    def test_bit_equal_to_whole_array_transform(self, alpha):
+        # S is written over theta and W drawn a block at a time; samples
+        # and the generator's next draw are those of whole-size draws
+        sub = StableSubordinator(alpha, 0.7)
+        for size in (None, _SAMPLE_BLOCK - 1, _SAMPLE_BLOCK + 1, 200_000,
+                     (3, _SAMPLE_BLOCK)):
+            rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
+            got = sample(sub, rng, size=size)
+            want = whole_array_sample(sub, ref_rng, size=size)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want)
+            assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("bit_generator",
+                             [np.random.PCG64, np.random.MT19937, np.random.SFC64])
+    def test_bit_equal_for_each_bit_generator(self, bit_generator):
+        sub = StableSubordinator(0.75, 1.3)
+        size = 2 * _SAMPLE_BLOCK + 5
+        rng = np.random.Generator(bit_generator(2024))
+        ref_rng = np.random.Generator(bit_generator(2024))
+        assert np.array_equal(sample(sub, rng, size=size),
+                              whole_array_sample(sub, ref_rng, size=size))
+        assert rng.random() == ref_rng.random()
 
     def test_theta_zero_takes_the_limit(self):
         # rng.uniform(0, pi) returns exactly 0 with probability 2**-53 a

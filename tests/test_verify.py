@@ -4,6 +4,7 @@ import json
 import math
 import pkgutil
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -39,6 +40,7 @@ from subharnack.subordinator import (
     QuadratureSpec,
     StableSubordinator,
     integrate_against,
+    sample,
 )
 from subharnack.verify import (
     KNOWN_CHECKS,
@@ -268,6 +270,53 @@ class TestChecks:
                                MCSpec(200_000, 1537716641))
         assert rep.detail == "mean=0.605043344854 exact=0.606530659713 se=0.000361"
         assert rep.status == "violated"
+
+    @pytest.mark.parametrize("alpha,t,seed", [
+        (0.5, 1.0, 3), (0.75, 0.5, 1537716641), (0.9, 2.0, 12), (0.3, 0.3, 961)])
+    def test_laplace_mc_equals_two_pass_moments(self, alpha, t, seed):
+        # the in-place moments are np.mean's and np.std(ddof=1)'s, bit for bit
+        sub, n = StableSubordinator(alpha, t), 50_001
+        vals = np.exp(-1.0 * sample(sub, np.random.default_rng(seed), size=n))
+        mean = float(np.mean(vals))
+        se = float(np.std(vals, ddof=1) / math.sqrt(n))
+        exact = verify.laplace(sub, 1.0)
+        rep = check_laplace_mc(sub, 1.0, MCSpec(n, seed))
+        assert rep.lhs == abs(mean - exact) and rep.rhs == 4.0 * se
+        assert rep.detail == f"mean={mean:.12g} exact={exact:.12g} se={se:.3g}"
+
+    @pytest.mark.parametrize("n", [1_000, 200_000])
+    @pytest.mark.parametrize("t", [0.3, 1.0, 2.5])
+    def test_laplace_mc_point_mass_is_exact(self, n, t, monkeypatch):
+        # alpha = 1 is the point mass at t: every draw would be t, so the
+        # estimate is exp(-x t) itself, with no stream drawn
+        def no_draws(*args, **kwargs):
+            raise AssertionError("alpha = 1 draws no stream")
+        monkeypatch.setattr(verify, "sample", no_draws)
+        sub = StableSubordinator(1.0, t)
+        rep = check_laplace_mc(sub, 1.0, MCSpec(n, 5))
+        assert rep.status == "holds" and rep.lhs == 0.0 and rep.rhs == 0.0
+        exact = verify.laplace(sub, 1.0)
+        assert rep.detail == f"mean={exact:.12g} exact={exact:.12g} se=0"
+
+    def test_laplace_mc_needs_two_draws(self):
+        with pytest.raises(ValueError, match="n_samples"):
+            MCSpec(n_samples=1)
+        with pytest.raises(ValueError, match=re.escape("config.mc") + ".*n_samples"):
+            SweepConfig.from_dict(small_config(checks=["laplace_mc"],
+                                               mc={"n_samples": 1}))
+
+    def test_laplace_mc_one_draw_sized_array(self):
+        # the check's traced peak is the returned samples plus block-sized
+        # temporaries: whole-size temporaries took it to 3.0 x 8n bytes
+        n = 1_000_000
+        check_laplace_mc(StableSubordinator(0.75, 0.5), 1.0, MCSpec(1_000, 0))
+        tracemalloc.start()
+        try:
+            check_laplace_mc(StableSubordinator(0.75, 0.5), 1.0, MCSpec(n, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n
 
 
 def coupling_cost(m):
