@@ -28,6 +28,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.integrate import quad  # unused; bench/tracer.py rebinds it here
+from scipy.special import gammaln
 
 from .specfun import _exp_or_inf, log_gamma
 
@@ -164,17 +165,22 @@ def _tail_density_dw(alpha, w):
     large-argument series
     f(v) = (1/pi) sum_k (-1)^(k+1) Gamma(alpha*k+1)/k! sin(pi*alpha*k) v^(-alpha*k-1)
     as a power series in w, (1/(pi alpha)) sum_k (same coefficients) w^(k-1),
-    with as many terms as its largest point needs."""
+    with as many terms as its largest point needs: 16, doubled until the
+    last is negligible there. Each coefficient is computed once, by
+    ``gammaln`` on its orders alpha k + 1 and k + 1, positive by
+    construction."""
     log_w = math.log(max(float(np.max(w)), 1e-300))
-    n = 16
+    k = np.arange(1, 17)
+    log_coef = gammaln(alpha * k + 1.0) - gammaln(k + 1.0)
     while True:
-        k = np.arange(1, n + 1)
-        log_coef = log_gamma(alpha * k + 1.0) - log_gamma(k + 1.0)
         # stop once the last term is negligible at the largest w
         at_max = log_coef + (k - 1) * log_w
         if at_max[-1] < at_max.max() + math.log(1e-18):
             break
-        n *= 2
+        more = k + len(k)
+        log_coef = np.concatenate(
+            (log_coef, gammaln(alpha * more + 1.0) - gammaln(more + 1.0)))
+        k = np.concatenate((k, more))
     coef = np.exp(log_coef) * np.sin(math.pi * alpha * k)
     coef[1::2] = -coef[1::2]
     return np.polynomial.polynomial.polyval(w, coef) / (math.pi * alpha)
@@ -433,12 +439,14 @@ def log_fractional_moment(sub, r):
         if r <= 0.0:
             raise ValueError(f"fractional moment requires r > 0, got {r!r}")
     a = sub.alpha
-    return (
-        log_gamma(r / a)
-        - math.log(a)
-        - log_gamma(r)
-        - (r / a) * math.log(sub.t)
-    )
+    log_gamma_ra = log_gamma(r / a)
+    if isinstance(r, np.ndarray) and r.ndim:
+        # as 0 < a <= 1, log_gamma(r / a) has rejected every order that
+        # log_gamma(r) would, so Gamma(r) takes gammaln unchecked
+        log_gamma_r = gammaln(r.astype(float, copy=False))
+    else:
+        log_gamma_r = log_gamma(r)
+    return log_gamma_ra - math.log(a) - log_gamma_r - (r / a) * math.log(sub.t)
 
 
 def fractional_moment(sub, r):
@@ -687,6 +695,12 @@ def exp_moment(sub, delta, kappa, spec=QuadratureSpec()):
     with ``terms_used = 0`` and ``truncation_bound = 0``: the series
     there needs ~1/(1-q) terms and runs out of them as q -> 1.
     A finite moment past float range has value inf and a finite log.
+
+    The arguments are checked on every call, and the result is memoized
+    per ``(sub, delta, kappa, spec.rel_tol)`` (``_exp_moment_memo``): the
+    spec enters only through ``rel_tol``, the one field the series reads.
+    The power-Harnack checks ask for the same moment for every test
+    function and factor mode.
     """
     delta = float(delta)
     kappa = float(kappa)
@@ -694,6 +708,12 @@ def exp_moment(sub, delta, kappa, spec=QuadratureSpec()):
         raise ValueError(f"delta must be >= 0, got {delta!r}")
     if kappa <= 0.0:
         raise ValueError(f"kappa must be > 0, got {kappa!r}")
+    return _exp_moment_memo(sub, delta, kappa, spec.rel_tol)
+
+
+@lru_cache(maxsize=1 << 12)
+def _exp_moment_memo(sub, delta, kappa, rel_tol):
+    """``exp_moment`` for checked float delta >= 0 and kappa > 0."""
     if delta == 0.0:
         return SeriesEval.exact(0.0)
     if sub.degenerate:
@@ -715,21 +735,19 @@ def exp_moment(sub, delta, kappa, spec=QuadratureSpec()):
     log_delta = math.log(delta)
 
     def log_terms(n):
-        return (
-            n * log_delta
-            - log_gamma(n + 1.0)
-            + log_fractional_moment(sub, kappa * n)
-        )
+        # every index n is >= 1, so the order n + 1 needs no check
+        return (n * log_delta - gammaln(n + 1.0)
+                + log_fractional_moment(sub, kappa * n))
 
     if sub.alpha == boundary:
         # the term ratio rises toward q (seen for kappa from 0.3 to 5, up to
         # n = 200,000), so q bounds every ratio of the tail
-        return sum_log_series(log_terms, spec.rel_tol,
+        return sum_log_series(log_terms, rel_tol,
                               _window=_Window(ratio=lambda n: np.full(n.shape, q)))
     m = _log_concave_from(sub.alpha, kappa)
     # the forward rule stops at no n < 20, where the floor is moot
     ratio = _ratio_bound(sub, delta, kappa, m) if m >= 20 else None
-    return _sum_around_peak(log_terms, spec.rel_tol, m, ratio)
+    return _sum_around_peak(log_terms, rel_tol, m, ratio)
 
 
 def _log_concave_from(alpha, kappa):

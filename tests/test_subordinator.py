@@ -11,10 +11,12 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.special import gamma as gamma_fn
 
 from subharnack.bounds import constant_c, series_factor
+from subharnack.semigroup import ExpAffine, GaussBump, Indicator, gauss_heat
 from subharnack.specfun import log_gamma
 from subharnack.subordinator import (
     _FIRST_BLOCK,
     _SAMPLE_BLOCK,
+    _exp_moment_memo,
     _half_angle_sin,
     _kanter_log_a,
     _law_rule,
@@ -22,6 +24,8 @@ from subharnack.subordinator import (
     _log_concave_from,
     _ratio_bound,
     _standard_density,
+    _tail_density_dw,
+    _TAIL_SWITCH,
     MCSpec,
     QuadratureSpec,
     SeriesEval,
@@ -36,6 +40,7 @@ from subharnack.subordinator import (
     sample,
     sum_log_series,
 )
+from subharnack.verify import check_subordinated_harnack
 
 SPEC = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
 PI_LD = np.longdouble("3.14159265358979323846264338327950288")
@@ -335,6 +340,30 @@ class TestFractionalMoment:
     def test_degenerate_is_exactly_t_to_the_minus_r(self):
         assert fractional_moment(StableSubordinator(1.0, 0.01), 150.0) == 0.01 ** -150.0
 
+    @given(st.floats(min_value=0.05, max_value=1.0),
+           st.floats(min_value=0.01, max_value=100.0),
+           st.lists(st.floats(min_value=1e-3, max_value=1e4), min_size=1,
+                    max_size=20))
+    @settings(max_examples=60, deadline=None)
+    def test_array_orders_equal_scalar_orders(self, alpha, t, orders):
+        # Gamma(r) of an array takes gammaln unchecked: the same bits
+        sub = StableSubordinator(alpha, t)
+        got = log_fractional_moment(sub, np.array(orders))
+        want = [log_fractional_moment(sub, r) for r in orders]
+        assert [repr(float(x)) for x in got] == [repr(x) for x in want]
+
+    @pytest.mark.parametrize("alpha, bad", [
+        *((a, bad) for a in (0.6, 1.0) for bad in (0.0, -1.0, math.inf, math.nan)),
+        (0.6, 1.5e308),  # finite, but 1.5e308 / 0.6 is not
+    ])
+    def test_array_rejects_as_log_gamma_of_r_over_alpha(self, alpha, bad):
+        orders = np.array([2.0, bad])
+        with np.errstate(over="ignore"), pytest.raises(ValueError) as want:
+            log_gamma(orders / alpha)
+        with np.errstate(over="ignore"), pytest.raises(ValueError) as got:
+            log_fractional_moment(StableSubordinator(alpha, 1.0), orders)
+        assert str(got.value) == str(want.value)
+
 
 class TestExpMoment:
     @pytest.mark.parametrize("t", [1.5, 2.0, 3.0])
@@ -622,6 +651,7 @@ class TestPeakWindow:
         sub = StableSubordinator(0.5000000000000001, 1.0)
         seconds = []
         for _ in range(3):
+            _exp_moment_memo.cache_clear()  # time the sum, not a memo hit
             start = time.perf_counter()
             res = exp_moment(sub, 1.0, 1.0, SPEC)
             seconds.append(time.perf_counter() - start)
@@ -653,6 +683,103 @@ class TestPeakWindow:
         bound = _ratio_bound(sub, 1.0, kappa, m)(n[:-1])
         assert np.all(np.log(bound[:m]) >= later_max[:m] - tol)
         assert np.all(bound[m:] == 0.0)
+
+
+def same_fields(a, b):
+    """Field for field and bit for bit: a float's repr round-trips, and
+    tells -0.0 from 0.0; nan equals nan here, as == would not have it."""
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+def memo_counts():
+    info = _exp_moment_memo.cache_info()
+    return info.hits, info.misses
+
+
+class TestExpMomentMemo:
+    """``exp_moment`` checks its arguments on every call and reads the sum
+    from a memo keyed by (sub, delta, kappa, spec.rel_tol)."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        _exp_moment_memo.cache_clear()
+
+    @given(st.sampled_from([0.5, 1.0, 2.0]),
+           st.one_of(st.none(), st.floats(min_value=0.2, max_value=1.0)),
+           st.floats(min_value=0.5, max_value=2.0),
+           st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=3.0)),
+           st.sampled_from([1e-6, 1e-10, 1e-12]))
+    @settings(max_examples=60, deadline=None)
+    @example(1.0, None, 1.0, 0.2, 1e-10)  # the boundary index, q = 0.8
+    @example(1.0, None, 1.0, 0.3, 1e-10)  # the boundary index, q = 1.2
+    @example(2.0, None, 1.3, 0.1, 1e-10)  # the boundary, no closed form
+    @example(1.0, 1.0, 0.7, 2.0, 1e-10)  # the point mass
+    @example(1.0, 0.7, 1.0, 0.0, 1e-10)  # delta = 0
+    @example(1.0, 0.3, 1.0, 1.0, 1e-10)  # below the boundary: diverges
+    @example(1.0, 0.55, 0.5, 1.0, 1e-10)  # the far peak of harnack_grid
+    def test_memoized_equals_computed(self, kappa, alpha, t, delta, rel_tol):
+        # alpha None stands for the boundary kappa/(kappa+1)
+        alpha = kappa / (kappa + 1.0) if alpha is None else alpha
+        sub = StableSubordinator(alpha, t)
+        spec = QuadratureSpec(rel_tol=rel_tol)
+        got = exp_moment(sub, delta, kappa, spec)
+        hits, misses = memo_counts()
+        again = exp_moment(sub, delta, kappa, spec)
+        assert memo_counts() == (hits + 1, misses)
+        assert again is got
+        assert same_fields(got, _exp_moment_memo.__wrapped__(sub, delta, kappa,
+                                                              rel_tol))
+
+    @pytest.mark.parametrize("kappa", [math.inf, math.nan])
+    def test_orders_out_of_range_raise_as_log_gamma(self, kappa):
+        # kappa n / alpha is the one order that can leave float range
+        with pytest.raises(ValueError) as want:
+            log_gamma(np.array([1.0, kappa]))
+        with pytest.raises(ValueError) as got:
+            exp_moment(StableSubordinator(0.6, 1.0), 1.0, kappa, SPEC)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("delta, kappa, match", [
+        (-0.5, 1.0, "delta must be >= 0"),
+        (-1e-300, 1.0, "delta must be >= 0"),
+        (0.5, 0.0, "kappa must be > 0"),
+        (0.5, -1.0, "kappa must be > 0"),
+        (0.0, 0.0, "kappa must be > 0"),
+    ])
+    def test_bad_arguments_raise_after_a_cached_success(self, delta, kappa, match):
+        sub = StableSubordinator(0.7, 1.0)
+        for good in (0.0, 0.5):
+            assert exp_moment(sub, good, 1.0, SPEC).converged
+        before = _exp_moment_memo.cache_info()
+        with pytest.raises(ValueError, match=match):
+            exp_moment(sub, delta, kappa, SPEC)
+        assert _exp_moment_memo.cache_info() == before
+
+    def test_key_is_normalized_to_floats(self):
+        sub = StableSubordinator(0.7, 1.0)
+        first = exp_moment(sub, 1, 1, SPEC)
+        assert exp_moment(sub, np.float64(1.0), 1.0, SPEC) is first
+        assert memo_counts() == (1, 1)
+
+    def test_specs_differing_outside_rel_tol_share_an_entry(self):
+        sub = StableSubordinator(0.7, 1.0)
+        first = exp_moment(sub, 0.5, 1.0, QuadratureSpec(rel_tol=1e-10))
+        for spec in (QuadratureSpec(rel_tol=1e-10, abs_tol=1e-6),
+                     QuadratureSpec(rel_tol=1e-10, max_subdivisions=7)):
+            assert exp_moment(sub, 0.5, 1.0, spec) is first
+        assert memo_counts() == (2, 1)
+        exp_moment(sub, 0.5, 1.0, QuadratureSpec(rel_tol=1e-8))
+        assert memo_counts() == (2, 2)
+
+    def test_harnack_checks_sum_the_series_once(self):
+        # the moment depends on (alpha, t, p, points), not on f
+        sub = StableSubordinator(0.7, 1.0)
+        for f in (Indicator(-1.0, 0.5), GaussBump(0.3, 0.8),
+                  ExpAffine(0.4, clip=1.2)):
+            rep = check_subordinated_harnack(gauss_heat(1), sub, 2.0, 0.0, 1.0, f,
+                                             "numeric", SPEC)
+            assert rep.method == "series" and rep.status == "holds"
+        assert memo_counts() == (2, 1)
 
 
 class TestSeriesEval:
@@ -962,6 +1089,28 @@ class TestLawRule:
         # at alpha = 0.01 the law reaches past the float range
         with pytest.raises(ValueError, match="alpha = 0.01"):
             integrate_against(lambda s: 1.0, StableSubordinator(0.01, 1.0), SPEC)
+
+    @pytest.mark.parametrize("alpha", np.linspace(0.3, 0.97, 12))
+    def test_tail_series_coefficients_are_computed_once(self, alpha):
+        # the same terms, and so the same bits, as doubling the coefficient
+        # array from scratch until the last term is negligible
+        def reference(alpha, w):
+            log_w = math.log(max(float(np.max(w)), 1e-300))
+            n = 16
+            while True:
+                k = np.arange(1, n + 1)
+                log_coef = log_gamma(alpha * k + 1.0) - log_gamma(k + 1.0)
+                at_max = log_coef + (k - 1) * log_w
+                if at_max[-1] < at_max.max() + math.log(1e-18):
+                    break
+                n *= 2
+            coef = np.exp(log_coef) * np.sin(math.pi * alpha * k)
+            coef[1::2] = -coef[1::2]
+            return np.polynomial.polynomial.polyval(w, coef) / (math.pi * alpha)
+
+        top = _TAIL_SWITCH ** -alpha
+        for w in (np.linspace(0.0, top, 33), np.array([top]), np.array([1e-3])):
+            assert np.array_equal(_tail_density_dw(alpha, w), reference(alpha, w))
 
     def test_extra_breaks_is_gone(self):
         with pytest.raises(TypeError):
