@@ -2,14 +2,15 @@
 
 Subcommands: density, moment, expmoment, bound, kernel, verify, sweep.
 Exit codes: 0 success, 1 domain/validation error, 2 numerical
-non-convergence, 3 sweep with violations. All floats are printed with 17
-significant digits.
+non-convergence, 3 sweep with violations. Floats are printed with 17
+significant digits; an exponential moment past float range from its log.
 """
 
 import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from .bounds import (
@@ -36,6 +37,14 @@ __all__ = ["main", "parse_and_dispatch"]
 
 def _fmt(v):
     return f"{v:.17g}"
+
+
+def _fmt_log(log_v):
+    """exp(log_v) past float range, with the digits the float log_v carries."""
+    digits = max(1, int(-math.log10(math.ulp(log_v))))
+    exponent, frac = divmod(log_v / math.log(10.0), 1.0)
+    m, e = f"{10.0 ** frac:.{digits - 1}e}".split("e")  # e: +01 if it rounds to 10
+    return f"{m}e{int(exponent) + int(e):+d}"
 
 
 _THREADS_HELP = ("accepted and ignored, as is SUBHARNACK_THREADS: "
@@ -162,7 +171,8 @@ def _cmd_expmoment(args):
     if not res.converged:
         print(res.divergence_reason, file=sys.stderr)
         return 2
-    print(_fmt(res.value))
+    past_range = res.value == math.inf and math.isfinite(res.log_value)
+    print(_fmt_log(res.log_value) if past_range else _fmt(res.value))
     return 0
 
 

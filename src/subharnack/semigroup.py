@@ -536,16 +536,19 @@ def cauchy_closed_form(d, t, x, y):
     """Poisson kernel Gamma((d+1)/2)/pi**((d+1)/2) * t/(t^2+|x-y|^2)^((d+1)/2).
 
     Transition density of the half-subordinated heat semigroup; the
-    independent oracle for alpha = 1/2.
+    independent oracle for alpha = 1/2. Formed in logs, with m = max(t, rho)
+    and mu = min(t, rho), so no square over- or underflows.
     """
     if t <= 0.0:
         raise ValueError("t must be > 0")
     x = _as_point(x, d)
     y = _as_point(y, d)
-    rho_sq = float(np.sum((x - y) ** 2))
+    rho = math.hypot(*(x - y))
+    m, mu = max(t, rho), min(t, rho)
     n = (d + 1) / 2.0
     log_c = gammaln(n) - n * math.log(math.pi)
-    return math.exp(log_c) * t / (t * t + rho_sq) ** n
+    log_den = 2.0 * math.log(m) + math.log1p((mu / m) ** 2)
+    return _exp_or_inf(log_c + math.log(t) - n * log_den)
 
 
 def ondiag(base, sub, x, spec=QuadratureSpec()):

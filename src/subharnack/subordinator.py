@@ -146,8 +146,8 @@ def _kanter_log_a(theta, alpha, sin=np.sin, log=np.log):
     A(theta) = (sin(a*th)/sin th)**(a/(1-a)) * sin((1-a)*th)/sin(th).
     ``sin`` and ``log`` default to numpy's, for arrays of theta (longdouble
     ones in the density's theta rule); the rule's bisection for its cut
-    passes ``math.sin`` and ``math.log`` for one float theta at a time, and
-    ``sample`` passes ``_half_angle_sin`` for its float blocks.
+    passes ``math.sin`` and ``math.log`` for one float theta at a time.
+    ``sample`` takes A's sine ratios from half-angle tangents, without logs.
     """
     a = alpha
     s = log(sin(theta))
@@ -355,66 +355,64 @@ def density(sub, s, spec=QuadratureSpec()):
 
 # --- sampling ----------------------------------------------------------
 
-# Draws per block of the Kanter transform: its block-sized temporaries are
-# recycled by the allocator, where whole-size ones page-fault afresh on
-# every call, and 4096 draws a block would pay the per-ufunc overhead.
-# With S written over theta and W drawn a block at a time, a Monte Carlo
-# check of 200,000 draws takes 5 to 8 minor page faults (getrusage, mean
-# of 75 checks), against 1,140 when theta, W and the check's temporaries
-# were whole-size arrays.
+# Draws per block of the Kanter transform, whose temporaries live in five
+# block-sized buffers: whole-size ones page-fault afresh on every call, and
+# 4096 draws a block would pay the per-ufunc overhead.
 _SAMPLE_BLOCK = 1 << 14
-
-
-def _half_angle_sin(x):
-    """sin x = 2 tau / (1 + tau^2) with tau = tan(x / 2), for a float array
-    x in [0, pi): within 3 ulp of sin (numpy's sin: 1 ulp), and several
-    times faster where numpy's float64 tan is SIMD-vectorised and its sin
-    is not."""
-    tau = 0.5 * x
-    np.tan(tau, out=tau)
-    return 2.0 * tau / (1.0 + tau * tau)
 
 
 def sample(sub, rng, size=None):
     """Draw from mu_t via the Kanter representation.
 
     ``rng`` is a numpy Generator owned by the caller; ``size=None`` gives
-    one float. For alpha = 1 the subordinator is the deterministic drift
-    and t is returned.
-
-    Returns scale * (A(theta) / W)**((1 - alpha) / alpha) for theta uniform
-    on [0, pi) and W standard exponential. All of theta is drawn first, as
-    one array; the transform then runs in blocks of ``_SAMPLE_BLOCK``
-    draws, reading each block of theta before writing S over it, and draws
-    that block's W just before it is used. Successive block draws of W are
-    the stream one whole-size draw would give, and leave ``rng`` in the
-    same state, so samples are unchanged by the blocking while the only
-    draw-sized array is the one returned. The sines in A come from
-    half-angle tangents (``_half_angle_sin``). The speed-up rests on numpy
-    dispatching float64 tan to SIMD code (AVX-512 where it was measured)
-    while its sin stays scalar; without that, samples agree with np.sin's
-    to within a few ulp and cost about as much. At theta = 0 (probability
-    2**-53 a draw) A is its limit A(0), not 0 * inf.
+    one float; at alpha = 1 (the drift) t is returned. With theta uniform
+    on [0, pi), W standard exponential, p = (1 - alpha)/alpha,
+    tau = tan(theta/2), u = tan(alpha theta/2) and D = tau (1 + u^2),
+    S = scale [u (1 + tau^2)/D] [(tau - u)(1 + tau u)/(D W)]**p, whose
+    brackets are sin(alpha theta)/sin theta and
+    sin((1 - alpha) theta)/(sin theta W): two tan (SIMD in numpy) and one
+    power a draw. tau - u cancels only inside the power, so S is within a
+    few ulp/alpha of its value at the float theta, plus ulp/(1 - alpha)
+    near pi from rounding alpha theta. At theta = 0 the brackets (0/0)
+    take their limits alpha and 1 - alpha; where the power overflows, S
+    is formed in logs. theta is drawn whole first (pi * ``rng.random``, the
+    stream of ``uniform(0, pi)``), then each block of ``_SAMPLE_BLOCK``
+    draws its W and writes S over its theta: the stream and final state of
+    one whole-size draw of W, with no draw-sized array but the one returned.
     """
     if sub.degenerate:
-        if size is None:
-            return sub.t
-        return np.full(size, sub.t)
-    a = sub.alpha
-    out = np.asarray(rng.uniform(0.0, np.pi, size=size))
+        return sub.t if size is None else np.full(size, sub.t)
+    a, p = sub.alpha, (1.0 - sub.alpha) / sub.alpha
+    out = rng.random(out=np.empty(() if size is None else size))
+    out *= np.pi
     s = out.reshape(-1)  # a view: S overwrites theta block by block
-    la0 = float(_log_a0_ld(_LD(a)))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    buffers = np.empty((5, min(len(s), _SAMPLE_BLOCK)))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i in range(0, len(s), _SAMPLE_BLOCK):
             sb = s[i:i + _SAMPLE_BLOCK]
-            log_a = _kanter_log_a(sb, a, sin=_half_angle_sin)
-            np.copyto(log_a, la0, where=sb == 0.0)
-            w = rng.standard_exponential(size=len(sb))
-            np.log(w, out=w)
-            np.subtract(log_a, w, out=sb)
-            sb *= (1.0 - a) / a
-            np.exp(sb, out=sb)
+            tau, u, d, x, w = buffers[:, :len(sb)]
+            np.tan(np.multiply(sb, 0.5, out=tau), out=tau)
+            np.tan(np.multiply(sb, 0.5 * a, out=u), out=u)
+            np.add(np.multiply(u, u, out=d), 1.0, out=d)
+            d *= tau  # D
+            np.add(np.multiply(tau, u, out=x), 1.0, out=x)
+            x *= np.subtract(tau, u, out=sb)
+            x /= d  # sin((1 - alpha) theta)/sin theta
+            np.add(np.multiply(tau, tau, out=sb), 1.0, out=sb)
+            sb *= u
+            sb /= d  # sin(alpha theta)/sin theta
+            if not tau.all():
+                zero = tau == 0.0
+                sb[zero], x[zero] = a, 1.0 - a
+            x /= rng.standard_exponential(out=w)
             sb *= sub.scale
+            sb *= np.power(x, p, out=x)
+            if sb.max() == math.inf:  # or only the power overflowed
+                big = sb == math.inf
+                tb, ub = tau[big], u[big]
+                sb[big] = np.exp(math.log(sub.scale) + np.log(ub * (tb * tb + 1.0))
+                                 + p * np.log((tb - ub) * (tb * ub + 1.0) / w[big])
+                                 - (1.0 + p) * np.log(d[big]))
     return out[()]  # a float for size=None
 
 

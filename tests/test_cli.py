@@ -5,6 +5,7 @@ import os
 import pytest
 
 from subharnack.cli import parse_and_dispatch
+from subharnack.subordinator import StableSubordinator, exp_moment
 from subharnack.verify import SweepReport, _report
 
 # the exponential-moment series tolerance loosened a little: CLI smoke
@@ -112,6 +113,28 @@ class TestExpMoment:
                                  "--t", "0.5", "--delta", "1")
         assert (code, err) == (0, "")
         assert float(out) >= 1.0
+
+    @pytest.mark.parametrize("alpha,t,delta,want", [
+        # exp of the float log, to its digits (mpmath: 6.87700572410045e+31922
+        # and 1.97007111401705e+434)
+        ("0.55", "0.5", "1", "6.877005724e+31922"),
+        ("1", "0.01", "10", "1.97007111402e+434"),
+    ])
+    def test_value_past_float_range_is_printed_from_its_log(
+            self, capsys, alpha, t, delta, want):
+        code, out, err = run_cli(capsys, "expmoment", "--alpha", alpha,
+                                 "--t", t, "--delta", delta)
+        assert (code, out, err) == (0, want + "\n", "")
+        log_value = exp_moment(StableSubordinator(float(alpha), float(t)),
+                               float(delta), 1.0).log_value
+        mantissa, exponent = want.split("e+")
+        # as many significant digits as the spacing of the float log leaves
+        digits = len(mantissa.replace(".", ""))
+        assert digits == int(-math.log10(math.ulp(log_value)))
+        assert 1.0 <= float(mantissa) < 10.0
+        assert int(exponent) == math.floor(log_value / math.log(10.0))
+        log_printed = math.log(float(mantissa)) + int(exponent) * math.log(10.0)
+        assert abs(log_printed - log_value) <= 10.0 ** (1 - digits)
 
     def test_divergent_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "expmoment", "--alpha", "0.5",
@@ -322,7 +345,9 @@ class TestSweep:
 
 
 @pytest.mark.parametrize("argv", [
-    ["expmoment", "--alpha", "1", "--t", "0.01", "--delta", "10"],
+    # an exponential moment is printed from its log, so inf only where
+    # the log itself is past float range
+    ["expmoment", "--alpha", "1", "--t", "1e-300", "--delta", "1e10"],
     ["moment", "--alpha", "0.1", "--t", "1", "--r", "50"],
     ["moment", "--alpha", "1", "--t", "0.01", "--r", "200"],
     ["bound", "--kind", "log-harnack", "--alpha", "0.5", "--t", "1",

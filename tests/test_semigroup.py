@@ -431,6 +431,27 @@ def test_cauchy_closed_form_values():
                         1.0 / math.pi ** 2, rel_tol=1e-14)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("t", [1e-200, 1e-160, 1.0, 1e160])
+def test_cauchy_closed_form_against_mpmath(d, t):
+    # formed in logs, so t^2 and rho^2 never over- or underflow: the value
+    # is 0 or inf only where the true one is past float range, and within
+    # a few ulp of its log elsewhere (a subnormal one within one spacing)
+    mp = pytest.importorskip("mpmath")
+    n = mp.mpf(d + 1) / 2
+    for rho in (0.0, 1.0, 3.0 * t):
+        y = [rho] + [0.0] * (d - 1)
+        with mp.workdps(30):
+            want = float(mp.gamma(n) / mp.pi ** n * t
+                         / (mp.mpf(t) ** 2 + mp.mpf(rho) ** 2) ** n)
+        got = cauchy_closed_form(d, t, [0.0] * d, y)
+        if want in (0.0, math.inf):
+            assert got == want, (rho, got)
+        else:
+            tol = 8.0 * ULP * max(1.0, abs(math.log(want))) * want
+            assert abs(got - want) <= max(tol, 5e-324), (rho, got, want)
+
+
 @dataclass
 class _MutableBump(TestFunction):
     """A non-frozen dataclass with eq=True, so its instances are unhashable;

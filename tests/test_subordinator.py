@@ -17,7 +17,6 @@ from subharnack.subordinator import (
     _FIRST_BLOCK,
     _SAMPLE_BLOCK,
     _exp_moment_memo,
-    _half_angle_sin,
     _kanter_log_a,
     _law_rule,
     _log_a0_ld,
@@ -925,21 +924,52 @@ def reference_sample(sub, rng, size=None):
 
 
 def whole_array_sample(sub, rng, size=None):
-    """``sample``'s log-form transform with half-angle sines on whole-size
-    arrays of theta and W, each drawn at once: the blocked sampler must
-    reproduce it bit for bit."""
+    """``sample``'s ratio-form transform on whole-size arrays of theta and
+    W, each drawn at once: the blocked sampler must reproduce it bit for
+    bit."""
     a = sub.alpha
     theta = np.asarray(rng.uniform(0.0, np.pi, size=size))
-    log_w = np.log(np.ravel(rng.standard_exponential(size=size)))
+    w = np.ravel(rng.standard_exponential(size=size))
+    th = np.ravel(theta)
+    tau, u = np.tan(th * 0.5), np.tan(th * (0.5 * a))
+    d = (u * u + 1.0) * tau
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_a = _kanter_log_a(np.ravel(theta), a, sin=_half_angle_sin)
-    log_a[np.ravel(theta) == 0.0] = float(_log_a0_ld(np.longdouble(a)))
-    s = np.exp(((1.0 - a) / a) * (log_a - log_w)) * sub.scale
+        x = (tau * u + 1.0) * (tau - u) / d
+        y = (tau * tau + 1.0) * u / d
+    x[tau == 0.0], y[tau == 0.0] = 1.0 - a, a
+    s = y * sub.scale * np.power(x / w, (1.0 - a) / a)
     return s.reshape(theta.shape)[()]
 
 
+def kanter_ld(sub, theta, w):
+    """The Kanter transform's factors sin(a th)/sin th and
+    (sin((1 - a) th)/(sin th W))**p in longdouble, at float theta and W and
+    with ``sample``'s float exponent p = (1 - a)/a; S is scale times their
+    product."""
+    a, th = np.longdouble(sub.alpha), np.asarray(theta, dtype=np.longdouble)
+    sin_th = np.sin(th)
+    p = np.longdouble((1.0 - sub.alpha) / sub.alpha)
+    return (np.sin(a * th) / sin_th,
+            (np.sin((1 - a) * th) / (sin_th * np.longdouble(w))) ** p)
+
+
+def ratio_form_bound(alpha):
+    """Bound on the relative error of ``sample``'s S at a float theta: a
+    few ulp/alpha, as tau - u enters only through the power
+    (1 - alpha)/alpha, plus the rounding of alpha theta, which any float
+    form shares (ulp/(1 - alpha) near theta = pi)."""
+    return np.finfo(float).eps * (8.0 / alpha + 1.0 / (1.0 - alpha))
+
+
+needs_extended_longdouble = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps > 1e-18,
+    reason="the Kanter reference needs an extended-precision longdouble")
+
+
 class StubGenerator:
-    """Returns fixed theta and W draws, in sample's shape."""
+    """Returns fixed draws in sample's shape: theta (a float, or an array of
+    the draw's shape) from ``uniform``, or theta / pi from ``random``, and
+    W (a float) from ``standard_exponential``."""
 
     def __init__(self, theta, w):
         self.theta, self.w = theta, w
@@ -947,21 +977,64 @@ class StubGenerator:
     def uniform(self, low, high, size=None):
         return self.theta if size is None else np.full(size, self.theta)
 
-    def standard_exponential(self, size=None):
+    def random(self, size=None, out=None):
+        out[...] = np.divide(self.theta, np.pi)
+        return out
+
+    def standard_exponential(self, size=None, out=None):
+        if out is not None:
+            out[...] = self.w
+            return out
         return self.w if size is None else np.full(size, self.w)
 
 
 class TestBlockedSampler:
-    def test_half_angle_sin_within_4_ulp(self):
+    # the largest relative error against ``kanter_ld`` of the log-form
+    # transform (three logs of half-angle sines, log W, an exp) that the
+    # ratio form replaced, on the grid and W values of
+    # test_accuracy_against_longdouble_kanter, rounded down
+    LOG_FORM_ERROR = {0.1: 1.4e-12, 0.3: 2.6e-13, 0.55: 1.6e-13, 0.7: 1.1e-13,
+                      0.9: 1.2e-13, 0.99: 9.4e-14, 0.999: 1.0e-13}
+
+    @needs_extended_longdouble
+    def test_accuracy_against_longdouble_kanter(self):
         half, eps = math.pi / 2, np.geomspace(1e-300, 1e-15, 60)
-        x = np.concatenate((
-            np.linspace(0.0, math.pi, 1_000_001)[1:-1],
+        grid = np.concatenate((
+            np.linspace(0.0, math.pi, 100_001)[1:-1],
             eps, half - eps[-20:], half + eps[-20:],
             np.nextafter(math.pi, 0.0) - np.spacing(math.pi) * np.arange(5),
             math.pi - np.geomspace(5e-16, 1e-15, 10)))
-        exact = np.sin(x.astype(np.longdouble))
-        ulps = np.abs(_half_angle_sin(x) - exact) / np.spacing(exact.astype(float))
-        assert ulps.max() <= 4.0
+        theta = np.pi * (grid / np.pi)  # the theta sample sees
+        for alpha, log_form in self.LOG_FORM_ERROR.items():
+            sub = StableSubordinator(alpha, 0.7)
+            for w in (0.05, 1.3, 7.0):
+                got = sample(sub, StubGenerator(grid, w), size=len(grid))
+                y, power = kanter_ld(sub, theta, w)
+                err = float(np.max(np.abs(got / (sub.scale * y * power) - 1)))
+                assert err <= min(log_form, ratio_form_bound(alpha)), (alpha, w)
+
+    @needs_extended_longdouble
+    @given(st.floats(min_value=0.05, max_value=0.999),
+           st.floats(min_value=1e-300, max_value=math.pi, exclude_max=True),
+           st.floats(min_value=1e-20, max_value=50.0))
+    @example(0.05, 0.3, 4e-17)  # the power alone passes float range
+    @example(0.05, 3.1415926535897922, 0.046875)  # so would y times the power
+    @settings(max_examples=300, deadline=None)
+    def test_ratio_form_within_its_error_bound(self, alpha, theta, w):
+        sub = StableSubordinator(alpha, 0.7)
+        y, power = kanter_ld(sub, np.pi * (theta / np.pi), w)
+        want, big = sub.scale * y * power, np.finfo(float).max
+        got = sample(sub, StubGenerator(theta, w))
+        assert isinstance(got, float)
+        if want > big:
+            assert got == math.inf
+            return
+        assume(want > np.finfo(float).tiny)
+        # where the power passes float range but S does not, S is formed
+        # in logs, to a few ulp of log S
+        bound = (ratio_form_bound(alpha) if power <= big
+                 else 8.0 * np.finfo(float).eps * abs(math.log(want)))
+        assert abs(got / want - 1) <= bound
 
     @pytest.mark.parametrize("alpha", [0.1, 0.55, 0.9, 0.999])
     def test_matches_unblocked_sin_formula(self, alpha):
@@ -1004,8 +1077,8 @@ class TestBlockedSampler:
         assert rng.random() == ref_rng.random()
 
     def test_theta_zero_takes_the_limit(self):
-        # rng.uniform(0, pi) returns exactly 0 with probability 2**-53 a
-        # draw: A is then its limit A(0), not 0 * inf = nan
+        # theta = pi * rng.random() is exactly 0 with probability 2**-53 a
+        # draw: S then takes the limit A(0), not 0/0 = nan
         sub = StableSubordinator(0.7, 2.0)
         a, w = sub.alpha, 1.3
         want = sub.scale * math.exp(((1 - a) / a) * (float(_log_a0_ld(a)) - math.log(w)))

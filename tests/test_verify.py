@@ -265,7 +265,7 @@ class TestChecks:
     def test_laplace_mc_detail_is_pinned(self):
         # the stream of the harnack_grid benchmark's op 668 at seed 961
         # (alpha = 0.9, t = 0.5), 4.12 standard errors out: the sampler's
-        # blocked half-angle transform keeps its mean to all 12 digits
+        # blocked ratio-form transform keeps its mean to all 12 digits
         rep = check_laplace_mc(StableSubordinator(0.9, 0.5), 1.0,
                                MCSpec(200_000, 1537716641))
         assert rep.detail == "mean=0.605043344854 exact=0.606530659713 se=0.000361"
