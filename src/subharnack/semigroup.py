@@ -27,7 +27,7 @@ from scipy.integrate import quad  # unused; bench/tracer.py rebinds it here
 from scipy.special import erfcx, gammaln, log_ndtr, ndtr
 
 from .specfun import _exp_or_inf
-from .subordinator import QuadratureSpec, _OnArrays, integrate_against
+from .subordinator import QuadratureSpec, _OnArrays, _blocks, integrate_against
 
 __all__ = [
     "BaseKernel",
@@ -396,28 +396,33 @@ def _gauss_expectation_rule(f, m, sigma):
     """E f(m + sigma*Z) for a TestFunction, by one fixed composite
     Gauss-Legendre rule on the line y = m + sigma*z over [m - 12 sigma,
     m + 12 sigma]. m and sigma are floats (one row) or arrays (a row per
-    element, all at once); the result has their broadcast shape.
+    element); the result has their broadcast shape.
 
     Panels break at m + sigma*{-12, -4, 0, 4, 12} and at every breakpoint
     f declares, clipped into the window, so a kink or a feature much
     narrower than sigma gets panels of its own scale. A breakpoint outside
     the window makes a panel of zero width, which adds nothing, so every
-    row has the same panel count. f is evaluated once, on the array of all
-    rows' panel nodes.
+    row has the same panel count. f is evaluated once per cache-sized
+    block of rows (``_blocks``), on all its rows' panel nodes; a row's
+    sum does not depend on its block.
     """
     m, sigma = np.broadcast_arrays(np.asarray(m, dtype=float),
                                    np.asarray(sigma, dtype=float))
-    mc, sc = m[..., None], sigma[..., None]
-    window = mc + sc * _RULE_WINDOW
-    b = np.clip(np.asarray(f.breakpoints(), dtype=float),
-                window[..., :1], window[..., -1:])
-    edges = np.sort(np.concatenate((window, b), axis=-1), axis=-1)
-    h = np.diff(edges, axis=-1)
-    y = edges[..., :-1, None] + h[..., None] * _RULE_NODES
-    z = (y - mc[..., None]) / sc[..., None]
-    vals = (f(y) * np.exp(-0.5 * z * z)).reshape(m.shape + (-1,))
-    wts = (h[..., None] * _RULE_WEIGHTS).reshape(m.shape + (-1,))
-    return np.einsum("...i,...i->...", vals, wts) / (sigma * _SQRT_2PI)
+    rows_m, rows_s = m.reshape(-1, 1), sigma.reshape(-1, 1)
+    b = np.asarray(f.breakpoints(), dtype=float)
+    out = np.empty(m.size)
+    for block in _blocks(m.size, (len(_RULE_WINDOW) - 1 + b.size) * _RULE_NODES.size):
+        mc, sc = rows_m[block], rows_s[block]
+        window = mc + sc * _RULE_WINDOW
+        edges = np.sort(np.concatenate(
+            (window, np.clip(b, window[:, :1], window[:, -1:])), axis=1), axis=1)
+        h = np.diff(edges, axis=1)
+        y = edges[:, :-1, None] + h[..., None] * _RULE_NODES
+        z = (y - mc[..., None]) / sc[..., None]
+        vals = (f(y) * np.exp(-0.5 * z * z)).reshape(len(mc), -1)
+        wts = (h[..., None] * _RULE_WEIGHTS).reshape(len(mc), -1)
+        out[block] = np.einsum("...i,...i->...", vals, wts)
+    return out.reshape(m.shape) / (sigma * _SQRT_2PI)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -482,13 +487,13 @@ def subordinated_apply(base, sub, f, x, spec=QuadratureSpec()):
     TypeError.
 
     The s-integral is ``integrate_against``'s fixed rule for alpha, with
-    P_s f(x) evaluated on all the rule's nodes at once: f's closed
-    Gaussian expectation on arrays, or else one batched fixed Gaussian
-    rule (``_gauss_expectation_rule``). ``spec`` does not set the
-    accuracy. Where the integral diverges (an unclipped ExpAffine under
-    the heat kernel) the value is inf. For a hashable f the value is
-    memoized per (base, sub, f, x); an unhashable one is integrated every
-    time."""
+    P_s f(x) evaluated on all the rule's nodes in one call: f's closed
+    Gaussian expectation on arrays, or else the fixed Gaussian rule of
+    ``_gauss_expectation_rule``, block by block of nodes. ``spec`` does
+    not set the accuracy. Where the integral diverges (an unclipped
+    ExpAffine under the heat kernel) the value is inf. For a hashable f
+    the value is memoized per (base, sub, f, x); an unhashable one is
+    integrated every time."""
     x0 = _first_coordinate(base, f, x)
     if sub.degenerate:
         return _apply_at(base, f, sub.t, x0)
@@ -508,7 +513,7 @@ def _subordinated_apply_memo(base, sub, f, x0):
 
 def _expect_on_nodes(base, f, s, x0):
     """P_s f(x) for a TestFunction at an array of times s: the closed form
-    on arrays, or else one batched fixed Gaussian rule."""
+    on arrays, or else the fixed Gaussian rule, block by block of times."""
     m, sigma = base.mean_sigma(s, x0, np)
     with np.errstate(over="ignore"):
         cf = f.gauss_expect(m, sigma, np)

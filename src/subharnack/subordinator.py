@@ -355,10 +355,18 @@ def density(sub, s, spec=QuadratureSpec()):
 
 # --- sampling ----------------------------------------------------------
 
-# Draws per block of the Kanter transform, whose temporaries live in five
-# block-sized buffers: whole-size ones page-fault afresh on every call, and
-# 4096 draws a block would pay the per-ufunc overhead.
+# Elements per block of every batched array pass (``_blocks``): the Kanter
+# transform's draws, the Gaussian rule's rows, the entropy checks' z columns.
+# Whole-size temporaries page-fault afresh on every call, and 4096 draws a
+# block would pay the per-ufunc overhead.
 _SAMPLE_BLOCK = 1 << 14
+
+
+def _blocks(n, width):
+    """Slices of range(n) in order, each of _SAMPLE_BLOCK // width items
+    (at least one, the last fewer) of ``width`` elements each."""
+    step = max(1, _SAMPLE_BLOCK // width)
+    return (slice(i, i + step) for i in range(0, n, step))
 
 
 def sample(sub, rng, size=None):
@@ -388,8 +396,8 @@ def sample(sub, rng, size=None):
     s = out.reshape(-1)  # a view: S overwrites theta block by block
     buffers = np.empty((5, min(len(s), _SAMPLE_BLOCK)))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(0, len(s), _SAMPLE_BLOCK):
-            sb = s[i:i + _SAMPLE_BLOCK]
+        for block in _blocks(len(s), 1):
+            sb = s[block]
             tau, u, d, x, w = buffers[:, :len(sb)]
             np.tan(np.multiply(sb, 0.5, out=tau), out=tau)
             np.tan(np.multiply(sb, 0.5 * a, out=u), out=u)

@@ -68,6 +68,8 @@ from .subordinator import (
     QuadratureSpec,
     StableSubordinator,
     _OnArrays,
+    _blocks,
+    _law_rule,
     _panel_nodes,
     exp_moment,
     integrate_against,
@@ -320,10 +322,17 @@ def _z_rule(lo, hi, breaks=()):
     return _panel_nodes(np.union1d(edges, breaks))
 
 
-def _on_z(sub, fn):
-    """int fn(s)[:, j] mu_t(ds) for every z node j at once: fn maps the
-    column of the law rule's nodes s to a (law nodes x z nodes) array."""
-    return integrate_against(_OnArrays(lambda s: fn(np.asarray(s)[..., None])), sub)
+def _on_z(sub, fn, z):
+    """int fn(s, zb)[:, j] mu_t(ds) at every z node: fn maps the column of the
+    law rule's nodes s and a block zb of whole 16-node z panels (``_blocks``)
+    to a cache-sized (law nodes x zb) array, whose column sums are bit for
+    bit those of the whole array."""
+    nodes = 1 if sub.degenerate else _law_rule(sub.alpha).v.size
+    panels = z.reshape(-1, 16)
+    return np.concatenate([
+        integrate_against(_OnArrays(lambda s: fn(np.asarray(s)[..., None],
+                                                 panels[block].ravel())), sub)
+        for block in _blocks(len(panels), nodes * panels.shape[1])])
 
 
 def check_entropy_kernel(base, sub, x, y, spec=QuadratureSpec()):
@@ -331,7 +340,7 @@ def check_entropy_kernel(base, sub, x, y, spec=QuadratureSpec()):
 
     The entropy int q_x log(q_x / q_y) dz is summed by the fixed z rule
     over [min(x, y, 0) - 14, max(x, y, 0) + 14], broken at x and y, with
-    both time-changed densities taken on all its nodes at once.
+    both time-changed densities taken block by block of its nodes.
     """
     if base.kind != "ou1d":
         raise ValueError("the entropy-kernel check requires the OU base "
@@ -342,8 +351,8 @@ def check_entropy_kernel(base, sub, x, y, spec=QuadratureSpec()):
 
     def q(x0):
         # Lebesgue density of the time-changed OU kernel from x0 at every z
-        return np.maximum(_on_z(sub, lambda s: _kernel_density_at(
-            base, s, x0, z, None, np)), 1e-300)
+        return np.maximum(_on_z(sub, lambda s, zb: _kernel_density_at(
+            base, s, x0, zb, None, np), z), 1e-300)
 
     qx, qy = q(x), q(y)
     lhs = float(wz @ (qx * np.log(qx / qy)))
@@ -362,8 +371,8 @@ def check_entropy_cost(base, sub, shift, spec=QuadratureSpec()):
     The OU kernel is reversible w.r.t. its invariant Gaussian, so the
     adjoint equals the semigroup; g(z) = exp(m*z - m^2/2) is the density
     of N(m, 1) relative to N(0, 1). The entropy int phi P_t g log P_t g dz
-    is summed by the fixed z rule over +-(14 + |m|), with P_t g taken on
-    all its nodes at once. The transport cost of the OU log profile's
+    is summed by the fixed z rule over +-(14 + |m|), with P_t g taken
+    block by block of its nodes. The transport cost of the OU log profile's
     H(a, b) = (a - b)^2/2 takes the place of H(x, y); the quantile coupling
     of N(m, 1) and N(0, 1) moves every quantile by m, so it is m^2/2.
     """
@@ -372,8 +381,8 @@ def check_entropy_cost(base, sub, shift, spec=QuadratureSpec()):
     m = float(shift)
     t = sub.t
     z, wz = _z_rule(-_Z_PAD - abs(m), _Z_PAD + abs(m))
-    g = _on_z(sub, lambda s: np.exp(m * np.exp(-s) * z
-                                    - 0.5 * m * m * np.exp(-2.0 * s)))
+    g = _on_z(sub, lambda s, zb: np.exp(m * np.exp(-s) * zb
+                                        - 0.5 * m * m * np.exp(-2.0 * s)), z)
     phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
     lhs = float(wz @ (phi * g * np.log(np.maximum(g, 1e-300))))
     profile = log_profile(base, 0.0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import dataclass
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
+from subharnack import subordinator
 from subharnack.semigroup import (
     _checked_pair,
     _gauss_expectation_rule,
@@ -646,6 +648,23 @@ def equal_copy(g):
     return type(g)(g.inner, g.p)
 
 
+LOG_BUMP = ShiftedForLog(GaussBump(), 1.0).log()
+
+
+class _Counted(TestFunction):
+    """f, counting its evaluations."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, 0
+
+    def __call__(self, y):
+        self.calls += 1
+        return self.f(y)
+
+    def breakpoints(self):
+        return self.f.breakpoints()
+
+
 class TestOnArrays:
     @given(st.sampled_from(CLOSED_FUNCTIONS),
            st.lists(st.tuples(st.booleans(), st.floats(-3.0, 5.0),
@@ -686,6 +705,44 @@ class TestOnArrays:
             per_node = [float(_gauss_expectation_rule(f, mi, si))
                         for mi, si in zip(m.tolist(), sigma.tolist())]
             np.testing.assert_allclose(batched, per_node, rtol=4 * ULP, atol=0.0)
+
+    @pytest.mark.parametrize("shape_m, shape_sigma", [
+        ((), ()), ((10,), (10,)), ((4, 5), (4, 5)), ((4, 1), (5,)),
+    ], ids=["0-d", "1-d", "2-d", "broadcast"])
+    def test_blocked_rule_matches_one_block(self, shape_m, shape_sigma,
+                                            monkeypatch):
+        # three rows a block, so no row count here is a multiple of it (the
+        # single row of a 0-d call stays one block); every row's value is
+        # the one a single block gives, bit for bit, in the same shape
+        rng = np.random.default_rng(7)
+        m = rng.normal(0.0, 2.0, shape_m)
+        sigma = 10.0 ** rng.uniform(-2.0, 1.0, shape_sigma)
+        f = _Counted(LOG_BUMP)
+        monkeypatch.setattr(subordinator, "_SAMPLE_BLOCK", 1 << 40)
+        whole = _gauss_expectation_rule(f, m, sigma)
+        assert f.calls == 1
+        row = (4 + len(f.breakpoints())) * 20  # panels x nodes
+        monkeypatch.setattr(subordinator, "_SAMPLE_BLOCK", 3 * row + 2)
+        f.calls = 0
+        blocked = _gauss_expectation_rule(f, m, sigma)
+        rows = math.prod(np.broadcast_shapes(shape_m, shape_sigma))
+        assert f.calls == -(-rows // 3)
+        assert type(blocked) is type(whole)
+        assert np.shape(blocked) == np.shape(whole)
+        assert np.asarray(blocked).tobytes() == np.asarray(whole).tobytes()
+
+    def test_rule_on_law_nodes_stays_block_sized(self):
+        # 352 rows of 11 panels: the rule on all of them at once peaked at
+        # 3.05 MiB of numpy buffers
+        m, sigma = nodes_mean_sigma(gauss_heat(1), StableSubordinator(0.75, 1.0), 0.0)
+        _gauss_expectation_rule(LOG_BUMP, m, sigma)
+        tracemalloc.start()
+        try:
+            _gauss_expectation_rule(LOG_BUMP, m, sigma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_unclipped_expaffine_diverges_under_heat_kernel(self):
         # E exp(0.4 (x + sqrt(2s) Z)) = exp(0.4 x + 0.16 s), and the law's

@@ -16,7 +16,7 @@ from scipy.integrate import quad
 from scipy.special import ndtri
 
 import subharnack
-from subharnack import verify
+from subharnack import subordinator, verify
 from subharnack.bounds import (
     STATUSES,
     BoundReport,
@@ -416,6 +416,54 @@ class TestEntropyZRule:
         sub = StableSubordinator(alpha, 1.0)
         assert check_entropy_kernel(ou1d(), sub, [0.0], [0.5], SPEC).status == "holds"
         assert check_entropy_cost(ou1d(), sub, 0.5, SPEC).status == "holds"
+
+    # both windows have 29 unit z panels: [-14, 15] and [-14.5, 14.5]
+    ENTROPY_CHECKS = pytest.mark.parametrize("check", [
+        lambda sub: check_entropy_kernel(ou1d(), sub, [0.0], [1.0], SPEC),
+        lambda sub: check_entropy_cost(ou1d(), sub, 0.5, SPEC),
+    ], ids=["kernel", "cost"])
+
+    @pytest.mark.parametrize("alpha", [0.55, 0.75, 1.0])
+    @ENTROPY_CHECKS
+    def test_blocked_z_matches_one_block(self, check, alpha, monkeypatch):
+        # two z panels of 16 nodes a block and 29 panels, so the z count is
+        # no multiple of the block; the report is the one a single block
+        # gives, bit for bit
+        widths = []
+
+        def recording(h, sub, *args):
+            out = integrate_against(h, sub, *args)
+            widths.append(out.size)
+            return out
+
+        monkeypatch.setattr(verify, "integrate_against", recording)
+        sub = StableSubordinator(alpha, 1.0)
+        monkeypatch.setattr(subordinator, "_SAMPLE_BLOCK", 1 << 40)
+        whole = check(sub)
+        one_block = list(widths)
+        nodes = 1 if sub.degenerate else _law_rule(alpha).v.size
+        monkeypatch.setattr(subordinator, "_SAMPLE_BLOCK", 2 * 16 * nodes)
+        widths.clear()
+        blocked = check(sub)
+        assert max(widths) == 32 and widths[-1] == 16
+        assert sum(widths) == sum(one_block)
+        assert len(widths) > len(one_block)
+        assert repr(blocked) == repr(whole)
+
+    @ENTROPY_CHECKS
+    def test_z_integrals_stay_block_sized(self, check):
+        # 352 law nodes x 464 z nodes: the whole array took the kernel
+        # check's peak to 3.8 MiB of numpy buffers, and the cost check's
+        # to 2.6 MiB
+        sub = StableSubordinator(0.75, 1.0)
+        check(sub)
+        tracemalloc.start()
+        try:
+            check(sub)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_adaptive_machinery_is_gone(self):
         for name in ("wasserstein_cost_1d", "ndtri", "IntegrationWarning",
