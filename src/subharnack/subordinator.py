@@ -183,7 +183,11 @@ def _tail_density_dw(alpha, w):
         k = np.concatenate((k, more))
     coef = np.exp(log_coef) * np.sin(math.pi * alpha * k)
     coef[1::2] = -coef[1::2]
-    return np.polynomial.polynomial.polyval(w, coef) / (math.pi * alpha)
+    out = np.full(np.shape(w), coef[-1])
+    for c in coef[-2::-1]:  # Horner, in polyval's order
+        out *= w
+        out += c
+    return out / (math.pi * alpha)
 
 
 # The Zolotarev-Kanter integral below the tail switch runs over theta in
@@ -250,7 +254,6 @@ def _theta_rule(alpha):
         edges.append(x)
         x *= 2.0
     theta, w_left = _panel_nodes(edges + [half])
-    d_left = _kanter_log_a(theta.astype(_LD), a) - la0
 
     # right half in l = log(pi - theta), from the cut where log(A / A(0))
     # reaches d_cut, located by bisection on the float log A (it need not
@@ -264,8 +267,8 @@ def _theta_rule(alpha):
         lo, hi = (mid, hi) if la - float(la0) > d_cut else (lo, mid)
     n = math.ceil((math.log(half) - lo) / min(1.0, 2.0 * (1.0 - alpha)))
     ell, w_right = _panel_nodes(np.linspace(lo, math.log(half), n + 1))
-    d_right = _kanter_log_a(_PI_LD - np.exp(ell).astype(_LD), a) - la0
-    d = np.concatenate((d_left, d_right))
+    theta = np.concatenate((theta.astype(_LD), _PI_LD - np.exp(ell).astype(_LD)))
+    d = _kanter_log_a(theta, a) - la0
     w = np.concatenate((w_left, w_right * np.exp(ell))).astype(_LD) / _PI_LD
     near = d <= _D_FLOAT
     return ((w[near] * np.exp(d[near])).astype(float),
@@ -285,6 +288,11 @@ def _log_zolotarev_density(alpha, v):
     The scalars are in extended precision: the density is about exp(-E0),
     and E0 (up to ~1e3 in the left tail) needs more than a double's 16
     digits.
+
+    Each exponent -E0 s_j is floored at -400 - log g_j (none where
+    log g_j > 300, alpha above ~0.99), so exp's result stays normal: each
+    floored term (below e^-400, now about e^-400) moves its row by under
+    e^-400, and a row whose density is a float (E0 < 745) sums to over 1e-4.
     """
     g, s, far_lg, far_d = _theta_rule(alpha)
     a = _LD(alpha)
@@ -292,21 +300,27 @@ def _log_zolotarev_density(alpha, v):
     log_v = np.log(np.asarray(v, dtype=float).astype(_LD))
     la0 = _log_a0_ld(a)
     log_e0 = la0 - p * log_v
-    e0 = np.exp(log_e0)  # c A(0)
     log_pref = np.log(p) - log_v / (1 - a) + la0
-    e0f, log_e0f = e0.astype(float)[:, None], log_e0.astype(float)[:, None]
+    with np.errstate(over="ignore"):  # E0 = inf far in the left tail
+        e0 = np.exp(log_e0)  # c A(0)
+        e0f, log_e0f = e0.astype(float)[:, None], log_e0.astype(float)[:, None]
+    floor = np.where(g > math.exp(300.0), -np.inf, -400.0 - np.log(g))
     log_total = np.empty(len(e0), dtype=_LD)
     rows = max(1, _BLOCK // (len(s) + len(far_d)))
     for i in range(0, len(e0), rows):
         block = slice(i, i + rows)
-        with np.errstate(divide="ignore"):
-            part = np.log((np.exp(-e0f[block] * s) @ g).astype(_LD))
+        with np.errstate(over="ignore", divide="ignore"):  # -E0 s = -inf: floored
+            terms = -e0f[block] * s
+            np.exp(np.maximum(terms, floor, out=terms), out=terms)
+            part = np.log((terms @ g).astype(_LD))
         if len(far_d):
-            # E0 s = exp(log E0 + d) exactly enough: expm1(d) = e^d past 700
-            with np.errstate(over="ignore"):  # e^-inf = 0: dead nodes
+            # E0 s = exp(log E0 + d) exactly enough: expm1(d) = e^d past 700;
+            # e^-inf = 0 at dead nodes, and a row of them sums to -inf
+            with np.errstate(over="ignore", divide="ignore"):
                 x = far_lg - np.exp(log_e0f[block] + far_d)
-            top = x.max(axis=1)
-            far = top + np.log(np.exp(x - top[:, None]).sum(axis=1))
+                top = x.max(axis=1)
+                top[top == -np.inf] = 0.0
+                far = top + np.log(np.exp(x - top[:, None]).sum(axis=1))
             part = np.logaddexp(part, far.astype(_LD))
         log_total[block] = part
     return log_pref - e0 + log_total
@@ -849,9 +863,10 @@ def _certify(alpha, v, w):
     Gamma(r/alpha)/(alpha Gamma(r)) at _CERT_MOMENTS; compared in logs,
     since the moments overflow a float for small alpha, and inf if a sum
     is not finite and positive."""
+    log_v = np.log(v)
     checks = [(-x ** alpha, -x * v) for x in _CERT_LAPLACE]  # (log want, log h)
     checks += [(math.lgamma(r / alpha) - math.log(alpha) - math.lgamma(r),
-                -r * np.log(v)) for r in _CERT_MOMENTS]
+                -r * log_v) for r in _CERT_MOMENTS]
     worst = 0.0
     with np.errstate(over="ignore"):
         for log_want, log_h in checks:

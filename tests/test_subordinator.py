@@ -14,16 +14,20 @@ from subharnack.bounds import constant_c, series_factor
 from subharnack.semigroup import ExpAffine, GaussBump, Indicator, gauss_heat
 from subharnack.specfun import log_gamma
 from subharnack.subordinator import (
+    _BLOCK,
     _FIRST_BLOCK,
+    _LOG_HUGE,
     _SAMPLE_BLOCK,
     _exp_moment_memo,
     _kanter_log_a,
     _law_rule,
     _log_a0_ld,
     _log_concave_from,
+    _log_zolotarev_density,
     _ratio_bound,
     _standard_density,
     _tail_density_dw,
+    _theta_rule,
     _TAIL_SWITCH,
     MCSpec,
     QuadratureSpec,
@@ -139,6 +143,34 @@ def reference_standard_density(alpha, v):
 def levy_density(t, s):
     """Closed-form density of the alpha = 1/2 (Levy) subordinator."""
     return t / math.sqrt(4.0 * math.pi) * s ** -1.5 * math.exp(-t * t / (4.0 * s))
+
+
+def plain_log_zolotarev_density(alpha, v):
+    """``_log_zolotarev_density`` without its floor: exp(-E0 s) is left to
+    underflow, in the same row blocks, so each row's sum has the reference
+    bits. Rows whose far terms are all dead come out nan here."""
+    g, s, far_lg, far_d = _theta_rule(alpha)
+    a = np.longdouble(alpha)
+    p = a / (1 - a)
+    log_v = np.log(np.asarray(v, dtype=float).astype(np.longdouble))
+    la0 = _log_a0_ld(a)
+    log_e0 = la0 - p * log_v
+    with np.errstate(all="ignore"):
+        e0 = np.exp(log_e0)
+        e0f, log_e0f = e0.astype(float)[:, None], log_e0.astype(float)[:, None]
+        rows = max(1, _BLOCK // (len(s) + len(far_d)))
+        parts = []
+        for i in range(0, len(e0), rows):
+            block = slice(i, i + rows)
+            part = np.log((np.exp(-e0f[block] * s) @ g).astype(np.longdouble))
+            if len(far_d):
+                x = far_lg - np.exp(log_e0f[block] + far_d)
+                top = x.max(axis=1)
+                far = top + np.log(np.exp(x - top[:, None]).sum(axis=1))
+                part = np.logaddexp(part, far.astype(np.longdouble))
+            parts.append(part)
+        log_pref = np.log(p) - log_v / (1 - a) + la0
+        return log_pref - e0 + np.concatenate(parts)
 
 
 def mpmath_levy_density(v):
@@ -277,6 +309,54 @@ class TestDensity:
         for v in np.geomspace(3.7e-4, 200.0, 41).tolist():
             assert math.isclose(_standard_density(0.5, v),
                                 float(mpmath_levy_density(v)), rel_tol=1e-14), v
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.97,
+                                       0.99, 0.999])
+    def test_exponent_floor_keeps_every_bit(self, alpha):
+        # the law rule's own bulk nodes, then a far-left-tail grid with
+        # E0 = c A(0) from 1 to 1e4: wherever the plain sum is a number the
+        # floored one has its bits, and where it is nan (every far term
+        # dead) the floored one is -inf
+        p = alpha / (1.0 - alpha)
+        la0 = float(_log_a0_ld(np.longdouble(alpha)))
+        rule = _law_rule(alpha)
+        bulk = rule.v[rule.v < _TAIL_SWITCH]
+        far = np.exp((la0 - np.log(np.geomspace(1.0, 1e4, 60))) / p)
+        for v in (bulk, far):
+            want = plain_log_zolotarev_density(alpha, v)
+            got = _log_zolotarev_density(alpha, v)
+            dead = np.isnan(want)
+            assert np.array_equal(got[~dead], want[~dead])
+            assert np.all(got[dead] == -np.inf)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9, 0.99, 0.999])
+    def test_exponent_floor_keeps_density_bits(self, alpha):
+        for v in np.geomspace(1e-8, 4.99, 97).tolist():
+            log_want = plain_log_zolotarev_density(alpha, [v])[0]
+            want = 0.0 if not log_want >= -_LOG_HUGE else float(np.exp(log_want))
+            assert _standard_density(alpha, v) == want, v
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", [0.998, 0.999])
+    def test_left_tail_near_one_is_zero(self, alpha):
+        # every far node is dead this far left: the density is 0, not nan
+        assert density(StableSubordinator(alpha, 1.0), 0.5) == 0.0
+        for v in np.geomspace(1e-6, 0.85, 80).tolist():
+            assert _standard_density(alpha, v) == 0.0, v
+
+    @given(st.floats(min_value=0.05, max_value=0.997),
+           st.floats(min_value=-8.0, max_value=math.log10(50.0)))
+    @settings(max_examples=40, deadline=None)
+    @example(0.998, math.log10(0.5))
+    @example(0.998, math.log10(4.9))
+    @example(0.999, -8.0)
+    @example(0.999, math.log10(0.99))
+    @example(0.999, math.log10(50.0))
+    def test_density_is_finite_and_nonnegative(self, alpha, log10_v):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = _standard_density(alpha, 10.0 ** log10_v)
+        assert math.isfinite(f) and f >= 0.0
 
 
 class TestLaplace:
