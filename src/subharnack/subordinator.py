@@ -183,11 +183,7 @@ def _tail_density_dw(alpha, w):
         k = np.concatenate((k, more))
     coef = np.exp(log_coef) * np.sin(math.pi * alpha * k)
     coef[1::2] = -coef[1::2]
-    out = np.full(np.shape(w), coef[-1])
-    for c in coef[-2::-1]:  # Horner, in polyval's order
-        out *= w
-        out += c
-    return out / (math.pi * alpha)
+    return np.polynomial.polynomial.polyval(w, coef) / (math.pi * alpha)
 
 
 # The Zolotarev-Kanter integral below the tail switch runs over theta in
@@ -289,10 +285,12 @@ def _log_zolotarev_density(alpha, v):
     and E0 (up to ~1e3 in the left tail) needs more than a double's 16
     digits.
 
-    Each exponent -E0 s_j is floored at -400 - log g_j (none where
-    log g_j > 300, alpha above ~0.99), so exp's result stays normal: each
-    floored term (below e^-400, now about e^-400) moves its row by under
-    e^-400, and a row whose density is a float (E0 < 745) sums to over 1e-4.
+    Each exponent -E0 s_j is floored at -400 - log g_j, so exp's result
+    stays normal: each floored term (below e^-400, now about e^-400) moves
+    its row by under e^-400, and a row whose density is a float (E0 < 745)
+    sums to over 1e-4. Columns with log g_j > 300 (alpha above ~0.99) are
+    not floored: there the floor's own exp would be subnormal, exp's
+    slowest path.
     """
     g, s, far_lg, far_d = _theta_rule(alpha)
     a = _LD(alpha)
