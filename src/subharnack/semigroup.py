@@ -89,7 +89,7 @@ def ou1d():
 
 
 def _as_point(x, d):
-    v = np.atleast_1d(np.asarray(x, dtype=float))
+    v = np.array(x, dtype=float, ndmin=1)
     if v.shape != (d,):
         raise ValueError(f"point of dimension {v.shape} does not match kernel d={d}")
     return v
@@ -362,18 +362,21 @@ def kernel_density(base, s, x, y):
 
 def _checked_pair(base, x, y):
     """Check the points x and y against the kernel's dimension and return
-    (x0, y0, rho_sq): their first coordinates and |x - y|^2, as floats."""
-    x = _as_point(x, base.d)
-    y = _as_point(y, base.d)
-    return float(x[0]), float(y[0]), float(np.sum((y - x) ** 2))
+    (x, y, rho_sq): each point as a float where d = 1 and a float array
+    otherwise, and |x - y|^2 summed from the left, as np.sum sums <= 3 terms."""
+    x, y = _as_point(x, base.d), _as_point(y, base.d)
+    rho_sq = 0.0
+    for a, b in zip(x.tolist(), y.tolist()):
+        rho_sq += (b - a) * (b - a)
+    return (x.item(), y.item(), rho_sq) if base.d == 1 else (x, y, rho_sq)
 
 
 def _kernel_density_at(base, s, x0, y0, rho_sq, xp=math):
     """p_s(x, y) = (2 pi sigma^2)^(-d/2) exp(-q / (2 sigma^2)) at s > 0 and
-    points already checked by ``_checked_pair``: q is rho_sq for the heat
-    kernel and (y0 - m_s(x0))^2 for OU. A float s in plain ``math``; with
-    ``xp=numpy``, an array of times at once (the subordinated density's
-    integrand over all the nodes of its rule)."""
+    points as ``_checked_pair`` returns them: q is rho_sq for the heat
+    kernel and (y0 - m_s(x0))^2 for OU (d = 1). A float s in plain
+    ``math``; with ``xp=numpy``, an array of times at once (the subordinated
+    density's integrand over all the nodes of its rule)."""
     m, sigma = base.mean_sigma(s, x0, xp)
     if base.kind == "gauss_heat":
         q = rho_sq
@@ -449,13 +452,17 @@ def _first_coordinate(base, f, x):
     """Check f and the point x for P_s f(x) and return x's first
     coordinate as a float; f must be a TestFunction, and Constant unless
     d = 1."""
-    if not isinstance(f, TestFunction):
-        raise TypeError(f"P_s f needs a TestFunction, got {type(f).__name__}; "
-                        "subclass TestFunction and declare its breakpoints()")
+    _check_test_function(f)
     x = _as_point(x, base.d)
     if base.d != 1 and not isinstance(f, Constant):
         raise ValueError("non-constant test functions are supported for d = 1 only")
-    return float(x[0])
+    return x.item(0)
+
+
+def _check_test_function(f):
+    if not isinstance(f, TestFunction):
+        raise TypeError(f"P_s f needs a TestFunction, got {type(f).__name__}; "
+                        "subclass TestFunction and declare its breakpoints()")
 
 
 def _apply_at(base, f, s, x0):

@@ -47,6 +47,7 @@ from .bounds import (
     prop13_factor,
 )
 from .semigroup import (
+    _check_test_function,
     _checked_pair,
     _kernel_density_at,
     BaseKernel,
@@ -153,9 +154,12 @@ def _power_report(P, f, p, x, y, log_factor, method, detail, rel_tol, params):
 
 
 def _params(x, y, f):
-    """The params entries of a point pair and a test function."""
-    return {"x": float(np.atleast_1d(x)[0]), "y": float(np.atleast_1d(y)[0]),
-            "f": f.describe()}
+    """The params entries of a point pair as ``_checked_pair`` returns it
+    (its first coordinates) and of f, which must be a TestFunction."""
+    _check_test_function(f)
+    if not isinstance(x, float):
+        x, y = x.item(0), y.item(0)
+    return {"x": x, "y": y, "f": f.describe()}
 
 
 def _unchecked(status, method, detail, params):
@@ -176,7 +180,8 @@ def passes(report, rel_tol):
 
 def check_base_harnack(base, p, t, x, y, f, spec=QuadratureSpec()):
     """(P_t f(x))^p <= exp(base exponent) * P_t f^p(y)."""
-    expo = base_harnack_exponent(p, base.curvature_K, t, _checked_pair(base, x, y)[2])
+    x, y, rho_sq = _checked_pair(base, x, y)
+    expo = base_harnack_exponent(p, base.curvature_K, t, rho_sq)
     return _power_report(lambda g, z: apply(base, g, t, z, spec), f, p, x, y,
                          expo, "quadrature", "", spec.rel_tol,
                          {"check": "base_harnack", "p": p, "t": t,
@@ -191,6 +196,7 @@ def check_subordinated_harnack(base, sub, p, x, y, f, mode="numeric",
     exponential moment series; 'intermediate' and 'simplified' use the
     closed-form factors (in-domain only for alpha > kappa/(kappa+1)).
     """
+    x, y, rho_sq = _checked_pair(base, x, y)
     if mode not in ("numeric", "intermediate", "simplified"):
         raise ValueError(f"unknown mode {mode!r}")
     params = {"check": "subordinated_harnack", "alpha": sub.alpha, "p": p,
@@ -200,7 +206,7 @@ def check_subordinated_harnack(base, sub, p, x, y, f, mode="numeric",
         return _report(rep.lhs, rep.rhs, rep.method,
                        "alpha=1 reduces to base inequality", spec.rel_tol, params,
                        log_rhs=rep.log_rhs)
-    profile, in_domain = power_profile(base, p, _checked_pair(base, x, y)[2])
+    profile, in_domain = power_profile(base, p, rho_sq)
     kappa = params["kappa"] = profile.kappa
     if not in_domain:
         return _unchecked("out_of_domain", "closed-form",
@@ -231,10 +237,11 @@ def check_prop13(base, p, t, x, y, f, spec=QuadratureSpec()):
     holds but the exact ratio is >= 1 the underlying moment integral
     diverges and a discrepancy-tagged ``non_converged`` report is emitted.
     """
+    x, y, rho_sq = _checked_pair(base, x, y)
     if base.kind != "gauss_heat":
         raise ValueError("the boundary-case check is set up on the heat kernel")
     sub = StableSubordinator(alpha=0.5, t=t)
-    profile, in_domain = power_profile(base, p, _checked_pair(base, x, y)[2])
+    profile, in_domain = power_profile(base, p, rho_sq)
     kappa = profile.kappa
     params = {"check": "prop13", "alpha": 0.5, "kappa": kappa, "p": p, "t": t,
               **_params(x, y, f)}
@@ -259,10 +266,11 @@ def check_prop13(base, p, t, x, y, f, spec=QuadratureSpec()):
 
 def check_log_harnack(base, sub, x, y, f, spec=QuadratureSpec()):
     """P_t^alpha log f(x) <= log P_t^alpha f(y) + H*(eps + moment term)."""
+    x, y, rho_sq = _checked_pair(base, x, y)
     if not isinstance(f, ShiftedForLog):
         raise ValueError("log-Harnack needs f >= 1; wrap the test function "
                          "in ShiftedForLog")
-    profile = log_profile(base, _checked_pair(base, x, y)[2])
+    profile = log_profile(base, rho_sq)
     lhs = subordinated_apply(base, sub, f.log(), x, spec)
     term = log_harnack_term(sub.alpha, profile.kappa, profile.epsilon,
                             profile.H_value, sub.t)
@@ -342,11 +350,10 @@ def check_entropy_kernel(base, sub, x, y, spec=QuadratureSpec()):
     over [min(x, y, 0) - 14, max(x, y, 0) + 14], broken at x and y, with
     both time-changed densities taken block by block of its nodes.
     """
+    x, y, rho_sq = _checked_pair(base, x, y)
     if base.kind != "ou1d":
         raise ValueError("the entropy-kernel check requires the OU base "
                          "(it needs an invariant probability measure)")
-    x = float(np.atleast_1d(x)[0])
-    y = float(np.atleast_1d(y)[0])
     z, wz = _z_rule(min(x, y, 0.0) - _Z_PAD, max(x, y, 0.0) + _Z_PAD, (x, y))
 
     def q(x0):
@@ -356,7 +363,7 @@ def check_entropy_kernel(base, sub, x, y, spec=QuadratureSpec()):
 
     qx, qy = q(x), q(y)
     lhs = float(wz @ (qx * np.log(qx / qy)))
-    profile = log_profile(base, (x - y) ** 2)
+    profile = log_profile(base, rho_sq)
     rhs = log_harnack_term(sub.alpha, profile.kappa, profile.epsilon,
                            profile.H_value, sub.t)
     params = {"check": "entropy_kernel", "alpha": sub.alpha,

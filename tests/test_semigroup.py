@@ -11,6 +11,7 @@ from scipy.integrate import IntegrationWarning, quad
 
 from subharnack import subordinator
 from subharnack.semigroup import (
+    _as_point,
     _checked_pair,
     _gauss_expectation_rule,
     _gauss_quad_memo,
@@ -145,6 +146,48 @@ class TestKernels:
         lhs = phi(x) * kernel_density(base, s, [x], [y])
         rhs = phi(y) * kernel_density(base, s, [y], [x])
         assert math.isclose(lhs, rhs, rel_tol=1e-12)
+
+
+# finite floats of every magnitude, from subnormal to near the largest
+COORDINATES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+    st.floats(min_value=-10.0, max_value=10.0),
+)
+
+
+class TestCheckedPair:
+    @given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+        st.lists(COORDINATES, min_size=d, max_size=d),
+        st.lists(COORDINATES, min_size=d, max_size=d))))
+    @settings(max_examples=500, deadline=None)
+    def test_rho_sq_is_numpys_sum_bit_for_bit(self, pair):
+        x, y = pair
+        d = len(x)
+        with np.errstate(over="ignore"):
+            want = float(np.sum((np.array(y) - np.array(x)) ** 2))
+        got_x, got_y, rho_sq = _checked_pair(gauss_heat(d), x, y)
+        # finite coordinates: y - x may overflow to inf, never to nan
+        assert type(rho_sq) is float and rho_sq == want
+        if d == 1:
+            assert (got_x, got_y) == (x[0], y[0]) and type(got_x) is float
+        else:
+            assert got_x.tolist() == x and got_y.tolist() == y
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("point", [
+        0.5, np.array(0.5), [0.5], np.array([0.5]), [[0.5]], np.array([[0.5]]),
+        [0.5, 1.5], (0.5, 1.5), np.array([0.5, 1.5]), 3,
+    ])
+    def test_as_point_takes_the_shapes_it_took(self, d, point):
+        # 0-d and (1,) are one coordinate, (1, 1) is refused, (2,) is two
+        want = np.atleast_1d(np.asarray(point, dtype=float))
+        if want.shape != (d,):
+            with pytest.raises(ValueError, match="dimension"):
+                _as_point(point, d)
+        else:
+            got = _as_point(point, d)
+            assert got.dtype == np.float64 and got.tolist() == want.tolist()
 
 
 class TestApply:

@@ -25,6 +25,7 @@ from subharnack.bounds import (
 )
 from subharnack.semigroup import (
     _subordinated_apply_memo,
+    Constant,
     GaussBump,
     Indicator,
     ShiftedForLog,
@@ -317,6 +318,110 @@ class TestChecks:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 8 * n
+
+
+# every check that takes a point pair, as a function of the pair
+PAIR_CHECKS = {
+    "base_harnack": lambda x, y: check_base_harnack(gauss_heat(1), 2.0, 1.0, x, y,
+                                                    BUMP, SPEC),
+    "subordinated_harnack": lambda x, y: check_subordinated_harnack(
+        gauss_heat(1), StableSubordinator(0.75, 1.0), 2.0, x, y, BUMP, "numeric",
+        SPEC),
+    "prop13": lambda x, y: check_prop13(gauss_heat(1), 2.0, 3.0, x, y, BUMP, SPEC),
+    "log_harnack": lambda x, y: check_log_harnack(
+        gauss_heat(1), StableSubordinator(0.75, 1.0), x, y, ShiftedForLog(BUMP),
+        SPEC),
+    "entropy_kernel": lambda x, y: check_entropy_kernel(
+        ou1d(), StableSubordinator(0.9, 1.0), x, y, SPEC),
+}
+
+# one point of d = 1 in each form a caller may give it
+POINT_FORMS = {
+    "float": float,
+    "int": int,
+    "list": lambda v: [v],
+    "tuple": lambda v: (v,),
+    "array": lambda v: np.array([v]),
+    "0-d array": np.array,
+}
+
+
+class TestPointPairs:
+    """Each pair check checks its two points once, before anything else."""
+
+    @pytest.mark.parametrize("name", PAIR_CHECKS)
+    @pytest.mark.parametrize("bad", [[[0.0]], [0.0, 1.0]], ids=["2-d", "d=2"])
+    def test_wrong_point_shape_raises_value_error(self, name, bad):
+        check = PAIR_CHECKS[name]
+        with pytest.raises(ValueError, match="dimension"):
+            check(bad, [1.0])
+        with pytest.raises(ValueError, match="dimension"):
+            check([0.0], bad)
+
+    def test_entropy_kernel_refuses_a_two_dimensional_pair(self):
+        # it once read only the first coordinate of each point, and
+        # reported this pair as holding at x = 0, y = 0.5
+        with pytest.raises(ValueError, match="dimension"):
+            check_entropy_kernel(ou1d(), StableSubordinator(0.9, 1.0),
+                                 [0.0, 7.0], [0.5, 3.0], SPEC)
+
+    @pytest.mark.parametrize("p", [2.0, 1.2], ids=["in-domain", "out-of-domain"])
+    @pytest.mark.parametrize("alpha", [0.75, 1.0])
+    def test_plain_callable_raises_type_error(self, p, alpha):
+        # p < 4/3 is out of the heat kernel's domain, where no side is
+        # evaluated; alpha = 1 hands the entry to base_harnack
+        def plain(y):
+            return np.ones_like(y)
+
+        for check in (
+            lambda f: check_base_harnack(gauss_heat(1), p, 1.0, [0.0], [1.0], f, SPEC),
+            lambda f: check_subordinated_harnack(
+                gauss_heat(1), StableSubordinator(alpha, 1.0), p, [0.0], [1.0], f,
+                "numeric", SPEC),
+            lambda f: check_prop13(gauss_heat(1), p, 3.0, [0.0], [1.0], f, SPEC),
+        ):
+            with pytest.raises(TypeError, match="TestFunction"):
+                check(plain)
+
+    @pytest.mark.parametrize("name", PAIR_CHECKS)
+    def test_every_point_form_gives_the_list_form_report(self, name, clear_memos):
+        check = PAIR_CHECKS[name]
+        clear_memos()
+        want = check([0.0], [1.0]).to_dict()
+        assert want["params"]["x"] == 0.0 and want["params"]["y"] == 1.0
+        # the memos now hold every value: each form reads them back
+        assert check([0.0], [1.0]).to_dict() == want
+        for form, make in POINT_FORMS.items():
+            assert check(make(0), make(1)).to_dict() == want, form
+            assert check(make(0.0), make(1.0)).to_dict() == want, form
+
+    @pytest.mark.parametrize("name", ["base_harnack", "subordinated_harnack",
+                                      "prop13"])
+    @pytest.mark.parametrize("d, x, y", [
+        (2, [0.0, 0.0], [3.0, 4.0]),
+        (3, [1.0, 2.0, -2.0], [2.0, 4.0, 0.0]),
+    ])
+    def test_constant_entry_in_d_dimensions(self, name, d, x, y):
+        # a constant's P_t f is the constant at every point, so the entry
+        # depends on the pair through |x - y|^2 alone (25 and 9, exactly)
+        # and reports the first coordinates: the d = 1 entry at the same
+        # distance, but for the y it reports
+        f = Constant(2.0)
+        check = {
+            "base_harnack": lambda b, x, y: check_base_harnack(b, 2.0, 1.0, x, y, f,
+                                                               SPEC),
+            "subordinated_harnack": lambda b, x, y: check_subordinated_harnack(
+                b, StableSubordinator(0.75, 1.0), 2.0, x, y, f, "intermediate",
+                SPEC),
+            "prop13": lambda b, x, y: check_prop13(b, 4.0, 30.0, x, y, f, SPEC),
+        }[name]
+        rho = math.sqrt(float(np.sum((np.array(y) - np.array(x)) ** 2)))
+        got = check(gauss_heat(d), x, y).to_dict()
+        want = check(gauss_heat(1), [x[0]], [x[0] + rho]).to_dict()
+        assert got["params"]["y"] == y[0]
+        got["params"]["y"] = want["params"]["y"]
+        assert got == want
+        assert got["status"] in ("holds", "non_converged")
 
 
 def coupling_cost(m):
