@@ -27,7 +27,8 @@ from scipy.integrate import quad  # unused; bench/tracer.py rebinds it here
 from scipy.special import erfcx, gammaln, log_ndtr, ndtr
 
 from .specfun import _exp_or_inf
-from .subordinator import QuadratureSpec, _OnArrays, _blocks, integrate_against
+from .subordinator import (_LOG_HUGE, QuadratureSpec, _OnArrays, _blocks,
+                           _law_rule, integrate_against)
 
 __all__ = [
     "BaseKernel",
@@ -49,6 +50,8 @@ __all__ = [
 
 _MAX_DIM = 3
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_LOG_4 = math.log(4.0)
+_LOG_4PI = math.log(4.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -102,6 +105,8 @@ class TestFunction:
     subclasses may expose a closed Gaussian expectation, closure under
     positive powers, and the breakpoints the numerical rule needs."""
 
+    constant = False  # one value everywhere: only such an f serves d > 1
+
     def __call__(self, y):
         raise NotImplementedError
 
@@ -130,6 +135,7 @@ class TestFunction:
 @dataclass(frozen=True)
 class Constant(TestFunction):
     c: float
+    constant = True
 
     def __post_init__(self):
         if self.c < 0:
@@ -285,10 +291,16 @@ class ShiftedForLog(TestFunction):
     def __call__(self, y):
         return self.floor + self.base(y)
 
+    @property
+    def constant(self):
+        return self.base.constant
+
     def breakpoints(self):
         return self.base.breakpoints()
 
     def log(self):
+        if isinstance(self.base, Constant):  # a constant serves every d
+            return Constant(math.log(self.floor + self.base.c))
         return _LogOf(self)
 
     def gauss_expect(self, m, sigma, xp=math):
@@ -320,8 +332,6 @@ class _LogOf(TestFunction):
         # log(floor + 1), so its expectation is closed whenever the
         # indicator's is
         base = self.inner.base
-        if isinstance(base, Constant):
-            return math.log(self.inner.floor + base.c)
         if isinstance(base, Indicator):
             lo_val = math.log(self.inner.floor)
             hi_val = math.log(self.inner.floor + 1.0)
@@ -450,11 +460,11 @@ def apply(base, f, s, x, spec=QuadratureSpec()):
 
 def _first_coordinate(base, f, x):
     """Check f and the point x for P_s f(x) and return x's first
-    coordinate as a float; f must be a TestFunction, and Constant unless
+    coordinate as a float; f must be a TestFunction, and constant unless
     d = 1."""
     _check_test_function(f)
     x = _as_point(x, base.d)
-    if base.d != 1 and not isinstance(f, Constant):
+    if base.d != 1 and not f.constant:
         raise ValueError("non-constant test functions are supported for d = 1 only")
     return x.item(0)
 
@@ -533,15 +543,39 @@ def subordinated_density(base, sub, x, y, spec=QuadratureSpec()):
     """Transition density of the time-changed kernel,
     int p_s(x, y) mu_t(ds); x and y are checked once, not at every node s.
 
-    The integral is ``integrate_against``'s fixed rule for alpha, certified
-    when built to 1e-12 relative against the law's closed forms, with the
-    kernel evaluated on all its nodes at once; ``spec`` does not set its
-    accuracy. At alpha = 1 it is the base kernel at time t, the point mass
-    of ``integrate_against``. At alpha = 1/2 the heat kernel's value is
-    within ~4e-13 of the Poisson kernel for |x - y| up to 50 t (d = 1, 2, 3)."""
+    The integral is the fixed law rule for alpha, certified when built to
+    1e-12 relative against the law's closed forms; ``spec`` does not set
+    its accuracy. At alpha = 1 it is the base kernel at time t, and OU's
+    kernel is evaluated on all the rule's nodes s (``integrate_against``).
+    The heat kernel is one sum in logs over the rule's v_i and w_i, with
+    the scale as l = log t / alpha: (4 pi)^(-d/2) e^(-d l/2) times
+    sum_i exp(log w_i - (d/2) log v_i - (rho^2/4) e^(-l) / v_i). So the
+    diagonal serves every t (inf past float range), and off it a t where
+    (rho^2/4) e^(-l) passes float range raises ValueError. Resolved range:
+    at alpha = 1/2 within ~4e-13 of the Poisson kernel for |x - y| up to
+    50 t (d = 1, 2, 3); far past that the kernel's mass lies beyond the
+    rule's largest node (6.2e14 at alpha = 1/2), and at d = 1, |x - y| = 1
+    the value is 3.5% high at t = 1e-7, 63% low at 1e-8 and 0 from 1e-10."""
     x0, y0, rho_sq = _checked_pair(base, x, y)
-    return integrate_against(
-        _OnArrays(lambda s: _kernel_density_at(base, s, x0, y0, rho_sq, np)), sub)
+    if base.kind != "gauss_heat" or sub.degenerate:
+        return integrate_against(
+            _OnArrays(lambda s: _kernel_density_at(base, s, x0, y0, rho_sq, np)), sub)
+    rule = _law_rule(sub.alpha)
+    ell = math.log(sub.t) / sub.alpha
+    log_terms = rule.log_w - 0.5 * base.d * rule.log_v
+    if rho_sq > 0.0:
+        c = _exp_or_inf(math.log(rho_sq) - _LOG_4 - ell)
+        if c == math.inf:
+            raise ValueError(f"rho^2 / (4 t^(1/alpha)) is past float range at "
+                             f"t={sub.t!r}, alpha={sub.alpha!r}")
+        log_terms -= c / rule.v
+    total = float(np.exp(log_terms, out=log_terms).sum())
+    # a product of two floats, within an ulp or two, where the factor is a
+    # normal float; past that in logs, so a value past float range is inf
+    log_scale = -0.5 * base.d * (_LOG_4PI + ell)
+    if abs(log_scale) < _LOG_HUGE:
+        return total * math.exp(log_scale)
+    return _exp_or_inf(math.log(total) + log_scale) if total > 0.0 else 0.0
 
 
 def cauchy_closed_form(d, t, x, y):
@@ -564,7 +598,10 @@ def cauchy_closed_form(d, t, x, y):
 
 
 def ondiag(base, sub, x, spec=QuadratureSpec()):
-    """On-diagonal value of the time-changed heat kernel."""
+    """On-diagonal value of the time-changed heat kernel: at alpha < 1
+    (4 pi)^(-d/2) e^(-d l/2) sum_i w_i v_i^(-d/2), l = log t / alpha, summed
+    in logs (``subordinated_density``), so right for every t and inf past
+    float range."""
     if base.kind != "gauss_heat":
         raise ValueError("ondiag is defined for the heat kernel base")
     return subordinated_density(base, sub, x, x, spec)

@@ -847,21 +847,24 @@ _CERT_MOMENTS = (0.5, 1.0, 2.0, 3.0)  # r of the closed-form moments
 @dataclass(frozen=True)
 class _LawRule:
     """Nodes ``v`` and weights ``w`` (density folded in) on the standard
-    law, and ``certified_error``: the worst relative error of the rule
-    against the closed-form Laplace transform and fractional moments."""
+    law, their logs ``log_v`` and ``log_w``, and ``certified_error``: the
+    worst relative error of the rule against the closed-form Laplace
+    transform and fractional moments. A kernel summed in logs takes the
+    scale t^(1/alpha) as log t / alpha and never forms it."""
 
     v: np.ndarray
     w: np.ndarray
+    log_v: np.ndarray
+    log_w: np.ndarray
     certified_error: float
 
 
-def _certify(alpha, v, w):
+def _certify(alpha, v, w, log_v):
     """Worst relative error of the rule (v, w) on the standard law against
     exp(-x^alpha) at _CERT_LAPLACE and the closed-form fractional moments
     Gamma(r/alpha)/(alpha Gamma(r)) at _CERT_MOMENTS; compared in logs,
     since the moments overflow a float for small alpha, and inf if a sum
     is not finite and positive."""
-    log_v = np.log(v)
     checks = [(-x ** alpha, -x * v) for x in _CERT_LAPLACE]  # (log want, log h)
     checks += [(math.lgamma(r / alpha) - math.log(alpha) - math.lgamma(r),
                 -r * log_v) for r in _CERT_MOMENTS]
@@ -915,12 +918,13 @@ def _law_rule(alpha):
     w = np.concatenate((w_bulk, w_tail[::-1]))
     keep = w > 0.0
     v, w = v[keep], w[keep]
-    error = _certify(alpha, v, w)
+    log_v = np.log(v)
+    error = _certify(alpha, v, w, log_v)
     if not error <= _CERT_TOL:
         raise ValueError(
             f"the quadrature rule for alpha = {alpha!r} certifies only to "
             f"{error:.3g} relative (needs {_CERT_TOL:g})")
-    return _LawRule(v, w, error)
+    return _LawRule(v, w, log_v, np.log(w), error)
 
 
 def _law_sum(w, values):

@@ -557,6 +557,10 @@ class SweepConfig:
                 raise ValueError(f"ps: {p!r} must be > 1")
         if "laplace_mc" in self.checks and self.mc is None:
             raise ValueError("laplace_mc requires the mc block")
+        one_d = {"entropy_kernel", "entropy_cost"}.intersection(self.checks)
+        if one_d and self.base.d != 1:
+            raise ValueError(f"checks: {sorted(one_d)} run the 1-d OU kernel "
+                             f"on the point pairs and need base d = 1")
 
     @classmethod
     def from_dict(cls, d):
@@ -566,7 +570,7 @@ class SweepConfig:
             "alphas": lambda v: list(map(float, v)),
             "ts": lambda v: list(map(float, v)),
             "ps": lambda v: list(map(float, v)),
-            "point_pairs": lambda v: [(float(a), float(b)) for a, b in v],
+            "point_pairs": list,
             "functions": lambda v: [_function_from_dict(fd, f"config.functions[{i}]")
                                     for i, fd in enumerate(v)],
             "quadrature": lambda v: _from_block(QuadratureSpec, v, "config.quadrature"),
@@ -575,8 +579,20 @@ class SweepConfig:
             "seed": int,
             "rate_ts": lambda v: tuple(map(float, v)),
         })
+        cfg.point_pairs = [_read_pair(pair, cfg.base.d, f"config.point_pairs[{i}]")
+                           for i, pair in enumerate(cfg.point_pairs)]
         cfg.validate()
         return cfg
+
+
+def _read_pair(pair, d, path):
+    """A config point pair [x, y] of points of d coordinates, a point of d
+    = 1 a number or a list: two floats for d = 1, else tuples of floats."""
+    x, y = (np.array(point, dtype=float, ndmin=1) for point in pair)
+    if x.shape != (d,) or y.shape != (d,):
+        raise ValueError(f"{path}: points of dimension {x.shape} and "
+                         f"{y.shape} do not match base d={d}")
+    return (x.item(), y.item()) if d == 1 else (tuple(x.tolist()), tuple(y.tolist()))
 
 
 @dataclass

@@ -224,12 +224,20 @@ class TestKernel:
                                "--x", "0", "0", "--y", "1")
         assert code == 1
 
-    def test_scale_past_float_range_exit_1(self, capsys):
+    def test_diagonal_past_scale_float_range(self, capsys):
+        # the scale t^2 is past float range, the Poisson diagonal 1/(pi t) not
+        code, out, _ = run_cli(capsys, "kernel", "--alpha", "0.5",
+                               "--t", "1e160", "--x", "0", "--y", "0")
+        assert code == 0
+        assert math.isclose(float(out), 1.0 / (math.pi * 1e160), rel_tol=1e-12)
+
+    def test_off_diagonal_past_float_range_exit_1(self, capsys):
+        # rho^2 / (4 t^2) is past float range at t = 1e-200
         code, out, err = run_cli(capsys, "kernel", "--alpha", "0.5",
-                                 "--t", "1e160", "--x", "0", "--y", "0")
+                                 "--t", "1e-200", "--x", "0", "--y", "1")
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "t=1e+160, alpha=0.5" in err
+        assert "t=1e-200, alpha=0.5" in err
 
 
 class TestVerify:

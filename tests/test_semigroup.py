@@ -39,6 +39,7 @@ from subharnack.subordinator import (
     QuadratureSpec,
     StableSubordinator,
     integrate_against,
+    log_fractional_moment,
 )
 
 SPEC = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
@@ -459,6 +460,57 @@ class TestSubordinated:
         num = subordinated_density(gauss_heat(d), StableSubordinator(0.5, t),
                                    x, y, SPEC)
         assert math.isclose(num, cauchy_closed_form(d, t, x, y), rel_tol=1e-10)
+
+    @given(st.floats(min_value=0.3, max_value=0.95),
+           st.floats(min_value=math.log(1e-3), max_value=math.log(1e3)),
+           st.sampled_from([1, 2, 3]))
+    @settings(max_examples=100, deadline=None)
+    def test_ondiag_is_the_closed_form_moment(self, alpha, log_t, d):
+        # p_t(x, x) = (4 pi)^(-d/2) E S_t^(-d/2), an oracle at every alpha
+        sub = StableSubordinator(alpha, math.exp(log_t))
+        want = (4.0 * math.pi) ** (-0.5 * d) * math.exp(
+            log_fractional_moment(sub, 0.5 * d))
+        got = ondiag(gauss_heat(d), sub, [0.0] * d, SPEC)
+        assert math.isclose(got, want, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("t", [1e-200, 1e160])
+    def test_diagonal_where_the_scale_passes_float_range(self, t):
+        # t^2, the scale at alpha = 1/2, over- or underflows; the diagonal
+        # is formed from log t and is the Poisson diagonal, 1/(pi t) at d = 1
+        sub = StableSubordinator(0.5, t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for got in (ondiag(gauss_heat(1), sub, [0.0], SPEC),
+                        subordinated_density(gauss_heat(1), sub, [2.0], [2.0],
+                                             SPEC)):
+                assert math.isclose(got, cauchy_closed_form(1, t, [0.0], [0.0]),
+                                    rel_tol=1e-12)
+
+    @pytest.mark.parametrize("d, t, want", [
+        (2, 1e-200, math.inf),   # about 1e400
+        (3, 1e-200, math.inf),
+        (3, 1e160, 0.0),         # about 1e-480
+    ])
+    def test_diagonal_past_float_range(self, d, t, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ondiag(gauss_heat(d), StableSubordinator(0.5, t), [0.0] * d, SPEC)
+        assert got == want == cauchy_closed_form(d, t, [0.0] * d, [0.0] * d)
+
+    def test_off_diagonal_past_float_range_raises(self):
+        # rho^2 / (4 t^2) is past float range: refused, not 0 or nan
+        with pytest.raises(ValueError, match=r"t=1e-200, alpha=0\.5"):
+            subordinated_density(gauss_heat(1), StableSubordinator(0.5, 1e-200),
+                                 [0.0], [1.0], SPEC)
+
+    @pytest.mark.xfail(strict=True, reason="off the diagonal at t = 1e-8 the "
+                       "kernel's mass lies past the law rule's largest node")
+    def test_poisson_kernel_far_off_the_diagonal(self):
+        # |x - y| = 1e8 t, far past the resolved |x - y| <= 50 t: 63% low
+        got = subordinated_density(gauss_heat(1), StableSubordinator(0.5, 1e-8),
+                                   [0.0], [1.0], SPEC)
+        assert math.isclose(got, cauchy_closed_form(1, 1e-8, [0.0], [1.0]),
+                            rel_tol=1e-10)
 
     def test_subordinated_density_symmetry(self):
         base = gauss_heat(1)

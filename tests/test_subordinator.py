@@ -1233,6 +1233,9 @@ class TestLawRule:
         rule = _law_rule(alpha)
         assert rule.certified_error <= 1e-12
         assert np.all(rule.w > 0.0) and np.all(np.isfinite(rule.v))
+        # the logs a kernel sums in are the logs of the nodes and weights
+        assert np.array_equal(rule.log_v, np.log(rule.v))
+        assert np.array_equal(rule.log_w, np.log(rule.w))
 
     def test_half_certifies_to_rounding(self):
         # alpha = 1/2 weights come from the general density path

@@ -234,6 +234,19 @@ class TestChecks:
         with pytest.raises(ValueError):
             check_log_harnack(gauss_heat(1), sub, [0.0], [1.0], BUMP, SPEC)
 
+    @pytest.mark.parametrize("d, x, y", [
+        (2, [0.0, 0.0], [3.0, 4.0]),
+        (3, [1.0, 2.0, -2.0], [2.0, 4.0, 0.0]),
+    ])
+    def test_log_harnack_of_a_constant_in_d_dimensions(self, d, x, y):
+        # log(1 + 2) is a constant too, so P_t log f = log 3 at every point,
+        # up to the law rule's mass
+        sub = StableSubordinator(0.75, 1.0)
+        rep = check_log_harnack(gauss_heat(d), sub, x, y,
+                                ShiftedForLog(Constant(2.0)), SPEC)
+        assert rep.status == "holds"
+        assert math.isclose(rep.lhs, math.log(3.0), rel_tol=1e-14)
+
     def test_log_harnack_alpha_one_term(self):
         sub = StableSubordinator(1.0, 2.0)
         f = ShiftedForLog(BUMP, 1.0)
@@ -396,7 +409,7 @@ class TestPointPairs:
             assert check(make(0.0), make(1.0)).to_dict() == want, form
 
     @pytest.mark.parametrize("name", ["base_harnack", "subordinated_harnack",
-                                      "prop13"])
+                                      "prop13", "log_harnack"])
     @pytest.mark.parametrize("d, x, y", [
         (2, [0.0, 0.0], [3.0, 4.0]),
         (3, [1.0, 2.0, -2.0], [2.0, 4.0, 0.0]),
@@ -414,6 +427,8 @@ class TestPointPairs:
                 b, StableSubordinator(0.75, 1.0), 2.0, x, y, f, "intermediate",
                 SPEC),
             "prop13": lambda b, x, y: check_prop13(b, 4.0, 30.0, x, y, f, SPEC),
+            "log_harnack": lambda b, x, y: check_log_harnack(
+                b, StableSubordinator(0.75, 1.0), x, y, ShiftedForLog(f), SPEC),
         }[name]
         rho = math.sqrt(float(np.sum((np.array(y) - np.array(x)) ** 2)))
         got = check(gauss_heat(d), x, y).to_dict()
@@ -605,6 +620,28 @@ def small_config(**overrides):
 def test_malformed_config_block_names_its_path(change, path):
     with pytest.raises(ValueError, match=re.escape(path)):
         SweepConfig.from_dict(small_config(**change))
+
+
+def test_point_pairs_must_match_the_base_dimension():
+    # one-coordinate pairs under a d = 2 base: a config error, not a
+    # failure of the first pair check inside run_sweep
+    d2 = {"kind": "gauss_heat", "d": 2}
+    with pytest.raises(ValueError, match=re.escape("config.point_pairs[0]")):
+        SweepConfig.from_dict(small_config(base=d2))
+    with pytest.raises(ValueError, match=re.escape("config.point_pairs[1]")):
+        SweepConfig.from_dict(small_config(point_pairs=[[0.0, 1.0], [0.0, [1.0, 2.0]]]))
+    cfg = SweepConfig.from_dict(small_config(
+        base=d2, point_pairs=[[[0, 0], [3, 4]]], functions=[{"kind": "constant"}],
+        checks=["base_harnack", "log_harnack"]))
+    assert cfg.point_pairs == [((0.0, 0.0), (3.0, 4.0))]
+    assert run_sweep(cfg).summary["holds"] == 2
+    # the entropy checks run the 1-d OU kernel on the pairs
+    with pytest.raises(ValueError, match="entropy_cost"):
+        SweepConfig.from_dict(small_config(
+            base=d2, point_pairs=[[[0, 0], [3, 4]]], checks=["entropy_cost"]))
+    # a d = 1 point may be a number or a one-element list
+    cfg = SweepConfig.from_dict(small_config(point_pairs=[[[0.0], 1]]))
+    assert cfg.point_pairs == [(0.0, 1.0)]
 
 
 def test_config_fields_left_out_take_their_defaults():
