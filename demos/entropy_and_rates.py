@@ -2,7 +2,7 @@
 semigroup: relative entropy between transition kernels from two starting
 points is controlled by the squared distance times an explicit constant,
 and a shifted initial law pays at most the quadratic transport cost,
-m^2/2 in closed form for a shift m. Both entropies are summed by one
+m^2/4 in closed form for a shift m. Both entropies are summed by one
 fixed Gauss-Legendre rule in z, with the time-changed kernel taken at
 all its nodes at once. Also prints the on-diagonal decay of the
 time-changed heat kernel, whose log-log slope matches -d/(2*alpha).

@@ -126,7 +126,8 @@ def _json_float(v):
 
 
 def base_harnack_exponent(p, K, t, rho_sq):
-    """Exponent p*K*rho^2 / (2*(p-1)*(exp(2Kt)-1)) of the base inequality.
+    """Exponent p*K*rho^2 / (2*(p-1)*(exp(2Kt)-1)) of the base inequality
+    (Wang's dimension-free Harnack exponent) for a base with Ric >= K.
 
     Continuous in K; at K = 0 this is the limit p*rho^2 / (4*(p-1)*t). For
     K > 0 the rate is formed as K e^{-2Kt}/(1 - e^{-2Kt}), which cannot overflow.

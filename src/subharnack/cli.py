@@ -4,6 +4,9 @@ Subcommands: density, moment, expmoment, bound, kernel, verify, sweep.
 Exit codes: 0 success, 1 domain/validation error, 2 numerical
 non-convergence, 3 sweep with violations. Floats are printed with 17
 significant digits; an exponential moment past float range from its log.
+``verify`` ends each entry's line with its status (holds, violated,
+out_of_domain, non_converged), and ``sweep --format csv`` has a status
+column.
 """
 
 import argparse
@@ -87,7 +90,9 @@ def _build_parser():
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--H", type=float, default=1.0)
     p.add_argument("--eps", type=float, default=0.0)
-    p.add_argument("--K", type=float, default=0.0)
+    p.add_argument("--K", type=float, default=0.0,
+                   help="curvature bound K in Ric >= K: 0 for the heat "
+                        "kernel, +1 for the Ornstein-Uhlenbeck base")
     p.add_argument("--rho-sq", dest="rho_sq", type=float, default=1.0)
 
     p = sub.add_parser("kernel", help="time-changed transition density")
@@ -116,7 +121,7 @@ def _build_parser():
 
 
 _CSV_COLUMNS = ["check", "alpha", "kappa", "p", "t", "x", "y", "f",
-                "lhs", "rhs", "slack", "valid_domain", "method"]
+                "lhs", "rhs", "slack", "valid_domain", "status", "method"]
 
 
 def _report_to_csv(report):
@@ -131,8 +136,8 @@ def _report_to_csv(report):
                 row.append(_fmt(getattr(e, col)))
             elif col == "valid_domain":
                 row.append(str(e.valid_domain).lower())
-            elif col == "method":
-                row.append(e.method)
+            elif col in ("status", "method"):
+                row.append(getattr(e, col))
             else:
                 v = params.get(col, "")
                 row.append(_fmt(v) if isinstance(v, float) else str(v))
@@ -216,9 +221,8 @@ def _cmd_verify(args):
     config = _load_config(args.config, checks=[args.check])
     report = run_sweep(config)
     for e in report.entries:
-        status = "VIOLATED" if e.status == "violated" else "ok"
         print(f"{(e.params or {}).get('check', '?')}: lhs={_fmt(e.lhs)} "
-              f"rhs={_fmt(e.rhs)} {status}")
+              f"rhs={_fmt(e.rhs)} {e.status}")
     print(f"summary: {report.summary}")
     return 3 if report.violated > 0 else 0
 

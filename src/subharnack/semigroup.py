@@ -1,11 +1,12 @@
 """Concrete base semigroups and their stable-time-changed versions.
 
 Two base models: the Gaussian heat kernel on R^d (generator the
-Laplacian, curvature proxy K = 0) and the 1-d Ornstein-Uhlenbeck
-semigroup (generator Laplacian minus x.grad, standard Gaussian invariant
-measure, K = -1). Both transition laws are Gaussian, so P_s f reduces to
-a Gaussian expectation with closed forms for the shipped test-function
-family; the time change integrates P_s against the subordinator law.
+Laplacian, K = 0) and the 1-d Ornstein-Uhlenbeck semigroup (generator
+Laplacian minus x.grad, standard Gaussian invariant measure, K = +1),
+with K the Bakry-Emery curvature bound Ric >= K. Both transition laws
+are Gaussian, so P_s f reduces to a Gaussian expectation with closed
+forms for the shipped test-function family; the time change integrates
+P_s against the subordinator law.
 
 P_s f is defined for a ``TestFunction`` f only: its closed Gaussian
 expectation where it has one, and otherwise one fixed Gauss-Legendre
@@ -71,7 +72,9 @@ class BaseKernel:
 
     @property
     def curvature_K(self):
-        return 0.0 if self.kind == "gauss_heat" else -1.0
+        """K of the Bakry-Emery bound Ric >= K: 0 for the heat kernel, +1
+        for OU, whose generator Laplacian minus x.grad has curvature 1."""
+        return 0.0 if self.kind == "gauss_heat" else 1.0
 
     def mean_sigma(self, s, x, xp=math):
         """Per-coordinate Gaussian transition parameters at time s from x,
@@ -452,10 +455,15 @@ def apply(base, f, s, x, spec=QuadratureSpec()):
     breakpoint-aware rule of ``_gauss_expectation_rule``, memoized per
     (f, m, sigma) for a hashable f. ``spec`` does not set the accuracy.
     Non-constant test functions need d = 1. A plain callable raises
-    TypeError."""
+    TypeError. ``subordinated_apply`` takes P_s f on arrays of times s
+    instead (``_expect_on_nodes``)."""
     if s <= 0.0:
         raise ValueError(f"s must be > 0, got {s!r}")
-    return _apply_at(base, f, s, _first_coordinate(base, f, x))
+    m0, sigma = base.mean_sigma(s, _first_coordinate(base, f, x))
+    cf = f.gauss_expect(m0, sigma)
+    if cf is not None:
+        return cf
+    return _memoized(_gauss_quad_memo, f, f, m0, sigma)
 
 
 def _first_coordinate(base, f, x):
@@ -473,16 +481,6 @@ def _check_test_function(f):
     if not isinstance(f, TestFunction):
         raise TypeError(f"P_s f needs a TestFunction, got {type(f).__name__}; "
                         "subclass TestFunction and declare its breakpoints()")
-
-
-def _apply_at(base, f, s, x0):
-    """``apply`` at s > 0 and a point already checked by
-    ``_first_coordinate``, with x0 its first coordinate."""
-    m0, sigma = base.mean_sigma(s, x0)
-    cf = f.gauss_expect(m0, sigma)
-    if cf is not None:
-        return cf
-    return _memoized(_gauss_quad_memo, f, f, m0, sigma)
 
 
 def _memoized(memo, f, *key):
@@ -512,8 +510,6 @@ def subordinated_apply(base, sub, f, x, spec=QuadratureSpec()):
     the value is memoized per (base, sub, f, x); an unhashable one is
     integrated every time."""
     x0 = _first_coordinate(base, f, x)
-    if sub.degenerate:
-        return _apply_at(base, f, sub.t, x0)
     return _memoized(_subordinated_apply_memo, f, base, sub, f, x0)
 
 
@@ -543,21 +539,21 @@ def subordinated_density(base, sub, x, y, spec=QuadratureSpec()):
     """Transition density of the time-changed kernel,
     int p_s(x, y) mu_t(ds); x and y are checked once, not at every node s.
 
-    The integral is the fixed law rule for alpha, certified when built to
-    1e-12 relative against the law's closed forms; ``spec`` does not set
-    its accuracy. At alpha = 1 it is the base kernel at time t, and OU's
-    kernel is evaluated on all the rule's nodes s (``integrate_against``).
-    The heat kernel is one sum in logs over the rule's v_i and w_i, with
-    the scale as l = log t / alpha: (4 pi)^(-d/2) e^(-d l/2) times
-    sum_i exp(log w_i - (d/2) log v_i - (rho^2/4) e^(-l) / v_i). So the
-    diagonal serves every t (inf past float range), and off it a t where
-    (rho^2/4) e^(-l) passes float range raises ValueError. Resolved range:
-    at alpha = 1/2 within ~4e-13 of the Poisson kernel for |x - y| up to
-    50 t (d = 1, 2, 3); far past that the kernel's mass lies beyond the
-    rule's largest node (6.2e14 at alpha = 1/2), and at d = 1, |x - y| = 1
-    the value is 3.5% high at t = 1e-7, 63% low at 1e-8 and 0 from 1e-10."""
+    The integral is the fixed law rule for alpha in (0, 1], certified when
+    built to 1e-12 relative against the law's closed forms; ``spec`` does
+    not set its accuracy. OU's kernel is evaluated on all the rule's nodes
+    s (``integrate_against``). The heat kernel is one sum in logs over the
+    rule's v_i and w_i, with the scale as l = log t / alpha: (4 pi)^(-d/2)
+    e^(-d l/2) times sum_i exp(log w_i - (d/2) log v_i - (rho^2/4) e^(-l)
+    / v_i). So the diagonal serves every t (inf past float range), and off
+    it a t where (rho^2/4) e^(-l) passes float range raises ValueError.
+    Resolved range: at alpha = 1/2 within ~4e-13 of the Poisson kernel for
+    |x - y| up to 50 t (d = 1, 2, 3); far past that the kernel's mass lies
+    beyond the rule's largest node (6.2e14 at alpha = 1/2), and at d = 1,
+    |x - y| = 1 the value is 3.5% high at t = 1e-7, 63% low at 1e-8 and 0
+    from 1e-10."""
     x0, y0, rho_sq = _checked_pair(base, x, y)
-    if base.kind != "gauss_heat" or sub.degenerate:
+    if base.kind != "gauss_heat":
         return integrate_against(
             _OnArrays(lambda s: _kernel_density_at(base, s, x0, y0, rho_sq, np)), sub)
     rule = _law_rule(sub.alpha)
@@ -598,7 +594,7 @@ def cauchy_closed_form(d, t, x, y):
 
 
 def ondiag(base, sub, x, spec=QuadratureSpec()):
-    """On-diagonal value of the time-changed heat kernel: at alpha < 1
+    """On-diagonal value of the time-changed heat kernel,
     (4 pi)^(-d/2) e^(-d l/2) sum_i w_i v_i^(-d/2), l = log t / alpha, summed
     in logs (``subordinated_density``), so right for every t and inf past
     float range."""

@@ -12,16 +12,17 @@ its terms. The density's accuracy (a few units of 1e-16 relative wherever
 it exceeds 1e-300) does not depend on the ``QuadratureSpec``.
 
 ``integrate_against`` sums h against mu_t with one fixed node set per
-alpha on the standard law (``_law_rule``), which serves every t by
-self-similarity: composite 16-point Gauss-Legendre panels in log v from
-the far left tail to v = 5 and in v^(-alpha) beyond, with the density
-folded into the weights. Each rule is certified when it is built against
-the closed-form Laplace transform and fractional moments, to 1e-12
-relative or it raises. The ``QuadratureSpec`` does not set its accuracy
-either.
+alpha on the standard law (``_law_rule``; at alpha = 1 the point mass's
+one node), which serves every t by self-similarity: composite 16-point
+Gauss-Legendre panels in log v from the far left tail to v = 5 and in
+v^(-alpha) beyond, with the density folded into the weights. Each rule
+is certified when it is built against the closed-form Laplace transform
+and fractional moments, to 1e-12 relative or it raises. The
+``QuadratureSpec`` does not set its accuracy either.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
@@ -352,17 +353,35 @@ def _standard_density(alpha, v):
 def density(sub, s, spec=QuadratureSpec()):
     """Density of mu_t at s > 0 (alpha < 1 only).
 
-    By self-similarity, the standard density at s / t**(1/alpha); see
-    ``_standard_density``. ``spec`` does not affect the value: the
-    Zolotarev integral is summed by a fixed theta rule.
+    By self-similarity, the standard density at v = s / c divided by c,
+    with the scale c = t**(1/alpha); see ``_standard_density``. Where c
+    is a normal float and v finite that is the arithmetic; past that
+    (t = 1e-200 or 1e200 at alpha = 1/2, or s = 10 at t = 1.5e-154) c
+    enters only as l = log t / alpha: v as log s - l, and the result as
+    exp(log f(v) - l), inf past float range. ``spec`` does not affect the
+    value: the Zolotarev integral is summed by a fixed theta rule.
     """
     if sub.degenerate:
         raise ValueError("alpha = 1 is the point mass at t and has no density")
     s = float(s)
     if s <= 0.0:
         raise ValueError(f"density requires s > 0, got {s!r}")
-    c = sub.scale
-    return _standard_density(sub.alpha, s / c) / c
+    a = sub.alpha
+    try:
+        c = sub.scale
+    except ValueError:  # past float range
+        c = math.inf
+    if sys.float_info.min <= c < math.inf and s / c < math.inf:
+        return _standard_density(a, s / c) / c
+    ell = math.log(sub.t) / a
+    log_v = math.log(s) - ell
+    if log_v >= math.log(_TAIL_SWITCH):  # f(v) = alpha phi(w) v^(-1-alpha)
+        phi = float(_tail_density_dw(a, np.array([math.exp(-a * log_v)]))[0])
+        log_f = math.log(a * phi) - (1.0 + a) * log_v if phi > 0.0 else -math.inf
+    else:  # v = 0 where it underflows, deep in the left tail
+        v = math.exp(log_v)
+        log_f = float(_log_zolotarev_density(a, [v])[0]) if v > 0.0 else -math.inf
+    return _exp_or_inf(log_f - ell)
 
 
 # --- sampling ----------------------------------------------------------
@@ -880,13 +899,17 @@ def _certify(alpha, v, w, log_v):
 
 @lru_cache(maxsize=64)
 def _law_rule(alpha):
-    """The fixed rule on the standard law for 0 < alpha < 1, laid out as
-    above; built on first use for each alpha, memoized on alpha alone, and
-    certified when it is built (``_certify``).
+    """The fixed rule on the standard law, laid out as above for
+    0 < alpha < 1; built on first use for each alpha, memoized on alpha
+    alone, and certified when it is built (``_certify``). At alpha = 1 the
+    law is the point mass at 1, and the rule is its one node v = 1 with
+    weight 1: zero logs, exact, so ``certified_error`` is 0.
 
     Raises ValueError naming alpha if its certified error is above
     _CERT_TOL: no value is ever summed by an uncertified rule.
     """
+    if alpha == 1.0:
+        return _LawRule(np.ones(1), np.ones(1), np.zeros(1), np.zeros(1), 0.0)
     a = _LD(alpha)
     p = alpha / (1.0 - alpha)
     la0 = float(_log_a0_ld(a))
@@ -964,10 +987,9 @@ def integrate_against(h, sub, spec=QuadratureSpec()):
     A plain h is called once per node with a float. An h wrapped in
     ``_OnArrays`` (the library's own kernels) is called once, on the array
     of all the nodes, and may return a row per node (one integral per
-    column). For alpha = 1, the point mass at t, this is just h(t).
+    column). At alpha = 1 the rule is the one node t with weight 1, so the
+    sum is h(t) exactly (an ``_OnArrays`` h sees the array [t]).
     """
-    if sub.degenerate:
-        return _law_sum(np.ones(1), [h(sub.t)])
     rule = _law_rule(sub.alpha)
     s = sub.scale * rule.v
     if isinstance(h, _OnArrays):

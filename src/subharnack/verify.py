@@ -13,17 +13,16 @@ No check integrates adaptively: the entropy checks sum over z by one
 fixed rule (``_z_rule``), and ``entropy_cost`` takes its transport cost
 in closed form.
 
-Harnack profiles for the concrete bases (kappa = 1 throughout):
+Harnack profiles (kappa = 1 throughout), one for both concrete bases,
+with K the curvature bound Ric >= K:
 
 * heat kernel on R^d (K = 0): power profile H = rho^2, eps = 0, valid
   for p >= 4/3 (so that the true exponent p*rho^2/(4(p-1)t) is dominated
   by H * t^(-1)); log profile H = rho^2/4, eps = 0, the p -> infinity
   limit of the base exponent.
-* 1-d Ornstein-Uhlenbeck (K = -1): the true exponent
-  p*rho^2/(2(p-1)(1 - e^(-2t))) is enveloped time-uniformly using
-  1/(1 - e^(-2t)) <= 1 + 1/t, giving the power profile
-  H = p*rho^2/(2(p-1)), eps = 1 and the log profile H = rho^2/2,
-  eps = 1.
+* 1-d Ornstein-Uhlenbeck (K = +1): the sharp exponent
+  p*rho^2/(2(p-1)(e^(2t) - 1)) is at most the heat kernel's, since
+  1/(e^(2t) - 1) <= 1/(2t), so OU takes the same two profiles.
 """
 
 import itertools
@@ -99,22 +98,18 @@ _TOL_MULT = 10.0
 
 
 def power_profile(base, p, rho_sq):
-    """(H, eps, kappa) instance of the base power-Harnack hypothesis.
+    """(H, eps, kappa) instance of the base power-Harnack hypothesis,
+    H = rho^2 and eps = 0 for both bases.
 
-    Returns (profile, in_domain); for the heat kernel the profile is
-    only valid for p >= 4/3.
+    Returns (profile, in_domain); the profile is only valid for p >= 4/3.
     """
-    if base.kind == "gauss_heat":
-        return HarnackProfile(kappa=1.0, epsilon=0.0, H_value=rho_sq), p >= 4.0 / 3.0
-    H = p * rho_sq / (2.0 * (p - 1.0))
-    return HarnackProfile(kappa=1.0, epsilon=1.0, H_value=H), True
+    return HarnackProfile(kappa=1.0, epsilon=0.0, H_value=rho_sq), p >= 4.0 / 3.0
 
 
 def log_profile(base, rho_sq):
-    """(H, eps, kappa) instance of the base log-Harnack hypothesis."""
-    if base.kind == "gauss_heat":
-        return HarnackProfile(kappa=1.0, epsilon=0.0, H_value=rho_sq / 4.0)
-    return HarnackProfile(kappa=1.0, epsilon=1.0, H_value=rho_sq / 2.0)
+    """(H, eps, kappa) instance of the base log-Harnack hypothesis,
+    H = rho^2/4 and eps = 0 for both bases."""
+    return HarnackProfile(kappa=1.0, epsilon=0.0, H_value=rho_sq / 4.0)
 
 
 def _verdict(lhs, rhs, rel_tol):
@@ -210,7 +205,7 @@ def check_subordinated_harnack(base, sub, p, x, y, f, mode="numeric",
     kappa = params["kappa"] = profile.kappa
     if not in_domain:
         return _unchecked("out_of_domain", "closed-form",
-                          "profile requires p >= 4/3 for the heat kernel", params)
+                          "profile requires p >= 4/3", params)
     if mode == "numeric":
         moment = exp_moment(sub, profile.H_value / (p - 1.0), kappa, spec)
         if not moment.converged:
@@ -335,7 +330,7 @@ def _on_z(sub, fn, z):
     law rule's nodes s and a block zb of whole 16-node z panels (``_blocks``)
     to a cache-sized (law nodes x zb) array, whose column sums are bit for
     bit those of the whole array."""
-    nodes = 1 if sub.degenerate else _law_rule(sub.alpha).v.size
+    nodes = _law_rule(sub.alpha).v.size
     panels = z.reshape(-1, 16)
     return np.concatenate([
         integrate_against(_OnArrays(lambda s: fn(np.asarray(s)[..., None],
@@ -379,9 +374,9 @@ def check_entropy_cost(base, sub, shift, spec=QuadratureSpec()):
     adjoint equals the semigroup; g(z) = exp(m*z - m^2/2) is the density
     of N(m, 1) relative to N(0, 1). The entropy int phi P_t g log P_t g dz
     is summed by the fixed z rule over +-(14 + |m|), with P_t g taken
-    block by block of its nodes. The transport cost of the OU log profile's
-    H(a, b) = (a - b)^2/2 takes the place of H(x, y); the quantile coupling
-    of N(m, 1) and N(0, 1) moves every quantile by m, so it is m^2/2.
+    block by block of its nodes. The transport cost of the log profile's
+    H(a, b) = (a - b)^2/4 takes the place of H(x, y); the quantile coupling
+    of N(m, 1) and N(0, 1) moves every quantile by m, so it is m^2/4.
     """
     if base.kind != "ou1d":
         raise ValueError("the entropy-cost check requires the OU base")
@@ -392,8 +387,8 @@ def check_entropy_cost(base, sub, shift, spec=QuadratureSpec()):
                                         - 0.5 * m * m * np.exp(-2.0 * s)), z)
     phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
     lhs = float(wz @ (phi * g * np.log(np.maximum(g, 1e-300))))
-    profile = log_profile(base, 0.0)
-    w_cost = 0.5 * m * m
+    profile = log_profile(base, m * m)
+    w_cost = profile.H_value
     rhs = log_harnack_term(sub.alpha, profile.kappa, profile.epsilon, w_cost, t)
     params = {"check": "entropy_cost", "alpha": sub.alpha, "kappa": profile.kappa,
               "t": t, "x": m, "y": 0.0, "f": "gaussian-shift"}

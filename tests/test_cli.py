@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -6,7 +8,8 @@ import pytest
 
 from subharnack.cli import parse_and_dispatch
 from subharnack.subordinator import StableSubordinator, exp_moment
-from subharnack.verify import SweepReport, _report
+from subharnack.bounds import STATUSES
+from subharnack.verify import SweepReport, _report, _unchecked
 
 # the exponential-moment series tolerance loosened a little: CLI smoke
 # tests need speed, the numerical accuracy itself is covered elsewhere
@@ -245,11 +248,12 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--check", "base_harnack",
                                "--config", config_path)
         assert code == 0
-        assert "base_harnack" in out and "ok" in out
+        line = out.splitlines()[0]
+        assert line.startswith("base_harnack:") and line.endswith(" holds")
 
     @pytest.mark.parametrize("lhs, status, code", [
-        (1.0 + 1e-8, "ok", 0),          # above rhs but inside the band
-        (1.0 + 1e-6, "VIOLATED", 3),    # beyond the band
+        (1.0 + 1e-8, "holds", 0),       # above rhs but inside the band
+        (1.0 + 1e-6, "violated", 3),    # beyond the band
     ])
     def test_line_status_agrees_with_exit_code(self, capsys, config_path,
                                                monkeypatch, lhs, status, code):
@@ -269,6 +273,22 @@ class TestVerify:
         assert got == code
         line = out.splitlines()[0]
         assert line.startswith("base_harnack:") and line.endswith(f" {status}")
+
+    @pytest.mark.parametrize("status", ["out_of_domain", "non_converged"])
+    def test_unchecked_entry_prints_its_status(self, capsys, config_path,
+                                              monkeypatch, status):
+        def fake_run_sweep(config, threads=1):
+            entry = _unchecked(status, "series", "", {"check": "base_harnack"})
+            summary = dict.fromkeys(STATUSES, 0)
+            summary[status] = 1
+            return SweepReport(entries=[entry], summary=summary,
+                               worst_slack=math.inf)
+
+        monkeypatch.setattr("subharnack.cli.run_sweep", fake_run_sweep)
+        code, out, _ = run_cli(capsys, "verify", "--check", "base_harnack",
+                               "--config", config_path)
+        assert code == 0
+        assert out.splitlines()[0].endswith(f" {status}")
 
     def test_unknown_check_rejected(self, capsys, config_path):
         code, _, _ = run_cli(capsys, "verify", "--check", "harnak",
@@ -292,8 +312,10 @@ class TestSweep:
         assert code == 0
         header = out.splitlines()[0]
         assert header == ("check,alpha,kappa,p,t,x,y,f,"
-                          "lhs,rhs,slack,valid_domain,method")
-        assert len(out.splitlines()) == 5
+                          "lhs,rhs,slack,valid_domain,status,method")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 4
+        assert [row["status"] for row in rows] == ["holds"] * 4
 
     def test_deterministic_output(self, capsys, config_path):
         _, a, _ = run_cli(capsys, "sweep", "--config", config_path)

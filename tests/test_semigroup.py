@@ -579,6 +579,62 @@ MEMO_FUNCTIONS = [
 ]
 
 
+# the shipped test functions, each with the bases it serves: every base
+# for a constant, d = 1 otherwise
+POINT_MASS_CASES = [
+    (base, f)
+    for f in [Constant(2.0), ShiftedForLog(Constant(0.5)),
+              ShiftedForLog(Constant(0.5)).log()]
+    for base in [gauss_heat(1), gauss_heat(2), gauss_heat(3), ou1d()]
+] + [
+    (base, f)
+    for f in [GaussBump(0.3, 0.8), Indicator(-1.0, 0.5), ExpAffine(0.4),
+              ExpAffine(0.4, clip=1.2), ExpAffine(-0.7, clip=0.0),
+              ShiftedForLog(GaussBump(0.0, 0.4)).log(),
+              ShiftedForLog(Indicator(-1.0, 1.0)).log(), _CosSquared()]
+    for base in [gauss_heat(1), ou1d()]
+]
+
+
+class TestPointMassThroughTheRule:
+    """At alpha = 1 the law is the point mass at t, and the law rule is its
+    one node: every sum over mu_t gives the base semigroup at time t."""
+
+    @given(st.sampled_from(POINT_MASS_CASES),
+           st.floats(min_value=math.log(1e-3), max_value=math.log(1e3)),
+           st.floats(min_value=-0.5, max_value=0.5))  # |x - y| <= 1.5
+    @settings(max_examples=200, deadline=None)
+    def test_sums_are_the_base_at_t(self, case, log_t, shift):
+        base, f = case
+        t = math.exp(log_t)
+        sub = StableSubordinator(1.0, t)
+        x = [shift] + [0.3] * (base.d - 1)
+        y = [0.5 - shift] + [-0.2] * (base.d - 1)
+        # a plain h and an array h alike are h(t), bit for bit
+        want = apply(base, f, t, x)
+        assert integrate_against(lambda s: apply(base, f, s, x), sub) == want
+        point = _checked_pair(base, x, y)
+
+        def on_arrays(s):
+            return _kernel_density_at(base, s, *point, np)
+
+        assert (integrate_against(_OnArrays(on_arrays), sub)
+                == on_arrays(np.array([t]))[0])
+        # P_s f on arrays of times against P_t f at one time
+        got = subordinated_apply(base, sub, f, x)
+        assert abs(got - want) <= 4 * math.ulp(want)
+        # the heat kernel's log-sum over the one node against p_t(x, y)
+        value = kernel_density(base, t, x, y)
+        got = subordinated_density(base, sub, x, y)
+        assert abs(got - value) <= 1e-14 * (1.0 + abs(math.log(value))) * value
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("t", [1e-3, 0.37, 1.0, 25.0, 1e3])
+    def test_ondiag_is_the_heat_diagonal(self, d, t):
+        got = ondiag(gauss_heat(d), StableSubordinator(1.0, t), [0.0] * d)
+        assert math.isclose(got, (4.0 * math.pi * t) ** (-0.5 * d), rel_tol=1e-14)
+
+
 class TestSubordinatedApplyMemo:
     KEY = (gauss_heat(1), StableSubordinator(0.7, 1.0), GaussBump(0.3, 0.8), 0.4)
 

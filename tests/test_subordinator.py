@@ -145,6 +145,16 @@ def levy_density(t, s):
     return t / math.sqrt(4.0 * math.pi) * s ** -1.5 * math.exp(-t * t / (4.0 * s))
 
 
+def log_levy_density(t, s):
+    """``levy_density`` in logs, so no power of t or s leaves float range;
+    -inf where the exponent t^2/(4s) itself does."""
+    log_q = 2.0 * math.log(t) - math.log(4.0 * s)
+    if log_q > 709.0:
+        return -math.inf
+    return (math.log(t) - 0.5 * math.log(4.0 * math.pi) - 1.5 * math.log(s)
+            - math.exp(log_q))
+
+
 def plain_log_zolotarev_density(alpha, v):
     """``_log_zolotarev_density`` without its floor: exp(-E0 s) is left to
     underflow, in the same row blocks, so each row's sum has the reference
@@ -229,6 +239,28 @@ class TestDensity:
         w = v ** -alpha  # the series in w gives f(v) = alpha phi(w) w / v
         right = alpha * _tail_density_dw(alpha, np.array([w]))[0] * w / v
         assert math.isclose(left, right, rel_tol=1e-6)
+
+    @pytest.mark.parametrize("t, s", [(1e-200, 1e-300), (1e200, 1e300),
+                                      (1.5e-154, 10.0)])
+    def test_scale_past_float_range(self, t, s):
+        # t^2 is 1e-400 or 1e400 at alpha = 1/2, or s / t^2 overflows: the
+        # scale enters in logs
+        got = density(StableSubordinator(0.5, t), s)
+        assert math.isclose(got, math.exp(log_levy_density(t, s)), rel_tol=1e-12)
+
+    @given(st.floats(min_value=-300.0, max_value=300.0),
+           st.floats(min_value=-1.0, max_value=150.0))
+    @settings(max_examples=200, deadline=None)
+    @example(-200.0, 100.0)
+    def test_levy_for_every_scale(self, log10_t, log10_v):
+        # s = v t^2, over scales t^2 in and past float range
+        log10_s = log10_v + 2.0 * log10_t
+        assume(-300.0 < log10_s < 300.0)
+        t, s = 10.0 ** log10_t, 10.0 ** log10_s
+        want = log_levy_density(t, s)
+        assume(abs(want) < 700.0)
+        got = density(StableSubordinator(0.5, t), s)
+        assert math.isclose(got, math.exp(want), rel_tol=1e-12)
 
     def test_zero_below_support(self):
         sub = StableSubordinator(0.7, 1.0)
@@ -1236,6 +1268,13 @@ class TestLawRule:
         # the logs a kernel sums in are the logs of the nodes and weights
         assert np.array_equal(rule.log_v, np.log(rule.v))
         assert np.array_equal(rule.log_w, np.log(rule.w))
+
+    def test_point_mass_is_one_node(self):
+        # alpha = 1: the point mass at 1 on the standard law, exactly
+        rule = _law_rule(1.0)
+        assert rule.v.tolist() == [1.0] and rule.w.tolist() == [1.0]
+        assert rule.log_v.tolist() == [0.0] and rule.log_w.tolist() == [0.0]
+        assert rule.certified_error == 0.0
 
     def test_half_certifies_to_rounding(self):
         # alpha = 1/2 weights come from the general density path

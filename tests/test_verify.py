@@ -1,5 +1,6 @@
 import importlib
 import importlib.resources as resources
+import itertools
 import json
 import math
 import pkgutil
@@ -26,6 +27,7 @@ from subharnack.bounds import (
 from subharnack.semigroup import (
     _subordinated_apply_memo,
     Constant,
+    ExpAffine,
     GaussBump,
     Indicator,
     ShiftedForLog,
@@ -72,18 +74,39 @@ class TestProfiles:
         assert ok and profile.epsilon == 0.0 and profile.H_value == 1.0
 
     def test_ou_power_profile(self):
+        # OU (K = +1) takes the heat kernel's profile
+        _, ok = power_profile(ou1d(), 1.2, 1.0)
+        assert not ok
         profile, ok = power_profile(ou1d(), 2.0, 1.0)
-        assert ok and profile.epsilon == 1.0
-        assert math.isclose(profile.H_value, 1.0)  # p rho^2 / (2(p-1))
+        assert ok and profile.epsilon == 0.0 and profile.H_value == 1.0
 
     def test_log_profiles(self):
-        assert math.isclose(log_profile(gauss_heat(1), 1.0).H_value, 0.25)
-        assert math.isclose(log_profile(ou1d(), 1.0).H_value, 0.5)
+        for base in (gauss_heat(1), ou1d()):
+            profile = log_profile(base, 1.0)
+            assert profile.epsilon == 0.0 and profile.H_value == 0.25
 
-    def test_ou_envelope_dominates_exact_rate(self):
-        # 1/(1 - e^(-2t)) <= 1 + 1/t for every t > 0
-        for t in (0.01, 0.1, 0.5, 1.0, 5.0, 50.0):
-            assert 1.0 / -math.expm1(-2.0 * t) <= 1.0 + 1.0 / t + 1e-12
+    def test_ou_sharp_rate_under_the_profile(self):
+        # at K = +1 the exponent is the sharp Gaussian-shift one,
+        # p rho^2 e^(-2t) / (2(p-1)(1 - e^(-2t))), and 1/(e^(2t) - 1) <= 1/(2t)
+        # puts it under the heat kernel's exponent and H / t with H = rho^2
+        for p, t in itertools.product((4.0 / 3.0, 1.5, 2.0, 4.0),
+                                      (0.01, 0.1, 0.5, 1.0, 5.0, 50.0)):
+            expo = base_harnack_exponent(p, ou1d().curvature_K, t, 1.0)
+            sharp = p * math.exp(-2.0 * t) / (2.0 * (p - 1.0) * -math.expm1(-2.0 * t))
+            assert math.isclose(expo, sharp, rel_tol=1e-14)
+            # at p = 4/3 the heat exponent is 1/t up to rounding
+            assert expo <= base_harnack_exponent(p, 0.0, t, 1.0) <= (1 + 1e-15) / t
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+    @pytest.mark.parametrize("t", [0.1, 1.0, 2.0])
+    @pytest.mark.parametrize("x, y", [(0.0, 1.0), (0.3, -0.7)])
+    def test_ou_extremal_exp_affine_is_tight(self, p, t, x, y):
+        # f^(p-1) proportional to q_x/q_y is Hoelder's equality case: the
+        # OU base inequality holds with equality at the sharp exponent
+        lam = math.exp(-t) * (x - y) / ((p - 1.0) * -math.expm1(-2.0 * t))
+        rep = check_base_harnack(ou1d(), p, t, [x], [y], ExpAffine(lam), SPEC)
+        assert rep.status == "holds"
+        assert abs(rep.log_rhs - rep.log_lhs) <= 1e-9
 
 
 class TestPasses:
@@ -440,25 +463,25 @@ class TestPointPairs:
 
 
 def coupling_cost(m):
-    """int_0^1 H(Q_m(u), Q_0(u)) du for H(a, b) = (a - b)^2/2, with Q_m the
+    """int_0^1 H(Q_m(u), Q_0(u)) du for H(a, b) = (a - b)^2/4, with Q_m the
     quantile function of N(m, 1): the quantile-coupling transport cost,
     by adaptive quadrature over ndtri."""
-    val, _ = quad(lambda u: 0.5 * ((m + ndtri(u)) - ndtri(u)) ** 2, 0.0, 1.0,
+    val, _ = quad(lambda u: 0.25 * ((m + ndtri(u)) - ndtri(u)) ** 2, 0.0, 1.0,
                   epsabs=0.0, epsrel=1e-13)
     return val
 
 
 class TestWasserstein:
-    """The entropy-cost check takes the transport cost in closed form,
-    m^2/2: the quantile coupling of N(m, 1) and N(0, 1) moves every
-    quantile by m."""
+    """The entropy-cost check takes the transport cost of the log profile's
+    H(a, b) = (a - b)^2/4 in closed form, m^2/4: the quantile coupling of
+    N(m, 1) and N(0, 1) moves every quantile by m."""
 
     def test_shifted_gaussian_quadratic_cost(self):
         alpha, t = 0.75, 1.0
         profile = log_profile(ou1d(), 0.0)
         for m in (0.1, 0.25, 0.4, 0.5, 1.0):
             cost = coupling_cost(m)
-            assert math.isclose(cost, 0.5 * m * m, rel_tol=1e-12)
+            assert math.isclose(cost, 0.25 * m * m, rel_tol=1e-12)
             rep = check_entropy_cost(ou1d(), StableSubordinator(alpha, t), m, SPEC)
             want = log_harnack_term(alpha, profile.kappa, profile.epsilon, cost, t)
             assert math.isclose(rep.rhs, want, rel_tol=1e-12)
