@@ -158,6 +158,9 @@ def _kanter_log_a(theta, alpha, sin=np.sin, log=np.log):
 
 
 _TAIL_SWITCH = 5.0  # above this the large-argument series is used
+# log k! for k = 1..128; the tail series stops by k = 32 at every alpha in
+# (0, 1), and past the table its indexing raises IndexError
+_LOG_FACTORIAL = gammaln(np.arange(2.0, 130.0))
 
 
 def _tail_density_dw(alpha, w):
@@ -168,11 +171,12 @@ def _tail_density_dw(alpha, w):
     as a power series in w, (1/(pi alpha)) sum_k (same coefficients) w^(k-1),
     with as many terms as its largest point needs: 16, doubled until the
     last is negligible there. Each coefficient is computed once, by
-    ``gammaln`` on its orders alpha k + 1 and k + 1, positive by
-    construction."""
+    ``gammaln`` on its order alpha k + 1, positive by construction, and
+    ``_LOG_FACTORIAL``; the power series is summed by Horner's rule in
+    place, as ``polyval`` sums it, bit for bit."""
     log_w = math.log(max(float(np.max(w)), 1e-300))
     k = np.arange(1, 17)
-    log_coef = gammaln(alpha * k + 1.0) - gammaln(k + 1.0)
+    log_coef = gammaln(alpha * k + 1.0) - _LOG_FACTORIAL[k - 1]
     while True:
         # stop once the last term is negligible at the largest w
         at_max = log_coef + (k - 1) * log_w
@@ -180,11 +184,16 @@ def _tail_density_dw(alpha, w):
             break
         more = k + len(k)
         log_coef = np.concatenate(
-            (log_coef, gammaln(alpha * more + 1.0) - gammaln(more + 1.0)))
+            (log_coef, gammaln(alpha * more + 1.0) - _LOG_FACTORIAL[more - 1]))
         k = np.concatenate((k, more))
     coef = np.exp(log_coef) * np.sin(math.pi * alpha * k)
     coef[1::2] = -coef[1::2]
-    return np.polynomial.polynomial.polyval(w, coef) / (math.pi * alpha)
+    acc = np.full(w.shape, coef[-1])
+    for c in coef[-2::-1].tolist():
+        acc *= w
+        acc += c
+    acc /= math.pi * alpha
+    return acc
 
 
 # The Zolotarev-Kanter integral below the tail switch runs over theta in

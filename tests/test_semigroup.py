@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
-from subharnack import subordinator
+from subharnack import semigroup, subordinator
 from subharnack.semigroup import (
     _as_point,
     _checked_pair,
@@ -219,19 +219,25 @@ class TestApply:
         assert abs(rule - closed) <= tol.rel_tol * abs(closed) + tol.abs_tol
 
     def test_rule_resolves_feature_narrower_than_sigma(self):
-        # log(1 + bump) has no closed form; at sigma ~ 986.88 the bump is a
-        # spike the adaptive path over the +-12 sigma window can step over
+        # at sigma ~ 986.88 the bump is a spike the adaptive path over the
+        # +-12 sigma window could step over; the fixed rule's panels break
+        # at the bump's own scale. apply takes the bump's series instead,
+        # and never reaches the rule
         mp = pytest.importorskip("mpmath")
         s = 486961.6867990451
         sigma = math.sqrt(2.0 * s)
         f = ShiftedForLog(GaussBump(0.0, 1.0), 1.0).log()
+        rule = float(_gauss_expectation_rule(f, 0.0, sigma))
+        before = _gauss_quad_memo.cache_info()
         got = apply(gauss_heat(1), f, s, [0.0])
+        assert _gauss_quad_memo.cache_info() == before
         with mp.workdps(30):
             ref = mp.quad(
                 lambda y: mp.log(1 + mp.exp(-y * y / 2)) * mp.npdf(y, 0, sigma),
                 [-40, -12, -4, -1, 0, 1, 4, 12, 40])
         assert math.isclose(float(ref), 7.75322248700086e-4, rel_tol=1e-12)
-        assert math.isclose(got, float(ref), rel_tol=1e-12)
+        assert math.isclose(rule, float(ref), rel_tol=1e-12)
+        assert math.isclose(got, float(ref), rel_tol=1e-14)
 
     def test_power_closure_consistent(self):
         # f.pow(p) must agree with pointwise f(y)**p under the kernel
@@ -256,6 +262,93 @@ class TestApply:
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError):
             apply(gauss_heat(1), Constant(1.0), 0.0, [0.0], SPEC)
+
+
+# (m, sigma, floor, center, width), sigma from 1e-3 to 300
+LOG_BUMP_POINTS = [
+    (0.0, 1e-3, 1.0, 0.0, 1.0),
+    (2.9, 0.05, 1.5, -1.0, 0.7),
+    (0.5, 0.3, 1.0, 0.0, 0.4),
+    (2.0, 1.0, 2.0, -0.5, 1.5),
+    (-1.0, 10.0, 1.0, 0.3, 0.2),
+    (1.5, 30.0, 1.0, -0.2, 2.5),
+    (0.3, 300.0, 3.0, 1.0, 3.0),
+]
+
+
+class TestLogBumpSeries:
+    """E log(floor + bump(m + sigma Z)) as the accelerated series of the
+    bump's closed powers."""
+
+    @given(st.sampled_from([gauss_heat(1), ou1d()]),
+           st.floats(min_value=-3.0, max_value=3.0),
+           st.floats(min_value=-3.0, max_value=4.0),
+           st.floats(min_value=1.0, max_value=4.0),
+           st.floats(min_value=-1.0, max_value=1.0),
+           st.floats(min_value=0.2, max_value=3.0))
+    @settings(max_examples=300, deadline=None)
+    def test_series_matches_the_rule(self, base, x, log_sigma, floor, center,
+                                     width):
+        # sigma = 10^log_sigma for the heat kernel; OU's scale at the same
+        # time s stays below one
+        s = 0.5 * (10.0 ** log_sigma) ** 2
+        f = ShiftedForLog(GaussBump(center, width), floor).log()
+        got = apply(base, f, s, [x])
+        rule = float(_gauss_expectation_rule(f, *base.mean_sigma(s, x)))
+        # the rule evaluates log(floor + bump) in floats, which loses a
+        # bump below an ulp of floor: the absolute floor allows for that
+        assert abs(got - rule) <= 1e-13 * abs(rule) + ULP
+
+    @pytest.mark.parametrize("point", LOG_BUMP_POINTS)
+    def test_series_against_mpmath(self, point):
+        mp = pytest.importorskip("mpmath")
+        m, sigma, floor, center, width = point
+        f = ShiftedForLog(GaussBump(center, width), floor).log()
+        got = f.gauss_expect(m, sigma)
+        with mp.workdps(40):
+            knots = {m - 40 * sigma, m + 40 * sigma}
+            knots.update(center + width * k for k in (-30, -12, -4, -1, 0, 1, 4, 12, 30)
+                         if abs(center + width * k - m) < 40 * sigma)
+            ref = mp.quad(lambda y: (mp.log(floor + mp.exp(-(y - center) ** 2
+                                                           / (2 * width ** 2)))
+                                     * mp.npdf(y, m, sigma)), sorted(knots))
+        assert math.isclose(got, float(ref), rel_tol=1e-14)
+
+    @pytest.mark.parametrize("sigma", [0.0, 1e-300, 1e-12])
+    @pytest.mark.parametrize("m, floor", [(0.0, 1.0), (0.0, 2.5), (0.7, 1.0),
+                                          (-2.0, 1.3), (9.0, 1.0)])
+    def test_no_spread_is_the_value_at_the_mean(self, m, floor, sigma):
+        # log(floor + bump(m)), as log floor + log1p(u) so that a u below
+        # an ulp (bump(9) = 3.3e-28) is kept; u = 1 at m = center and
+        # floor = 1, the series at its slowest, gives log 2
+        bump = GaussBump(0.0, 0.8)
+        got = ShiftedForLog(bump, floor).log().gauss_expect(m, sigma)
+        want = math.log(floor) + math.log1p(float(bump(m)) / floor)
+        assert math.isclose(got, want, rel_tol=1e-14)
+
+    def test_weights_are_correctly_rounded(self):
+        # Algorithm 1 of Cohen, Rodriguez Villegas and Zagier at 50 digits
+        mp = pytest.importorskip("mpmath")
+        n = semigroup._LOG1P_WEIGHTS.size
+        with mp.workdps(50):
+            d = (3 + mp.sqrt(8)) ** n
+            d = (d + 1 / d) / 2
+            b, c = mp.mpf(-1), -d
+            for k in range(n):
+                c = b - c
+                want = c / (d * (k + 1))
+                got = semigroup._LOG1P_WEIGHTS[k]
+                assert abs(got - want) <= 0.5 * math.ulp(got)
+                b = b * (k + n) * (k - n) / ((k + mp.mpf(0.5)) * (k + 1))
+
+    def test_floats_and_arrays_agree_bit_for_bit(self):
+        f = ShiftedForLog(GaussBump(0.2, 0.6), 1.5).log()
+        for base in (gauss_heat(1), ou1d()):
+            m, sigma = nodes_mean_sigma(base, StableSubordinator(0.7, 1.0), 0.4)
+            on_arrays = f.gauss_expect(m, sigma, np)
+            per_node = [f.gauss_expect(mi, si)
+                        for mi, si in zip(m.tolist(), sigma.tolist())]
+            assert on_arrays.tolist() == per_node
 
 
 class TestTestFunctions:
@@ -781,6 +874,7 @@ CLOSED_FUNCTIONS = [
     ShiftedForLog(GaussBump(0.0, 1.0)),
     ShiftedForLog(Indicator(-1.0, 1.0)).log(),
     ShiftedForLog(Constant(1.0)).log(),
+    ShiftedForLog(GaussBump(0.0, 0.4)).log(),
 ]
 
 # (m, sigma) pairs on both sides of that branch for every clipped ExpAffine

@@ -1289,28 +1289,45 @@ class TestLawRule:
     def test_tail_series_coefficients_are_computed_once(self, alpha):
         # the same terms, and so the same bits, as doubling the coefficient
         # array from scratch until the last term is negligible
-        def reference(alpha, w):
-            log_w = math.log(max(float(np.max(w)), 1e-300))
-            n = 16
-            while True:
-                k = np.arange(1, n + 1)
-                log_coef = log_gamma(alpha * k + 1.0) - log_gamma(k + 1.0)
-                at_max = log_coef + (k - 1) * log_w
-                if at_max[-1] < at_max.max() + math.log(1e-18):
-                    break
-                n *= 2
-            coef = np.exp(log_coef) * np.sin(math.pi * alpha * k)
-            coef[1::2] = -coef[1::2]
-            return np.polynomial.polynomial.polyval(w, coef) / (math.pi * alpha)
-
         top = _TAIL_SWITCH ** -alpha
         for w in (np.linspace(0.0, top, 33), np.array([top]), np.array([1e-3])):
-            assert np.array_equal(_tail_density_dw(alpha, w), reference(alpha, w))
+            assert np.array_equal(_tail_density_dw(alpha, w),
+                                  reference_tail_density_dw(alpha, w))
+
+    @pytest.mark.parametrize("alpha", np.linspace(0.05, 0.99, 48).tolist())
+    def test_tail_series_horner_in_place_is_polyval(self, alpha):
+        # the in-place Horner pass and the log k! table give polyval's sum
+        # of gammaln's coefficients byte for byte, on a grid of [0, 5^-alpha]
+        # as long as the law rule's 176 tail nodes and at points drawn over it
+        top = _TAIL_SWITCH ** -alpha
+        drawn = np.random.default_rng(11).uniform(0.0, top, 257)
+        for w in (np.linspace(0.0, top, 176), drawn, np.array([top]),
+                  np.array([0.0])):
+            got = _tail_density_dw(alpha, w)
+            assert got.tobytes() == reference_tail_density_dw(alpha, w).tobytes()
 
     def test_extra_breaks_is_gone(self):
         with pytest.raises(TypeError):
             integrate_against(lambda s: 1.0, StableSubordinator(0.7, 1.0), SPEC,
                               extra_breaks=(0.25,))
+
+
+def reference_tail_density_dw(alpha, w):
+    """The tail series as first written: the coefficient array doubled from
+    scratch until the last term is negligible at the largest w, log k! by
+    ``log_gamma``, and the power series summed by ``polyval``."""
+    log_w = math.log(max(float(np.max(w)), 1e-300))
+    n = 16
+    while True:
+        k = np.arange(1, n + 1)
+        log_coef = log_gamma(alpha * k + 1.0) - log_gamma(k + 1.0)
+        at_max = log_coef + (k - 1) * log_w
+        if at_max[-1] < at_max.max() + math.log(1e-18):
+            break
+        n *= 2
+    coef = np.exp(log_coef) * np.sin(math.pi * alpha * k)
+    coef[1::2] = -coef[1::2]
+    return np.polynomial.polynomial.polyval(w, coef) / (math.pi * alpha)
 
 
 def test_mcspec_fields():
