@@ -384,7 +384,9 @@ class _LogOf(TestFunction):
     inner: ShiftedForLog
 
     def __call__(self, y):
-        return np.log(self.inner(y))
+        # log1p keeps a base value below half an ulp of the floor
+        floor = self.inner.floor
+        return math.log(floor) + np.log1p(self.inner.base(y) / floor)
 
     def breakpoints(self):
         return self.inner.breakpoints()
@@ -435,7 +437,12 @@ def kernel_density(base, s, x, y):
 def _checked_pair(base, x, y):
     """Check the points x and y against the kernel's dimension and return
     (x, y, rho_sq): each point as a float where d = 1 and a float array
-    otherwise, and |x - y|^2 summed from the left, as np.sum sums <= 3 terms."""
+    otherwise, and |x - y|^2 summed from the left, as np.sum sums <= 3 terms.
+    A pair of Python floats at d = 1 (what this returns) is taken as
+    already checked; every other form takes ``_as_point``, so the accepted
+    and refused points and the bits returned are the same either way."""
+    if base.d == 1 and type(x) is float and type(y) is float:
+        return x, y, 0.0 + (y - x) * (y - x)
     x, y = _as_point(x, base.d), _as_point(y, base.d)
     rho_sq = 0.0
     for a, b in zip(x.tolist(), y.tolist()):
@@ -532,8 +539,11 @@ def apply(base, f, s, x, spec=QuadratureSpec()):
 def _first_coordinate(base, f, x):
     """Check f and the point x for P_s f(x) and return x's first
     coordinate as a float; f must be a TestFunction, and constant unless
-    d = 1."""
+    d = 1. A Python float at d = 1 is taken as already checked; every
+    other form takes ``_as_point``, with the same points accepted."""
     _check_test_function(f)
+    if base.d == 1 and type(x) is float:
+        return x
     x = _as_point(x, base.d)
     if base.d != 1 and not f.constant:
         raise ValueError("non-constant test functions are supported for d = 1 only")

@@ -1,4 +1,5 @@
 import math
+import struct
 import tracemalloc
 import warnings
 from dataclasses import dataclass
@@ -13,9 +14,11 @@ from subharnack import semigroup, subordinator
 from subharnack.semigroup import (
     _as_point,
     _checked_pair,
+    _first_coordinate,
     _gauss_expectation_rule,
     _gauss_quad_memo,
     _kernel_density_at,
+    _log_shifted_bump_expect,
     _subordinated_apply_memo,
     BaseKernel,
     Constant,
@@ -156,6 +159,28 @@ COORDINATES = st.one_of(
     st.floats(min_value=-10.0, max_value=10.0),
 )
 
+# every float, with the edges named: signed zeros, infinities, nan, the
+# subnormals and the largest magnitudes
+EVERY_FLOAT = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                     2.2e-308, -2.2e-308, 1e308, -1e308]),
+)
+
+
+def d1_point_forms(v):
+    """The float v in every form a d = 1 point may take."""
+    forms = [v, np.float64(v), [v], (v,), np.array(v), np.array([v])]
+    negative_zero = v == 0.0 and math.copysign(1.0, v) < 0.0
+    if math.isfinite(v) and v == int(v) and not negative_zero:
+        forms.append(int(v))  # int(-0.0) is 0, which reads as +0.0
+    return forms
+
+
+def float_bits(v):
+    assert type(v) is float
+    return struct.pack("<d", v)
+
 
 class TestCheckedPair:
     @given(st.integers(1, 3).flatmap(lambda d: st.tuples(
@@ -174,6 +199,36 @@ class TestCheckedPair:
             assert (got_x, got_y) == (x[0], y[0]) and type(got_x) is float
         else:
             assert got_x.tolist() == x and got_y.tolist() == y
+
+    @given(EVERY_FLOAT, EVERY_FLOAT)
+    @settings(max_examples=300, deadline=None)
+    def test_every_d1_form_gives_the_float_bits(self, x, y):
+        # a pair of floats is taken as checked; every other form takes the
+        # numpy path, and both give the same floats, bit for bit
+        base, f = gauss_heat(1), GaussBump(0.0, 1.0)
+        want = [float_bits(v) for v in _checked_pair(base, x, y)]
+        assert want[:2] == [float_bits(x), float_bits(y)]
+        for fx in d1_point_forms(x):
+            assert float_bits(_first_coordinate(base, f, fx)) == want[0]
+            for fy in d1_point_forms(y):
+                got = [float_bits(v) for v in _checked_pair(base, fx, fy)]
+                assert got == want
+
+    @pytest.mark.parametrize("d, point", [
+        (2, 0.5), (3, -0.0), (2, math.nan), (1, [[0.0]]), (1, [0.0, 1.0]),
+    ])
+    def test_float_path_refuses_what_numpy_refuses(self, d, point):
+        base, good = gauss_heat(d), [0.0] * d
+        for x, y in ((point, point), (point, good), (good, point)):
+            with pytest.raises(ValueError, match="dimension"):
+                _checked_pair(base, x, y)
+        with pytest.raises(ValueError, match="dimension"):
+            _first_coordinate(base, Constant(1.0), point)
+
+    @pytest.mark.parametrize("d, point", [(1, 0.5), (2, 0.5), (1, [[0.0]])])
+    def test_plain_callable_is_refused_before_the_point(self, d, point):
+        with pytest.raises(TypeError, match="TestFunction"):
+            _first_coordinate(gauss_heat(d), lambda y: y, point)
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("point", [
@@ -295,9 +350,26 @@ class TestLogBumpSeries:
         f = ShiftedForLog(GaussBump(center, width), floor).log()
         got = apply(base, f, s, [x])
         rule = float(_gauss_expectation_rule(f, *base.mean_sigma(s, x)))
-        # the rule evaluates log(floor + bump) in floats, which loses a
-        # bump below an ulp of floor: the absolute floor allows for that
+        # a value far below an ulp of floor is resolved by the rule's fixed
+        # panels to only ~4e-12 relative (3.7e-12 at heat, x = -2, sigma =
+        # 0.1, bump (1, 0.203125), floor 1, value 6.7e-39, where the series
+        # is within 4e-15 of the closed E[bump]): the absolute floor allows
+        # for that
         assert abs(got - rule) <= 1e-13 * abs(rule) + ULP
+
+    @pytest.mark.parametrize("center, width, m, sigma", [
+        (-1.0, 0.2, 3.0, 1e-3),  # 1.3908e-87
+        (0.0, 1.0, 9.0, 0.01),  # 2.5871e-18
+    ])
+    def test_rule_keeps_a_bump_below_half_an_ulp_of_the_floor(
+            self, center, width, m, sigma):
+        # the rule's integrand is log floor + log1p(bump / floor), so a
+        # bump that floor + bump would round away still counts
+        bump = GaussBump(center, width)
+        want = float(_log_shifted_bump_expect(bump, 1.0, m, sigma))
+        got = float(_gauss_expectation_rule(ShiftedForLog(bump).log(), m, sigma))
+        assert 0.0 < want < 0.5 * ULP
+        assert math.isclose(got, want, rel_tol=1e-12)
 
     @pytest.mark.parametrize("point", LOG_BUMP_POINTS)
     def test_series_against_mpmath(self, point):

@@ -17,7 +17,7 @@ from scipy.integrate import quad
 from scipy.special import ndtri
 
 import subharnack
-from subharnack import subordinator, verify
+from subharnack import semigroup, subordinator, verify
 from subharnack.bounds import (
     STATUSES,
     BoundReport,
@@ -749,6 +749,28 @@ class TestRunSweep:
         assert second.currsize == first.currsize > 0
         assert second.misses >= second.currsize
         assert _law_rule.cache_info().misses > 0
+
+    def test_default_sweep_checks_each_d1_point_once(self, clear_memos,
+                                                     monkeypatch):
+        # a d = 1 point is checked once, in _checked_pair, and passed on as
+        # a float that apply and subordinated_apply take as checked; the 40
+        # numpy checks left are the ondiag_rate entries' np.zeros(d) pairs
+        # and their Poisson-kernel oracle (1,224 when every call re-checked)
+        text = resources.files("subharnack").joinpath(
+            "data/default_sweep.json").read_text()
+        config = SweepConfig.from_dict(json.loads(text))
+        as_point, calls = semigroup._as_point, [0]
+
+        def counted(x, d):
+            calls[0] += 1
+            return as_point(x, d)
+
+        monkeypatch.setattr(semigroup, "_as_point", counted)
+        clear_memos()
+        for _ in ("cold", "warm"):
+            calls[0] = 0
+            run_sweep(config)
+            assert calls[0] == 40
 
     def test_clear_memos_empties_every_memo(self):
         # a memo missing from MEMOS would let the second of two runs in one
