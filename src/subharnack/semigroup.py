@@ -1,12 +1,10 @@
 """Concrete base semigroups and their stable-time-changed versions.
 
-Two base models: the Gaussian heat kernel on R^d (generator the
-Laplacian, K = 0) and the 1-d Ornstein-Uhlenbeck semigroup (generator
-Laplacian minus x.grad, standard Gaussian invariant measure, K = +1),
-with K the Bakry-Emery curvature bound Ric >= K. Both transition laws
-are Gaussian, so P_s f reduces to a Gaussian expectation with closed
-forms for the shipped test-function family; the time change integrates
-P_s against the subordinator law.
+The bases are one Gaussian family in the rate K of the Bakry-Emery bound
+Ric >= K (``BaseKernel``), the heat kernel on R^d at K = 0 and the 1-d
+Ornstein-Uhlenbeck semigroup at K = 1, and each kernel formula below is
+one formula in K. P_s f is a Gaussian expectation, closed for the shipped
+test functions; the time change integrates it against the subordinator law.
 
 P_s f is defined for a ``TestFunction`` f only: its closed Gaussian
 expectation where it has one, and otherwise one fixed Gauss-Legendre
@@ -53,17 +51,20 @@ _MAX_DIM = 3
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LOG_4 = math.log(4.0)
 _LOG_4PI = math.log(4.0 * math.pi)
+_RATES = {"gauss_heat": 0.0, "ou1d": 1.0}  # each kind's K
+_RATE_CUT = 40.0  # past |log 2Ks| = 40, 1 - e^(-2Ks) is 2Ks or 1 in floats
 
 
 @dataclass(frozen=True)
 class BaseKernel:
-    """A base Markov semigroup: 'gauss_heat' on R^d or 'ou1d'."""
+    """A base semigroup of rate K, generator Laplacian minus K x.grad:
+    'gauss_heat' on R^d (K = 0) or 'ou1d' (K = 1, d = 1)."""
 
     kind: str
     d: int = 1
 
     def __post_init__(self):
-        if self.kind not in ("gauss_heat", "ou1d"):
+        if self.kind not in _RATES:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "ou1d" and self.d != 1:
             raise ValueError("ou1d is one-dimensional")
@@ -72,18 +73,17 @@ class BaseKernel:
 
     @property
     def curvature_K(self):
-        """K of the Bakry-Emery bound Ric >= K: 0 for the heat kernel, +1
-        for OU, whose generator Laplacian minus x.grad has curvature 1."""
-        return 0.0 if self.kind == "gauss_heat" else 1.0
+        """K of the Bakry-Emery bound Ric >= K, the rate of the drift."""
+        return _RATES[self.kind]
 
     def mean_sigma(self, s, x, xp=math):
-        """Per-coordinate Gaussian transition parameters at time s from x,
-        a float coordinate or a float array of coordinates. ``xp`` is the
-        module whose exp, expm1 and sqrt it uses: ``math`` for a float s,
-        ``numpy`` for an array of times."""
-        if self.kind == "gauss_heat":
+        """Mean e^(-Ks) x and standard deviation sqrt((1 - e^(-2Ks)) / K)
+        (sqrt(2s) at K = 0) per coordinate at time s from x, a float or an
+        array; ``xp`` is ``math`` for a float s, ``numpy`` for an array."""
+        K = self.curvature_K
+        if K == 0.0:
             return x, xp.sqrt(2.0 * s)
-        return xp.exp(-s) * x, xp.sqrt(-xp.expm1(-2.0 * s))
+        return xp.exp(-K * s) * x, xp.sqrt(-xp.expm1(-2.0 * K * s) / K)
 
 
 def gauss_heat(d=1):
@@ -431,7 +431,7 @@ def kernel_density(base, s, x, y):
     """Transition density p_s(x, y) of the base kernel."""
     if s <= 0.0:
         raise ValueError(f"s must be > 0, got {s!r}")
-    return _kernel_density_at(base, s, *_checked_pair(base, x, y))
+    return _kernel_density_at(base, s, *_checked_pair(base, x, y)[:2])
 
 
 def _checked_pair(base, x, y):
@@ -450,20 +450,17 @@ def _checked_pair(base, x, y):
     return (x.item(), y.item(), rho_sq) if base.d == 1 else (x, y, rho_sq)
 
 
-def _kernel_density_at(base, s, x0, y0, rho_sq, xp=math):
+def _kernel_density_at(base, s, x0, y0, xp=math):
     """p_s(x, y) = (2 pi sigma^2)^(-d/2) exp(-q / (2 sigma^2)) at s > 0 and
-    points as ``_checked_pair`` returns them: q is rho_sq for the heat
-    kernel and (y0 - m_s(x0))^2 for OU (d = 1). A float s in plain
-    ``math``; with ``xp=numpy``, an array of times at once (the subordinated
-    density's integrand over all the nodes of its rule)."""
+    points as ``_checked_pair`` returns them, q = |y0 - m_s(x0)|^2 summed
+    from the left (rho_sq's bits at K = 0). A float s in plain ``math``;
+    with ``xp=numpy``, an array of times, and at d = 1 of points y0 too."""
     m, sigma = base.mean_sigma(s, x0, xp)
-    if base.kind == "gauss_heat":
-        q = rho_sq
-    else:
-        q = (y0 - m) * (y0 - m)
-    return (2.0 * math.pi * sigma ** 2) ** (-0.5 * base.d) * xp.exp(
-        -q / (2.0 * sigma ** 2)
-    )
+    q = (y0 - m) * (y0 - m)
+    if base.d > 1:
+        q = sum(q.tolist(), 0.0)
+    var = sigma ** 2
+    return (2.0 * math.pi * var) ** (-0.5 * base.d) * xp.exp(-q / (2.0 * var))
 
 
 # the fixed rule: Gauss-Legendre nodes and weights mapped to [0, 1], and
@@ -615,34 +612,47 @@ def subordinated_density(base, sub, x, y, spec=QuadratureSpec()):
 
     The integral is the fixed law rule for alpha in (0, 1], certified when
     built to 1e-12 relative against the law's closed forms; ``spec`` does
-    not set its accuracy. OU's kernel is evaluated on all the rule's nodes
-    s (``integrate_against``). The heat kernel is one sum in logs over the
-    rule's v_i and w_i, with the scale as l = log t / alpha: (4 pi)^(-d/2)
-    e^(-d l/2) times sum_i exp(log w_i - (d/2) log v_i - (rho^2/4) e^(-l)
-    / v_i). So the diagonal serves every t (inf past float range), and off
-    it a t where (rho^2/4) e^(-l) passes float range raises ValueError.
+    not set its accuracy. For every K it is one sum in logs over the
+    rule's v_i and w_i, with l = log t / alpha and no s_i = e^l v_i formed:
+    with L_i = log(sigma_i^2 / 2), q_i = |y - e^(-K s_i) x|^2 and lam
+    taken out of L_i, (4 pi e^lam)^(-d/2) sum_i exp(log w_i - (d/2)(L_i -
+    lam) - exp(log q_i - log 4 - L_i)). At K = 0 (the 0/0 limit) lam = l,
+    L_i - lam = log v_i and q_i = rho^2; for K > 0 (d = 1), lam = L_0, the
+    smallest node's, so no term passes 1, and as t grows lam is -log 2K,
+    the stationary variance's, exactly. The diagonal serves every t
+    (inf past float range); a t where a q_i / (2 sigma_i^2) does raises
+    ValueError.
     Resolved range: at alpha = 1/2 within ~4e-13 of the Poisson kernel for
     |x - y| up to 50 t (d = 1, 2, 3); far past that the kernel's mass lies
     beyond the rule's largest node (6.2e14 at alpha = 1/2), and at d = 1,
-    |x - y| = 1 the value is 3.5% high at t = 1e-7, 63% low at 1e-8 and 0
-    from 1e-10."""
+    |x - y| = 1 the heat value is 3.5% high at t = 1e-7, 63% low at 1e-8
+    and 0 from 1e-10 (OU's, from x = 0, is 74% low at 1e-8)."""
     x0, y0, rho_sq = _checked_pair(base, x, y)
-    if base.kind != "gauss_heat":
-        return integrate_against(
-            _OnArrays(lambda s: _kernel_density_at(base, s, x0, y0, rho_sq, np)), sub)
     rule = _law_rule(sub.alpha)
     ell = math.log(sub.t) / sub.alpha
-    log_terms = rule.log_w - 0.5 * base.d * rule.log_v
-    if rho_sq > 0.0:
-        c = _exp_or_inf(math.log(rho_sq) - _LOG_4 - ell)
-        if c == math.inf:
-            raise ValueError(f"rho^2 / (4 t^(1/alpha)) is past float range at "
-                             f"t={sub.t!r}, alpha={sub.alpha!r}")
-        log_terms -= c / rule.v
+    K, c = base.curvature_K, None
+    if K == 0.0:
+        lam, log_rel = ell, rule.log_v  # log_rel = L_i - lam
+        if rho_sq > 0.0:
+            c = _exp_or_inf(math.log(rho_sq) - _LOG_4 - ell) / rule.v
+    else:  # d = 1; log_kv = log(K sigma_i^2), 2K s_i formed within e^(+-40)
+        log_2ks = (math.log(2.0 * K) + ell) + rule.log_v
+        two_ks = np.exp(np.clip(log_2ks, -_RATE_CUT, _RATE_CUT))
+        log_kv = np.where(log_2ks > -_RATE_CUT, np.log(-np.expm1(-two_ks)), log_2ks)
+        q = y0 - np.exp(-0.5 * two_ks) * x0
+        with np.errstate(divide="ignore", over="ignore"):
+            c = np.exp(np.log(q * q) + math.log(0.5 * K) - log_kv)
+        lam, log_rel = log_kv[0] - math.log(2.0 * K), log_kv - log_kv[0]
+    log_terms = rule.log_w - 0.5 * base.d * log_rel
+    if c is not None:
+        if c[0] == math.inf:  # at the smallest node first, where q_i = rho^2
+            raise ValueError(f"|y - m_s(x)|^2 / (2 sigma_s^2) is past float "
+                             f"range at t={sub.t!r}, alpha={sub.alpha!r}")
+        log_terms -= c
     total = float(np.exp(log_terms, out=log_terms).sum())
     # a product of two floats, within an ulp or two, where the factor is a
     # normal float; past that in logs, so a value past float range is inf
-    log_scale = -0.5 * base.d * (_LOG_4PI + ell)
+    log_scale = -0.5 * base.d * (_LOG_4PI + lam)
     if abs(log_scale) < _LOG_HUGE:
         return total * math.exp(log_scale)
     return _exp_or_inf(math.log(total) + log_scale) if total > 0.0 else 0.0
@@ -668,10 +678,7 @@ def cauchy_closed_form(d, t, x, y):
 
 
 def ondiag(base, sub, x, spec=QuadratureSpec()):
-    """On-diagonal value of the time-changed heat kernel,
-    (4 pi)^(-d/2) e^(-d l/2) sum_i w_i v_i^(-d/2), l = log t / alpha, summed
-    in logs (``subordinated_density``), so right for every t and inf past
-    float range."""
-    if base.kind != "gauss_heat":
-        raise ValueError("ondiag is defined for the heat kernel base")
+    """On-diagonal value p_t(x, x) of the time-changed kernel of any base,
+    ``subordinated_density``'s sum in logs at y = x: right for every t, inf
+    past float range; at K = 0, (4 pi e^l)^(-d/2) sum_i w_i v_i^(-d/2)."""
     return subordinated_density(base, sub, x, x, spec)

@@ -13,16 +13,11 @@ No check integrates adaptively: the entropy checks sum over z by one
 fixed rule (``_z_rule``), and ``entropy_cost`` takes its transport cost
 in closed form.
 
-Harnack profiles (kappa = 1 throughout), one for both concrete bases,
-with K the curvature bound Ric >= K:
-
-* heat kernel on R^d (K = 0): power profile H = rho^2, eps = 0, valid
-  for p >= 4/3 (so that the true exponent p*rho^2/(4(p-1)t) is dominated
-  by H * t^(-1)); log profile H = rho^2/4, eps = 0, the p -> infinity
-  limit of the base exponent.
-* 1-d Ornstein-Uhlenbeck (K = +1): the sharp exponent
-  p*rho^2/(2(p-1)(e^(2t) - 1)) is at most the heat kernel's, since
-  1/(e^(2t) - 1) <= 1/(2t), so OU takes the same two profiles.
+Harnack profiles (kappa = 1 throughout), one for every base of rate K >= 0
+(Ric >= K): the sharp exponent p K rho^2 / (2(p-1)(e^(2Kt) - 1)) is at
+most its K = 0 value p rho^2 / (4(p-1)t), which H/t dominates for the
+power profile H = rho^2, eps = 0 at p >= 4/3; the log profile H = rho^2/4,
+eps = 0 is its p -> infinity limit.
 """
 
 import itertools
@@ -98,11 +93,8 @@ _TOL_MULT = 10.0
 
 
 def power_profile(base, p, rho_sq):
-    """(H, eps, kappa) instance of the base power-Harnack hypothesis,
-    H = rho^2 and eps = 0 for both bases.
-
-    Returns (profile, in_domain); the profile is only valid for p >= 4/3.
-    """
+    """(H, eps, kappa) instance of the base power-Harnack hypothesis, H =
+    rho^2 and eps = 0 for every base, and in_domain: whether p >= 4/3."""
     return HarnackProfile(kappa=1.0, epsilon=0.0, H_value=rho_sq), p >= 4.0 / 3.0
 
 
@@ -354,7 +346,7 @@ def check_entropy_kernel(base, sub, x, y, spec=QuadratureSpec()):
     def q(x0):
         # Lebesgue density of the time-changed OU kernel from x0 at every z
         return np.maximum(_on_z(sub, lambda s, zb: _kernel_density_at(
-            base, s, x0, zb, None, np), z), 1e-300)
+            base, s, x0, zb, np), z), 1e-300)
 
     qx, qy = q(x), q(y)
     lhs = float(wz @ (qx * np.log(qx / qy)))
@@ -381,17 +373,17 @@ def check_entropy_cost(base, sub, shift, spec=QuadratureSpec()):
     if base.kind != "ou1d":
         raise ValueError("the entropy-cost check requires the OU base")
     m = float(shift)
-    t = sub.t
     z, wz = _z_rule(-_Z_PAD - abs(m), _Z_PAD + abs(m))
-    g = _on_z(sub, lambda s, zb: np.exp(m * np.exp(-s) * zb
-                                        - 0.5 * m * m * np.exp(-2.0 * s)), z)
+    # P_s g(z) = exp(m_s z - m_s^2/2), with m_s the kernel's mean from m
+    g = _on_z(sub, lambda s, zb: np.exp(
+        (m_s := base.mean_sigma(s, m, np)[0]) * zb - 0.5 * m_s * m_s), z)
     phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
     lhs = float(wz @ (phi * g * np.log(np.maximum(g, 1e-300))))
     profile = log_profile(base, m * m)
     w_cost = profile.H_value
-    rhs = log_harnack_term(sub.alpha, profile.kappa, profile.epsilon, w_cost, t)
+    rhs = log_harnack_term(sub.alpha, profile.kappa, profile.epsilon, w_cost, sub.t)
     params = {"check": "entropy_cost", "alpha": sub.alpha, "kappa": profile.kappa,
-              "t": t, "x": m, "y": 0.0, "f": "gaussian-shift"}
+              "t": sub.t, "x": m, "y": 0.0, "f": "gaussian-shift"}
     return _report(lhs, rhs, "quadrature", f"W_H={w_cost:.12g}", spec.rel_tol,
                    params)
 

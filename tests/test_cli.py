@@ -234,6 +234,16 @@ class TestKernel:
         assert code == 0
         assert math.isclose(float(out), 1.0 / (math.pi * 1e160), rel_tol=1e-12)
 
+    def test_ou_past_scale_float_range_is_stationary(self, capsys):
+        # the scale t^2 is past float range; OU's density is then the
+        # standard normal density at y
+        code, out, _ = run_cli(capsys, "kernel", "--base", "ou1d",
+                               "--alpha", "0.5", "--t", "1e160",
+                               "--x", "0", "--y", "0.5")
+        assert code == 0
+        want = math.exp(-0.125) / math.sqrt(2.0 * math.pi)
+        assert math.isclose(float(out), want, rel_tol=1e-12)
+
     def test_off_diagonal_past_float_range_exit_1(self, capsys):
         # rho^2 / (4 t^2) is past float range at t = 1e-200
         code, out, err = run_cli(capsys, "kernel", "--alpha", "0.5",

@@ -557,9 +557,11 @@ class TestSubordinated:
             v = ondiag(gauss_heat(1), StableSubordinator(0.5, t), [0.0], SPEC)
             assert math.isclose(v, 1.0 / (math.pi * t), rel_tol=1e-8)
 
-    def test_ondiag_rejects_ou(self):
-        with pytest.raises(ValueError):
-            ondiag(ou1d(), StableSubordinator(0.5, 1.0), [0.0], SPEC)
+    def test_ondiag_serves_ou(self):
+        sub = StableSubordinator(0.5, 1.0)
+        for x in (0.0, 0.7, -2.0):
+            assert (ondiag(ou1d(), sub, [x], SPEC)
+                    == subordinated_density(ou1d(), sub, [x], [x], SPEC))
 
     @pytest.mark.parametrize("base, x, y", [
         (gauss_heat(1), [0.2], [1.1]),
@@ -576,11 +578,14 @@ class TestSubordinated:
             return reference_kernel_density(base, s, x, y)
 
         want = integrate_against(reference, sub, SPEC)
-        point = _checked_pair(base, x, y)
+        point = _checked_pair(base, x, y)[:2]
         got = subordinated_density(base, sub, x, y, SPEC)
-        # the same arithmetic: the array kernel summed over the same rule
-        assert got == integrate_against(
-            _OnArrays(lambda s: _kernel_density_at(base, s, *point, np)), sub, SPEC)
+        if base.curvature_K == 0.0:
+            # the heat kernel's log-sum is the same arithmetic as the array
+            # kernel summed over the same rule
+            assert got == integrate_against(
+                _OnArrays(lambda s: _kernel_density_at(base, s, *point, np)),
+                sub, SPEC)
         # numpy's vectorised exp, expm1 and power may differ from libm's by
         # an ulp, so the array kernel is within a few ulp of the reference;
         # at a node exp's condition number, |log p|, scales an ulp of
@@ -685,6 +690,60 @@ class TestSubordinated:
         assert math.isclose(a, b, rel_tol=1e-10)
 
 
+def std_normal_density(y):
+    return math.exp(-0.5 * y * y) / math.sqrt(2.0 * math.pi)
+
+
+class TestOUDensity:
+    """OU's density is the heat kernel's log-sum with OU's variance at each
+    node: oracles at both ends of t, and the kernel node by node."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @pytest.mark.parametrize("x", [0.0, 0.7])
+    def test_diagonal_at_tiny_t_is_the_poisson_diagonal(self, x):
+        # at s <= t^2 = 1e-400 OU is the heat kernel, whose diagonal at
+        # alpha = 1/2 is 1/(pi t)
+        sub = StableSubordinator(0.5, 1e-200)
+        for got in (ondiag(ou1d(), sub, [x], SPEC),
+                    subordinated_density(ou1d(), sub, [x], [x], SPEC)):
+            assert math.isclose(got, 1.0 / (math.pi * 1e-200), rel_tol=1e-12)
+        # at alpha = 0.3 the diagonal, about 1e333, is past float range
+        assert ondiag(ou1d(), StableSubordinator(0.3, 1e-200), [x], SPEC) == math.inf
+
+    @pytest.mark.parametrize("t", [1e50, 1e160, 1e300])
+    @pytest.mark.parametrize("y", [0.0, 0.5, 2.0])
+    def test_large_t_is_the_stationary_density(self, t, y):
+        for alpha in (0.5, 0.3):
+            got = subordinated_density(ou1d(), StableSubordinator(alpha, t),
+                                       [1.0], [y], SPEC)
+            assert math.isclose(got, std_normal_density(y), rel_tol=1e-12)
+
+    def test_off_diagonal_past_float_range_raises(self):
+        # |y - x|^2 / (2 sigma^2) at the rule's smallest nodes is past float
+        # range: refused, as for the heat kernel
+        with pytest.raises(ValueError, match=r"t=1e-200, alpha=0\.5"):
+            subordinated_density(ou1d(), StableSubordinator(0.5, 1e-200),
+                                 [0.0], [1.0], SPEC)
+
+    @given(st.floats(min_value=0.3, max_value=0.95),
+           st.floats(min_value=math.log(1e-3), max_value=math.log(1e3)),
+           st.floats(min_value=-2.0, max_value=2.0),
+           st.floats(min_value=-2.0, max_value=2.0))
+    @settings(max_examples=100, deadline=None)
+    def test_log_sum_is_the_kernel_integrated_node_by_node(self, alpha, log_t,
+                                                           x, y):
+        sub = StableSubordinator(alpha, math.exp(log_t))
+        want = integrate_against(
+            lambda s: reference_kernel_density(ou1d(), s, x, y), sub, SPEC)
+        got = subordinated_density(ou1d(), sub, [x], [y], SPEC)
+        assert math.isclose(got, want, rel_tol=1e-14)
+
+
 def test_cauchy_closed_form_values():
     # d = 1 diagonal: 1/(pi t); d = 3 diagonal: Gamma(2)/pi^2 * t^-3
     assert math.isclose(cauchy_closed_form(1, 2.0, [0.0], [0.0]),
@@ -778,7 +837,7 @@ class TestPointMassThroughTheRule:
         # a plain h and an array h alike are h(t), bit for bit
         want = apply(base, f, t, x)
         assert integrate_against(lambda s: apply(base, f, s, x), sub) == want
-        point = _checked_pair(base, x, y)
+        point = _checked_pair(base, x, y)[:2]
 
         def on_arrays(s):
             return _kernel_density_at(base, s, *point, np)
@@ -788,7 +847,7 @@ class TestPointMassThroughTheRule:
         # P_s f on arrays of times against P_t f at one time
         got = subordinated_apply(base, sub, f, x)
         assert abs(got - want) <= 4 * math.ulp(want)
-        # the heat kernel's log-sum over the one node against p_t(x, y)
+        # the kernel's log-sum over the one node against p_t(x, y)
         value = kernel_density(base, t, x, y)
         got = subordinated_density(base, sub, x, y)
         assert abs(got - value) <= 1e-14 * (1.0 + abs(math.log(value))) * value
@@ -796,8 +855,16 @@ class TestPointMassThroughTheRule:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("t", [1e-3, 0.37, 1.0, 25.0, 1e3])
     def test_ondiag_is_the_heat_diagonal(self, d, t):
-        got = ondiag(gauss_heat(d), StableSubordinator(1.0, t), [0.0] * d)
+        sub = StableSubordinator(1.0, t)
+        got = ondiag(gauss_heat(d), sub, [0.0] * d)
         assert math.isclose(got, (4.0 * math.pi * t) ** (-0.5 * d), rel_tol=1e-14)
+        if d == 1:
+            # OU from x back to x: mean e^-t x, variance 1 - e^-2t
+            var = -math.expm1(-2.0 * t)
+            for x in (0.0, 0.7, -2.0):
+                want = (2.0 * math.pi * var) ** -0.5 * math.exp(
+                    -x * x * math.expm1(-t) ** 2 / (2.0 * var))
+                assert math.isclose(ondiag(ou1d(), sub, [x]), want, rel_tol=1e-14)
 
 
 class TestSubordinatedApplyMemo:
