@@ -44,7 +44,7 @@ print("\non-diagonal decay of the time-changed heat kernel (d=1):")
 heat = gauss_heat(1)
 for alpha in (0.5, 0.7, 1.0):
     ts = (0.1, 1.0, 10.0)
-    vals = [ondiag(heat, StableSubordinator(alpha, t), [0.0], spec)
+    vals = [ondiag(heat, StableSubordinator(alpha, t), [0.0])
             for t in ts]
     slope = (math.log(vals[-1]) - math.log(vals[0])) / (
         math.log(ts[-1]) - math.log(ts[0]))

@@ -31,7 +31,7 @@ only; callers take the exp at the edge.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -85,35 +85,44 @@ STATUSES = ("holds", "violated", "out_of_domain", "non_converged")
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One inequality check: sides, slack, verdict and provenance.
+    """One inequality check: sides, verdict and provenance.
 
     ``status`` is one of ``STATUSES``, set by the check that builds the
     report: ``holds``/``violated`` for an in-domain entry,
     ``out_of_domain`` where the inequality's hypotheses fail, and
-    ``non_converged`` where a series it needs diverges.
+    ``non_converged`` where a series it needs diverges. ``valid_domain``
+    and ``slack`` follow from the status and the two sides.
     """
 
     lhs: float
     rhs: float
-    slack: float
-    valid_domain: bool
     method: str
     status: str
     detail: str = ""
     log_lhs: float = math.nan
     log_rhs: float = math.nan
     params: Optional[dict] = None
+    _KEYS = ("lhs", "rhs", "slack", "valid_domain", "method", "status",
+             "detail", "log_lhs", "log_rhs")  # not a field: no annotation
 
     def __post_init__(self):
         if self.status not in STATUSES:
             raise ValueError(f"status must be one of {STATUSES}, got {self.status!r}")
 
+    @property
+    def valid_domain(self):
+        """Whether both sides were evaluated: status holds or violated."""
+        return self.status in ("holds", "violated")
+
+    @property
+    def slack(self):
+        """rhs - lhs, or nan for an entry that was not evaluated."""
+        return self.rhs - self.lhs if self.valid_domain else math.nan
+
     def to_dict(self):
-        """Every field in order, with no ``params`` key where it is None."""
-        d = {f.name: _json_float(getattr(self, f.name)) for f in fields(self)}
-        if self.params is None:
-            del d["params"]
-        else:
+        """The keys of ``_KEYS`` in order, then ``params`` unless it is None."""
+        d = {k: _json_float(getattr(self, k)) for k in self._KEYS}
+        if self.params is not None:
             d["params"] = dict(self.params)
         return d
 

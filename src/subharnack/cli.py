@@ -50,10 +50,6 @@ def _fmt_log(log_v):
     return f"{m}e{int(exponent) + int(e):+d}"
 
 
-_THREADS_HELP = ("accepted and ignored, as is SUBHARNACK_THREADS: "
-                 "sweeps run serially")
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="subharnack",
@@ -107,7 +103,6 @@ def _build_parser():
     p.add_argument("--check", required=True, choices=list(KNOWN_CHECKS))
     p.add_argument("--config", required=True,
                    help="JSON sweep config restricted to this check")
-    p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
 
     p = sub.add_parser("sweep", help="run the full verification sweep")
     p.add_argument("--config", required=True)
@@ -116,7 +111,6 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=None,
                    help="overrides the config's seed, which seeds the "
                         "laplace_mc Monte Carlo streams")
-    p.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     return parser
 
 

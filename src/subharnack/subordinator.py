@@ -87,7 +87,8 @@ class QuadratureSpec:
     read: as the exponential-moment series tolerance, and as the checks'
     verdict band lhs <= rhs * (1 + 10 * rel_tol). No routine integrates
     adaptively, so ``abs_tol`` and ``max_subdivisions`` are validated but
-    not read; they stay because sweep configs and the benchmark set them.
+    not read; they stay because the benchmark's ``SPEC`` and the sweep
+    JSON's ``quadrature`` block set them.
     """
 
     rel_tol: float = 1e-10
@@ -359,7 +360,7 @@ def _standard_density(alpha, v):
     return float(np.exp(log_val))
 
 
-def density(sub, s, spec=QuadratureSpec()):
+def density(sub, s):
     """Density of mu_t at s > 0 (alpha < 1 only).
 
     By self-similarity, the standard density at v = s / c divided by c,
@@ -367,8 +368,8 @@ def density(sub, s, spec=QuadratureSpec()):
     is a normal float and v finite that is the arithmetic; past that
     (t = 1e-200 or 1e200 at alpha = 1/2, or s = 10 at t = 1.5e-154) c
     enters only as l = log t / alpha: v as log s - l, and the result as
-    exp(log f(v) - l), inf past float range. ``spec`` does not affect the
-    value: the Zolotarev integral is summed by a fixed theta rule.
+    exp(log f(v) - l), inf past float range. The Zolotarev integral is
+    summed by a fixed theta rule.
     """
     if sub.degenerate:
         raise ValueError("alpha = 1 is the point mass at t and has no density")
@@ -986,8 +987,8 @@ def integrate_against(h, sub, spec=QuadratureSpec()):
     of ``_law_rule(alpha)`` on the standard law (336-384 nodes for alpha
     in [0.5, 0.97], up to 1,200 at alpha = 0.1), laid out as above and
     certified when built to 1e-12 relative against the closed-form
-    Laplace transform and fractional moments. ``spec`` does not set its
-    accuracy; it stays in the signature for the callers. h should vary on
+    Laplace transform and fractional moments. ``spec`` is not read;
+    acceptance criterion 01 and the benchmark pass it. h should vary on
     the scale of the panels (about one unit of log s) or slower. Known
     limit: near the exponential-moment radius h = exp(delta/s) grows into
     the far left tail faster than that, and at 0.99 of the radius

@@ -115,18 +115,10 @@ def _report(lhs, rhs, method, detail, rel_tol, params, log_rhs=None):
     is inf."""
     if log_rhs is None:
         log_rhs = math.log(rhs) if rhs > 0 else -math.inf
-    return BoundReport(
-        lhs=lhs,
-        rhs=rhs,
-        slack=rhs - lhs,
-        valid_domain=True,
-        method=method,
-        status=_verdict(lhs, rhs, rel_tol),
-        detail=detail,
-        log_lhs=math.log(lhs) if lhs > 0 else -math.inf,
-        log_rhs=log_rhs,
-        params=params,
-    )
+    return BoundReport(lhs=lhs, rhs=rhs, method=method,
+                       status=_verdict(lhs, rhs, rel_tol), detail=detail,
+                       log_lhs=math.log(lhs) if lhs > 0 else -math.inf,
+                       log_rhs=log_rhs, params=params)
 
 
 def _power_report(P, f, p, x, y, log_factor, method, detail, rel_tol, params):
@@ -152,10 +144,8 @@ def _params(x, y, f):
 def _unchecked(status, method, detail, params):
     """Report of an entry whose inequality was not evaluated: ``status``
     is ``out_of_domain`` or ``non_converged``."""
-    return BoundReport(lhs=math.inf, rhs=math.inf, slack=math.nan,
-                       valid_domain=False, method=method, status=status,
-                       detail=detail, log_lhs=math.inf, log_rhs=math.inf,
-                       params=params)
+    return BoundReport(lhs=math.inf, rhs=math.inf, method=method, status=status,
+                       detail=detail, log_lhs=math.inf, log_rhs=math.inf, params=params)
 
 
 def passes(report, rel_tol):
@@ -169,7 +159,7 @@ def check_base_harnack(base, p, t, x, y, f, spec=QuadratureSpec()):
     """(P_t f(x))^p <= exp(base exponent) * P_t f^p(y)."""
     x, y, rho_sq = _checked_pair(base, x, y)
     expo = base_harnack_exponent(p, base.curvature_K, t, rho_sq)
-    return _power_report(lambda g, z: apply(base, g, t, z, spec), f, p, x, y,
+    return _power_report(lambda g, z: apply(base, g, t, z), f, p, x, y,
                          expo, "quadrature", "", spec.rel_tol,
                          {"check": "base_harnack", "p": p, "t": t,
                           **_params(x, y, f)})
@@ -264,9 +254,8 @@ def check_log_harnack(base, sub, x, y, f, spec=QuadratureSpec()):
     rhs = math.log(subordinated_apply(base, sub, f, y, spec)) + term
     params = {"check": "log_harnack", "alpha": sub.alpha, "kappa": profile.kappa,
               "t": sub.t, **_params(x, y, f)}
-    # both sides can be negative; report raw values, the slack carries the check
-    return BoundReport(lhs=lhs, rhs=rhs, slack=rhs - lhs, valid_domain=True,
-                       method="quadrature",
+    # the inequality is additive, so the report carries no log sides
+    return BoundReport(lhs=lhs, rhs=rhs, method="quadrature",
                        status=_verdict(lhs, rhs, spec.rel_tol),
                        detail=f"additive term={term:.12g}", params=params)
 
@@ -279,12 +268,10 @@ def check_ondiag_rate(d, alpha, ts, spec=QuadratureSpec()):
     are additionally checked against the Poisson-kernel diagonal to
     relative 1e-6.
     """
-    ts = sorted(float(t) for t in ts)
-    if len(ts) < 3 or ts[-1] / ts[0] < 99.0:
-        raise ValueError("need a t-grid spanning at least two decades")
+    ts = _rate_grid(ts, "ts")
     base = gauss_heat(d)
     x = np.zeros(d)
-    vals = [ondiag(base, StableSubordinator(alpha, t), x, spec) for t in ts]
+    vals = [ondiag(base, StableSubordinator(alpha, t), x) for t in ts]
     slope, intercept = np.polyfit(np.log(ts), np.log(vals), 1)
     target = -d / (2.0 * alpha)
     rel_slope_err = abs(slope - target) / abs(target)
@@ -298,9 +285,19 @@ def check_ondiag_rate(d, alpha, ts, spec=QuadratureSpec()):
     err, tol, which = max(metrics, key=lambda m: m[0] / m[1])
     params = {"check": "ondiag_rate", "alpha": alpha, "d": d,
               "t": ts[0], "f": "", "criterion": which}
-    return BoundReport(lhs=err, rhs=tol, slack=tol - err, valid_domain=True,
-                       method="quadrature", status=_verdict(err, tol, spec.rel_tol),
+    return BoundReport(lhs=err, rhs=tol, method="quadrature",
+                       status=_verdict(err, tol, spec.rel_tol),
                        detail=detail, params=params)
+
+
+def _rate_grid(ts, name):
+    """ts sorted: three or more positive finite times over two decades."""
+    ts = sorted(map(float, ts))
+    if (len(ts) < 3 or not all(0.0 < t < math.inf for t in ts)
+            or ts[-1] / ts[0] < 99.0):
+        raise ValueError(f"{name}: need a t-grid of three or more positive "
+                         f"finite times spanning at least two decades")
+    return ts
 
 
 # The entropy checks' z integrals: one fixed composite 16-point
@@ -416,8 +413,8 @@ def check_laplace_mc(sub, x_probe, mc):
     params = {"check": "laplace_mc", "alpha": sub.alpha, "t": sub.t,
               "x": x_probe, "f": ""}
     # no quadrature error to allow for: the band is the 4-SE band itself
-    return BoundReport(lhs=err, rhs=band, slack=band - err, valid_domain=True,
-                       method="monte-carlo", status=_verdict(err, band, 0.0),
+    return BoundReport(lhs=err, rhs=band, method="monte-carlo",
+                       status=_verdict(err, band, 0.0),
                        detail=f"mean={mean:.12g} exact={exact:.12g} se={se:.3g}",
                        params=params)
 
@@ -536,18 +533,24 @@ class SweepConfig:
         for name in ("alphas", "ts", "ps", "point_pairs", "functions"):
             if not getattr(self, name):
                 raise ValueError(f"{name}: must be non-empty")
-        for a in self.alphas:
-            if not (0.0 < a <= 1.0):
-                raise ValueError(f"alphas: {a!r} outside (0, 1]")
-        for p in self.ps:
-            if p <= 1.0:
-                raise ValueError(f"ps: {p!r} must be > 1")
+        for name, ok, need in (("alphas", lambda a: 0.0 < a <= 1.0, "in (0, 1]"),
+                               ("ps", lambda p: p > 1.0, "> 1"),
+                               ("ts", lambda t: 0.0 < t < math.inf, "in (0, inf)")):
+            bad = [v for v in getattr(self, name) if not ok(v)]
+            if bad:
+                raise ValueError(f"config.{name}: {bad} must be {need}")
         if "laplace_mc" in self.checks and self.mc is None:
             raise ValueError("laplace_mc requires the mc block")
         one_d = {"entropy_kernel", "entropy_cost"}.intersection(self.checks)
         if one_d and self.base.d != 1:
             raise ValueError(f"checks: {sorted(one_d)} run the 1-d OU kernel "
                              f"on the point pairs and need base d = 1")
+        heat = {"prop13", "ondiag_rate"}.intersection(self.checks)
+        if heat and self.base.kind != "gauss_heat":
+            raise ValueError(f"checks: {sorted(heat)} run on the heat kernel "
+                             f"and need base kind gauss_heat")
+        if "ondiag_rate" in self.checks:
+            _rate_grid(self.rate_ts, "config.rate_ts")
 
     @classmethod
     def from_dict(cls, d):
@@ -585,13 +588,22 @@ def _read_pair(pair, d, path):
 @dataclass
 class SweepReport:
     entries: list
-    summary: dict
-    worst_slack: float
+
+    @property
+    def summary(self):
+        """The number of entries of each status, every status named."""
+        return {s: sum(e.status == s for e in self.entries) for s in STATUSES}
+
+    @property
+    def worst_slack(self):
+        """The least finite slack, inf where no entry has one."""
+        return min((s for e in self.entries if math.isfinite(s := e.slack)),
+                   default=math.inf)
 
     def to_dict(self):
         return {
             "entries": [e.to_dict() for e in self.entries],
-            "summary": dict(self.summary),
+            "summary": self.summary,
             "worst_slack": _json_float(self.worst_slack),
         }
 
@@ -603,15 +615,9 @@ class SweepReport:
 def run_sweep(config, threads=1):
     """Run every configured check over its grid, serially in the order of
     ``_SWEEP``; the report depends on the config alone. ``threads`` is
-    accepted and ignored: the checks hold the interpreter lock, so a
-    thread pool made the sweep slower."""
+    not read (the checks hold the interpreter lock, so a thread pool made
+    the sweep slower); acceptance criterion 11 passes it."""
     config.validate()
-    entries = [build(config, *point)
-               for name, axes, build in _SWEEP if name in config.checks
-               for point in itertools.product(*axes(config))]
-    summary = dict.fromkeys(STATUSES, 0)
-    for e in entries:
-        summary[e.status] += 1
-    worst = min((e.slack for e in entries
-                 if e.valid_domain and math.isfinite(e.slack)), default=math.inf)
-    return SweepReport(entries=entries, summary=summary, worst_slack=worst)
+    return SweepReport([build(config, *point)
+                        for name, axes, build in _SWEEP if name in config.checks
+                        for point in itertools.product(*axes(config))])

@@ -286,17 +286,14 @@ class TestTransferFactor:
 class TestBoundReport:
     def test_status_is_one_of_four(self):
         for status in ("holds", "violated", "out_of_domain", "non_converged"):
-            rep = BoundReport(lhs=3.0, rhs=2.0, slack=-1.0, valid_domain=True,
-                              method="m", status=status)
+            rep = BoundReport(lhs=3.0, rhs=2.0, method="m", status=status)
             assert rep.to_dict()["status"] == status
         for status in ("ok", "", None):
             with pytest.raises(ValueError, match="status"):
-                BoundReport(lhs=1.0, rhs=2.0, slack=1.0, valid_domain=True,
-                            method="m", status=status)
+                BoundReport(lhs=1.0, rhs=2.0, method="m", status=status)
 
     def test_to_dict_keeps_field_order(self):
-        rep = BoundReport(lhs=1.0, rhs=2.0, slack=1.0, valid_domain=True,
-                          method="m", status="holds")
+        rep = BoundReport(lhs=1.0, rhs=2.0, method="m", status="holds")
         assert list(rep.to_dict()) == ["lhs", "rhs", "slack", "valid_domain",
                                        "method", "status", "detail", "log_lhs",
                                        "log_rhs"]
@@ -308,8 +305,7 @@ class TestBoundReport:
     def test_to_dict_is_json_safe(self):
         import json
 
-        rep = BoundReport(lhs=math.inf, rhs=math.nan, slack=math.inf,
-                          valid_domain=False, method="m",
+        rep = BoundReport(lhs=math.inf, rhs=math.nan, method="m",
                           status="out_of_domain")
         text = json.dumps(rep.to_dict(), allow_nan=False)
         assert "inf" in text and "nan" in text

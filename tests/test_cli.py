@@ -8,7 +8,6 @@ import pytest
 
 from subharnack.cli import parse_and_dispatch
 from subharnack.subordinator import StableSubordinator, exp_moment
-from subharnack.bounds import STATUSES
 from subharnack.verify import SweepReport, _report, _unchecked
 
 # the exponential-moment series tolerance loosened a little: CLI smoke
@@ -68,6 +67,10 @@ class TestDensity:
          "--rel-tol", "1e-8"],
         ["kernel", "--alpha", "0.5", "--t", "1", "--x", "0", "--y", "0",
          "--abs-tol", "1e-11"],
+        # sweeps run serially; no worker count is read
+        ["sweep", "--config", "sweep.json", "--threads", "2"],
+        ["verify", "--check", "base_harnack", "--config", "sweep.json",
+         "--threads", "2"],
     ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
     def test_tolerance_flags_nothing_reads_are_rejected(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)
@@ -268,14 +271,10 @@ class TestVerify:
     def test_line_status_agrees_with_exit_code(self, capsys, config_path,
                                                monkeypatch, lhs, status, code):
         # the config's rel_tol is 1e-8, so the band is rhs * (1 + 1e-7)
-        def fake_run_sweep(config, threads=1):
-            entry = _report(lhs, 1.0, "closed_form", "",
-                            config.quadrature.rel_tol, {"check": "base_harnack"})
-            summary = {"holds": 0, "violated": 0, "out_of_domain": 0,
-                       "non_converged": 0}
-            summary[entry.status] += 1
-            return SweepReport(entries=[entry], summary=summary,
-                               worst_slack=entry.slack)
+        def fake_run_sweep(config):
+            return SweepReport([_report(lhs, 1.0, "closed_form", "",
+                                        config.quadrature.rel_tol,
+                                        {"check": "base_harnack"})])
 
         monkeypatch.setattr("subharnack.cli.run_sweep", fake_run_sweep)
         got, out, _ = run_cli(capsys, "verify", "--check", "base_harnack",
@@ -287,12 +286,9 @@ class TestVerify:
     @pytest.mark.parametrize("status", ["out_of_domain", "non_converged"])
     def test_unchecked_entry_prints_its_status(self, capsys, config_path,
                                               monkeypatch, status):
-        def fake_run_sweep(config, threads=1):
-            entry = _unchecked(status, "series", "", {"check": "base_harnack"})
-            summary = dict.fromkeys(STATUSES, 0)
-            summary[status] = 1
-            return SweepReport(entries=[entry], summary=summary,
-                               worst_slack=math.inf)
+        def fake_run_sweep(config):
+            return SweepReport([_unchecked(status, "series", "",
+                                           {"check": "base_harnack"})])
 
         monkeypatch.setattr("subharnack.cli.run_sweep", fake_run_sweep)
         code, out, _ = run_cli(capsys, "verify", "--check", "base_harnack",
@@ -372,6 +368,23 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "--config", str(path))
         assert code == 1
         assert "unknown" in err
+
+    @pytest.mark.parametrize("change, path", [
+        ({"base": {"kind": "ou1d"}, "checks": ["prop13"]}, "checks: ['prop13']"),
+        ({"base": {"kind": "ou1d"}, "checks": ["ondiag_rate"]},
+         "checks: ['ondiag_rate']"),
+        ({"ts": [-1.0]}, "config.ts"),
+        ({"checks": ["ondiag_rate"], "rate_ts": [1, 2, 3]}, "config.rate_ts"),
+    ])
+    def test_config_a_check_would_abort_on_exit_1(self, capsys, tmp_path,
+                                                  change, path):
+        d = small_config_dict()
+        d.update(change)
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(d))
+        code, out, err = run_cli(capsys, "sweep", "--config", str(config))
+        assert (code, out) == (1, "")
+        assert path in err
 
     def test_one_monte_carlo_draw_exit_1(self, capsys, tmp_path):
         # a standard error needs two draws

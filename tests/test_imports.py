@@ -1,11 +1,14 @@
-"""Every name a subharnack module imports is used in that module, and
-every private top-level helper is named somewhere in the package.
+"""Every name a subharnack module imports is used in that module, every
+private top-level helper is named somewhere in the package, and every
+parameter of a module-level function is read by it.
 
 No linter ships with the test extra, so this parses each module with
 ``ast``: an imported name that never appears as a name elsewhere in its
 module fails, and so does a private top-level function or class that no
-module names outside its own definition, unless the allow-lists below
-say why it stays.
+module names outside its own definition, and a parameter of a top-level
+function that its body never names, unless the allow-lists below say why
+it stays. Methods are exempt: they implement ``TestFunction``'s
+interface.
 """
 
 import ast
@@ -31,6 +34,23 @@ ALLOWED = {
 
 # (module, name): why the private helper stays although no module names it
 ALLOWED_UNREFERENCED = {}
+
+# (module, function, parameter): why the parameter stays although the
+# function never reads it
+_ONE_PROFILE = ("every base of rate K >= 0 has the same profile; the "
+                "roadmap's Kolmogorov (kappa = 3) and hyperbolic (K < 0) "
+                "bases will read it")
+ALLOWED_UNREAD = {
+    ("subordinator", "integrate_against", "spec"):
+        "acceptance criterion 01 and the benchmark's oracle queries pass it",
+    ("semigroup", "subordinated_apply", "spec"):
+        "acceptance criterion 06 passes it",
+    ("semigroup", "subordinated_density", "spec"):
+        "the benchmark's oracle queries pass it",
+    ("verify", "run_sweep", "threads"): "acceptance criterion 11 passes it",
+    ("verify", "power_profile", "base"): _ONE_PROFILE,
+    ("verify", "log_profile", "base"): _ONE_PROFILE,
+}
 
 # modules whose imports are the package's public names
 REEXPORTS = {"__init__": "the package re-exports the public API"}
@@ -97,3 +117,31 @@ def test_allowed_unreferenced_are_still_unreferenced():
     # an entry for a helper that some module names, or that is gone, is stale
     stale = set(ALLOWED_UNREFERENCED) - _unreferenced()
     assert not stale, f"stale ALLOWED_UNREFERENCED entries: {sorted(stale)}"
+
+
+def _unread_parameters():
+    """(module, function, parameter) of every parameter of a top-level
+    function that the function's body never names."""
+    unread = set()
+    for module in MODULES:
+        for node in _tree(module).body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args,
+                                      *args.kwonlyargs, args.vararg, args.kwarg) if a]
+            named = {n.id for stmt in node.body for n in ast.walk(stmt)
+                     if isinstance(n, ast.Name)}
+            unread.update((module, node.name, p) for p in params if p not in named)
+    return unread
+
+
+def test_no_unread_parameters():
+    unread = _unread_parameters() - set(ALLOWED_UNREAD)
+    assert not unread, f"parameters that nothing reads: {sorted(unread)}"
+
+
+def test_allowed_unread_are_still_unread():
+    # an entry for a parameter the function reads, or that is gone, is stale
+    stale = set(ALLOWED_UNREAD) - _unread_parameters()
+    assert not stale, f"stale ALLOWED_UNREAD entries: {sorted(stale)}"

@@ -300,23 +300,23 @@ class TestApply:
         m, sigma = base.mean_sigma(0.6, 0.1)
         for f in FUNCTIONS:
             for p in (2.0, 3.5):
-                a = apply(base, f.pow(p), 0.6, [0.1], SPEC)
+                a = apply(base, f.pow(p), 0.6, [0.1])
                 b = quad_gauss_expect(lambda y, f=f, p=p: float(f(y)) ** p,
                                       m, sigma, f.breakpoints())
                 assert math.isclose(a, b, rel_tol=1e-8), f.describe()
 
     def test_constant_any_dimension(self):
-        assert apply(gauss_heat(3), Constant(5.0), 1.0, [0, 0, 0], SPEC) == 5.0
+        assert apply(gauss_heat(3), Constant(5.0), 1.0, [0, 0, 0]) == 5.0
 
     def test_contraction(self):
         # P_s is a contraction: sup P_s f <= sup f = 1 for the bump
         f = GaussBump(0.0, 1.0)
         for s in (0.1, 1.0, 10.0):
-            assert apply(gauss_heat(1), f, s, [0.0], SPEC) <= 1.0
+            assert apply(gauss_heat(1), f, s, [0.0]) <= 1.0
 
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError):
-            apply(gauss_heat(1), Constant(1.0), 0.0, [0.0], SPEC)
+            apply(gauss_heat(1), Constant(1.0), 0.0, [0.0])
 
 
 # (m, sigma, floor, center, width), sigma from 1e-3 to 300
@@ -518,7 +518,7 @@ class TestSubordinated:
         f = GaussBump(0.0, 1.0)
         sub = StableSubordinator(1.0, 0.7)
         a = subordinated_apply(gauss_heat(1), sub, f, [0.2], SPEC)
-        b = apply(gauss_heat(1), f, 0.7, [0.2], SPEC)
+        b = apply(gauss_heat(1), f, 0.7, [0.2])
         assert a == b
 
     @pytest.mark.parametrize("base", [gauss_heat(1), ou1d()])
@@ -532,7 +532,7 @@ class TestSubordinated:
         sub = StableSubordinator(0.7, 1.0)
         x = [0.4]
         got = subordinated_apply(base, sub, f, x, SPEC)
-        want = integrate_against(lambda s: apply(base, f, s, x, SPEC), sub, SPEC)
+        want = integrate_against(lambda s: apply(base, f, s, x), sub, SPEC)
         assert math.isclose(got, want, rel_tol=4 * ULP)
 
     def test_subordinated_apply_checks_the_point(self):
@@ -554,13 +554,13 @@ class TestSubordinated:
     def test_ondiag_poisson_value(self):
         # d = 1, alpha = 1/2: p_t(x,x) = 1/(pi t)
         for t in (0.5, 1.0, 2.0):
-            v = ondiag(gauss_heat(1), StableSubordinator(0.5, t), [0.0], SPEC)
+            v = ondiag(gauss_heat(1), StableSubordinator(0.5, t), [0.0])
             assert math.isclose(v, 1.0 / (math.pi * t), rel_tol=1e-8)
 
     def test_ondiag_serves_ou(self):
         sub = StableSubordinator(0.5, 1.0)
         for x in (0.0, 0.7, -2.0):
-            assert (ondiag(ou1d(), sub, [x], SPEC)
+            assert (ondiag(ou1d(), sub, [x])
                     == subordinated_density(ou1d(), sub, [x], [x], SPEC))
 
     @pytest.mark.parametrize("base, x, y", [
@@ -640,7 +640,7 @@ class TestSubordinated:
         sub = StableSubordinator(alpha, math.exp(log_t))
         want = (4.0 * math.pi) ** (-0.5 * d) * math.exp(
             log_fractional_moment(sub, 0.5 * d))
-        got = ondiag(gauss_heat(d), sub, [0.0] * d, SPEC)
+        got = ondiag(gauss_heat(d), sub, [0.0] * d)
         assert math.isclose(got, want, rel_tol=1e-12)
 
     @pytest.mark.parametrize("t", [1e-200, 1e160])
@@ -650,7 +650,7 @@ class TestSubordinated:
         sub = StableSubordinator(0.5, t)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for got in (ondiag(gauss_heat(1), sub, [0.0], SPEC),
+            for got in (ondiag(gauss_heat(1), sub, [0.0]),
                         subordinated_density(gauss_heat(1), sub, [2.0], [2.0],
                                              SPEC)):
                 assert math.isclose(got, cauchy_closed_form(1, t, [0.0], [0.0]),
@@ -664,7 +664,7 @@ class TestSubordinated:
     def test_diagonal_past_float_range(self, d, t, want):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = ondiag(gauss_heat(d), StableSubordinator(0.5, t), [0.0] * d, SPEC)
+            got = ondiag(gauss_heat(d), StableSubordinator(0.5, t), [0.0] * d)
         assert got == want == cauchy_closed_form(d, t, [0.0] * d, [0.0] * d)
 
     def test_off_diagonal_past_float_range_raises(self):
@@ -709,11 +709,11 @@ class TestOUDensity:
         # at s <= t^2 = 1e-400 OU is the heat kernel, whose diagonal at
         # alpha = 1/2 is 1/(pi t)
         sub = StableSubordinator(0.5, 1e-200)
-        for got in (ondiag(ou1d(), sub, [x], SPEC),
+        for got in (ondiag(ou1d(), sub, [x]),
                     subordinated_density(ou1d(), sub, [x], [x], SPEC)):
             assert math.isclose(got, 1.0 / (math.pi * 1e-200), rel_tol=1e-12)
         # at alpha = 0.3 the diagonal, about 1e333, is past float range
-        assert ondiag(ou1d(), StableSubordinator(0.3, 1e-200), [x], SPEC) == math.inf
+        assert ondiag(ou1d(), StableSubordinator(0.3, 1e-200), [x]) == math.inf
 
     @pytest.mark.parametrize("t", [1e50, 1e160, 1e300])
     @pytest.mark.parametrize("y", [0.0, 0.5, 2.0])
@@ -791,7 +791,7 @@ class _MutableBump(TestFunction):
 
 def uncached_subordinated_apply(base, sub, f, x, spec):
     """P_t^alpha f(x) integrated from the public ``apply`` at every node."""
-    return integrate_against(lambda s: apply(base, f, s, x, spec), sub, spec)
+    return integrate_against(lambda s: apply(base, f, s, x), sub, spec)
 
 
 MEMO_FUNCTIONS = [
@@ -938,7 +938,7 @@ class TestSubordinatedApplyMemo:
         self.call(*self.KEY)
         before = _subordinated_apply_memo.cache_info()
         with pytest.raises(TypeError, match="breakpoints"):
-            apply(gauss_heat(1), plain, 0.7, [0.4], SPEC)
+            apply(gauss_heat(1), plain, 0.7, [0.4])
         for alpha in (0.7, 1.0):
             with pytest.raises(TypeError, match="breakpoints"):
                 subordinated_apply(gauss_heat(1), StableSubordinator(alpha, 1.0),
@@ -986,7 +986,7 @@ class _RaisesTypeError(TestFunction):
 
 
 @pytest.mark.parametrize("evaluate", [
-    lambda f: apply(gauss_heat(1), f, 0.7, [0.4], SPEC),
+    lambda f: apply(gauss_heat(1), f, 0.7, [0.4]),
     lambda f: subordinated_apply(gauss_heat(1), StableSubordinator(0.7, 1.0), f,
                                  [0.4], SPEC),
 ], ids=["apply", "subordinated_apply"])

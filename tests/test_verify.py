@@ -48,6 +48,7 @@ from subharnack.subordinator import (
 from subharnack.verify import (
     KNOWN_CHECKS,
     SweepConfig,
+    SweepReport,
     check_base_harnack,
     check_entropy_cost,
     check_entropy_kernel,
@@ -111,14 +112,12 @@ class TestProfiles:
 
 class TestPasses:
     def test_within_tolerance_band(self):
-        rep = BoundReport(lhs=1.0 + 5e-9, rhs=1.0, slack=-5e-9,
-                          valid_domain=True, method="m", status="holds")
+        rep = BoundReport(lhs=1.0 + 5e-9, rhs=1.0, method="m", status="holds")
         assert passes(rep, 1e-9)
         assert not passes(rep, 1e-11)
 
     def test_out_of_domain_always_passes(self):
-        rep = BoundReport(lhs=5.0, rhs=1.0, slack=-4.0, valid_domain=False,
-                          method="m", status="out_of_domain")
+        rep = BoundReport(lhs=5.0, rhs=1.0, method="m", status="out_of_domain")
         assert passes(rep, 1e-12)
 
 
@@ -134,7 +133,7 @@ class TestChecks:
         f = Indicator(-1.0, 1.0)
         rep = check_base_harnack(gauss_heat(1), 2.0, 0.1, [0.0], [12.0], f, SPEC)
         expo = base_harnack_exponent(2.0, 0.0, 0.1, 144.0)
-        rhs_p = apply(gauss_heat(1), f, 0.1, [12.0], SPEC)
+        rhs_p = apply(gauss_heat(1), f, 0.1, [12.0])
         assert expo == 720.0 and 0.0 < rhs_p < 1e-130
         assert rep.status == "holds"
         assert math.isclose(rep.log_rhs, expo + math.log(rhs_p), rel_tol=1e-15)
@@ -677,6 +676,55 @@ def test_config_fields_left_out_take_their_defaults():
                               cfg.point_pairs, cfg.functions, mc=cfg.mc)
 
 
+def _without_checks(**overrides):
+    """small_config with the default checks, all but laplace_mc."""
+    d = small_config(**overrides)
+    del d["checks"]
+    return d
+
+
+@pytest.mark.parametrize("d, path", [
+    # prop13 and ondiag_rate are set up on the heat kernel; ondiag_rate
+    # fitted gauss_heat(d) whatever the base
+    (_without_checks(base={"kind": "ou1d"}), "checks: ['ondiag_rate', 'prop13']"),
+    (small_config(base={"kind": "ou1d"}, checks=["ondiag_rate"]),
+     "checks: ['ondiag_rate']"),
+    (small_config(ts=[-1.0]), "config.ts"),
+    (small_config(ts=[1.0, 0.0]), "config.ts"),
+    (small_config(ts=[1.0, math.inf]), "config.ts"),
+    (small_config(ts=[math.nan]), "config.ts"),
+    # p = nan gave a base_harnack entry 'violated' with lhs nan
+    (small_config(ps=[math.nan]), "config.ps"),
+    (_without_checks(rate_ts=[1, 2, 3]), "config.rate_ts"),
+    (_without_checks(rate_ts=[0.1, 10.0]), "config.rate_ts"),
+    (_without_checks(rate_ts=[-1.0, 1.0, 100.0]), "config.rate_ts"),
+    (_without_checks(rate_ts=[0.1, 1.0, math.inf]), "config.rate_ts"),
+])
+def test_config_a_check_would_abort_on_is_refused(d, path, monkeypatch):
+    # refused by validate, naming the field, before any entry runs: by
+    # from_dict, and by run_sweep for a config that skipped it
+    with pytest.raises(ValueError, match=re.escape(path)):
+        SweepConfig.from_dict(d)
+    with monkeypatch.context() as mp:
+        mp.setattr(SweepConfig, "validate", lambda self: None)
+        cfg = SweepConfig.from_dict(d)
+    ran = []
+    monkeypatch.setattr(verify, "check_base_harnack", lambda *args: ran.append(args))
+    with pytest.raises(ValueError, match=re.escape(path)):
+        run_sweep(cfg)
+    assert ran == []
+
+
+def test_rate_grid_is_one_rule():
+    # check_ondiag_rate refuses the grids that validate refuses
+    with pytest.raises(ValueError, match="two decades"):
+        check_ondiag_rate(1, 0.75, [1, 2, 3], SPEC)
+    with pytest.raises(ValueError, match="positive finite"):
+        check_ondiag_rate(1, 0.75, [-1.0, 1.0, 100.0], SPEC)
+    # rate_ts is read by ondiag_rate alone
+    assert SweepConfig.from_dict(small_config(rate_ts=[1, 2, 3])).rate_ts == (1, 2, 3)
+
+
 class TestSweepConfig:
     def test_round_trip(self):
         cfg = SweepConfig.from_dict(small_config())
@@ -799,6 +847,67 @@ class TestRunSweep:
         text = json.dumps(run_sweep(cfg).to_dict(), allow_nan=False,
                           sort_keys=True)
         json.loads(text)
+
+
+# every check and all four statuses: p = 1.2 is outside the power profile,
+# alpha = 1/2 makes a moment diverge, and two draws give a standard error
+# so rough that at mc seed 3 two laplace_mc means miss their 4-SE band
+FOUR_STATUSES_CONFIG = small_config(
+    alphas=[0.5, 0.75], ts=[0.5, 1.0], ps=[1.2, 2.0], point_pairs=[[0.0, 2.0]],
+    functions=[{"kind": "indicator"}], mc={"n_samples": 2, "seed": 3},
+    checks=list(KNOWN_CHECKS))
+
+
+class TestDerivedFields:
+    def test_each_follows_from_the_fields_that_decide_it(self):
+        report = run_sweep(SweepConfig.from_dict(FOUR_STATUSES_CONFIG))
+        statuses = Counter(e.status for e in report.entries)
+        assert set(statuses) == set(STATUSES)
+        assert {e.params["check"] for e in report.entries} == set(KNOWN_CHECKS)
+        for e in report.entries:
+            assert e.valid_domain == (e.status in {"holds", "violated"})
+            if e.valid_domain:
+                assert e.slack == e.rhs - e.lhs
+            else:
+                assert math.isnan(e.slack)
+            d = e.to_dict()
+            assert (d["valid_domain"], d["slack"]) == (e.valid_domain,
+                                                      verify._json_float(e.slack))
+        assert report.summary == {s: statuses[s] for s in STATUSES}
+        assert report.to_dict()["summary"] == report.summary
+        assert report.worst_slack == min(
+            e.rhs - e.lhs for e in report.entries
+            if e.status in {"holds", "violated"} and math.isfinite(e.rhs - e.lhs))
+
+    def test_derived_fields_cannot_be_set(self):
+        rep = BoundReport(lhs=1.0, rhs=2.0, method="m", status="holds")
+        report = SweepReport([rep])
+        for obj, name in ((rep, "slack"), (rep, "valid_domain"),
+                          (report, "summary"), (report, "worst_slack")):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, 0)
+
+    @pytest.mark.parametrize("call", [
+        lambda: subordinator.density(StableSubordinator(0.5, 1.0), 1.0, SPEC),
+        lambda: subordinator.density(StableSubordinator(0.5, 1.0), 1.0, spec=SPEC),
+        lambda: apply(gauss_heat(1), BUMP, 1.0, [0.0], SPEC),
+        lambda: apply(gauss_heat(1), BUMP, 1.0, [0.0], spec=SPEC),
+        lambda: semigroup.ondiag(gauss_heat(1), StableSubordinator(0.5, 1.0),
+                                 [0.0], SPEC),
+        lambda: semigroup.ondiag(gauss_heat(1), StableSubordinator(0.5, 1.0),
+                                 [0.0], spec=SPEC),
+        lambda: BoundReport(lhs=1.0, rhs=2.0, slack=1.0, valid_domain=True,
+                            method="m", status="holds"),
+        lambda: SweepReport([], dict.fromkeys(STATUSES, 0), math.inf),
+        lambda: SweepReport(entries=[], summary=dict.fromkeys(STATUSES, 0),
+                            worst_slack=math.inf),
+    ], ids=["density-spec", "density-spec=", "apply-spec", "apply-spec=",
+            "ondiag-spec", "ondiag-spec=", "BoundReport-slack=-valid_domain=",
+            "SweepReport-summary-worst_slack",
+            "SweepReport-summary=-worst_slack="])
+    def test_removed_inputs_are_refused(self, call):
+        with pytest.raises(TypeError):
+            call()
 
 
 # two values on every axis, every check; p = 1.2 is outside the heat
