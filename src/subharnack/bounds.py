@@ -74,9 +74,9 @@ class HarnackProfile:
     H_value: float
 
     def __post_init__(self):
-        if self.kappa <= 0.0:
+        if not self.kappa > 0.0:
             raise ValueError("kappa must be > 0")
-        if self.epsilon < 0.0 or self.H_value < 0.0:
+        if not (self.epsilon >= 0.0 and self.H_value >= 0.0):
             raise ValueError("epsilon and H_value must be >= 0")
 
 
@@ -144,11 +144,11 @@ def base_harnack_exponent(p, K, t, rho_sq):
     p = float(p)
     t = float(t)
     rho_sq = float(rho_sq)
-    if p <= 1.0:
+    if not p > 1.0:
         raise ValueError(f"p must be > 1, got {p!r}")
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError(f"t must be > 0, got {t!r}")
-    if rho_sq < 0.0:
+    if not rho_sq >= 0.0:
         raise ValueError("rho_sq must be >= 0")
     if K == 0.0:
         rate = 0.5 / t
@@ -191,7 +191,7 @@ def series_factor(delta, alpha, kappa, t, rel_tol=1e-12):
     summed over the window around their peak, as ``exp_moment`` is.
     """
     delta = float(delta)
-    if delta < 0.0:
+    if not delta >= 0.0:
         raise ValueError("delta must be >= 0")
     _check_alpha_window(alpha, kappa)
     if delta == 0.0:
@@ -210,9 +210,9 @@ def series_factor(delta, alpha, kappa, t, rel_tol=1e-12):
 def _checked_b(p, alpha, kappa, t=1.0):
     """Check the arguments of a closed-form power-Harnack factor (p > 1,
     t > 0, alpha in the window) and return b = 1 - (1/alpha - 1)*kappa."""
-    if p <= 1.0:
+    if not p > 1.0:
         raise ValueError("p must be > 1")
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError("t must be > 0")
     _check_alpha_window(alpha, kappa)
     return 1.0 - (1.0 / alpha - 1.0) * kappa
@@ -272,7 +272,7 @@ def jensen_series_bound(a, b):
     """The Jensen step bound: sum_n a**n / n**(b*n) <= (exp((2a)**(1/b)/2) - 1)**b."""
     a = float(a)
     b = float(b)
-    if a <= 0.0:
+    if not a > 0.0:
         raise ValueError("a must be > 0")
     if not (0.0 < b <= 1.0):
         raise ValueError("b must lie in (0, 1]")
@@ -300,11 +300,11 @@ def prop13_factor(p, kappa, H_value, t):
     kappa = float(kappa)
     H_value = float(H_value)
     t = float(t)
-    if p <= 1.0:
+    if not p > 1.0:
         raise ValueError("p must be > 1")
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError("t must be > 0")
-    if H_value < 0.0:
+    if not H_value >= 0.0:
         raise ValueError("H_value must be >= 0")
     if H_value == 0.0:
         return True, 1.0, 0.0
@@ -324,18 +324,13 @@ def log_harnack_term(alpha, kappa, epsilon, H_value, t):
     in (0, 1]; the moment is ``fractional_moment``'s,
     Gamma(kappa/alpha)/(alpha*Gamma(kappa)) * t**(-kappa/alpha), and the
     term is inf where that passes float range. ``StableSubordinator``
-    checks alpha and t."""
+    checks alpha and t, and ``HarnackProfile`` the other three."""
     sub = StableSubordinator(float(alpha), float(t))
-    kappa = float(kappa)
-    epsilon = float(epsilon)
-    H_value = float(H_value)
-    if kappa <= 0.0:
-        raise ValueError("kappa must be > 0")
-    if epsilon < 0.0 or H_value < 0.0:
-        raise ValueError("epsilon and H_value must be >= 0")
-    if H_value == 0.0:
+    profile = HarnackProfile(float(kappa), float(epsilon), float(H_value))
+    if profile.H_value == 0.0:
         return 0.0
-    return H_value * (epsilon + fractional_moment(sub, kappa))
+    return profile.H_value * (profile.epsilon
+                              + fractional_moment(sub, profile.kappa))
 
 
 def log_transfer_factor(p, profile, moment):
@@ -348,7 +343,7 @@ def log_transfer_factor(p, profile, moment):
     finite log; a moment that did not converge gives inf.
     """
     p = float(p)
-    if p <= 1.0:
+    if not p > 1.0:
         raise ValueError("p must be > 1")
     if not moment.converged:
         return math.inf

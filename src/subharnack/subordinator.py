@@ -96,7 +96,7 @@ class QuadratureSpec:
     max_subdivisions: int = 200
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
+        if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
@@ -501,7 +501,7 @@ def fractional_moment(sub, r):
     inf where that passes float range."""
     if sub.degenerate:
         # point mass at t: exactly t**(-r), bypass the log round trip
-        if float(r) <= 0.0:
+        if not float(r) > 0.0:
             raise ValueError(f"fractional moment requires r > 0, got {r!r}")
         try:
             return sub.t ** -float(r)
@@ -751,7 +751,7 @@ def exp_moment(sub, delta, kappa, spec=QuadratureSpec()):
     """
     delta = float(delta)
     kappa = float(kappa)
-    if delta < 0.0:
+    if not delta >= 0.0:
         raise ValueError(f"delta must be >= 0, got {delta!r}")
     if kappa <= 0.0:
         raise ValueError(f"kappa must be > 0, got {kappa!r}")

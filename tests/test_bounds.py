@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import itertools
 import math
@@ -22,15 +23,17 @@ from subharnack.bounds import (
     series_factor,
 )
 from subharnack.cli import parse_and_dispatch
-from subharnack.semigroup import Indicator, gauss_heat
+from subharnack.semigroup import GaussBump, Indicator, gauss_heat
 from subharnack.specfun import log_gamma
 from subharnack.subordinator import (
     QuadratureSpec,
+    SeriesEval,
     StableSubordinator,
     exp_moment,
+    fractional_moment,
     log_fractional_moment,
 )
-from subharnack.verify import check_subordinated_harnack
+from subharnack.verify import check_base_harnack, check_subordinated_harnack
 
 SPEC = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-14)
 H10 = HarnackProfile(kappa=1.0, epsilon=0.0, H_value=10.0)
@@ -69,6 +72,38 @@ def _sweep_entry_rhs(mode):
         "base_exponent"])
 def test_past_float_range_gives_a_value_not_an_overflow(value, want):
     assert value() == want
+
+
+# each checked function, arguments it accepts, and the ones it must refuse
+# as nan: a guard written `x <= bound` lets nan through, `not x > bound`
+# does not
+NAN_REFUSED = [
+    (HarnackProfile, (1.0, 0.0, 1.0), "kappa epsilon H_value"),
+    (base_harnack_exponent, (2.0, 0.0, 1.0, 1.0), "p t rho_sq"),
+    (series_factor, (1.0, 0.75, 1.0, 1.0), "delta"),
+    (C_pka, (2.0, 1.0, 0.8), "p"),
+    (log_thm11_factor, (2.0, H10, 0.75, 1.0), "p t"),
+    (log_thm11_intermediate_factor, (2.0, H10, 0.75, 1.0), "p t"),
+    (jensen_series_bound, (1.0, 0.5), "a b"),
+    (prop13_factor, (2.0, 1.0, 1.0, 1.0), "p H_value t"),
+    (log_harnack_term, (0.75, 1.0, 0.0, 1.0, 1.0), "alpha kappa epsilon H_value t"),
+    (log_transfer_factor, (2.0, H10, SeriesEval.exact(0.0)), "p"),
+    (exp_moment, (StableSubordinator(0.75, 1.0), 1.0, 1.0), "delta kappa"),
+    (fractional_moment, (StableSubordinator(1.0, 2.0), 1.0), "r"),
+    (QuadratureSpec, (1e-10, 1e-13, 200), "rel_tol abs_tol"),
+    (check_base_harnack,
+     (gauss_heat(1), 2.0, 1.0, 0.0, 1.0, GaussBump(0.0, 1.0)), "p t"),
+]
+
+
+@pytest.mark.parametrize("fn, args, name", [
+    pytest.param(fn, args, name, id=f"{fn.__name__}-{name}")
+    for fn, args, names in NAN_REFUSED for name in names.split()])
+def test_nan_argument_is_refused(fn, args, name):
+    fn(*args)
+    at = list(inspect.signature(fn).parameters).index(name)
+    with pytest.raises(ValueError):
+        fn(*args[:at], math.nan, *args[at + 1:])
 
 
 class TestBaseExponent:

@@ -461,6 +461,43 @@ class TestPointPairs:
         assert got["status"] in ("holds", "non_converged")
 
 
+# the shipped test function families, over ranges where both sides are finite
+TEST_FUNCTIONS = st.one_of(
+    st.floats(0.1, 5.0).map(Constant),
+    st.builds(GaussBump, st.floats(-2.0, 2.0), st.floats(0.2, 3.0)),
+    st.builds(lambda lo, width: Indicator(lo, lo + width),
+              st.floats(-2.0, 1.0), st.floats(0.1, 3.0)),
+    st.builds(ExpAffine, st.floats(-2.0, 2.0),
+              st.one_of(st.none(), st.floats(-1.0, 2.0))),
+)
+
+
+class TestAlphaOne:
+    @given(st.sampled_from(["gauss_heat", "ou1d"]), st.floats(0.05, 5.0),
+           st.floats(1.05, 6.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+           st.booleans(), TEST_FUNCTIONS)
+    @settings(max_examples=60, deadline=None)
+    def test_is_the_base_inequality_bit_for_bit(self, kind, t, p, x, y,
+                                                as_lists, f):
+        # at alpha = 1 there is no subordination: every mode reports the
+        # base inequality's sides, status and method, with its own detail
+        # and params
+        base = gauss_heat(1) if kind == "gauss_heat" else ou1d()
+        pair = ([x], [y]) if as_lists else (x, y)
+        want = check_base_harnack(base, p, t, *pair, f, SPEC)
+        for mode in ("numeric", "intermediate", "simplified"):
+            got = check_subordinated_harnack(base, StableSubordinator(1.0, t), p,
+                                             *pair, f, mode, SPEC)
+            assert ([v.hex() for v in (got.lhs, got.rhs, got.log_lhs, got.log_rhs)]
+                    == [v.hex() for v in (want.lhs, want.rhs, want.log_lhs,
+                                          want.log_rhs)])
+            assert (got.status, got.method) == (want.status, want.method)
+            assert got.detail == "alpha=1 reduces to base inequality"
+            assert got.params == {"check": "subordinated_harnack", "alpha": 1.0,
+                                  "p": p, "t": t, "x": x, "y": y,
+                                  "f": f.describe(), "mode": mode}
+
+
 def coupling_cost(m):
     """int_0^1 H(Q_m(u), Q_0(u)) du for H(a, b) = (a - b)^2/4, with Q_m the
     quantile function of N(m, 1): the quantile-coupling transport cost,
@@ -819,6 +856,36 @@ class TestRunSweep:
             calls[0] = 0
             run_sweep(config)
             assert calls[0] == 40
+
+    def test_default_sweep_builds_one_report_per_entry(self, clear_memos,
+                                                       monkeypatch):
+        # an alpha = 1 subordinated_harnack entry is the base inequality,
+        # evaluated in place, so each pass builds one BoundReport per entry
+        # and checks the base inequality only for the 24 base_harnack
+        # entries (375 reports and 96 base checks when the 72 alpha = 1
+        # entries each ran check_base_harnack and dropped its report)
+        text = resources.files("subharnack").joinpath(
+            "data/default_sweep.json").read_text()
+        config = SweepConfig.from_dict(json.loads(text))
+        post_init, check = BoundReport.__post_init__, verify.check_base_harnack
+        reports, checks = [0], [0]
+
+        def counted_post_init(self):
+            reports[0] += 1
+            post_init(self)
+
+        def counted_check(*args):
+            checks[0] += 1
+            return check(*args)
+
+        monkeypatch.setattr(BoundReport, "__post_init__", counted_post_init)
+        monkeypatch.setattr(verify, "check_base_harnack", counted_check)
+        clear_memos()
+        for _ in ("cold", "warm"):
+            reports[0] = checks[0] = 0
+            entries = run_sweep(config).entries
+            assert reports[0] == len(entries) == 303
+            assert checks[0] == 24
 
     def test_clear_memos_empties_every_memo(self):
         # a memo missing from MEMOS would let the second of two runs in one
