@@ -101,6 +101,16 @@ def _as_point(x, d):
     return v
 
 
+def _checked_point(x, d):
+    """x as Python floats, a float at d = 1 and a tuple above: a float or a
+    list or tuple of d floats as it is, any other form by ``_as_point``."""
+    if d == 1 and type(x) is float:
+        return x
+    if not (type(x) in (list, tuple) and tuple(map(type, x)) == (float,) * d):
+        x = _as_point(x, d).tolist()
+    return x[0] if d == 1 else tuple(x)
+
+
 # --- test functions ----------------------------------------------------
 
 class TestFunction:
@@ -141,7 +151,7 @@ class Constant(TestFunction):
     constant = True
 
     def __post_init__(self):
-        if self.c < 0:
+        if not self.c >= 0:
             raise ValueError("constant test functions must be >= 0")
 
     def __call__(self, y):
@@ -165,7 +175,7 @@ class GaussBump(TestFunction):
     width: float = 1.0
 
     def __post_init__(self):
-        if self.width <= 0:
+        if not self.width > 0:
             raise ValueError("width must be > 0")
 
     def __call__(self, y):
@@ -288,7 +298,7 @@ class ShiftedForLog(TestFunction):
     floor: float = 1.0
 
     def __post_init__(self):
-        if self.floor < 1.0:
+        if not self.floor >= 1.0:
             raise ValueError("floor must be >= 1")
 
     def __call__(self, y):
@@ -429,36 +439,32 @@ class _PowOf(TestFunction):
 
 def kernel_density(base, s, x, y):
     """Transition density p_s(x, y) of the base kernel."""
-    if s <= 0.0:
+    if not s > 0.0:
         raise ValueError(f"s must be > 0, got {s!r}")
     return _kernel_density_at(base, s, *_checked_pair(base, x, y)[:2])
 
 
 def _checked_pair(base, x, y):
-    """Check the points x and y against the kernel's dimension and return
-    (x, y, rho_sq): each point as a float where d = 1 and a float array
-    otherwise, and |x - y|^2 summed from the left, as np.sum sums <= 3 terms.
-    A pair of Python floats at d = 1 (what this returns) is taken as
-    already checked; every other form takes ``_as_point``, so the accepted
-    and refused points and the bits returned are the same either way."""
-    if base.d == 1 and type(x) is float and type(y) is float:
+    """Check x and y by ``_checked_point`` against the kernel's dimension and
+    return them with rho_sq = |x - y|^2 summed from the left, as np.sum sums
+    <= 3 terms (``sum`` compensates from Python 3.12 on)."""
+    if not (base.d == 1 and type(x) is float and type(y) is float):
+        x, y = _checked_point(x, base.d), _checked_point(y, base.d)
+    if base.d == 1:
         return x, y, 0.0 + (y - x) * (y - x)
-    x, y = _as_point(x, base.d), _as_point(y, base.d)
     rho_sq = 0.0
-    for a, b in zip(x.tolist(), y.tolist()):
+    for a, b in zip(x, y):
         rho_sq += (b - a) * (b - a)
-    return (x.item(), y.item(), rho_sq) if base.d == 1 else (x, y, rho_sq)
+    return x, y, rho_sq
 
 
 def _kernel_density_at(base, s, x0, y0, xp=math):
     """p_s(x, y) = (2 pi sigma^2)^(-d/2) exp(-q / (2 sigma^2)) at s > 0 and
     points as ``_checked_pair`` returns them, q = |y0 - m_s(x0)|^2 summed
-    from the left (rho_sq's bits at K = 0). A float s in plain ``math``;
-    with ``xp=numpy``, an array of times, and at d = 1 of points y0 too."""
+    from the left (rho_sq's bits at K = 0, the one K for d > 1). A float s
+    in ``math``; with ``xp=numpy``, an array of times, and at d = 1 of y0."""
     m, sigma = base.mean_sigma(s, x0, xp)
-    q = (y0 - m) * (y0 - m)
-    if base.d > 1:
-        q = sum(q.tolist(), 0.0)
+    q = (y0 - m) * (y0 - m) if base.d == 1 else _checked_pair(base, m, y0)[2]
     var = sigma ** 2
     return (2.0 * math.pi * var) ** (-0.5 * base.d) * xp.exp(-q / (2.0 * var))
 
@@ -524,7 +530,7 @@ def apply(base, f, s, x):
     Non-constant test functions need d = 1. A plain callable raises
     TypeError. ``subordinated_apply`` takes P_s f on arrays of times s
     instead (``_expect_on_nodes``)."""
-    if s <= 0.0:
+    if not s > 0.0:
         raise ValueError(f"s must be > 0, got {s!r}")
     m0, sigma = base.mean_sigma(s, _first_coordinate(base, f, x))
     cf = f.gauss_expect(m0, sigma)
@@ -536,15 +542,13 @@ def apply(base, f, s, x):
 def _first_coordinate(base, f, x):
     """Check f and the point x for P_s f(x) and return x's first
     coordinate as a float; f must be a TestFunction, and constant unless
-    d = 1. A Python float at d = 1 is taken as already checked; every
-    other form takes ``_as_point``, with the same points accepted."""
+    d = 1. The point is checked by ``_checked_point``."""
     _check_test_function(f)
-    if base.d == 1 and type(x) is float:
-        return x
-    x = _as_point(x, base.d)
+    if not (base.d == 1 and type(x) is float):
+        x = _checked_point(x, base.d)
     if base.d != 1 and not f.constant:
         raise ValueError("non-constant test functions are supported for d = 1 only")
-    return x.item(0)
+    return x if base.d == 1 else x[0]
 
 
 def _check_test_function(f):
@@ -607,8 +611,8 @@ def _expect_on_nodes(base, f, s, x0):
 
 
 def subordinated_density(base, sub, x, y, spec=QuadratureSpec()):
-    """Transition density of the time-changed kernel,
-    int p_s(x, y) mu_t(ds); x and y are checked once, not at every node s.
+    """Transition density of the time-changed kernel, int p_s(x, y) mu_t(ds);
+    x and y are checked once (``_checked_point``), not at every node s.
 
     The integral is the fixed law rule for alpha in (0, 1], certified when
     built to 1e-12 relative against the law's closed forms; ``spec`` is not
@@ -616,12 +620,14 @@ def subordinated_density(base, sub, x, y, spec=QuadratureSpec()):
     the rule's v_i and w_i, with l = log t / alpha and no s_i = e^l v_i formed:
     with L_i = log(sigma_i^2 / 2), q_i = |y - e^(-K s_i) x|^2 and lam
     taken out of L_i, (4 pi e^lam)^(-d/2) sum_i exp(log w_i - (d/2)(L_i -
-    lam) - exp(log q_i - log 4 - L_i)). At K = 0 (the 0/0 limit) lam = l,
-    L_i - lam = log v_i and q_i = rho^2; for K > 0 (d = 1), lam = L_0, the
-    smallest node's, so no term passes 1, and as t grows lam is -log 2K,
-    the stationary variance's, exactly. The diagonal serves every t
-    (inf past float range); a t where a q_i / (2 sigma_i^2) does raises
-    ValueError.
+    lam) - exp(log q_i - log 4 - L_i)), the inner exp subtracted, the outer
+    taken and the sum formed in one scratch array. At K = 0 (the 0/0 limit)
+    lam = l, L_i - lam = log v_i, so log w_i - (d/2) log v_i is the rule's
+    own, kept per d (``_LawRule.node_terms``), and q_i = rho^2; for K > 0
+    (d = 1), lam = L_0, the smallest node's, so no term passes 1, and as t
+    grows lam is -log 2K, the stationary variance's, exactly. The diagonal
+    serves every t (inf past float range); a t where a q_i / (2 sigma_i^2)
+    does raises ValueError.
     Resolved range: at alpha = 1/2 within ~4e-13 of the Poisson kernel for
     |x - y| up to 50 t (d = 1, 2, 3); far past that the kernel's mass lies
     beyond the rule's largest node (6.2e14 at alpha = 1/2), and at d = 1,
@@ -632,7 +638,7 @@ def subordinated_density(base, sub, x, y, spec=QuadratureSpec()):
     ell = math.log(sub.t) / sub.alpha
     K, c = base.curvature_K, None
     if K == 0.0:
-        lam, log_rel = ell, rule.log_v  # log_rel = L_i - lam
+        lam, log_terms = ell, rule.node_terms(base.d)
         if rho_sq > 0.0:
             c = _exp_or_inf(math.log(rho_sq) - _LOG_4 - ell) / rule.v
     else:  # d = 1; log_kv = log(K sigma_i^2), 2K s_i formed within e^(+-40)
@@ -643,13 +649,13 @@ def subordinated_density(base, sub, x, y, spec=QuadratureSpec()):
         with np.errstate(divide="ignore", over="ignore"):
             c = np.exp(np.log(q * q) + math.log(0.5 * K) - log_kv)
         lam, log_rel = log_kv[0] - math.log(2.0 * K), log_kv - log_kv[0]
-    log_terms = rule.log_w - 0.5 * base.d * log_rel
+        log_terms = rule.log_w - 0.5 * base.d * log_rel
     if c is not None:
         if c[0] == math.inf:  # at the smallest node first, where q_i = rho^2
             raise ValueError(f"|y - m_s(x)|^2 / (2 sigma_s^2) is past float "
                              f"range at t={sub.t!r}, alpha={sub.alpha!r}")
-        log_terms -= c
-    total = float(np.exp(log_terms, out=log_terms).sum())
+        log_terms = np.subtract(log_terms, c, out=c)
+    total = float(np.exp(log_terms, out=c).sum())  # into c, or a new array
     # a product of two floats, within an ulp or two, where the factor is a
     # normal float; past that in logs, so a value past float range is inf
     log_scale = -0.5 * base.d * (_LOG_4PI + lam)
@@ -665,11 +671,9 @@ def cauchy_closed_form(d, t, x, y):
     independent oracle for alpha = 1/2. Formed in logs, with m = max(t, rho)
     and mu = min(t, rho), so no square over- or underflows.
     """
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError("t must be > 0")
-    x = _as_point(x, d)
-    y = _as_point(y, d)
-    rho = math.hypot(*(x - y))
+    rho = math.hypot(*(_as_point(x, d) - _as_point(y, d)))
     m, mu = max(t, rho), min(t, rho)
     n = (d + 1) / 2.0
     log_c = gammaln(n) - n * math.log(math.pi)

@@ -23,7 +23,7 @@ and fractional moments, to 1e-12 relative or it raises. The
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
@@ -374,7 +374,7 @@ def density(sub, s):
     if sub.degenerate:
         raise ValueError("alpha = 1 is the point mass at t and has no density")
     s = float(s)
-    if s <= 0.0:
+    if not s > 0.0:
         raise ValueError(f"density requires s > 0, got {s!r}")
     a = sub.alpha
     try:
@@ -458,17 +458,18 @@ def sample(sub, rng, size=None):
             sb *= np.power(x, p, out=x)
             if sb.max() == math.inf:  # or only the power overflowed
                 big = sb == math.inf
-                tb, ub = tau[big], u[big]
-                sb[big] = np.exp(math.log(sub.scale) + np.log(ub * (tb * tb + 1.0))
-                                 + p * np.log((tb - ub) * (tb * ub + 1.0) / w[big])
-                                 - (1.0 + p) * np.log(d[big]))
+                tb, ub, db = tau[big], u[big], d[big]
+                yb, xb = ub * (tb * tb + 1.0) / db, (tb - ub) * (tb * ub + 1.0) / db
+                yb[tb == 0.0], xb[tb == 0.0] = a, 1.0 - a
+                sb[big] = np.exp(math.log(sub.scale) + np.log(yb)
+                                 + p * (np.log(xb) - np.log(w[big])))
     return out[()]  # a float for size=None
 
 
 def laplace(sub, x):
     """Laplace transform E exp(-x S) = exp(-t * x**alpha)."""
     x = float(x)
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError(f"laplace requires x >= 0, got {x!r}")
     return math.exp(-sub.t * x ** sub.alpha)
 
@@ -886,6 +887,16 @@ class _LawRule:
     log_v: np.ndarray
     log_w: np.ndarray
     certified_error: float
+    _node_terms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def node_terms(self, d):
+        """log w_i - (d/2) log v_i, the heat kernel's terms in d dimensions:
+        built on first use for each d, read-only so no in-place pass alters them."""
+        if d not in self._node_terms:  # stored only once read-only
+            terms = self.log_w - 0.5 * d * self.log_v
+            terms.flags.writeable = False
+            self._node_terms[d] = terms
+        return self._node_terms[d]
 
 
 def _certify(alpha, v, w, log_v):

@@ -137,7 +137,7 @@ def _params(x, y, f):
     (its first coordinates) and of f, which must be a TestFunction."""
     _check_test_function(f)
     if not isinstance(x, float):
-        x, y = x.item(0), y.item(0)
+        x, y = x[0], y[0]
     return {"x": x, "y": y, "f": f.describe()}
 
 

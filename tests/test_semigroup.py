@@ -1,4 +1,5 @@
 import math
+import random
 import struct
 import tracemalloc
 import warnings
@@ -6,11 +7,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
 from subharnack import semigroup, subordinator
+from subharnack.specfun import _exp_or_inf
 from subharnack.semigroup import (
     _as_point,
     _checked_pair,
@@ -37,6 +39,7 @@ from subharnack.semigroup import (
     subordinated_density,
 )
 from subharnack.subordinator import (
+    _LOG_HUGE,
     _law_rule,
     _OnArrays,
     QuadratureSpec,
@@ -198,7 +201,7 @@ class TestCheckedPair:
         if d == 1:
             assert (got_x, got_y) == (x[0], y[0]) and type(got_x) is float
         else:
-            assert got_x.tolist() == x and got_y.tolist() == y
+            assert (got_x, got_y) == (tuple(x), tuple(y))
 
     @given(EVERY_FLOAT, EVERY_FLOAT)
     @settings(max_examples=300, deadline=None)
@@ -224,6 +227,22 @@ class TestCheckedPair:
                 _checked_pair(base, x, y)
         with pytest.raises(ValueError, match="dimension"):
             _first_coordinate(base, Constant(1.0), point)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_float_lists_and_tuples_take_no_numpy_check(self, d, monkeypatch):
+        # a list or tuple of d Python floats is a checked point, returned
+        # as a float at d = 1 and a tuple above; np.float64 coordinates
+        # still take the numpy check, with the same floats returned
+        calls = []
+        monkeypatch.setattr(semigroup, "_as_point",
+                            lambda x, d: calls.append(x) or _as_point(x, d))
+        x, y = [0.25 * k for k in range(d)], tuple(-0.5 * k for k in range(d))
+        want = _checked_pair(gauss_heat(d), x, y)
+        assert want[:2] == ((x[0], y[0]) if d == 1 else (tuple(x), y))
+        assert _first_coordinate(gauss_heat(d), Constant(1.0), y) == y[0]
+        assert calls == []
+        got = _checked_pair(gauss_heat(d), [np.float64(c) for c in x], y)
+        assert len(calls) == 1 and got == want
 
     @pytest.mark.parametrize("d, point", [(1, 0.5), (2, 0.5), (1, [[0.0]])])
     def test_plain_callable_is_refused_before_the_point(self, d, point):
@@ -688,6 +707,113 @@ class TestSubordinated:
         a = subordinated_density(base, sub, [0.0], [1.3], SPEC)
         b = subordinated_density(base, sub, [1.3], [0.0], SPEC)
         assert math.isclose(a, b, rel_tol=1e-10)
+
+
+def reference_subordinated_density(base, sub, x, y):
+    """The heat kernel's sum as ``subordinated_density`` formed it with numpy
+    points and the node terms rebuilt on every call; kept as the reference
+    its one pass over the kept terms must reproduce bit for bit."""
+    x, y = _as_point(x, base.d), _as_point(y, base.d)
+    rho_sq = 0.0
+    for a, b in zip(x.tolist(), y.tolist()):
+        rho_sq += (b - a) * (b - a)
+    rule = _law_rule(sub.alpha)
+    ell = math.log(sub.t) / sub.alpha
+    log_terms = rule.log_w - 0.5 * base.d * rule.log_v
+    if rho_sq > 0.0:
+        c = _exp_or_inf(math.log(rho_sq) - math.log(4.0) - ell) / rule.v
+        if c[0] == math.inf:
+            raise ValueError("past float range")
+        log_terms -= c
+    total = float(np.exp(log_terms, out=log_terms).sum())
+    log_scale = -0.5 * base.d * (math.log(4.0 * math.pi) + ell)
+    if abs(log_scale) < _LOG_HUGE:
+        return total * math.exp(log_scale)
+    return _exp_or_inf(math.log(total) + log_scale) if total > 0.0 else 0.0
+
+
+def point_form(form, v):
+    """The coordinates v (floats) in one form a caller may pass: a float
+    (refused where d > 1), a list, tuple or array of floats, or np.float64s
+    or ints, given as a scalar at d = 1."""
+    if form == "float":
+        return v[0]
+    if form in ("list", "tuple", "array"):
+        return {"list": list, "tuple": tuple, "array": np.array}[form](v)
+    kind = np.float64 if form == "float64" else int
+    return kind(v[0]) if len(v) == 1 else [kind(c) for c in v]
+
+
+def outcome(fn, *args):
+    """fn's value as its bits, or "ValueError" where it raised one."""
+    try:
+        return float_bits(fn(*args))
+    except ValueError:
+        return "ValueError"
+
+
+class TestHeatKernelOnePass:
+    # alpha in [0.01, 0.999] and 1: the law rule's panel count grows as
+    # 1/alpha near 0 and 1/(1 - alpha) near 1, and past these building it
+    # runs out of memory before it can refuse alpha
+    @given(st.one_of(st.floats(min_value=0.01, max_value=0.999), st.just(1.0)),
+           st.floats(min_value=math.log(1e-200), max_value=math.log(1e160)),
+           st.integers(1, 3),
+           st.one_of(st.just(None), st.floats(min_value=math.log(1e-200),
+                                              max_value=math.log(1e200))),
+           st.sampled_from(["float", "list", "tuple", "array", "float64", "int"]),
+           st.randoms(use_true_random=False))
+    @example(0.5, math.log(1e-200), 1, math.log(1.0), "list", random.Random(0))
+    @example(0.5, math.log(1e160), 3, None, "tuple", random.Random(0))
+    @example(0.3, math.log(1e-200), 2, None, "list", random.Random(0))
+    @example(0.3, math.log(1e-200), 1, math.log(1e200), "array", random.Random(0))
+    @settings(max_examples=150, deadline=None)
+    def test_bits_match_the_reference(self, alpha, log_t, d, log_rho, form, rnd):
+        # every form and d, a ValueError (a refused point, an uncertified
+        # rule, a term past float range), inf and 0 included
+        sub, base = StableSubordinator(alpha, math.exp(log_t)), gauss_heat(d)
+        x = [rnd.uniform(-1.0, 1.0) for _ in range(d)]
+        y = list(x)
+        if log_rho is not None:
+            y[rnd.randrange(d)] += math.copysign(math.exp(log_rho), rnd.random() - 0.5)
+        if form == "int":
+            x, y = [float(round(c)) for c in x], [float(round(c)) for c in y]
+        px, py = point_form(form, x), point_form(form, y)
+        want = outcome(reference_subordinated_density, base, sub, px, py)
+        assert outcome(subordinated_density, base, sub, px, py) == want
+        assert (outcome(ondiag, base, sub, px)
+                == outcome(reference_subordinated_density, base, sub, px, px))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_kept_node_terms_are_read_only_and_unchanged(self, d):
+        rule = _law_rule(0.5)
+        base, x, y = gauss_heat(d), [0.1] * d, [0.4] * d
+        subordinated_density(base, StableSubordinator(0.5, 0.3), x, y)
+        terms = rule.node_terms(d)
+        kept = terms.copy()
+        subordinated_density(base, StableSubordinator(0.5, 7.0), x, y)
+        assert rule.node_terms(d) is terms
+        assert terms.tobytes() == kept.tobytes()
+        assert (terms.tobytes()
+                == (rule.log_w - 0.5 * d * rule.log_v).tobytes())
+        assert not terms.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            terms -= 1.0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: apply(gauss_heat(1), Constant(1.0), math.nan, 0.0),
+    lambda: kernel_density(gauss_heat(1), math.nan, 0.0, 0.5),
+    lambda: cauchy_closed_form(1, math.nan, [0.0], [0.5]),
+    lambda: Constant(math.nan),
+    lambda: GaussBump(0.0, math.nan),
+    lambda: ShiftedForLog(Constant(1.0), math.nan),
+], ids=["apply_s", "kernel_density_s", "cauchy_t", "constant_c",
+        "bump_width", "shifted_floor"])
+def test_nan_argument_is_refused(build):
+    # each guard is the negation of its valid range, so nan fails it
+    with pytest.raises(ValueError, match="must be"):
+        build()
 
 
 def std_normal_density(y):

@@ -215,6 +215,11 @@ class TestConstruction:
 
 
 class TestDensity:
+    def test_rejects_nan_s(self):
+        # nan is no s > 0: refused, where the density read 0.0 there
+        with pytest.raises(ValueError, match="s > 0"):
+            density(StableSubordinator(0.5, 1.0), math.nan)
+
     def test_matches_levy_closed_form(self):
         for t in (0.5, 1.0, 2.0):
             for s in (0.05, 0.3, 1.0, 7.0):
@@ -409,6 +414,10 @@ class TestLaplace:
     def test_rejects_negative_argument(self):
         with pytest.raises(ValueError):
             laplace(StableSubordinator(0.5, 1.0), -1.0)
+
+    def test_rejects_nan_argument(self):
+        with pytest.raises(ValueError, match="x >= 0"):
+            laplace(StableSubordinator(0.5, 1.0), math.nan)
 
     @given(st.floats(min_value=0.1, max_value=1.0),
            st.floats(min_value=0.0, max_value=20.0),
@@ -1131,6 +1140,7 @@ class TestBlockedSampler:
            st.floats(min_value=1e-20, max_value=50.0))
     @example(0.05, 0.3, 4e-17)  # the power alone passes float range
     @example(0.05, 3.1415926535897922, 0.046875)  # so would y times the power
+    @example(0.0608419275305894, 1e-300, 1e-20)  # log D cancelled in log S
     @settings(max_examples=300, deadline=None)
     def test_ratio_form_within_its_error_bound(self, alpha, theta, w):
         sub = StableSubordinator(alpha, 0.7)
@@ -1199,6 +1209,21 @@ class TestBlockedSampler:
         assert sample(sub, StubGenerator(0.0, w)) == pytest.approx(want, rel=1e-14)
         near = reference_sample(sub, StubGenerator(1e-300, w))
         assert near == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("w", [1e-20, 1e-40])
+    def test_theta_zero_where_the_power_overflows(self, w):
+        # S is formed in logs with the limits alpha and 1 - alpha of the
+        # brackets, not 0/0 = nan: e^701 at W = 1e-20, past float range
+        # (inf) at W = 1e-40
+        sub = StableSubordinator(0.0608419275305894, 0.7)
+        a = sub.alpha
+        log_want = (math.log(sub.scale) + math.log(a)
+                    + ((1 - a) / a) * (math.log(1 - a) - math.log(w)))
+        got = sample(sub, StubGenerator(0.0, w))
+        if log_want > math.log(np.finfo(float).max):
+            assert got == math.inf
+        else:
+            assert math.log(got) == pytest.approx(log_want, rel=4 * np.finfo(float).eps)
 
 
 class TestIntegrateAgainst:
