@@ -441,15 +441,14 @@ def kernel_density(base, s, x, y):
     """Transition density p_s(x, y) of the base kernel."""
     if not s > 0.0:
         raise ValueError(f"s must be > 0, got {s!r}")
-    return _kernel_density_at(base, s, *_checked_pair(base, x, y)[:2])
+    return _kernel_density_at(base, s, *_checked_pair(base, x, y))
 
 
 def _checked_pair(base, x, y):
     """Check x and y by ``_checked_point`` against the kernel's dimension and
     return them with rho_sq = |x - y|^2 summed from the left, as np.sum sums
     <= 3 terms (``sum`` compensates from Python 3.12 on)."""
-    if not (base.d == 1 and type(x) is float and type(y) is float):
-        x, y = _checked_point(x, base.d), _checked_point(y, base.d)
+    x, y = _checked_point(x, base.d), _checked_point(y, base.d)
     if base.d == 1:
         return x, y, 0.0 + (y - x) * (y - x)
     rho_sq = 0.0
@@ -458,13 +457,13 @@ def _checked_pair(base, x, y):
     return x, y, rho_sq
 
 
-def _kernel_density_at(base, s, x0, y0, xp=math):
+def _kernel_density_at(base, s, x0, y0, rho_sq=None, xp=math):
     """p_s(x, y) = (2 pi sigma^2)^(-d/2) exp(-q / (2 sigma^2)) at s > 0 and
-    points as ``_checked_pair`` returns them, q = |y0 - m_s(x0)|^2 summed
-    from the left (rho_sq's bits at K = 0, the one K for d > 1). A float s
-    in ``math``; with ``xp=numpy``, an array of times, and at d = 1 of y0."""
+    x0, y0, rho_sq as ``_checked_pair`` returns them, q = |y0 - m_s(x0)|^2:
+    rho_sq itself at d > 1 (K = 0 there), unread at d = 1. A float s in
+    ``math``; with ``xp=numpy``, an array of times, and at d = 1 of y0."""
     m, sigma = base.mean_sigma(s, x0, xp)
-    q = (y0 - m) * (y0 - m) if base.d == 1 else _checked_pair(base, m, y0)[2]
+    q = (y0 - m) * (y0 - m) if base.d == 1 else rho_sq
     var = sigma ** 2
     return (2.0 * math.pi * var) ** (-0.5 * base.d) * xp.exp(-q / (2.0 * var))
 
@@ -544,8 +543,7 @@ def _first_coordinate(base, f, x):
     coordinate as a float; f must be a TestFunction, and constant unless
     d = 1. The point is checked by ``_checked_point``."""
     _check_test_function(f)
-    if not (base.d == 1 and type(x) is float):
-        x = _checked_point(x, base.d)
+    x = _checked_point(x, base.d)
     if base.d != 1 and not f.constant:
         raise ValueError("non-constant test functions are supported for d = 1 only")
     return x if base.d == 1 else x[0]
@@ -673,7 +671,9 @@ def cauchy_closed_form(d, t, x, y):
     """
     if not t > 0.0:
         raise ValueError("t must be > 0")
-    rho = math.hypot(*(_as_point(x, d) - _as_point(y, d)))
+    x = _as_point(x, d)
+    y = _as_point(y, d)
+    rho = math.hypot(*(x - y))
     m, mu = max(t, rho), min(t, rho)
     n = (d + 1) / 2.0
     log_c = gammaln(n) - n * math.log(math.pi)

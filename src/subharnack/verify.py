@@ -344,7 +344,7 @@ def check_entropy_kernel(base, sub, x, y, spec=QuadratureSpec()):
     def q(x0):
         # Lebesgue density of the time-changed OU kernel from x0 at every z
         return np.maximum(_on_z(sub, lambda s, zb: _kernel_density_at(
-            base, s, x0, zb, np), z), 1e-300)
+            base, s, x0, zb, xp=np), z), 1e-300)
 
     qx, qy = q(x), q(y)
     lhs = float(wz @ (qx * np.log(qx / qy)))

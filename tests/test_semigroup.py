@@ -597,7 +597,7 @@ class TestSubordinated:
             return reference_kernel_density(base, s, x, y)
 
         want = integrate_against(reference, sub, SPEC)
-        point = _checked_pair(base, x, y)[:2]
+        point = _checked_pair(base, x, y)
         got = subordinated_density(base, sub, x, y, SPEC)
         if base.curvature_K == 0.0:
             # the heat kernel's log-sum is the same arithmetic as the array
@@ -963,7 +963,7 @@ class TestPointMassThroughTheRule:
         # a plain h and an array h alike are h(t), bit for bit
         want = apply(base, f, t, x)
         assert integrate_against(lambda s: apply(base, f, s, x), sub) == want
-        point = _checked_pair(base, x, y)[:2]
+        point = _checked_pair(base, x, y)
 
         def on_arrays(s):
             return _kernel_density_at(base, s, *point, np)
