@@ -26,8 +26,8 @@ from scipy.integrate import quad  # unused; bench/tracer.py rebinds it here
 from scipy.special import erfcx, gammaln, log_ndtr, ndtr
 
 from .specfun import _exp_or_inf
-from .subordinator import (_LOG_HUGE, QuadratureSpec, _OnArrays, _blocks,
-                           _law_rule, integrate_against)
+from .subordinator import (_LOG_HUGE, QuadratureSpec, _blocks, _law_nodes,
+                           _law_rule, _law_sum)
 
 __all__ = [
     "BaseKernel",
@@ -573,7 +573,7 @@ def subordinated_apply(base, sub, f, x, spec=QuadratureSpec()):
     checked once, not at every node s, and a plain callable raises
     TypeError.
 
-    The s-integral is ``integrate_against``'s fixed rule for alpha, with
+    The s-integral is the law rule's one sum (``_law_sum``) for alpha, with
     P_s f(x) evaluated on all the rule's nodes in one call: f's closed
     Gaussian expectation on arrays where ``apply`` has one (for log(floor
     + bump), one rows x 24 array pass of its series), or else the fixed
@@ -590,11 +590,10 @@ def subordinated_apply(base, sub, f, x, spec=QuadratureSpec()):
 def _subordinated_apply_memo(base, sub, f, x0):
     """int P_s f(x) mu_t(ds) at a point already checked by
     ``_first_coordinate``, with x0 its first coordinate: one array pass
-    over the law rule's nodes. The Harnack checks ask for the same
-    integral for every p (an indicator is its own power) and every factor
-    mode, so the sweeps revisit identical keys."""
-    return integrate_against(_OnArrays(lambda s: _expect_on_nodes(base, f, s, x0)),
-                             sub)
+    over the law rule's nodes into its sum. The Harnack checks ask for the
+    same integral for every p (an indicator is its own power) and every
+    factor mode, so the sweeps revisit identical keys."""
+    return _law_sum(sub, _expect_on_nodes(base, f, _law_nodes(sub), x0))
 
 
 def _expect_on_nodes(base, f, s, x0):

@@ -117,15 +117,19 @@ class SeriesEval:
     """Outcome of a term-by-term series summation, stored as its log.
 
     ``log_value`` is finite whenever the sum is, and nan for a result that
-    did not converge (``divergence_reason`` says why). ``value`` is derived
-    from it: inf past float range and for a result that did not converge.
+    did not converge (``divergence_reason`` says why; ``converged`` is that
+    there is none). ``value`` is derived from the log: inf past float range
+    and for a result that did not converge.
     """
 
     terms_used: int
     truncation_bound: float
-    converged: bool
     divergence_reason: Optional[str] = None
     log_value: float = math.nan
+
+    @property
+    def converged(self):
+        return self.divergence_reason is None
 
     @property
     def value(self):
@@ -133,11 +137,11 @@ class SeriesEval:
 
     @classmethod
     def exact(cls, log_value):
-        return cls(0, 0.0, True, log_value=log_value)
+        return cls(0, 0.0, log_value=log_value)
 
     @classmethod
     def diverges(cls, reason, terms_used=0):
-        return cls(terms_used, math.inf, False, reason)
+        return cls(terms_used, math.inf, reason)
 
 
 # --- density -----------------------------------------------------------
@@ -223,6 +227,7 @@ _DEAD = 50.0  # c A beyond which exp(-c A) is dead next to the peak
 # and the node keeps log g and log(A / A(0)) instead.
 _D_FLOAT = 700.0
 _BLOCK = 1 << 18  # matrix elements per block of the batched density sum
+_MAX_PANELS = 1 << 16  # most panels in one stretch of a fixed rule
 
 
 def _log_a0_ld(a):
@@ -237,6 +242,16 @@ def _panel_nodes(edges):
     h = np.diff(edges)[:, None]
     return ((edges[:-1, None] + 0.5 * h * (_PANEL_X + 1.0)).ravel(),
             (0.5 * h * _PANEL_W).ravel())
+
+
+def _panel_count(span, width, alpha):
+    """ceil(span / width) panels of a fixed rule for alpha, before any is
+    formed; ValueError naming alpha past _MAX_PANELS (inf and nan too)."""
+    count = span / width
+    if not count <= _MAX_PANELS:
+        raise ValueError(f"the quadrature rule for alpha = {alpha!r} needs "
+                         f"{count:.3g} panels (at most {_MAX_PANELS:,})")
+    return math.ceil(count)
 
 
 @lru_cache(maxsize=64)
@@ -272,7 +287,7 @@ def _theta_rule(alpha):
         mid = 0.5 * (lo + hi)
         la = _kanter_log_a(math.pi - math.exp(mid), alpha, math.sin, math.log)
         lo, hi = (mid, hi) if la - float(la0) > d_cut else (lo, mid)
-    n = math.ceil((math.log(half) - lo) / min(1.0, 2.0 * (1.0 - alpha)))
+    n = _panel_count(math.log(half) - lo, min(1.0, 2.0 * (1.0 - alpha)), alpha)
     ell, w_right = _panel_nodes(np.linspace(lo, math.log(half), n + 1))
     theta = np.concatenate((theta.astype(_LD), _PI_LD - np.exp(ell).astype(_LD)))
     d = _kanter_log_a(theta, a) - la0
@@ -597,7 +612,7 @@ def sum_log_series(log_terms, rel_tol, max_terms=_MAX_TERMS, _window=_FROM_ONE):
                     tail = float(np.logaddexp(tail, log_gap))
                 return SeriesEval(terms_used=head_terms + int(n[i]) - first + 1,
                                   truncation_bound=_exp_or_inf(tail),
-                                  converged=True, log_value=log_sum_i)
+                                  log_value=log_sum_i)
         log_sum, prev = float(sums[-1]), float(lt[-1])
         n0 += len(n)
         size = min(4 * size, _MAX_BLOCK)
@@ -911,7 +926,7 @@ def _certify(alpha, v, w, log_v):
     worst = 0.0
     with np.errstate(over="ignore"):
         for log_want, log_h in checks:
-            got = _law_sum(w, np.exp(log_h))
+            got = float(w @ np.exp(log_h))
             if not 0.0 < got < math.inf:
                 return math.inf
             worst = max(worst, abs(math.expm1(math.log(got) - log_want)))
@@ -927,7 +942,10 @@ def _law_rule(alpha):
     weight 1: zero logs, exact, so ``certified_error`` is 0.
 
     Raises ValueError naming alpha if its certified error is above
-    _CERT_TOL: no value is ever summed by an uncertified rule.
+    _CERT_TOL: no value is ever summed by an uncertified rule; and, before
+    any panel array is formed (``_panel_count``), for alpha below about
+    1e-4 (~6.6/alpha bulk panels) or in (0.99992, 1) (the theta rule's
+    ~5/(1 - alpha)), past _MAX_PANELS = 65,536 in one stretch.
     """
     if alpha == 1.0:
         return _LawRule(np.ones(1), np.ones(1), np.zeros(1), np.zeros(1), 0.0)
@@ -939,7 +957,7 @@ def _law_rule(alpha):
     u_mode = la0 / p
     u_end = math.log(_TAIL_SWITCH)
     width = min(1.0 / p, 1.0)
-    n_left = math.ceil((u_mode - u_cut) / width)
+    n_left = _panel_count(u_mode - u_cut, width, alpha)
     edges = list(np.linspace(u_cut, u_mode, n_left + 1))
     while edges[-1] + width < u_end:
         edges.append(edges[-1] + width)
@@ -971,24 +989,17 @@ def _law_rule(alpha):
     return _LawRule(v, w, log_v, np.log(w), error)
 
 
-def _law_sum(w, values):
-    """sum_i w_i h_i: the one weighted sum every integral against the law
-    ends in: a float, or an array if values has a row per node."""
-    total = w @ np.asarray(values, dtype=float)
+def _law_nodes(sub):
+    """The nodes s_i = t^(1/alpha) v_i of ``_law_rule(alpha)``; [t] at alpha = 1."""
+    return sub.scale * _law_rule(sub.alpha).v
+
+
+def _law_sum(sub, values):
+    """sum_i w_i h_i, h_i = values[i] at ``_law_nodes(sub)``: the one sum every
+    integral against the law ends in, a float, or an array if values has a
+    row per node (one integral per column)."""
+    total = _law_rule(sub.alpha).w @ np.asarray(values, dtype=float)
     return float(total) if total.ndim == 0 else total
-
-
-class _OnArrays:
-    """An integrand written on arrays: ``integrate_against`` calls it once,
-    on the array of all the rule's nodes, instead of once per node."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __call__(self, s):
-        return self.fn(s)
 
 
 def integrate_against(h, sub, spec=QuadratureSpec()):
@@ -996,23 +1007,14 @@ def integrate_against(h, sub, spec=QuadratureSpec()):
 
     The sum sum_i w_i h(t^(1/alpha) v_i) over the nodes v_i and weights w_i
     of ``_law_rule(alpha)`` on the standard law (336-384 nodes for alpha
-    in [0.5, 0.97], up to 1,200 at alpha = 0.1), laid out as above and
-    certified when built to 1e-12 relative against the closed-form
-    Laplace transform and fractional moments. ``spec`` is not read;
-    acceptance criterion 01 and the benchmark pass it. h should vary on
-    the scale of the panels (about one unit of log s) or slower. Known
-    limit: near the exponential-moment radius h = exp(delta/s) grows into
-    the far left tail faster than that, and at 0.99 of the radius
-    (alpha = 1/2) the sum is ~2e-4 off.
-
-    A plain h is called once per node with a float. An h wrapped in
-    ``_OnArrays`` (the library's own kernels) is called once, on the array
-    of all the nodes, and may return a row per node (one integral per
-    column). At alpha = 1 the rule is the one node t with weight 1, so the
-    sum is h(t) exactly (an ``_OnArrays`` h sees the array [t]).
+    in [0.5, 0.97], up to 1,200 at alpha = 0.1), laid out and certified as
+    above, with h called once per node with a float (the library's own
+    kernels take all the nodes at once into the same sum: ``_law_nodes``,
+    ``_law_sum``); at alpha = 1 the one node t with weight 1 gives h(t).
+    ``spec`` is not read; acceptance criterion 01 and the benchmark pass
+    it. h should vary on the scale of the panels (about one unit of log s)
+    or slower. Known limit: near the exponential-moment radius
+    h = exp(delta/s) grows into the far left tail faster than that, and at
+    0.99 of the radius (alpha = 1/2) the sum is ~2e-4 off.
     """
-    rule = _law_rule(sub.alpha)
-    s = sub.scale * rule.v
-    if isinstance(h, _OnArrays):
-        return _law_sum(rule.w, h(s))
-    return _law_sum(rule.w, [h(x) for x in s.tolist()])
+    return _law_sum(sub, [h(x) for x in _law_nodes(sub).tolist()])

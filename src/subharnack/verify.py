@@ -62,12 +62,11 @@ from .subordinator import (
     MCSpec,
     QuadratureSpec,
     StableSubordinator,
-    _OnArrays,
     _blocks,
-    _law_rule,
+    _law_nodes,
+    _law_sum,
     _panel_nodes,
     exp_moment,
-    integrate_against,
     laplace,
     sample,
 )
@@ -317,15 +316,14 @@ def _z_rule(lo, hi, breaks=()):
 
 def _on_z(sub, fn, z):
     """int fn(s, zb)[:, j] mu_t(ds) at every z node: fn maps the column of the
-    law rule's nodes s and a block zb of whole 16-node z panels (``_blocks``)
-    to a cache-sized (law nodes x zb) array, whose column sums are bit for
-    bit those of the whole array."""
-    nodes = _law_rule(sub.alpha).v.size
+    law rule's nodes s and a block zb of whole 16-node z panels (``_blocks``,
+    sized by len(s)) to a cache-sized (len(s) x zb) array, whose column sums
+    (``_law_sum``) are bit for bit those of the whole array."""
+    s = _law_nodes(sub)
     panels = z.reshape(-1, 16)
     return np.concatenate([
-        integrate_against(_OnArrays(lambda s: fn(np.asarray(s)[..., None],
-                                                 panels[block].ravel())), sub)
-        for block in _blocks(len(panels), nodes * panels.shape[1])])
+        _law_sum(sub, fn(s[:, None], panels[block].ravel()))
+        for block in _blocks(len(panels), s.size * panels.shape[1])])
 
 
 def check_entropy_kernel(base, sub, x, y, spec=QuadratureSpec()):

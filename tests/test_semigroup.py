@@ -16,6 +16,7 @@ from subharnack.specfun import _exp_or_inf
 from subharnack.semigroup import (
     _as_point,
     _checked_pair,
+    _expect_on_nodes,
     _first_coordinate,
     _gauss_expectation_rule,
     _gauss_quad_memo,
@@ -40,13 +41,16 @@ from subharnack.semigroup import (
 )
 from subharnack.subordinator import (
     _LOG_HUGE,
+    _blocks,
+    _law_nodes,
     _law_rule,
-    _OnArrays,
+    _law_sum,
     QuadratureSpec,
     StableSubordinator,
     integrate_against,
     log_fractional_moment,
 )
+from subharnack.verify import _on_z, _z_rule
 
 SPEC = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
 ULP = np.finfo(float).eps
@@ -602,9 +606,8 @@ class TestSubordinated:
         if base.curvature_K == 0.0:
             # the heat kernel's log-sum is the same arithmetic as the array
             # kernel summed over the same rule
-            assert got == integrate_against(
-                _OnArrays(lambda s: _kernel_density_at(base, s, *point, np)),
-                sub, SPEC)
+            assert got == _law_sum(
+                sub, _kernel_density_at(base, _law_nodes(sub), *point, np))
         # numpy's vectorised exp, expm1 and power may differ from libm's by
         # an ulp, so the array kernel is within a few ulp of the reference;
         # at a node exp's condition number, |log p|, scales an ulp of
@@ -754,8 +757,8 @@ def outcome(fn, *args):
 
 class TestHeatKernelOnePass:
     # alpha in [0.01, 0.999] and 1: the law rule's panel count grows as
-    # 1/alpha near 0 and 1/(1 - alpha) near 1, and past these building it
-    # runs out of memory before it can refuse alpha
+    # 1/alpha near 0 and 1/(1 - alpha) near 1, so builds slow toward the
+    # ends, and past its panel bound the rule refuses alpha
     @given(st.one_of(st.floats(min_value=0.01, max_value=0.999), st.just(1.0)),
            st.floats(min_value=math.log(1e-200), max_value=math.log(1e160)),
            st.integers(1, 3),
@@ -799,6 +802,87 @@ class TestHeatKernelOnePass:
         assert not terms.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             terms -= 1.0
+
+
+def reference_law_sum(w, values):
+    """The weight-taking sum every law integral ended in before the sum
+    read its weights from the rule; kept as the reference the one sum over
+    the law rule must reproduce bit for bit."""
+    total = w @ np.asarray(values, dtype=float)
+    return float(total) if total.ndim == 0 else total
+
+
+def reference_integrate_against(h, sub, on_arrays=False):
+    """``integrate_against`` with the branch it had for an integrand marked
+    as written on arrays: such an h was called once, on all the nodes."""
+    rule = _law_rule(sub.alpha)
+    s = sub.scale * rule.v
+    if on_arrays:
+        return reference_law_sum(rule.w, h(s))
+    return reference_law_sum(rule.w, [h(x) for x in s.tolist()])
+
+
+def reference_on_z(sub, fn, z):
+    """The entropy checks' z integrals as they were blocked by hand, the
+    node count read from the rule."""
+    nodes = _law_rule(sub.alpha).v.size
+    panels = z.reshape(-1, 16)
+    return np.concatenate([
+        reference_integrate_against(
+            lambda s: fn(np.asarray(s)[..., None], panels[block].ravel()),
+            sub, on_arrays=True)
+        for block in _blocks(len(panels), nodes * panels.shape[1])])
+
+
+def sum_outcome(fn, *args):
+    """fn's value as its type, shape and bytes, or "ValueError" where it
+    raised one."""
+    try:
+        value = fn(*args)
+    except ValueError:
+        return "ValueError"
+    return type(value), np.shape(value), np.asarray(value).tobytes()
+
+
+class TestOneLawSum:
+    # alpha in [0.01, 0.999] and 1 (builds slow toward the ends of (0, 1)),
+    # t log-uniform over 200 decades: every route through the one sum gives
+    # the parent's bits, or the same ValueError (an uncertified rule, a
+    # scale past float range)
+    @given(st.one_of(st.floats(min_value=0.01, max_value=0.999), st.just(1.0)),
+           st.floats(min_value=math.log(1e-100), max_value=math.log(1e100)),
+           st.floats(min_value=math.log(1e-3), max_value=math.log(1e3)),
+           st.integers(2, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_bits_match_the_reference(self, alpha, log_t, log_x, columns):
+        sub, x = StableSubordinator(alpha, math.exp(log_t)), math.exp(log_x)
+        xs = x * np.geomspace(1e-2, 1e2, columns)
+
+        def per_node(s):
+            return math.exp(-x * s) / (1.0 + s)
+
+        def one_column(s):
+            return np.exp(-x * s)
+
+        def many_columns(s):
+            return np.exp(-np.multiply.outer(s, xs))
+
+        assert (sum_outcome(integrate_against, per_node, sub)
+                == sum_outcome(reference_integrate_against, per_node, sub))
+        for h in (one_column, lambda s: one_column(s)[:, None], many_columns):
+            assert (sum_outcome(lambda: _law_sum(sub, h(_law_nodes(sub))))
+                    == sum_outcome(reference_integrate_against, h, sub, True))
+        # the library's two array routes: P_t^alpha f and the z integrals
+        base, f = ou1d(), GaussBump(0.2, 0.7)
+        assert (sum_outcome(_subordinated_apply_memo.__wrapped__, base, sub, f, x)
+                == sum_outcome(reference_integrate_against,
+                               lambda s: _expect_on_nodes(base, f, s, x), sub, True))
+        z = _z_rule(-x, x + 3.0)[0]
+
+        def on_z(s, zb):
+            return np.exp(-np.multiply(s, zb * zb))
+
+        assert sum_outcome(_on_z, sub, on_z, z) == sum_outcome(reference_on_z, sub, on_z, z)
 
 
 @pytest.mark.parametrize("build", [
@@ -968,7 +1052,7 @@ class TestPointMassThroughTheRule:
         def on_arrays(s):
             return _kernel_density_at(base, s, *point, np)
 
-        assert (integrate_against(_OnArrays(on_arrays), sub)
+        assert (_law_sum(sub, on_arrays(_law_nodes(sub)))
                 == on_arrays(np.array([t]))[0])
         # P_s f on arrays of times against P_t f at one time
         got = subordinated_apply(base, sub, f, x)
@@ -1301,7 +1385,6 @@ class TestOnArrays:
                 lambda s: float(_gauss_expectation_rule(g, *base.mean_sigma(s, 0.4))),
                 sub, SPEC)
             assert math.isclose(got, per_node, rel_tol=4 * ULP)
-            closed_on_nodes = integrate_against(
-                _OnArrays(lambda s: closed(*base.mean_sigma(s, 0.4, np), np)),
-                sub, SPEC)
+            closed_on_nodes = _law_sum(
+                sub, closed(*base.mean_sigma(_law_nodes(sub), 0.4, np), np))
             assert math.isclose(got, closed_on_nodes, rel_tol=1e-12)

@@ -1,5 +1,7 @@
 import math
+import re
 import time
+import tracemalloc
 import warnings
 from dataclasses import fields
 
@@ -67,14 +69,12 @@ def reference_sum_log_series(log_term, rel_tol, max_terms=200000):
                     truncation_bound=(
                         math.exp(log_tail) if log_tail < 709.0 else math.inf
                     ),
-                    converged=True,
                     log_value=log_sum,
                 )
         prev = lt
     return SeriesEval(
         terms_used=max_terms,
         truncation_bound=math.inf,
-        converged=False,
         divergence_reason="max_terms reached without convergence",
     )
 
@@ -909,12 +909,20 @@ class TestSeriesEval:
         assert SeriesEval.exact(710.0).value == math.inf
         assert SeriesEval.exact(-800.0).value == 0.0
 
+    def test_converged_is_derived_from_the_reason(self):
+        assert "converged" not in {f.name for f in fields(SeriesEval)}
+        assert SeriesEval.exact(0.5).converged
+        assert not SeriesEval.diverges("why").converged
+        assert SeriesEval(3, 1e-12, log_value=0.5).converged
+        with pytest.raises(AttributeError):
+            SeriesEval.exact(0.5).converged = False
+
     def test_constructors(self):
         assert SeriesEval.exact(0.5) == SeriesEval(
-            terms_used=0, truncation_bound=0.0, converged=True, log_value=0.5)
+            terms_used=0, truncation_bound=0.0, log_value=0.5)
         res = SeriesEval.diverges("why", terms_used=7)
         assert res == SeriesEval(terms_used=7, truncation_bound=math.inf,
-                                 converged=False, divergence_reason="why")
+                                 divergence_reason="why")
         assert res.value == math.inf and math.isnan(res.log_value)
 
 
@@ -1305,9 +1313,33 @@ class TestLawRule:
         # alpha = 1/2 weights come from the general density path
         assert _law_rule(0.5).certified_error <= 1e-14
 
+    @pytest.mark.parametrize("alpha, count", [
+        (0.9999999999999999, "1.82e+17"),  # the theta rule, ~5/(1 - alpha)
+        (5e-324, "inf"),  # the bulk, ~6.6/alpha
+    ])
+    def test_refuses_alpha_past_the_panel_bound_before_it_allocates(
+            self, alpha, count):
+        # numpy was asked for 1.26 EiB at the first, and math.ceil(inf)
+        # raised OverflowError at the second
+        message = re.escape(f"alpha = {alpha!r} needs {count} panels")
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ValueError, match=message):
+                _law_rule(alpha)
+        finally:
+            seconds = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert seconds < 1.0 and peak < 1 << 20
+        if alpha > 0.5:  # the density builds the same theta rule
+            with pytest.raises(ValueError, match=message):
+                density(StableSubordinator(alpha, 1.0), 1.0)
+
     def test_uncertified_rule_raises_naming_alpha(self):
-        # at alpha = 0.01 the law reaches past the float range
-        with pytest.raises(ValueError, match="alpha = 0.01"):
+        # at alpha = 0.01 the law reaches past the float range; its panels
+        # are within the bound, so the certificate is what refuses it
+        with pytest.raises(ValueError, match="alpha = 0.01 certifies only"):
             integrate_against(lambda s: 1.0, StableSubordinator(0.01, 1.0), SPEC)
 
     @pytest.mark.parametrize("alpha", np.linspace(0.3, 0.97, 12))
