@@ -123,19 +123,11 @@ def _report_to_csv(report):
     w = csv.writer(out, lineterminator="\n")
     w.writerow(_CSV_COLUMNS)
     for e in report.entries:
-        params = e.params or {}
-        row = []
-        for col in _CSV_COLUMNS:
-            if col in ("lhs", "rhs", "slack"):
-                row.append(_fmt(getattr(e, col)))
-            elif col == "valid_domain":
-                row.append(str(e.valid_domain).lower())
-            elif col in ("status", "method"):
-                row.append(getattr(e, col))
-            else:
-                v = params.get(col, "")
-                row.append(_fmt(v) if isinstance(v, float) else str(v))
-        w.writerow(row)
+        row = {**(e.params or {}), "lhs": e.lhs, "rhs": e.rhs, "slack": e.slack,
+               "valid_domain": str(e.valid_domain).lower(),
+               "status": e.status, "method": e.method}
+        w.writerow([_fmt(v) if isinstance(v, float) else str(v)
+                    for v in (row.get(col, "") for col in _CSV_COLUMNS)])
     return out.getvalue()
 
 

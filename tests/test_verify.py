@@ -1,5 +1,7 @@
+import csv
 import importlib
 import importlib.resources as resources
+import io
 import itertools
 import json
 import math
@@ -14,7 +16,7 @@ from conftest import MEMOS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import ndtri
+from scipy.special import log_ndtr, ndtri
 
 import subharnack
 from subharnack import semigroup, subordinator, verify
@@ -24,6 +26,7 @@ from subharnack.bounds import (
     base_harnack_exponent,
     log_harnack_term,
 )
+from subharnack.cli import _report_to_csv
 from subharnack.semigroup import (
     _subordinated_apply_memo,
     Constant,
@@ -32,7 +35,9 @@ from subharnack.semigroup import (
     Indicator,
     ShiftedForLog,
     apply,
+    cauchy_closed_form,
     gauss_heat,
+    ondiag,
     ou1d,
     subordinated_density,
 )
@@ -282,9 +287,29 @@ class TestChecks:
             check_ondiag_rate(1, 0.5, (0.5, 1.0, 2.0), SPEC)
 
     def test_ondiag_alpha_half(self):
-        rep = check_ondiag_rate(1, 0.5, (0.1, 0.3, 1.0, 3.0, 10.0), SPEC)
-        assert rep.lhs <= rep.rhs
-        assert "slope=-1" in rep.detail
+        # judged on the value: at alpha = 1/2, d = 1 the closed form is the
+        # Poisson kernel's diagonal 1/(pi t), and lhs is the worst relative
+        # error against it, with the law rule's certificate as rhs
+        ts = (0.1, 0.3, 1.0, 3.0, 10.0)
+        rep = check_ondiag_rate(1, 0.5, ts, SPEC)
+        want = max(abs(ondiag(gauss_heat(1), StableSubordinator(0.5, t), 0.0)
+                       / cauchy_closed_form(1, t, [0.0], [0.0]) - 1.0) for t in ts)
+        assert rep.status == "holds" and rep.rhs == subordinator._CERT_TOL
+        assert rep.lhs <= 1e-14 and math.isclose(rep.lhs, want, abs_tol=1e-15)
+        assert rep.params == {"check": "ondiag_rate", "alpha": 0.5, "d": 1,
+                              "t": 0.1, "f": ""}
+
+    @given(st.one_of(st.floats(0.26, 1.0), st.just(1.0)), st.sampled_from([1, 2, 3]),
+           st.floats(-3.0, 1.0), st.floats(0.0, 1.0),
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_ondiag_is_its_closed_form(self, alpha, d, lo, stretch, inner):
+        # log10 t from lo to hi = lo + 2 + stretch (1 - lo) <= 3: two decades
+        # or more, log-uniform in [1e-3, 1e3], with 1-3 times in between
+        hi = lo + 2.0 + stretch * (1.0 - lo)
+        ts = [10.0 ** (lo + u * (hi - lo)) for u in [0.0, 1.0, *inner]]
+        rep = check_ondiag_rate(d, alpha, ts, SPEC)
+        assert rep.status == "holds" and rep.lhs <= 1e-14
 
     def test_entropy_checks_require_ou(self):
         sub = StableSubordinator(0.5, 1.0)
@@ -353,6 +378,69 @@ class TestChecks:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 8 * n
+
+
+def extremal_slope(base, p, t, x, y):
+    """lambda of the f = exp(lambda z) that meets the base exponent with
+    equality: f^(p-1) proportional to q_x / q_y (Hoelder's equality case)."""
+    if base.kind == "gauss_heat":
+        return (x - y) / (2.0 * (p - 1.0) * t)
+    return math.exp(-t) * (x - y) / ((p - 1.0) * -math.expm1(-2.0 * t))
+
+
+class TestNegativeControls:
+    # each builds a false inequality by monkeypatching a side of a true one
+    # and asserts that its check reports it violated
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_ondiag_off_by_a_thousandth_is_violated(self, alpha, d, monkeypatch):
+        ts = (0.1, 0.3, 1.0, 3.0, 10.0)
+        assert check_ondiag_rate(d, alpha, ts, SPEC).status == "holds"
+        monkeypatch.setattr(verify, "ondiag", lambda *a: 1.001 * ondiag(*a))
+        rep = check_ondiag_rate(d, alpha, ts, SPEC)
+        assert rep.status == "violated"
+        assert math.isclose(rep.lhs, 1e-3, rel_tol=1e-9)
+
+    @pytest.mark.parametrize("kind", ["gauss_heat", "ou1d"])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+    @pytest.mark.parametrize("t", [0.1, 1.0, 2.0])
+    @pytest.mark.parametrize("x, y", [(0.0, 1.0), (0.3, -0.7)])
+    def test_base_exponent_below_the_sharp_one_is_violated(self, kind, p, t, x, y,
+                                                           monkeypatch):
+        # at the extremal f both sides agree to rounding in their logs (one
+        # ulp of log lhs, measured <= 4.8e-16 relative); the exponent scaled
+        # by 1 - 1e-3 then puts rhs below lhs
+        base = gauss_heat(1) if kind == "gauss_heat" else ou1d()
+        f = ExpAffine(extremal_slope(base, p, t, x, y))
+
+        def both():
+            return (check_base_harnack(base, p, t, [x], [y], f, SPEC),
+                    check_subordinated_harnack(base, StableSubordinator(1.0, t), p,
+                                               [x], [y], f, "numeric", SPEC))
+
+        for rep in both():
+            assert rep.status == "holds"
+            assert (abs(rep.log_rhs - rep.log_lhs)
+                    <= 1e-15 * max(1.0, abs(rep.log_lhs)))
+        exponent = verify.base_harnack_exponent
+        monkeypatch.setattr(verify, "base_harnack_exponent",
+                            lambda *a: (1.0 - 1e-3) * exponent(*a))
+        for rep in both():
+            assert rep.status == "violated"
+
+    @pytest.mark.xfail(strict=True, reason="P_t f^p(y) underflows to 0: the "
+                       "indicator's Gaussian expectation is not taken in logs")
+    def test_base_harnack_far_from_the_indicator(self):
+        # log rhs = 2000 + log P(N(20, 0.2) in [-1, 1]) ~ 1092.8 and log lhs
+        # < 0, so the inequality holds; today rhs underflows to 0
+        rep = check_base_harnack(gauss_heat(1), 2.0, 0.1, [0.0], [20.0],
+                                 Indicator(-1.0, 1.0), SPEC)
+        sigma = math.sqrt(0.2)
+        hi, lo = log_ndtr(-19.0 / sigma), log_ndtr(-21.0 / sigma)
+        want = 2000.0 + hi + math.log1p(-math.exp(lo - hi))
+        assert rep.status == "holds"
+        assert math.isclose(rep.log_rhs, want, rel_tol=1e-12)
 
 
 # every check that takes a point pair, as a function of the pair
@@ -838,9 +926,11 @@ class TestRunSweep:
     def test_default_sweep_checks_each_d1_point_once(self, clear_memos,
                                                      monkeypatch):
         # a d = 1 point is checked once, in _checked_pair, and passed on as
-        # a float that apply and subordinated_apply take as checked; the 40
-        # numpy checks left are the ondiag_rate entries' np.zeros(d) pairs
-        # and their Poisson-kernel oracle (1,224 when every call re-checked)
+        # a float that apply and subordinated_apply take as checked, and the
+        # ondiag_rate entries pass their point as a tuple of floats, so no
+        # point is checked in numpy (40 while those entries passed
+        # np.zeros(d) and a Poisson-kernel oracle; 1,224 when every call
+        # re-checked)
         text = resources.files("subharnack").joinpath(
             "data/default_sweep.json").read_text()
         config = SweepConfig.from_dict(json.loads(text))
@@ -855,7 +945,7 @@ class TestRunSweep:
         for _ in ("cold", "warm"):
             calls[0] = 0
             run_sweep(config)
-            assert calls[0] == 40
+            assert calls[0] == 0
 
     def test_default_sweep_builds_one_report_per_entry(self, clear_memos,
                                                        monkeypatch):
@@ -1058,6 +1148,36 @@ class TestSweepTable:
         rep = verify._report(lhs, 1.0, "m", "", 1e-8, {})
         assert rep.status == status
         assert passes(rep, 1e-8) == (status == "holds")
+
+
+    def test_csv_is_the_reference_writers(self, all_checks_sweep):
+        _, report, _ = all_checks_sweep
+        assert len(report.entries) == 166
+        assert _report_to_csv(report) == reference_report_to_csv(report)
+
+
+def reference_report_to_csv(report):
+    """The CSV writer with one branch per column kind, as first written."""
+    columns = ["check", "alpha", "kappa", "p", "t", "x", "y", "f",
+               "lhs", "rhs", "slack", "valid_domain", "status", "method"]
+    out = io.StringIO()
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(columns)
+    for e in report.entries:
+        params = e.params or {}
+        row = []
+        for col in columns:
+            if col in ("lhs", "rhs", "slack"):
+                row.append(f"{getattr(e, col):.17g}")
+            elif col == "valid_domain":
+                row.append(str(e.valid_domain).lower())
+            elif col in ("status", "method"):
+                row.append(getattr(e, col))
+            else:
+                v = params.get(col, "")
+                row.append(f"{v:.17g}" if isinstance(v, float) else str(v))
+        w.writerow(row)
+    return out.getvalue()
 
 
 # (check, alpha, p, t, x, y, f, mode) of every entry, in sweep order: the
