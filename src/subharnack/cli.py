@@ -114,7 +114,7 @@ def _build_parser():
     return parser
 
 
-_CSV_COLUMNS = ["check", "alpha", "kappa", "p", "t", "x", "y", "f",
+_CSV_COLUMNS = ["check", "alpha", "kappa", "p", "t", "d", "x", "y", "f", "mode",
                 "lhs", "rhs", "slack", "valid_domain", "status", "method"]
 
 

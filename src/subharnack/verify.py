@@ -32,7 +32,6 @@ from .bounds import (
     STATUSES,
     BoundReport,
     HarnackProfile,
-    _json_float,
     base_harnack_exponent,
     log_harnack_term,
     log_thm11_factor,
@@ -65,6 +64,7 @@ from .subordinator import (
     _CERT_TOL,
     _blocks,
     _law_nodes,
+    _law_rule,
     _law_sum,
     _panel_nodes,
     exp_moment,
@@ -110,27 +110,25 @@ def _verdict(lhs, rhs, rel_tol):
     return "holds" if lhs <= rhs * (1.0 + _TOL_MULT * rel_tol) else "violated"
 
 
-def _report(lhs, rhs, method, detail, rel_tol, params, log_rhs=None):
-    """In-domain report. ``log_rhs`` defaults to log(rhs); a caller that
-    formed rhs in log domain passes its log, which stays finite where rhs
-    is inf."""
-    if log_rhs is None:
-        log_rhs = math.log(rhs) if rhs > 0 else -math.inf
+def _report(lhs, rhs, method, detail, rel_tol, params, log_lhs=math.nan,
+            log_rhs=math.nan):
+    """Report of an evaluated entry, its status from ``_verdict``. Only a
+    multiplicative inequality has log sides, which ``_power_report``
+    passes; an additive one leaves them nan."""
     return BoundReport(lhs=lhs, rhs=rhs, method=method,
                        status=_verdict(lhs, rhs, rel_tol), detail=detail,
-                       log_lhs=math.log(lhs) if lhs > 0 else -math.inf,
-                       log_rhs=log_rhs, params=params)
+                       log_lhs=log_lhs, log_rhs=log_rhs, params=params)
 
 
 def _power_report(P, f, p, x, y, log_factor, method, detail, rel_tol, params):
-    """In-domain report of (P(f, x))^p <= factor * P(f^p, y), with rhs
-    formed in logs from ``log_factor``: the factor alone can pass float
-    range while log rhs stays finite, and rhs is then inf."""
+    """Report of (P(f, x))^p <= factor * P(f^p, y), with rhs formed in logs
+    from ``log_factor``: the factor alone can pass float range while log
+    rhs stays finite, and rhs is then inf."""
     lhs = P(f, x) ** p
     rhs_p = P(f.pow(p), y)
     log_rhs = log_factor + math.log(rhs_p) if rhs_p > 0 else -math.inf
     return _report(lhs, _exp_or_inf(log_rhs), method, detail, rel_tol, params,
-                   log_rhs=log_rhs)
+                   math.log(lhs) if lhs > 0 else -math.inf, log_rhs)
 
 
 def _params(x, y, f):
@@ -256,10 +254,8 @@ def check_log_harnack(base, sub, x, y, f, spec=QuadratureSpec()):
     rhs = math.log(subordinated_apply(base, sub, f, y, spec)) + term
     params = {"check": "log_harnack", "alpha": sub.alpha, "kappa": profile.kappa,
               "t": sub.t, **_params(x, y, f)}
-    # the inequality is additive, so the report carries no log sides
-    return BoundReport(lhs=lhs, rhs=rhs, method="quadrature",
-                       status=_verdict(lhs, rhs, spec.rel_tol),
-                       detail=f"additive term={term:.12g}", params=params)
+    return _report(lhs, rhs, "quadrature", f"additive term={term:.12g}",
+                   spec.rel_tol, params)
 
 
 def check_ondiag_rate(d, alpha, ts, spec=QuadratureSpec()):
@@ -282,10 +278,9 @@ def check_ondiag_rate(d, alpha, ts, spec=QuadratureSpec()):
                     if 0.0 < value < math.inf else math.inf)
     err, t_worst = max(zip(errs, ts))
     params = {"check": "ondiag_rate", "alpha": alpha, "d": d, "t": ts[0], "f": ""}
-    return BoundReport(lhs=err, rhs=_CERT_TOL, method="quadrature",
-                       status=_verdict(err, _CERT_TOL, spec.rel_tol),
-                       detail=f"worst value vs closed form at t={t_worst:.8g}",
-                       params=params)
+    return _report(err, _CERT_TOL, "quadrature",
+                   f"worst value vs closed form at t={t_worst:.8g}", spec.rel_tol,
+                   params)
 
 
 def _rate_grid(ts, name):
@@ -410,10 +405,8 @@ def check_laplace_mc(sub, x_probe, mc):
     params = {"check": "laplace_mc", "alpha": sub.alpha, "t": sub.t,
               "x": x_probe, "f": ""}
     # no quadrature error to allow for: the band is the 4-SE band itself
-    return BoundReport(lhs=err, rhs=band, method="monte-carlo",
-                       status=_verdict(err, band, 0.0),
-                       detail=f"mean={mean:.12g} exact={exact:.12g} se={se:.3g}",
-                       params=params)
+    return _report(err, band, "monte-carlo",
+                   f"mean={mean:.12g} exact={exact:.12g} se={se:.3g}", 0.0, params)
 
 
 # --- sweep -------------------------------------------------------------
@@ -591,18 +584,9 @@ class SweepReport:
         """The number of entries of each status, every status named."""
         return {s: sum(e.status == s for e in self.entries) for s in STATUSES}
 
-    @property
-    def worst_slack(self):
-        """The least finite slack, inf where no entry has one."""
-        return min((s for e in self.entries if math.isfinite(s := e.slack)),
-                   default=math.inf)
-
     def to_dict(self):
-        return {
-            "entries": [e.to_dict() for e in self.entries],
-            "summary": self.summary,
-            "worst_slack": _json_float(self.worst_slack),
-        }
+        return {"entries": [e.to_dict() for e in self.entries],
+                "summary": self.summary}
 
     @property
     def violated(self):
@@ -613,8 +597,15 @@ def run_sweep(config, threads=1):
     """Run every configured check over its grid, serially in the order of
     ``_SWEEP``; the report depends on the config alone. ``threads`` is
     not read (the checks hold the interpreter lock, so a thread pool made
-    the sweep slower); acceptance criterion 11 passes it."""
+    the sweep slower); acceptance criterion 11 passes it. The law rule of
+    each alpha is built first, so an alpha it cannot certify is refused
+    before any entry runs."""
     config.validate()
+    for a in config.alphas:
+        try:
+            _law_rule(a)
+        except ValueError as exc:
+            raise ValueError(f"config.alphas: {exc}") from None
     return SweepReport([build(config, *point)
                         for name, axes, build in _SWEEP if name in config.checks
                         for point in itertools.product(*axes(config))])

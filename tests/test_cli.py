@@ -317,7 +317,7 @@ class TestSweep:
                                "--format", "csv")
         assert code == 0
         header = out.splitlines()[0]
-        assert header == ("check,alpha,kappa,p,t,x,y,f,"
+        assert header == ("check,alpha,kappa,p,t,d,x,y,f,mode,"
                           "lhs,rhs,slack,valid_domain,status,method")
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 4

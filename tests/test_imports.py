@@ -145,3 +145,18 @@ def test_allowed_unread_are_still_unread():
     # an entry for a parameter the function reads, or that is gone, is stale
     stale = set(ALLOWED_UNREAD) - _unread_parameters()
     assert not stale, f"stale ALLOWED_UNREAD entries: {sorted(stale)}"
+
+
+def _report_builders():
+    """Names of the top-level functions of verify that call BoundReport."""
+    return {node.name for node in _tree("verify").body
+            if isinstance(node, ast.FunctionDef)
+            for n in ast.walk(node)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+            and n.func.id == "BoundReport"}
+
+
+def test_reports_are_built_in_one_place():
+    # _report builds every evaluated entry and _unchecked every other one,
+    # so each entry's status comes from one rule
+    assert _report_builders() == {"_report", "_unchecked"}

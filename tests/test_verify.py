@@ -23,6 +23,7 @@ from subharnack import semigroup, subordinator, verify
 from subharnack.bounds import (
     STATUSES,
     BoundReport,
+    _json_float,
     base_harnack_exponent,
     log_harnack_term,
 )
@@ -299,7 +300,9 @@ class TestChecks:
         assert rep.params == {"check": "ondiag_rate", "alpha": 0.5, "d": 1,
                               "t": 0.1, "f": ""}
 
-    @given(st.one_of(st.floats(0.26, 1.0), st.just(1.0)), st.sampled_from([1, 2, 3]),
+    # alpha in [0.26, 0.999] and 1, as in the other law-rule tests: past its
+    # panel bound, in (0.99992, 1), the rule refuses alpha (the next test)
+    @given(st.one_of(st.floats(0.26, 0.999), st.just(1.0)), st.sampled_from([1, 2, 3]),
            st.floats(-3.0, 1.0), st.floats(0.0, 1.0),
            st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
     @settings(max_examples=100, deadline=None)
@@ -310,6 +313,10 @@ class TestChecks:
         ts = [10.0 ** (lo + u * (hi - lo)) for u in [0.0, 1.0, *inner]]
         rep = check_ondiag_rate(d, alpha, ts, SPEC)
         assert rep.status == "holds" and rep.lhs <= 1e-14
+
+    def test_ondiag_refuses_alpha_past_the_panel_bound(self):
+        with pytest.raises(ValueError, match=r"alpha = 0\.99999 needs .* panels"):
+            check_ondiag_rate(1, 0.99999, [0.1, 1.0, 10.0], SPEC)
 
     def test_entropy_checks_require_ou(self):
         sub = StableSubordinator(0.5, 1.0)
@@ -840,6 +847,18 @@ def test_config_a_check_would_abort_on_is_refused(d, path, monkeypatch):
     assert ran == []
 
 
+def test_uncertifiable_alpha_is_refused_before_any_entry(monkeypatch):
+    # validate builds no law rule (the benchmark's setup phase would pay for
+    # it), so run_sweep builds each alpha's before the first entry
+    cfg = SweepConfig.from_dict(small_config(
+        alphas=[0.5, 0.01], checks=["base_harnack", "log_harnack"]))
+    ran = []
+    monkeypatch.setattr(verify, "check_base_harnack", lambda *args: ran.append(args))
+    with pytest.raises(ValueError, match=r"^config\.alphas: .*alpha = 0\.01"):
+        run_sweep(cfg)
+    assert ran == []
+
+
 def test_rate_grid_is_one_rule():
     # check_ondiag_rate refuses the grids that validate refuses
     with pytest.raises(ValueError, match="two decades"):
@@ -1029,20 +1048,19 @@ class TestDerivedFields:
                 assert math.isnan(e.slack)
             d = e.to_dict()
             assert (d["valid_domain"], d["slack"]) == (e.valid_domain,
-                                                      verify._json_float(e.slack))
+                                                      _json_float(e.slack))
         assert report.summary == {s: statuses[s] for s in STATUSES}
+        assert report.to_dict().keys() == {"entries", "summary"}
         assert report.to_dict()["summary"] == report.summary
-        assert report.worst_slack == min(
-            e.rhs - e.lhs for e in report.entries
-            if e.status in {"holds", "violated"} and math.isfinite(e.rhs - e.lhs))
 
     def test_derived_fields_cannot_be_set(self):
         rep = BoundReport(lhs=1.0, rhs=2.0, method="m", status="holds")
         report = SweepReport([rep])
         for obj, name in ((rep, "slack"), (rep, "valid_domain"),
-                          (report, "summary"), (report, "worst_slack")):
+                          (report, "summary")):
             with pytest.raises(AttributeError):
                 setattr(obj, name, 0)
+        assert not hasattr(report, "worst_slack")
 
     @pytest.mark.parametrize("call", [
         lambda: subordinator.density(StableSubordinator(0.5, 1.0), 1.0, SPEC),
@@ -1155,10 +1173,45 @@ class TestSweepTable:
         assert len(report.entries) == 166
         assert _report_to_csv(report) == reference_report_to_csv(report)
 
+    def test_csv_key_columns_tell_every_entry_apart(self, all_checks_sweep):
+        # without mode, a subordinated_harnack entry's intermediate and
+        # simplified rows had the same key columns. Two rows share their
+        # key columns only where they are one entry twice: entropy_cost
+        # takes the shift min(|x - y|, 0.5), the same for both point pairs
+        _, report, _ = all_checks_sweep
+        header, *rows = csv.reader(io.StringIO(_report_to_csv(report)))
+        by_key = {}
+        for row in rows:
+            by_key.setdefault(tuple(row[:header.index("lhs")]), []).append(row)
+        repeated = [group for group in by_key.values() if len(group) > 1]
+        assert len(rows) == 166 and len(by_key) == 162
+        assert {group[0][0] for group in repeated} == {"entropy_cost"}
+        assert all(row == group[0] for group in repeated for row in group)
+
+    def test_log_sides_only_where_the_inequality_is_multiplicative(
+            self, all_checks_sweep):
+        # the power Harnack bounds are multiplicative; log_harnack, the
+        # entropy checks, ondiag_rate and laplace_mc compare additively
+        _, report, _ = all_checks_sweep
+        power = {"base_harnack", "subordinated_harnack", "prop13"}
+        evaluated = [e for e in report.entries if e.valid_domain]
+        # no prop13 entry is evaluated here: p = 1.2 is outside the profile,
+        # and at p = 2 its condition fails or its moment series diverges
+        assert {e.params["check"] for e in evaluated} == set(KNOWN_CHECKS) - {"prop13"}
+        for e in evaluated:
+            logs = (e.log_lhs, e.log_rhs)
+            if e.params["check"] in power:
+                assert not any(map(math.isnan, logs)), e
+            else:
+                assert all(map(math.isnan, logs)), e
+        for e in report.entries:
+            if not e.valid_domain:
+                assert (e.log_lhs, e.log_rhs) == (math.inf, math.inf)
+
 
 def reference_report_to_csv(report):
     """The CSV writer with one branch per column kind, as first written."""
-    columns = ["check", "alpha", "kappa", "p", "t", "x", "y", "f",
+    columns = ["check", "alpha", "kappa", "p", "t", "d", "x", "y", "f", "mode",
                "lhs", "rhs", "slack", "valid_domain", "status", "method"]
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
