@@ -8,9 +8,10 @@ test functions; the time change integrates it against the subordinator law.
 
 P_s f is defined for a ``TestFunction`` f only: its closed Gaussian
 expectation where it has one, and otherwise one fixed Gauss-Legendre
-rule whose panels break at the points ``f.breakpoints()`` declares. No
-value is integrated adaptively. A plain callable raises TypeError; to
-use one, subclass TestFunction and declare its breakpoints.
+rule whose panels (``subordinator._panel_nodes``) break at the points
+``f.breakpoints()`` declares. No value is integrated adaptively. A plain
+callable raises TypeError; to use one, subclass TestFunction and declare
+its breakpoints.
 
 At alpha = 1/2 the subordinated heat semigroup is the Cauchy/Poisson
 semigroup, whose closed form is the module's independent oracle.
@@ -27,7 +28,7 @@ from scipy.special import erfcx, gammaln, log_ndtr, ndtr
 
 from .specfun import _exp_or_inf
 from .subordinator import (_LOG_HUGE, QuadratureSpec, _blocks, _law_nodes,
-                           _law_rule, _law_sum)
+                           _law_rule, _law_sum, _panel_nodes)
 
 __all__ = [
     "BaseKernel",
@@ -468,11 +469,8 @@ def _kernel_density_at(base, s, x0, y0, rho_sq=None, xp=math):
     return (2.0 * math.pi * var) ** (-0.5 * base.d) * xp.exp(-q / (2.0 * var))
 
 
-# the fixed rule: Gauss-Legendre nodes and weights mapped to [0, 1], and
-# the panel breaks in units of sigma around the mean
-_RULE_NODES, _RULE_WEIGHTS = np.polynomial.legendre.leggauss(20)
-_RULE_NODES = 0.5 * (_RULE_NODES + 1.0)
-_RULE_WEIGHTS = 0.5 * _RULE_WEIGHTS
+# the fixed rule's 20-point panels, and its breaks in sigma around the mean
+_RULE_TABLE = np.polynomial.legendre.leggauss(20)
 _RULE_WINDOW = np.array([-12.0, -4.0, 0.0, 4.0, 12.0])
 
 
@@ -486,26 +484,24 @@ def _gauss_expectation_rule(f, m, sigma):
     f declares, clipped into the window, so a kink or a feature much
     narrower than sigma gets panels of its own scale. A breakpoint outside
     the window makes a panel of zero width, which adds nothing, so every
-    row has the same panel count. f is evaluated once per cache-sized
-    block of rows (``_blocks``), on all its rows' panel nodes; a row's
-    sum does not depend on its block.
+    row has the same panel count (built by ``_panel_nodes``, a row of edges
+    per row). f is evaluated once per cache-sized block of rows
+    (``_blocks``), on all its rows' panel nodes; a row's sum does not
+    depend on its block.
     """
     m, sigma = np.broadcast_arrays(np.asarray(m, dtype=float),
                                    np.asarray(sigma, dtype=float))
     rows_m, rows_s = m.reshape(-1, 1), sigma.reshape(-1, 1)
     b = np.asarray(f.breakpoints(), dtype=float)
     out = np.empty(m.size)
-    for block in _blocks(m.size, (len(_RULE_WINDOW) - 1 + b.size) * _RULE_NODES.size):
+    for block in _blocks(m.size, (len(_RULE_WINDOW) - 1 + b.size) * len(_RULE_TABLE[0])):
         mc, sc = rows_m[block], rows_s[block]
         window = mc + sc * _RULE_WINDOW
-        edges = np.sort(np.concatenate(
-            (window, np.clip(b, window[:, :1], window[:, -1:])), axis=1), axis=1)
-        h = np.diff(edges, axis=1)
-        y = edges[:, :-1, None] + h[..., None] * _RULE_NODES
-        z = (y - mc[..., None]) / sc[..., None]
-        vals = (f(y) * np.exp(-0.5 * z * z)).reshape(len(mc), -1)
-        wts = (h[..., None] * _RULE_WEIGHTS).reshape(len(mc), -1)
-        out[block] = np.einsum("...i,...i->...", vals, wts)
+        y, wts = _panel_nodes(np.sort(np.concatenate(
+            (window, np.clip(b, window[:, :1], window[:, -1:])), axis=1), axis=1),
+            _RULE_TABLE)
+        z = (y - mc) / sc
+        out[block] = np.einsum("...i,...i->...", f(y) * np.exp(-0.5 * z * z), wts)
     return out.reshape(m.shape) / (sigma * _SQRT_2PI)
 
 
@@ -580,8 +576,8 @@ def subordinated_apply(base, sub, f, x, spec=QuadratureSpec()):
     Gaussian rule of ``_gauss_expectation_rule``, block by block of nodes.
     ``spec`` is not read; acceptance criterion 06 passes it. Where the
     integral diverges (an unclipped ExpAffine under the heat kernel) the
-    value is inf. For a hashable f the value is memoized per (base, sub, f,
-    x); an unhashable one is integrated every time."""
+    value is inf; at alpha = 1 it is ``apply`` at s = t. For a hashable f
+    it is memoized per (base, sub, f, x), else integrated every time."""
     x0 = _first_coordinate(base, f, x)
     return _memoized(_subordinated_apply_memo, f, base, sub, f, x0)
 
@@ -590,9 +586,11 @@ def subordinated_apply(base, sub, f, x, spec=QuadratureSpec()):
 def _subordinated_apply_memo(base, sub, f, x0):
     """int P_s f(x) mu_t(ds) at a point already checked by
     ``_first_coordinate``, with x0 its first coordinate: one array pass
-    over the law rule's nodes into its sum. The Harnack checks ask for the
-    same integral for every p (an indicator is its own power) and every
-    factor mode, so the sweeps revisit identical keys."""
+    over the law rule's nodes into its sum (P_t f(x) at alpha = 1). The
+    Harnack checks ask for the same integral for every p (an indicator is
+    its own power) and every factor mode, so sweeps revisit its keys."""
+    if sub.degenerate:  # the point mass at t; P_t f(x) reads x0 alone
+        return apply(base, f, sub.t, (x0,) * base.d)
     return _law_sum(sub, _expect_on_nodes(base, f, _law_nodes(sub), x0))
 
 

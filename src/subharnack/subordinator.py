@@ -14,11 +14,12 @@ it exceeds 1e-300) does not depend on the ``QuadratureSpec``.
 ``integrate_against`` sums h against mu_t with one fixed node set per
 alpha on the standard law (``_law_rule``; at alpha = 1 the point mass's
 one node), which serves every t by self-similarity: composite 16-point
-Gauss-Legendre panels in log v from the far left tail to v = 5 and in
-v^(-alpha) beyond, with the density folded into the weights. Each rule
-is certified when it is built against the closed-form Laplace transform
-and fractional moments, to 1e-12 relative or it raises. The
-``QuadratureSpec`` does not set its accuracy either.
+Gauss-Legendre panels (``_panel_nodes``, the builder of every fixed rule)
+in log v from the far left tail to v = 5 and in v^(-alpha) beyond, with
+the density folded into the weights. Each rule is certified when it is
+built against the closed-form Laplace transform and fractional moments,
+to 1e-12 relative or it raises. The ``QuadratureSpec`` does not set its
+accuracy either.
 """
 
 import math
@@ -217,7 +218,7 @@ def _tail_density_dw(alpha, w):
 # ~1e3, so an error e in log A costs a relative error E0 * e.
 _LD = np.longdouble
 _PI_LD = _LD("3.14159265358979323846264338327950288")
-_PANEL_X, _PANEL_W = np.polynomial.legendre.leggauss(16)  # on [-1, 1]
+_PANEL_TABLE = np.polynomial.legendre.leggauss(16)  # nodes, weights on [-1, 1]
 # E0 = c A(0) whose peak at theta = 0 the first panel spans; where the
 # density exceeds 1e-300, E0 stays near or below it
 _E_MAX = 1000.0
@@ -236,12 +237,13 @@ def _log_a0_ld(a):
     return (a / (1 - a)) * np.log(a) + np.log1p(-a)
 
 
-def _panel_nodes(edges):
-    """Nodes and weights of the composite Gauss-Legendre rule on ``edges``."""
+def _panel_nodes(edges, table=_PANEL_TABLE):
+    """Nodes and weights of the composite rule of ``table`` (Gauss-Legendre
+    nodes, weights on [-1, 1]) on ``edges``; a rule per row of 2-D edges."""
     edges = np.asarray(edges, dtype=float)
-    h = np.diff(edges)[:, None]
-    return ((edges[:-1, None] + 0.5 * h * (_PANEL_X + 1.0)).ravel(),
-            (0.5 * h * _PANEL_W).ravel())
+    half, rows = 0.5 * np.diff(edges)[..., None], (*edges.shape[:-1], -1)
+    return ((edges[..., :-1, None] + half * (table[0] + 1.0)).reshape(rows),
+            (half * table[1]).reshape(rows))
 
 
 def _panel_count(span, width, alpha):
@@ -280,13 +282,13 @@ def _theta_rule(alpha):
     # right half in l = log(pi - theta), from the cut where log(A / A(0))
     # reaches d_cut, located by bisection on the float log A (it need not
     # be exact): there c A = _DEAD at v = _TAIL_SWITCH
-    d_cut = (math.log(_DEAD) - float(la0)
+    d_cut = (math.log(_DEAD) - (la0f := float(la0))
              + (alpha / (1.0 - alpha)) * math.log(_TAIL_SWITCH))
     lo, hi = -40.0, math.log(half)
     for _ in range(40):
         mid = 0.5 * (lo + hi)
         la = _kanter_log_a(math.pi - math.exp(mid), alpha, math.sin, math.log)
-        lo, hi = (mid, hi) if la - float(la0) > d_cut else (lo, mid)
+        lo, hi = (mid, hi) if la - la0f > d_cut else (lo, mid)
     n = _panel_count(math.log(half) - lo, min(1.0, 2.0 * (1.0 - alpha)), alpha)
     ell, w_right = _panel_nodes(np.linspace(lo, math.log(half), n + 1))
     theta = np.concatenate((theta.astype(_LD), _PI_LD - np.exp(ell).astype(_LD)))
@@ -885,8 +887,8 @@ _TAIL_RATIO = 3.0  # largest factor in w across one tail panel
 _TAIL_U = 3.0  # largest width of a tail panel in u = log v
 _TAIL_PANELS = 10
 _CERT_TOL = 1e-12
-_CERT_LAPLACE = (0.0, 0.1, 1.0, 10.0)  # x of exp(-x^alpha); 0 is the mass
-_CERT_MOMENTS = (0.5, 1.0, 2.0, 3.0)  # r of the closed-form moments
+_CERT_LAPLACE = np.array([0.0, 0.1, 1.0, 10.0])  # x of exp(-x^alpha); 0 is the mass
+_CERT_MOMENTS = np.array([0.5, 1.0, 2.0, 3.0])  # r of the closed-form moments
 
 
 @dataclass(frozen=True)
@@ -917,20 +919,17 @@ class _LawRule:
 def _certify(alpha, v, w, log_v):
     """Worst relative error of the rule (v, w) on the standard law against
     exp(-x^alpha) at _CERT_LAPLACE and the closed-form fractional moments
-    Gamma(r/alpha)/(alpha Gamma(r)) at _CERT_MOMENTS; compared in logs,
+    (``log_fractional_moment``) at _CERT_MOMENTS; compared in logs,
     since the moments overflow a float for small alpha, and inf if a sum
-    is not finite and positive."""
-    checks = [(-x ** alpha, -x * v) for x in _CERT_LAPLACE]  # (log want, log h)
-    checks += [(math.lgamma(r / alpha) - math.log(alpha) - math.lgamma(r),
-                -r * log_v) for r in _CERT_MOMENTS]
-    worst = 0.0
+    is not finite and positive. The sums are one product exp(log h) @ w."""
+    log_want = np.concatenate((-_CERT_LAPLACE ** alpha, log_fractional_moment(
+        StableSubordinator(alpha, 1.0), _CERT_MOMENTS)))
+    log_h = np.concatenate((-_CERT_LAPLACE[:, None] * v, -_CERT_MOMENTS[:, None] * log_v))
     with np.errstate(over="ignore"):
-        for log_want, log_h in checks:
-            got = float(w @ np.exp(log_h))
-            if not 0.0 < got < math.inf:
-                return math.inf
-            worst = max(worst, abs(math.expm1(math.log(got) - log_want)))
-    return worst
+        got = np.exp(log_h) @ w
+    if not np.all((0.0 < got) & (got < math.inf)):
+        return math.inf
+    return float(np.abs(np.expm1(np.log(got) - log_want)).max())
 
 
 @lru_cache(maxsize=64)

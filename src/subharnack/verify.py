@@ -133,10 +133,9 @@ def _power_report(P, f, p, x, y, log_factor, method, detail, rel_tol, params):
 
 def _params(x, y, f):
     """The params entries of a point pair as ``_checked_pair`` returns it
-    (its first coordinates) and of f, which must be a TestFunction."""
+    (a float at d = 1, a tuple of d floats above) and of f, which must be
+    a TestFunction."""
     _check_test_function(f)
-    if not isinstance(x, float):
-        x, y = x[0], y[0]
     return {"x": x, "y": y, "f": f.describe()}
 
 
@@ -448,10 +447,11 @@ _SWEEP = (
      lambda c: (c.alphas, c.ts, c.point_pairs),
      lambda c, a, t, xy: check_entropy_kernel(ou1d(), StableSubordinator(a, t),
                                               *xy, c.quadrature)),
-    ("entropy_cost",
-     lambda c: (c.alphas, c.ts, c.point_pairs),
-     lambda c, a, t, xy: check_entropy_cost(ou1d(), StableSubordinator(a, t),
-                                            min(abs(xy[0] - xy[1]), 0.5), c.quadrature)),
+    ("entropy_cost",  # once per distinct shift min(|x - y|, 0.5), first seen first
+     lambda c: (c.alphas, c.ts,
+                dict.fromkeys(min(abs(x - y), 0.5) for x, y in c.point_pairs)),
+     lambda c, a, t, m: check_entropy_cost(ou1d(), StableSubordinator(a, t), m,
+                                           c.quadrature)),
     # the positions of alpha and t enter the Monte Carlo stream seed
     ("laplace_mc",
      lambda c: (enumerate(a for a in c.alphas if a < 1.0), enumerate(c.ts)),

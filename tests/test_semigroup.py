@@ -872,11 +872,13 @@ class TestOneLawSum:
         for h in (one_column, lambda s: one_column(s)[:, None], many_columns):
             assert (sum_outcome(lambda: _law_sum(sub, h(_law_nodes(sub))))
                     == sum_outcome(reference_integrate_against, h, sub, True))
-        # the library's two array routes: P_t^alpha f and the z integrals
+        # the library's two array routes: P_t^alpha f and the z integrals;
+        # at alpha = 1, the point mass at t, P_t^alpha f is P_t f itself
         base, f = ou1d(), GaussBump(0.2, 0.7)
         assert (sum_outcome(_subordinated_apply_memo.__wrapped__, base, sub, f, x)
-                == sum_outcome(reference_integrate_against,
-                               lambda s: _expect_on_nodes(base, f, s, x), sub, True))
+                == (sum_outcome(apply, base, f, sub.t, x) if sub.degenerate else
+                    sum_outcome(reference_integrate_against,
+                                lambda s: _expect_on_nodes(base, f, s, x), sub, True)))
         z = _z_rule(-x, x + 3.0)[0]
 
         def on_z(s, zb):
@@ -1054,9 +1056,8 @@ class TestPointMassThroughTheRule:
 
         assert (_law_sum(sub, on_arrays(_law_nodes(sub)))
                 == on_arrays(np.array([t]))[0])
-        # P_s f on arrays of times against P_t f at one time
-        got = subordinated_apply(base, sub, f, x)
-        assert abs(got - want) <= 4 * math.ulp(want)
+        # P_t^alpha f at alpha = 1 is P_t f, bit for bit
+        assert subordinated_apply(base, sub, f, x) == want
         # the kernel's log-sum over the one node against p_t(x, y)
         value = kernel_density(base, t, x, y)
         got = subordinated_density(base, sub, x, y)
@@ -1324,6 +1325,33 @@ class TestOnArrays:
         assert type(blocked) is type(whole)
         assert np.shape(blocked) == np.shape(whole)
         assert np.asarray(blocked).tobytes() == np.asarray(whole).tobytes()
+
+    def test_panel_builder_on_rows_is_the_inline_rule(self):
+        # the Gaussian rule's panels as it first built them, inline from
+        # 20-point nodes and weights mapped to [0, 1]: the one panel
+        # builder, on a row of edges per (m, sigma), gives the same bytes.
+        # Breakpoints inside the +-12 sigma window, outside it, and clipped
+        # onto its ends, where they make zero-width panels
+        x, w = np.polynomial.legendre.leggauss(20)
+        nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+        rng = np.random.default_rng(35)
+        m = rng.uniform(-30.0, 30.0, 400)
+        sigma = np.exp(rng.uniform(-8.0, 16.0, 400))
+        window = m[:, None] + sigma[:, None] * semigroup._RULE_WINDOW
+        inside = m[:, None] + sigma[:, None] * rng.uniform(-12.0, 12.0, (400, 3))
+        outside = m[:, None] + sigma[:, None] * np.array([-40.0, 13.0])
+        b = np.concatenate((inside, outside, window[:, [0, -1]]), axis=1)
+        edges = np.sort(np.concatenate(
+            (window, np.clip(b, window[:, :1], window[:, -1:])), axis=1), axis=1)
+        h = np.diff(edges, axis=1)
+        want_y = (edges[:, :-1, None] + h[..., None] * nodes).reshape(400, -1)
+        want_w = (h[..., None] * weights).reshape(400, -1)
+        assert (h == 0.0).any(axis=1).all()
+        y, wts = subordinator._panel_nodes(edges, semigroup._RULE_TABLE)
+        assert y.tobytes() == want_y.tobytes() and wts.tobytes() == want_w.tobytes()
+        # each row is the rule on its own edges
+        row_y, row_w = subordinator._panel_nodes(edges[7], semigroup._RULE_TABLE)
+        assert row_y.tobytes() == y[7].tobytes() and row_w.tobytes() == wts[7].tobytes()
 
     def test_rule_on_law_nodes_stays_block_sized(self):
         # 352 rows of 11 panels: the rule on all of them at once peaked at

@@ -20,6 +20,7 @@ from subharnack.subordinator import (
     _FIRST_BLOCK,
     _LOG_HUGE,
     _SAMPLE_BLOCK,
+    _certify,
     _exp_moment_memo,
     _kanter_log_a,
     _law_rule,
@@ -49,6 +50,22 @@ from subharnack.verify import check_subordinated_harnack
 
 SPEC = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
 PI_LD = np.longdouble("3.14159265358979323846264338327950288")
+
+
+def reference_certify(alpha, v, w, log_v):
+    """The loop of one dot product per closed-form check that ``_certify``
+    replaced by one matrix-vector product, kept as its reference."""
+    checks = [(-x ** alpha, -x * v) for x in (0.0, 0.1, 1.0, 10.0)]
+    checks += [(math.lgamma(r / alpha) - math.log(alpha) - math.lgamma(r),
+                -r * log_v) for r in (0.5, 1.0, 2.0, 3.0)]
+    worst = 0.0
+    with np.errstate(over="ignore"):
+        for log_want, log_h in checks:
+            got = float(w @ np.exp(log_h))
+            if not 0.0 < got < math.inf:
+                return math.inf
+            worst = max(worst, abs(math.expm1(math.log(got) - log_want)))
+    return worst
 
 
 def reference_sum_log_series(log_term, rel_tol, max_terms=200000):
@@ -1301,6 +1318,18 @@ class TestLawRule:
         # the logs a kernel sums in are the logs of the nodes and weights
         assert np.array_equal(rule.log_v, np.log(rule.v))
         assert np.array_equal(rule.log_w, np.log(rule.w))
+
+    @pytest.mark.parametrize("alpha", [0.03, 0.3, 0.5, 0.7, 0.9, 0.97, 0.999])
+    def test_certificate_is_the_loop_of_eight_sums(self, alpha):
+        # one matrix-vector product in place of one dot product per check:
+        # each sum of positive terms is summed in another order, so it may
+        # move by a few ulp, and the relative error with it
+        rule = _law_rule(alpha)
+        got = _certify(alpha, rule.v, rule.w, rule.log_v)
+        want = reference_certify(alpha, rule.v, rule.w, rule.log_v)
+        assert abs(got - want) <= 16 * np.finfo(float).eps
+        assert _certify(alpha, rule.v, 0.0 * rule.w, rule.log_v) == math.inf
+        assert reference_certify(alpha, rule.v, 0.0 * rule.w, rule.log_v) == math.inf
 
     def test_point_mass_is_one_node(self):
         # alpha = 1: the point mass at 1 on the standard law, exactly

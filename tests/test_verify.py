@@ -534,8 +534,8 @@ class TestPointPairs:
     def test_constant_entry_in_d_dimensions(self, name, d, x, y):
         # a constant's P_t f is the constant at every point, so the entry
         # depends on the pair through |x - y|^2 alone (25 and 9, exactly)
-        # and reports the first coordinates: the d = 1 entry at the same
-        # distance, but for the y it reports
+        # and reports the whole points: the d = 1 entry at the same
+        # distance, but for the points it reports
         f = Constant(2.0)
         check = {
             "base_harnack": lambda b, x, y: check_base_harnack(b, 2.0, 1.0, x, y, f,
@@ -550,8 +550,8 @@ class TestPointPairs:
         rho = math.sqrt(float(np.sum((np.array(y) - np.array(x)) ** 2)))
         got = check(gauss_heat(d), x, y).to_dict()
         want = check(gauss_heat(1), [x[0]], [x[0] + rho]).to_dict()
-        assert got["params"]["y"] == y[0]
-        got["params"]["y"] = want["params"]["y"]
+        assert (got["params"]["x"], got["params"]["y"]) == (tuple(x), tuple(y))
+        got["params"].update(x=want["params"]["x"], y=want["params"]["y"])
         assert got == want
         assert got["status"] in ("holds", "non_converged")
 
@@ -796,6 +796,23 @@ def test_point_pairs_must_match_the_base_dimension():
     # a d = 1 point may be a number or a one-element list
     cfg = SweepConfig.from_dict(small_config(point_pairs=[[[0.0], 1]]))
     assert cfg.point_pairs == [(0.0, 1.0)]
+
+
+def test_params_record_every_coordinate_of_a_point():
+    # two d = 2 pairs that share their first coordinates: params and the
+    # CSV key columns record whole points, so their entries differ
+    cfg = SweepConfig.from_dict(small_config(
+        base={"kind": "gauss_heat", "d": 2},
+        point_pairs=[[[0, 0], [3, 4]], [[0, 0], [3, 5]]],
+        functions=[{"kind": "constant"}], checks=["base_harnack"]))
+    report = run_sweep(cfg)
+    first, second = (e.params for e in report.entries)
+    assert (first["x"], first["y"]) == ((0.0, 0.0), (3.0, 4.0))
+    assert (second["x"], second["y"]) == ((0.0, 0.0), (3.0, 5.0))
+    assert json.loads(json.dumps(first))["y"] == [3.0, 4.0]
+    header, *rows = csv.reader(io.StringIO(_report_to_csv(report)))
+    keys = [tuple(row[:header.index("lhs")]) for row in rows]
+    assert len(keys) == 2 and keys[0] != keys[1]
 
 
 def test_config_fields_left_out_take_their_defaults():
@@ -1170,23 +1187,17 @@ class TestSweepTable:
 
     def test_csv_is_the_reference_writers(self, all_checks_sweep):
         _, report, _ = all_checks_sweep
-        assert len(report.entries) == 166
+        assert len(report.entries) == 162
         assert _report_to_csv(report) == reference_report_to_csv(report)
 
     def test_csv_key_columns_tell_every_entry_apart(self, all_checks_sweep):
         # without mode, a subordinated_harnack entry's intermediate and
-        # simplified rows had the same key columns. Two rows share their
-        # key columns only where they are one entry twice: entropy_cost
-        # takes the shift min(|x - y|, 0.5), the same for both point pairs
+        # simplified rows had the same key columns; entropy_cost runs once
+        # per distinct shift min(|x - y|, 0.5), here 0.5 for both pairs
         _, report, _ = all_checks_sweep
         header, *rows = csv.reader(io.StringIO(_report_to_csv(report)))
-        by_key = {}
-        for row in rows:
-            by_key.setdefault(tuple(row[:header.index("lhs")]), []).append(row)
-        repeated = [group for group in by_key.values() if len(group) > 1]
-        assert len(rows) == 166 and len(by_key) == 162
-        assert {group[0][0] for group in repeated} == {"entropy_cost"}
-        assert all(row == group[0] for group in repeated for row in group)
+        keys = {tuple(row[:header.index("lhs")]) for row in rows}
+        assert len(rows) == len(keys) == 162
 
     def test_log_sides_only_where_the_inequality_is_multiplicative(
             self, all_checks_sweep):
@@ -1398,12 +1409,8 @@ ALL_CHECKS_ORDER = [
     ('entropy_kernel', 0.75, None, 1.0, 0.0, 2.0, '', None),
     # entropy_cost
     ('entropy_cost', 0.5, None, 0.5, 0.5, 0.0, 'gaussian-shift', None),
-    ('entropy_cost', 0.5, None, 0.5, 0.5, 0.0, 'gaussian-shift', None),
-    ('entropy_cost', 0.5, None, 1.0, 0.5, 0.0, 'gaussian-shift', None),
     ('entropy_cost', 0.5, None, 1.0, 0.5, 0.0, 'gaussian-shift', None),
     ('entropy_cost', 0.75, None, 0.5, 0.5, 0.0, 'gaussian-shift', None),
-    ('entropy_cost', 0.75, None, 0.5, 0.5, 0.0, 'gaussian-shift', None),
-    ('entropy_cost', 0.75, None, 1.0, 0.5, 0.0, 'gaussian-shift', None),
     ('entropy_cost', 0.75, None, 1.0, 0.5, 0.0, 'gaussian-shift', None),
     # laplace_mc
     ('laplace_mc', 0.5, None, 0.5, 1.0, None, '', None),
