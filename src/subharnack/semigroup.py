@@ -4,7 +4,9 @@ The bases are one Gaussian family in the rate K of the Bakry-Emery bound
 Ric >= K (``BaseKernel``), the heat kernel on R^d at K = 0 and the 1-d
 Ornstein-Uhlenbeck semigroup at K = 1, and each kernel formula below is
 one formula in K. P_s f is a Gaussian expectation, closed for the shipped
-test functions; the time change integrates it against the subordinator law.
+test functions, each a sum of Gaussian atoms with one closed form in logs
+(``_log_atom_expect``); the time change integrates it against the
+subordinator law.
 
 P_s f is defined for a ``TestFunction`` f only: its closed Gaussian
 expectation where it has one, and otherwise one fixed Gauss-Legendre
@@ -17,6 +19,7 @@ At alpha = 1/2 the subordinated heat semigroup is the Cauchy/Poisson
 semigroup, whose closed form is the module's independent oracle.
 """
 
+import functools
 import math
 from functools import lru_cache
 from dataclasses import dataclass
@@ -24,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad  # unused; bench/tracer.py rebinds it here
-from scipy.special import erfcx, gammaln, log_ndtr, ndtr
+from scipy.special import erf, erfcx, gammaln
 
 from .specfun import _exp_or_inf
 from .subordinator import (_LOG_HUGE, QuadratureSpec, _blocks, _law_nodes,
@@ -50,7 +53,7 @@ __all__ = [
 
 _MAX_DIM = 3
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-_LOG_4 = math.log(4.0)
+_LOG_2, _LOG_4 = math.log(2.0), math.log(4.0)
 _LOG_4PI = math.log(4.0 * math.pi)
 _RATES = {"gauss_heat": 0.0, "ou1d": 1.0}  # each kind's K
 _RATE_CUT = 40.0  # past |log 2Ks| = 40, 1 - e^(-2Ks) is 2Ks or 1 in floats
@@ -114,10 +117,93 @@ def _checked_point(x, d):
 
 # --- test functions ----------------------------------------------------
 
+# A Gaussian atom is the tuple (log_c, a, b, y0, lo, hi): the function
+# c e^(a u - b u^2) on lo <= y <= hi and 0 elsewhere, with u = y - y0,
+# c = e^log_c and b >= 0; a family puts y0 where no exponent cancels.
+_LINE = (-math.inf, math.inf)  # the window of a whole-line atom
+_SIDE_TABLE = np.polynomial.legendre.leggauss(16)
+_SQRT_PI = math.sqrt(math.pi)
+
+
+def _log_atom_expect(atom, m, sigma, xp=math):
+    """log E atom(m + sigma Z), on floats (``xp=math``) or arrays (``xp=numpy``:
+    sigma an array, m an array of its shape or a float).
+
+    The completed square: with v = 1 + 2 b sigma^2 the atom tilts the law
+    of y to a normal law of scale sigma/sqrt(v); the value is the log of its
+    peak less log(v)/2, plus the log of the window's mass under that law,
+    with l and h the window's edges standardised and over sqrt 2. A whole
+    line has mass 1 and calls no normal CDF. A window across the tilted
+    mean takes ``_log_across``, one on one side ``_log_beside``; each edge's
+    side is read off before scaling, so a float mean picks one form for a
+    whole array, and an array that has both takes each where it applies."""
+    log_c, a, b, y0, lo, hi = atom
+    d, v, whole = m - y0, 1.0, lo == -math.inf and hi == math.inf
+    if b:  # the peak, and d the tilted law's mean less y0
+        s2 = sigma * sigma
+        v = 1.0 + 2.0 * b * s2
+        peak = a * (d + 0.5 * a * s2) if a else 0.0
+        log_c = log_c + (peak - b * d * d) / v - 0.5 * xp.log(v)
+        d = d if whole else (a * s2 + d) / v
+    elif a:
+        s2 = sigma * sigma
+        log_c, d = log_c + a * (d + 0.5 * a * s2), d + a * s2
+    if whole:
+        return log_c
+    # an infinite edge stays a float, so a half line forms no array for it
+    dl = lo if lo == -math.inf else lo - y0 - d
+    dh = hi if hi == math.inf else hi - y0 - d
+    scale = (0.5 * v) ** 0.5 / sigma
+    across = (dl <= 0.0) & (dh >= 0.0)  # a bool where d is a float
+    l = dl if lo == -math.inf else dl * scale
+    h, w = (hi, hi) if hi == math.inf else (dh * scale, (hi - lo) * scale)
+    if across if type(across) is bool else across.all():
+        return _log_across(log_c, l, h, xp)
+    near = lo if hi == math.inf else hi if lo == -math.inf else np.where(dh < 0.0, hi, lo)
+    x = max(l, -h) if xp is math else np.maximum(l, -h)
+    if type(across) is bool or not across.any():
+        value = _log_beside(atom, m, sigma, v, x, w, near, xp)
+        return float(value) if xp is math else value
+    return np.where(across, _log_across(log_c, np.minimum(l, 0.0), np.maximum(h, 0.0), xp),
+                    _log_beside(atom, m, sigma, v, np.maximum(x, 0.0), w, near, xp))
+
+
+def _log_across(log_peak, l, h, xp):
+    """A window [l, h] across the tilted mean: its mass is
+    (erf(h) - erf(l))/2, two terms of one sign (erf(-inf) = -1)."""
+    if xp is not math:
+        return log_peak - _LOG_2 + np.log(erf(h) - erf(l))
+    mass = math.erf(h) - math.erf(l)  # 0 only past float range
+    return log_peak - _LOG_2 + (math.log(mass) if mass > 0.0 else -math.inf)
+
+
+def _log_beside(atom, m, sigma, v, x, w, near, xp):
+    """A window on one side of the tilted mean, mirrored to [x, x + w] with
+    x >= 0: its mass is erfc(x) (1 - R)/2. erfc(x) = erfcx(x) e^(-x^2), and
+    e^(-x^2) joins the log of the atom times the density at the near edge,
+    so no exponent cancels however far the tail. R = erfc(x + w)/erfc(x)
+    is 0 on a half line; otherwise log R = -(2/sqrt pi) int_x^(x+w)
+    dt/erfcx(t), by the 16-point Gauss-Legendre rule on the smooth 1/erfcx,
+    exact to rounding wherever R is not negligible, and 1 - R =
+    -expm1(log R) keeps a narrow window, where R is near 1, to rounding."""
+    log_mass = np.log(0.5 * erfcx(x))
+    if -math.inf < atom[4] and atom[5] < math.inf:
+        nodes, weights = _SIDE_TABLE
+        t = np.multiply.outer(0.5 * w, 1.0 + nodes) + np.asarray(x)[..., None]
+        log_r = -(w / _SQRT_PI) * ((1.0 / erfcx(t)) @ weights)
+        log_mass = log_mass + np.log(-np.expm1(log_r))
+    log_c, a, b, y0 = atom[:4]
+    u, z = near - y0, (near - m) / sigma
+    if b:
+        log_mass = log_mass - 0.5 * xp.log(v)
+    return log_c + a * u - b * u * u - 0.5 * z * z + log_mass
+
+
 class TestFunction:
     """Bounded non-negative test function, evaluated elementwise on arrays;
-    subclasses may expose a closed Gaussian expectation, closure under
-    positive powers, and the breakpoints the numerical rule needs."""
+    subclasses may declare Gaussian atoms (or another closed Gaussian
+    expectation), closure under positive powers, and the breakpoints the
+    numerical rule needs."""
 
     constant = False  # one value everywhere: only such an f serves d > 1
 
@@ -130,12 +216,37 @@ class TestFunction:
         breakpoints (hashable when f is)."""
         return _PowOf(self, p)
 
+    def atoms(self):
+        """The Gaussian atoms whose sum f is, each a tuple (log_c, a, b, y0,
+        lo, hi) as above, or None if f is not such a sum."""
+        return None
+
+    def log_gauss_expect(self, m, sigma, xp=math):
+        """log E f(m + sigma*Z), the log-sum-exp of its atoms' logs
+        (``_log_atom_expect``), or None without atoms; floats and arrays as
+        in ``gauss_expect``."""
+        atoms = self.atoms()
+        if atoms is None:
+            return None
+        if len(atoms) == 1:
+            return _log_atom_expect(atoms[0], m, sigma, xp)
+        log_e = functools.reduce(np.logaddexp, [_log_atom_expect(atom, m, sigma, xp)
+                                                for atom in atoms])
+        return float(log_e) if xp is math else log_e
+
     def gauss_expect(self, m, sigma, xp=math):
         """E f(m + sigma*Z) in closed form, or None if unavailable. With
         ``xp=math`` m and sigma are floats; with ``xp=numpy`` sigma is an
         array and m an array of its shape or a float, and the result is an
-        array of that shape (or a float where it does not depend on them)."""
-        return None
+        array of that shape (or a float where it does not depend on them).
+        From atoms it is the sum of their values, each the exp of its log
+        (``_log_atom_expect``), inf past float range."""
+        value = None
+        for atom in self.atoms() or ():
+            u = _log_atom_expect(atom, m, sigma, xp)
+            u = _exp_or_inf(u) if type(u) is float else np.exp(u)
+            value = u if value is None else value + u
+        return value
 
     def breakpoints(self):
         """Points y where f has a kink or changes scale; the fixed
@@ -161,8 +272,8 @@ class Constant(TestFunction):
     def pow(self, p):
         return Constant(self.c ** p)
 
-    def gauss_expect(self, m, sigma, xp=math):
-        return self.c
+    def atoms(self):
+        return ((math.log(self.c) if self.c > 0.0 else -math.inf, 0.0, 0.0, 0.0, *_LINE),)
 
     def describe(self):
         return f"const({self.c:g})"
@@ -189,11 +300,8 @@ class GaussBump(TestFunction):
     def breakpoints(self):
         return tuple(self.center + self.width * k for k in (0, -1, 1, -4, 4, -12, 12))
 
-    def gauss_expect(self, m, sigma, xp=math):
-        v = self.width ** 2 + sigma ** 2
-        return self.width / xp.sqrt(v) * xp.exp(
-            -((m - self.center) ** 2) / (2.0 * v)
-        )
+    def atoms(self):
+        return ((0.0, 0.0, 0.5 / self.width ** 2, self.center, *_LINE),)
 
     def describe(self):
         return f"bump({self.center:g},{self.width:g})"
@@ -218,9 +326,8 @@ class Indicator(TestFunction):
     def breakpoints(self):
         return (self.lo, self.hi)
 
-    def gauss_expect(self, m, sigma, xp=math):
-        mass = ndtr((self.hi - m) / sigma) - ndtr((self.lo - m) / sigma)
-        return float(mass) if xp is math else mass
+    def atoms(self):
+        return ((0.0, 0.0, 0.0, 0.0, self.lo, self.hi),)
 
     def describe(self):
         return f"ind[{self.lo:g},{self.hi:g}]"
@@ -256,35 +363,13 @@ class ExpAffine(TestFunction):
         # below the clip f decays on the scale 1/slope
         return tuple(self.clip - k / self.slope for k in (0, 1, 4, 12, 40))
 
-    def gauss_expect(self, m, sigma, xp=math):
-        lam = self.slope
-        # an exponent past float range gives inf, on floats as on arrays:
-        # the expectation is past float range, or diverges, there
-        exp = _exp_or_inf if xp is math else np.exp
-        if self.clip is None:
-            return exp(lam * m + 0.5 * lam ** 2 * sigma ** 2)
-        z = (self.clip - m) / sigma
-        u = z - lam * sigma
-
-        # E[e^{lam*min(m+sZ, L)}] split at Z = z; assembled in log domain
-        # because the lognormal factor alone overflows at large sigma
-        # while the product with the truncated tail stays bounded
-        def below():
-            # for u < 0: lam*m + lam^2 sigma^2/2 - u^2/2 = lam*L - z^2/2
-            # removes the cancellation between two terms of size
-            # (lam*sigma)^2, and ndtr(u) = erfcx(-u/sqrt2) * exp(-u^2/2) / 2
-            return (lam * self.clip - 0.5 * z * z
-                    + xp.log(0.5 * erfcx(-u / math.sqrt(2.0))))
-
-        def above():
-            return lam * m + 0.5 * lam ** 2 * sigma ** 2 + log_ndtr(u)
-
-        if xp is math:
-            log_t1 = float(below() if u < 0.0 else above())
-        else:
-            log_t1 = np.where(u < 0.0, below(), above())
-        log_t2 = lam * self.clip + log_ndtr(-z)
-        return exp(log_t1) + exp(log_t2)
+    def atoms(self):
+        # centred at the clip, where the two atoms meet
+        lam, clip = self.slope, self.clip
+        if clip is None:
+            return ((0.0, lam, 0.0, 0.0, *_LINE),)
+        return ((lam * clip, lam, 0.0, clip, -math.inf, clip),
+                (lam * clip, 0.0, 0.0, 0.0, clip, math.inf))
 
     def describe(self):
         tag = f"expaff({self.slope:g}"
@@ -317,11 +402,9 @@ class ShiftedForLog(TestFunction):
             return Constant(math.log(self.floor + self.base.c))
         return _LogOf(self)
 
-    def gauss_expect(self, m, sigma, xp=math):
-        inner = self.base.gauss_expect(m, sigma, xp)
-        if inner is None:
-            return None
-        return self.floor + inner
+    def atoms(self):
+        inner = self.base.atoms()
+        return inner and (*inner, (math.log(self.floor), 0.0, 0.0, 0.0, *_LINE))
 
     def describe(self):
         return f"{self.floor:g}+{self.base.describe()}"
@@ -386,9 +469,9 @@ class _LogOf(TestFunction):
     layer can memoize the expectations of those without a closed form.
 
     Its Gaussian expectation is closed for two bases. log(floor +
-    1_[lo,hi]) takes only the values log(floor) and log(floor + 1), so it
-    is exact whenever the indicator's is. log(floor + bump) for a
-    ``GaussBump`` is the accelerated series of its closed powers
+    1_[lo,hi]) is two constant atoms, log(floor) on the whole line and
+    log(1 + 1/floor) on [lo, hi]. log(floor + bump) for a ``GaussBump`` is
+    the accelerated series of its closed powers
     (``_log_shifted_bump_expect``), within 1e-18 relative before rounding.
     Any other base takes the fixed Gaussian rule."""
 
@@ -402,16 +485,19 @@ class _LogOf(TestFunction):
     def breakpoints(self):
         return self.inner.breakpoints()
 
-    def gauss_expect(self, m, sigma, xp=math):
+    def atoms(self):
         base, floor = self.inner.base, self.inner.floor
-        if isinstance(base, Indicator):
-            lo_val = math.log(floor)
-            hi_val = math.log(floor + 1.0)
-            return lo_val + (hi_val - lo_val) * base.gauss_expect(m, sigma, xp)
+        if not isinstance(base, Indicator):
+            return None
+        return ((math.log(math.log(floor)) if floor > 1.0 else -math.inf, 0.0, 0.0, 0.0, *_LINE),
+                (math.log(math.log1p(1.0 / floor)), 0.0, 0.0, 0.0, base.lo, base.hi))
+
+    def gauss_expect(self, m, sigma, xp=math):
+        base = self.inner.base
         if isinstance(base, GaussBump):
-            value = _log_shifted_bump_expect(base, floor, m, sigma)
+            value = _log_shifted_bump_expect(base, self.inner.floor, m, sigma)
             return float(value) if xp is math else value
-        return None
+        return super().gauss_expect(m, sigma, xp)
 
     def describe(self):
         return f"log({self.inner.describe()})"
@@ -516,8 +602,8 @@ def apply(base, f, s, x):
     """P_s f(x) = E f(m_s(x) + sigma_s * Z) for a TestFunction f.
 
     The closed Gaussian expectation where f has one: every shipped family,
-    and log(floor + f) for an indicator (exact) or a Gaussian bump (an
-    accelerated series, see ``_LogOf``). Otherwise (a power of a function
+    and log(floor + f) for an indicator, from their atoms, or for a
+    Gaussian bump (an accelerated series, see ``_LogOf``). Otherwise (a power of a function
     whose family is not closed under powers, log(floor + f) for any other
     f, a user's own function) the fixed breakpoint-aware rule of
     ``_gauss_expectation_rule``, memoized per (f, m, sigma) for a hashable
@@ -532,6 +618,18 @@ def apply(base, f, s, x):
     if cf is not None:
         return cf
     return _memoized(_gauss_quad_memo, f, f, m0, sigma)
+
+
+def _log_apply(base, f, s, x):
+    """log P_s f(x) by ``apply``'s rules: from f's atoms where it has them
+    (``log_gauss_expect``), so a value below float range keeps its log."""
+    log_e = None
+    if s > 0.0:
+        log_e = f.log_gauss_expect(*base.mean_sigma(s, _first_coordinate(base, f, x)))
+    if log_e is None:
+        value = apply(base, f, s, x)
+        return math.log(value) if value > 0.0 else -math.inf
+    return log_e
 
 
 def _first_coordinate(base, f, x):

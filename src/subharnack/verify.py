@@ -44,6 +44,7 @@ from .semigroup import (
     _checked_pair,
     _checked_point,
     _kernel_density_at,
+    _log_apply,
     BaseKernel,
     Constant,
     ExpAffine,
@@ -120,13 +121,19 @@ def _report(lhs, rhs, method, detail, rel_tol, params, log_lhs=math.nan,
                        log_lhs=log_lhs, log_rhs=log_rhs, params=params)
 
 
-def _power_report(P, f, p, x, y, log_factor, method, detail, rel_tol, params):
+def _power_report(P, f, p, x, y, log_factor, method, detail, rel_tol, params,
+                  log_P=None):
     """Report of (P(f, x))^p <= factor * P(f^p, y), with rhs formed in logs
-    from ``log_factor``: the factor alone can pass float range while log
-    rhs stays finite, and rhs is then inf."""
-    lhs = P(f, x) ** p
-    rhs_p = P(f.pow(p), y)
-    log_rhs = log_factor + math.log(rhs_p) if rhs_p > 0 else -math.inf
+    from ``log_factor`` and log P(f^p, y), which ``log_P`` gives where the
+    caller has it in closed form: the factor alone can pass float range
+    while log rhs stays finite, and rhs is then inf, and P(f^p, y) can fall
+    below it while its log stays finite."""
+    lhs, g = P(f, x) ** p, f.pow(p)
+    if log_P:
+        log_rhs = log_factor + log_P(g, y)
+    else:
+        rhs_p = P(g, y)
+        log_rhs = log_factor + math.log(rhs_p) if rhs_p > 0 else -math.inf
     return _report(lhs, _exp_or_inf(log_rhs), method, detail, rel_tol, params,
                    math.log(lhs) if lhs > 0 else -math.inf, log_rhs)
 
@@ -160,7 +167,8 @@ def check_base_harnack(base, p, t, x, y, f, spec=QuadratureSpec()):
     return _power_report(lambda g, z: apply(base, g, t, z), f, p, x, y,
                          expo, "quadrature", "", spec.rel_tol,
                          {"check": "base_harnack", "p": p, "t": t,
-                          **_params(x, y, f)})
+                          **_params(x, y, f)},
+                         lambda g, z: _log_apply(base, g, t, z))
 
 
 def check_subordinated_harnack(base, sub, p, x, y, f, mode="numeric",
@@ -181,7 +189,7 @@ def check_subordinated_harnack(base, sub, p, x, y, f, mode="numeric",
         expo = base_harnack_exponent(p, base.curvature_K, sub.t, rho_sq)
         return _power_report(lambda g, z: apply(base, g, sub.t, z), f, p, x, y,
                              expo, "quadrature", "alpha=1 reduces to base inequality",
-                             spec.rel_tol, params)
+                             spec.rel_tol, params, lambda g, z: _log_apply(base, g, sub.t, z))
     profile, in_domain = power_profile(base, p, rho_sq)
     kappa = params["kappa"] = profile.kappa
     if not in_domain:

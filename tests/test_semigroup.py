@@ -329,7 +329,9 @@ class TestApply:
                 assert math.isclose(a, b, rel_tol=1e-8), f.describe()
 
     def test_constant_any_dimension(self):
-        assert apply(gauss_heat(3), Constant(5.0), 1.0, [0, 0, 0]) == 5.0
+        # exp(log 5), the closed form taken in logs: within an ulp of 5
+        got = apply(gauss_heat(3), Constant(5.0), 1.0, [0, 0, 0])
+        assert math.isclose(got, 5.0, rel_tol=ULP, abs_tol=0.0)
 
     def test_contraction(self):
         # P_s is a contraction: sup P_s f <= sup f = 1 for the bump
@@ -513,6 +515,117 @@ class TestTestFunctions:
         # a Gaussian average of a [0, 1] function stays in [0, 1]
         val = GaussBump(center, width).gauss_expect(m, sigma)
         assert -1e-12 <= val <= 1.0 + 1e-12
+
+
+# each shipped family with a closed form, and the log of a shifted
+# indicator; ExpAffine's slopes keep slope * sigma <= 40 on the grid below
+ORACLE_FUNCTIONS = [
+    Constant(3.0),
+    GaussBump(0.3, 0.8),
+    Indicator(-1.0, 1.0),
+    ExpAffine(0.4, clip=1.2),
+    ExpAffine(-0.7, clip=0.0),
+    ExpAffine(0.04, clip=1.0),
+    ShiftedForLog(Indicator(-1.0, 1.0), 2.5),
+    ShiftedForLog(Indicator(-1.0, 1.0)).log(),
+]
+ORACLE_SIGMAS = [1e-3, 1.0, 1e3]
+ORACLE_OFFSETS = [-60.0, -8.0, -1.0, 0.0, 1.0, 8.0, 60.0]  # in sigma, from a feature
+
+
+def _oracle_cases():
+    """(f, m, sigma) with sigma from 1e-3 to 1e3 and the mean up to 60 sigma
+    on either side of a feature of f: both edges of the indicator, the
+    upper edge of a shifted one (the lower mirrors it), a bump's centre and
+    an ExpAffine's clip, where slope * sigma <= 40; a constant's value is
+    one for every sigma."""
+    for f in ORACLE_FUNCTIONS:
+        if isinstance(f, Indicator):
+            features = (f.lo, f.hi)
+        elif isinstance(f, (GaussBump, ExpAffine)):
+            features = (f.center if isinstance(f, GaussBump) else f.clip,)
+        else:
+            features = (0.0,) if isinstance(f, Constant) else (1.0,)
+        for sigma in [1.0] if isinstance(f, Constant) else ORACLE_SIGMAS:
+            if isinstance(f, ExpAffine) and abs(f.slope) * sigma > 40.0:
+                continue
+            for e in features:
+                for k in ORACLE_OFFSETS:
+                    yield f, e + k * sigma, sigma
+    yield Indicator(-1.0, 1.0), -9.0, 1.0  # a difference of CDFs gives 6.66e-16
+    # a window just off the mean, 2.9 sigma wide: an 8-point sum of 1/erfcx
+    # leaves 1 - R 7 ulp off here
+    yield Indicator(-1.0, 1.0), -1.0438762071738825, 0.6812920690579608
+
+
+def _mp_gauss_expect(mp, f, m, sigma):
+    """E f(m + sigma Z) by mpmath.quad at 30 digits, of f's own values.
+
+    Only the panels lean on f's atoms: each atom times the density is a
+    Gaussian of mean mu and scale s over its window, so its mass lies
+    within 40 s of mu, or, where mu is outside the window, within 40 decay
+    lengths min(s, s^2/|e - mu|) of the window's edge e, and panels break
+    there at 1, 8 and 40 of those scales."""
+    steps = (1.0, 8.0, 40.0)
+    knots = set()
+    for _, a, b, y0, lo, hi in f.atoms():
+        v = 1.0 + 2.0 * b * sigma ** 2
+        mu, sc = m + sigma ** 2 * (a - 2.0 * b * (m - y0)) / v, sigma / math.sqrt(v)
+        near = {mu + k * sc for k in (0.0, *steps, *(-k for k in steps))}
+        for e, inward in ((lo, 1.0), (hi, -1.0)):
+            if abs(e) < math.inf:
+                ell = sc if e == mu else min(sc, sc * sc / abs(e - mu))
+                near.update(e + inward * k * ell for k in (0.0, *steps))
+        knots.update(min(max(y, lo), hi) for y in near)
+    knots = sorted(knots)
+    with mp.workdps(30):
+        mm, ss = mp.mpf(m), mp.mpf(sigma)
+        ind = lambda y: 1 if -1 <= y <= 1 else 0
+        if isinstance(f, ShiftedForLog):
+            log_f = lambda y: mp.log(f.floor + ind(y))
+        elif hasattr(f, "inner"):
+            log_f = lambda y: mp.log(mp.log(f.inner.floor + ind(y)))
+        elif isinstance(f, ExpAffine):
+            log_f = lambda y: mp.mpf(f.slope) * min(y, mp.mpf(f.clip))
+        elif isinstance(f, GaussBump):
+            log_f = lambda y: -(y - mp.mpf(f.center)) ** 2 / (2 * mp.mpf(f.width) ** 2)
+        elif isinstance(f, Indicator):
+            log_f = lambda y: 0 if f.lo <= y <= f.hi else mp.ninf
+        else:
+            log_f = lambda y: mp.log(f.c)
+
+        def log_g(y):
+            return log_f(y) - ((y - mm) / ss) ** 2 / 2
+        # quad's tolerance is absolute: scale the integrand's peak to one
+        top = max(log_g(mp.mpf(y)) for y in knots)
+        total = mp.fsum(mp.quad(lambda y: mp.exp(log_g(y) - top), [a, b])
+                        for a, b in zip(knots, knots[1:]))
+        return total * mp.exp(top) / (ss * mp.sqrt(2 * mp.pi))
+
+
+class TestAtomClosedForm:
+    """Every shipped closed form is one closed form of Gaussian atoms, in logs."""
+
+    @pytest.mark.parametrize("f, m, sigma", list(_oracle_cases()),
+                             ids=lambda v: v.describe() if isinstance(v, TestFunction)
+                             else f"{v:g}")
+    def test_against_mpmath_quad(self, f, m, sigma):
+        # a float is exp of a log whose last bit is rounded, so a value is
+        # within a few ulp of its log, (1 + |log E|) ulp, where it is a
+        # normal float; past float range its log is compared instead
+        mp = pytest.importorskip("mpmath")
+        ref = _mp_gauss_expect(mp, f, m, sigma)
+        log_ref = float(mp.log(ref))
+        got, log_got = f.gauss_expect(m, sigma), f.log_gauss_expect(m, sigma)
+        assert abs(log_got - log_ref) <= 4 * ULP * max(1.0, abs(log_ref))
+        if float(ref) >= np.finfo(float).tiny and float(ref) < math.inf:
+            assert abs(got - float(ref)) <= 4 * ULP * (1.0 + abs(log_ref)) * float(ref)
+
+    def test_indicator_either_side_of_the_mean(self):
+        # a difference of two normal CDFs gives 6.66e-16 at m = -9 and
+        # 6.22e-16 at m = 9: the closed form gives both sides one value
+        f = Indicator(-1.0, 1.0)
+        assert f.gauss_expect(-9.0, 1.0) == f.gauss_expect(9.0, 1.0)
 
 
 class TestSubordinated:
