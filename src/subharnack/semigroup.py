@@ -19,9 +19,9 @@ At alpha = 1/2 the subordinated heat semigroup is the Cauchy/Poisson
 semigroup, whose closed form is the module's independent oracle.
 """
 
-import functools
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,9 +29,9 @@ import numpy as np
 from scipy.integrate import quad  # unused; bench/tracer.py rebinds it here
 from scipy.special import erf, erfcx, gammaln
 
-from .specfun import _exp_or_inf
-from .subordinator import (_LOG_HUGE, QuadratureSpec, _blocks, _law_nodes,
-                           _law_rule, _law_sum, _panel_nodes)
+from .specfun import _exp_or_inf, _log_or_ninf
+from .subordinator import (_LOG_HUGE, _PANEL_TABLE, QuadratureSpec, _blocks,
+                           _law_nodes, _law_rule, _law_sum, _panel_nodes)
 
 __all__ = [
     "BaseKernel",
@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 _MAX_DIM = 3
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_PI, _SQRT_2PI = math.sqrt(math.pi), math.sqrt(2.0 * math.pi)
 _LOG_2, _LOG_4 = math.log(2.0), math.log(4.0)
 _LOG_4PI = math.log(4.0 * math.pi)
 _RATES = {"gauss_heat": 0.0, "ou1d": 1.0}  # each kind's K
@@ -121,82 +121,62 @@ def _checked_point(x, d):
 # c e^(a u - b u^2) on lo <= y <= hi and 0 elsewhere, with u = y - y0,
 # c = e^log_c and b >= 0; a family puts y0 where no exponent cancels.
 _LINE = (-math.inf, math.inf)  # the window of a whole-line atom
-_SIDE_TABLE = np.polynomial.legendre.leggauss(16)
-_SQRT_PI = math.sqrt(math.pi)
 
 
 def _log_atom_expect(atom, m, sigma, xp=math):
     """log E atom(m + sigma Z), on floats (``xp=math``) or arrays (``xp=numpy``:
     sigma an array, m an array of its shape or a float).
 
-    The completed square: with v = 1 + 2 b sigma^2 the atom tilts the law
-    of y to a normal law of scale sigma/sqrt(v); the value is the log of its
-    peak less log(v)/2, plus the log of the window's mass under that law,
-    with l and h the window's edges standardised and over sqrt 2. A whole
-    line has mass 1 and calls no normal CDF. A window across the tilted
-    mean takes ``_log_across``, one on one side ``_log_beside``; each edge's
-    side is read off before scaling, so a float mean picks one form for a
-    whole array, and an array that has both takes each where it applies."""
+    The completed square tilts the law of y to a normal law of scale
+    sigma/sqrt(v), v = 1 + 2 b sigma^2, and mean y0 + mu: the log of its
+    peak less log(v)/2, plus the log of the window's mass under it, l and h
+    its edges standardised and over sqrt 2. Across the tilted mean the mass
+    is (erf(h) - erf(l))/2, two terms of one sign. On one side, mirrored to
+    [x, x + w], x >= 0, it is erfcx(x) e^(-x^2) (1 - R)/2, with e^(-x^2)
+    taken into the atom times the density at the near edge, so no exponent
+    cancels in any tail; R = erfc(x + w)/erfc(x) is 0 on a half line, else
+    log R = -(2/sqrt pi) int_x^(x+w) dt/erfcx(t) by the 16-point
+    Gauss-Legendre rule, and -expm1(log R) keeps a narrow window to
+    rounding. Sides are read off before scaling, so a float mean picks one
+    form for a whole array."""
     log_c, a, b, y0, lo, hi = atom
-    d, v, whole = m - y0, 1.0, lo == -math.inf and hi == math.inf
-    if b:  # the peak, and d the tilted law's mean less y0
+    log_peak, mu, v, half_log_v = log_c, m - y0, 1.0, 0.0
+    if a or b:  # the tilt, and mu the tilted law's mean less y0
         s2 = sigma * sigma
-        v = 1.0 + 2.0 * b * s2
-        peak = a * (d + 0.5 * a * s2) if a else 0.0
-        log_c = log_c + (peak - b * d * d) / v - 0.5 * xp.log(v)
-        d = d if whole else (a * s2 + d) / v
-    elif a:
-        s2 = sigma * sigma
-        log_c, d = log_c + a * (d + 0.5 * a * s2), d + a * s2
-    if whole:
-        return log_c
+        if b:
+            v = 1.0 + 2.0 * b * s2
+            half_log_v = 0.5 * xp.log(v)
+        peak = a * mu + 0.5 * a * a * s2 if a else 0.0
+        log_peak = log_c + ((peak - b * mu * mu) / v - half_log_v if b else peak)
+        if lo != -math.inf or hi != math.inf:
+            mu = (a * s2 + mu) / v if b else a * s2 + mu
+    if lo == -math.inf and hi == math.inf:
+        return log_peak
     # an infinite edge stays a float, so a half line forms no array for it
-    dl = lo if lo == -math.inf else lo - y0 - d
-    dh = hi if hi == math.inf else hi - y0 - d
-    scale = (0.5 * v) ** 0.5 / sigma
-    across = (dl <= 0.0) & (dh >= 0.0)  # a bool where d is a float
-    l = dl if lo == -math.inf else dl * scale
-    h, w = (hi, hi) if hi == math.inf else (dh * scale, (hi - lo) * scale)
-    if across if type(across) is bool else across.all():
-        return _log_across(log_c, l, h, xp)
-    near = lo if hi == math.inf else hi if lo == -math.inf else np.where(dh < 0.0, hi, lo)
-    x = max(l, -h) if xp is math else np.maximum(l, -h)
-    if type(across) is bool or not across.any():
-        value = _log_beside(atom, m, sigma, v, x, w, near, xp)
-        return float(value) if xp is math else value
-    return np.where(across, _log_across(log_c, np.minimum(l, 0.0), np.maximum(h, 0.0), xp),
-                    _log_beside(atom, m, sigma, v, np.maximum(x, 0.0), w, near, xp))
-
-
-def _log_across(log_peak, l, h, xp):
-    """A window [l, h] across the tilted mean: its mass is
-    (erf(h) - erf(l))/2, two terms of one sign (erf(-inf) = -1)."""
-    if xp is not math:
+    dl = lo - y0 - mu if lo > -math.inf else lo
+    dh = hi - y0 - mu if hi < math.inf else hi
+    scale, across = (0.5 * v) ** 0.5 / sigma, (dl <= 0.0) & (dh >= 0.0)
+    l = dl * scale if lo > -math.inf else lo
+    h = dh * scale if hi < math.inf else hi
+    if across is True or type(across) is not bool and across.all():
+        if xp is math:
+            return log_peak - _LOG_2 + _log_or_ninf(math.erf(h) - math.erf(l))
         return log_peak - _LOG_2 + np.log(erf(h) - erf(l))
-    mass = math.erf(h) - math.erf(l)  # 0 only past float range
-    return log_peak - _LOG_2 + (math.log(mass) if mass > 0.0 else -math.inf)
-
-
-def _log_beside(atom, m, sigma, v, x, w, near, xp):
-    """A window on one side of the tilted mean, mirrored to [x, x + w] with
-    x >= 0: its mass is erfc(x) (1 - R)/2. erfc(x) = erfcx(x) e^(-x^2), and
-    e^(-x^2) joins the log of the atom times the density at the near edge,
-    so no exponent cancels however far the tail. R = erfc(x + w)/erfc(x)
-    is 0 on a half line; otherwise log R = -(2/sqrt pi) int_x^(x+w)
-    dt/erfcx(t), by the 16-point Gauss-Legendre rule on the smooth 1/erfcx,
-    exact to rounding wherever R is not negligible, and 1 - R =
-    -expm1(log R) keeps a narrow window, where R is near 1, to rounding."""
-    log_mass = np.log(0.5 * erfcx(x))
-    if -math.inf < atom[4] and atom[5] < math.inf:
-        nodes, weights = _SIDE_TABLE
+    near = hi if lo == -math.inf else lo if hi == math.inf else np.where(dh < 0, hi, lo)
+    x = abs(near - y0 - mu) * scale
+    log_mass = np.log(erfcx(x))
+    if -math.inf < lo and hi < math.inf:
+        nodes, weights = _PANEL_TABLE
+        w = (hi - lo) * scale
         t = np.multiply.outer(0.5 * w, 1.0 + nodes) + np.asarray(x)[..., None]
         log_r = -(w / _SQRT_PI) * ((1.0 / erfcx(t)) @ weights)
         log_mass = log_mass + np.log(-np.expm1(log_r))
-    log_c, a, b, y0 = atom[:4]
     u, z = near - y0, (near - m) / sigma
-    if b:
-        log_mass = log_mass - 0.5 * xp.log(v)
-    return log_c + a * u - b * u * u - 0.5 * z * z + log_mass
+    beside = log_c - half_log_v - _LOG_2 + a * u - b * u * u - 0.5 * z * z + log_mass
+    if type(across) is bool or not across.any():
+        return float(beside) if xp is math else beside
+    mass = erf(np.maximum(h, 0.0)) - erf(np.minimum(l, 0.0))
+    return np.where(across, log_peak - _LOG_2 + np.log(mass), beside)
 
 
 class TestFunction:
@@ -226,27 +206,22 @@ class TestFunction:
         (``_log_atom_expect``), or None without atoms; floats and arrays as
         in ``gauss_expect``."""
         atoms = self.atoms()
-        if atoms is None:
-            return None
-        if len(atoms) == 1:
-            return _log_atom_expect(atoms[0], m, sigma, xp)
-        log_e = functools.reduce(np.logaddexp, [_log_atom_expect(atom, m, sigma, xp)
+        log_e = atoms and reduce(np.logaddexp, [_log_atom_expect(atom, m, sigma, xp)
                                                 for atom in atoms])
-        return float(log_e) if xp is math else log_e
+        return float(log_e) if xp is math and atoms else log_e
 
     def gauss_expect(self, m, sigma, xp=math):
         """E f(m + sigma*Z) in closed form, or None if unavailable. With
         ``xp=math`` m and sigma are floats; with ``xp=numpy`` sigma is an
         array and m an array of its shape or a float, and the result is an
         array of that shape (or a float where it does not depend on them).
-        From atoms it is the sum of their values, each the exp of its log
-        (``_log_atom_expect``), inf past float range."""
-        value = None
-        for atom in self.atoms() or ():
-            u = _log_atom_expect(atom, m, sigma, xp)
-            u = _exp_or_inf(u) if type(u) is float else np.exp(u)
-            value = u if value is None else value + u
-        return value
+        A constant f gives its value, exactly; atoms the sum of their
+        values, each the exp of its log, inf past float range."""
+        if self.constant:
+            return float(self(0.0))
+        atoms, exp = self.atoms(), _exp_or_inf if xp is math else np.exp
+        return atoms and reduce(add, [exp(_log_atom_expect(atom, m, sigma, xp))
+                                      for atom in atoms])
 
     def breakpoints(self):
         """Points y where f has a kink or changes scale; the fixed
@@ -273,7 +248,7 @@ class Constant(TestFunction):
         return Constant(self.c ** p)
 
     def atoms(self):
-        return ((math.log(self.c) if self.c > 0.0 else -math.inf, 0.0, 0.0, 0.0, *_LINE),)
+        return ((_log_or_ninf(self.c), 0.0, 0.0, 0.0, *_LINE),)
 
     def describe(self):
         return f"const({self.c:g})"
@@ -489,7 +464,7 @@ class _LogOf(TestFunction):
         base, floor = self.inner.base, self.inner.floor
         if not isinstance(base, Indicator):
             return None
-        return ((math.log(math.log(floor)) if floor > 1.0 else -math.inf, 0.0, 0.0, 0.0, *_LINE),
+        return ((_log_or_ninf(math.log(floor)), 0.0, 0.0, 0.0, *_LINE),
                 (math.log(math.log1p(1.0 / floor)), 0.0, 0.0, 0.0, base.lo, base.hi))
 
     def gauss_expect(self, m, sigma, xp=math):
@@ -601,9 +576,9 @@ def _gauss_quad_memo(f, m, sigma):
 def apply(base, f, s, x):
     """P_s f(x) = E f(m_s(x) + sigma_s * Z) for a TestFunction f.
 
-    The closed Gaussian expectation where f has one: every shipped family,
-    and log(floor + f) for an indicator, from their atoms, or for a
-    Gaussian bump (an accelerated series, see ``_LogOf``). Otherwise (a power of a function
+    The closed Gaussian expectation where f has one: every shipped family
+    and log(floor + f) for an indicator, from their atoms, and for a bump
+    (an accelerated series, see ``_LogOf``). Otherwise (a power of a function
     whose family is not closed under powers, log(floor + f) for any other
     f, a user's own function) the fixed breakpoint-aware rule of
     ``_gauss_expectation_rule``, memoized per (f, m, sigma) for a hashable
@@ -618,18 +593,6 @@ def apply(base, f, s, x):
     if cf is not None:
         return cf
     return _memoized(_gauss_quad_memo, f, f, m0, sigma)
-
-
-def _log_apply(base, f, s, x):
-    """log P_s f(x) by ``apply``'s rules: from f's atoms where it has them
-    (``log_gauss_expect``), so a value below float range keeps its log."""
-    log_e = None
-    if s > 0.0:
-        log_e = f.log_gauss_expect(*base.mean_sigma(s, _first_coordinate(base, f, x)))
-    if log_e is None:
-        value = apply(base, f, s, x)
-        return math.log(value) if value > 0.0 else -math.inf
-    return log_e
 
 
 def _first_coordinate(base, f, x):
@@ -690,6 +653,23 @@ def _subordinated_apply_memo(base, sub, f, x0):
     if sub.degenerate:  # the point mass at t; P_t f(x) reads x0 alone
         return apply(base, f, sub.t, (x0,) * base.d)
     return _law_sum(sub, _expect_on_nodes(base, f, _law_nodes(sub), x0))
+
+
+def _log_subordinated_apply(base, sub, f, x):
+    """log P_t^alpha f(x), memoized as ``subordinated_apply`` is: at alpha =
+    1 the log-sum of f's atoms where it has them (``log_gauss_expect``), so
+    a value below float range keeps its log; else the log of the value."""
+    x0 = _first_coordinate(base, f, x)
+    return _memoized(_log_subordinated_apply_memo, f, base, sub, f, x0)
+
+
+@lru_cache(maxsize=1 << 16)
+def _log_subordinated_apply_memo(base, sub, f, x0):
+    """``_log_subordinated_apply``'s memo, keyed as ``_subordinated_apply_memo``."""
+    log_e = f.log_gauss_expect(*base.mean_sigma(sub.t, x0)) if sub.degenerate else None
+    if log_e is None:
+        return _log_or_ninf(_memoized(_subordinated_apply_memo, f, base, sub, f, x0))
+    return log_e
 
 
 def _expect_on_nodes(base, f, s, x0):

@@ -26,6 +26,11 @@ def _exp_or_inf(x):
         return math.inf
 
 
+def _log_or_ninf(x):
+    """log(x) for x >= 0, -inf at 0."""
+    return math.log(x) if x > 0.0 else -math.inf
+
+
 def log_gamma(r):
     """Natural log of Gamma(r) for r > 0.
 

@@ -941,12 +941,11 @@ def _law_rule(alpha):
     weight 1: zero logs, exact, so ``certified_error`` is 0.
 
     Raises ValueError naming alpha if its certified error is above
-    _CERT_TOL: no value is ever summed by an uncertified rule, and the
-    certified range is [0.02746, 0.99992] and alpha = 1 (below 0.02746 the
-    tail nodes overflow). Before any panel array is formed
-    (``_panel_count``), it raises for alpha below about 1e-4 (~6.6/alpha
-    bulk panels) or in (0.99992, 1) (the theta rule's ~5/(1 - alpha)),
-    past _MAX_PANELS = 65,536 in one stretch.
+    _CERT_TOL: no value is ever summed by an uncertified rule, and alpha is
+    certified in [0.02746, 0.99992] and at 1 only; and, before any panel
+    array is formed (``_panel_count``), for alpha below about 1e-4
+    (~6.6/alpha bulk panels) or in (0.99992, 1) (the theta rule's
+    ~5/(1 - alpha)), past _MAX_PANELS = 65,536 in one stretch.
     """
     if alpha == 1.0:
         return _LawRule(np.ones(1), np.ones(1), np.zeros(1), np.zeros(1), 0.0)

@@ -44,20 +44,19 @@ from .semigroup import (
     _checked_pair,
     _checked_point,
     _kernel_density_at,
-    _log_apply,
+    _log_subordinated_apply,
     BaseKernel,
     Constant,
     ExpAffine,
     GaussBump,
     Indicator,
     ShiftedForLog,
-    apply,
     gauss_heat,
     ondiag,
     ou1d,
     subordinated_apply,
 )
-from .specfun import _exp_or_inf
+from .specfun import _exp_or_inf, _log_or_ninf
 from .subordinator import (
     MCSpec,
     QuadratureSpec,
@@ -121,21 +120,16 @@ def _report(lhs, rhs, method, detail, rel_tol, params, log_lhs=math.nan,
                        log_lhs=log_lhs, log_rhs=log_rhs, params=params)
 
 
-def _power_report(P, f, p, x, y, log_factor, method, detail, rel_tol, params,
-                  log_P=None):
-    """Report of (P(f, x))^p <= factor * P(f^p, y), with rhs formed in logs
-    from ``log_factor`` and log P(f^p, y), which ``log_P`` gives where the
-    caller has it in closed form: the factor alone can pass float range
-    while log rhs stays finite, and rhs is then inf, and P(f^p, y) can fall
-    below it while its log stays finite."""
-    lhs, g = P(f, x) ** p, f.pow(p)
-    if log_P:
-        log_rhs = log_factor + log_P(g, y)
-    else:
-        rhs_p = P(g, y)
-        log_rhs = log_factor + math.log(rhs_p) if rhs_p > 0 else -math.inf
+def _power_report(base, sub, f, p, x, y, log_factor, method, detail, rel_tol, params):
+    """Report of (P_t^alpha f(x))^p <= factor * P_t^alpha f^p(y), with rhs
+    formed in logs from ``log_factor`` and log P_t^alpha f^p(y)
+    (``_log_subordinated_apply``, closed at alpha = 1): the factor alone
+    can pass float range while log rhs stays finite, and rhs is then inf,
+    and P_t f^p(y) can fall below it while its log stays finite."""
+    lhs = subordinated_apply(base, sub, f, x) ** p
+    log_rhs = log_factor + _log_subordinated_apply(base, sub, f.pow(p), y)
     return _report(lhs, _exp_or_inf(log_rhs), method, detail, rel_tol, params,
-                   math.log(lhs) if lhs > 0 else -math.inf, log_rhs)
+                   _log_or_ninf(lhs), log_rhs)
 
 
 def _params(x, y, f):
@@ -164,11 +158,9 @@ def check_base_harnack(base, p, t, x, y, f, spec=QuadratureSpec()):
     """(P_t f(x))^p <= exp(base exponent) * P_t f^p(y)."""
     x, y, rho_sq = _checked_pair(base, x, y)
     expo = base_harnack_exponent(p, base.curvature_K, t, rho_sq)
-    return _power_report(lambda g, z: apply(base, g, t, z), f, p, x, y,
-                         expo, "quadrature", "", spec.rel_tol,
-                         {"check": "base_harnack", "p": p, "t": t,
-                          **_params(x, y, f)},
-                         lambda g, z: _log_apply(base, g, t, z))
+    return _power_report(base, StableSubordinator(1.0, t), f, p, x, y, expo,
+                         "quadrature", "", spec.rel_tol,
+                         {"check": "base_harnack", "p": p, "t": t, **_params(x, y, f)})
 
 
 def check_subordinated_harnack(base, sub, p, x, y, f, mode="numeric",
@@ -187,9 +179,8 @@ def check_subordinated_harnack(base, sub, p, x, y, f, mode="numeric",
               "t": sub.t, **_params(x, y, f), "mode": mode}
     if sub.degenerate:
         expo = base_harnack_exponent(p, base.curvature_K, sub.t, rho_sq)
-        return _power_report(lambda g, z: apply(base, g, sub.t, z), f, p, x, y,
-                             expo, "quadrature", "alpha=1 reduces to base inequality",
-                             spec.rel_tol, params, lambda g, z: _log_apply(base, g, sub.t, z))
+        return _power_report(base, sub, f, p, x, y, expo, "quadrature",
+                             "alpha=1 reduces to base inequality", spec.rel_tol, params)
     profile, in_domain = power_profile(base, p, rho_sq)
     kappa = params["kappa"] = profile.kappa
     if not in_domain:
@@ -209,8 +200,8 @@ def check_subordinated_harnack(base, sub, p, x, y, f, mode="numeric",
         factor = (log_thm11_intermediate_factor if mode == "intermediate"
                   else log_thm11_factor)
         log_factor, method = factor(p, profile, sub.alpha, sub.t), "closed-form"
-    return _power_report(lambda g, z: subordinated_apply(base, sub, g, z, spec),
-                         f, p, x, y, log_factor, method, "", spec.rel_tol, params)
+    return _power_report(base, sub, f, p, x, y, log_factor, method, "", spec.rel_tol,
+                         params)
 
 
 def check_prop13(base, p, t, x, y, f, spec=QuadratureSpec()):
@@ -243,8 +234,7 @@ def check_prop13(base, p, t, x, y, f, spec=QuadratureSpec()):
         return _unchecked("out_of_domain", "closed-form",
                           "sufficient condition fails", params)
     log_factor = profile.epsilon * profile.H_value + math.log(factor)
-    return _power_report(lambda g, z: subordinated_apply(base, sub, g, z, spec),
-                         f, p, x, y, log_factor, "closed-form",
+    return _power_report(base, sub, f, p, x, y, log_factor, "closed-form",
                          f"exact_ratio={q:.6g}", spec.rel_tol, params)
 
 

@@ -29,6 +29,7 @@ from subharnack.bounds import (
 )
 from subharnack.cli import _report_to_csv
 from subharnack.semigroup import (
+    _log_subordinated_apply_memo,
     _subordinated_apply_memo,
     Constant,
     ExpAffine,
@@ -612,6 +613,17 @@ class TestAlphaOne:
             assert got.params == {"check": "subordinated_harnack", "alpha": 1.0,
                                   "p": p, "t": t, "x": x, "y": y,
                                   "f": f.describe(), "mode": mode}
+
+    def test_later_modes_read_both_sides_back(self, clear_memos):
+        # the first mode evaluates P_t f(x) and log P_t f^p(y) once each; the
+        # other two read both back from their memos
+        clear_memos()
+        sub = StableSubordinator(1.0, 0.5)
+        for mode in ("numeric", "intermediate", "simplified"):
+            check_subordinated_harnack(gauss_heat(1), sub, 2.0, 0.0, 1.0, BUMP, mode, SPEC)
+        for memo in (_subordinated_apply_memo, _log_subordinated_apply_memo):
+            info = memo.cache_info()
+            assert (info.misses, info.hits) == (1, 2), memo.__name__
 
 
 def coupling_cost(m):
