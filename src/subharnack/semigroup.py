@@ -6,7 +6,8 @@ Ornstein-Uhlenbeck semigroup at K = 1, and each kernel formula below is
 one formula in K. P_s f is a Gaussian expectation, closed for the shipped
 test functions, each a sum of Gaussian atoms with one closed form in logs
 (``_log_atom_expect``); the time change integrates it against the
-subordinator law.
+subordinator law. P_s f takes one route, ``_expect``, on a float or an
+array of times, and P_t^alpha f and its log share one memo.
 
 P_s f is defined for a ``TestFunction`` f only: its closed Gaussian
 expectation where it has one, and otherwise one fixed Gauss-Legendre
@@ -238,8 +239,8 @@ class Constant(TestFunction):
     constant = True
 
     def __post_init__(self):
-        if not self.c >= 0:
-            raise ValueError("constant test functions must be >= 0")
+        if not 0.0 <= self.c < math.inf:
+            raise ValueError("constant test functions must be finite and >= 0")
 
     def __call__(self, y):
         return self.c * np.ones_like(np.asarray(y, dtype=float))
@@ -262,8 +263,8 @@ class GaussBump(TestFunction):
     width: float = 1.0
 
     def __post_init__(self):
-        if not self.width > 0:
-            raise ValueError("width must be > 0")
+        if not (0.0 < self.width < math.inf and math.isfinite(self.center)):
+            raise ValueError("center and width must be finite, width > 0")
 
     def __call__(self, y):
         y = np.asarray(y, dtype=float)
@@ -321,6 +322,10 @@ class ExpAffine(TestFunction):
     slope: float
     clip: Optional[float] = None
 
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.slope, self.clip or 0.0))):
+            raise ValueError("slope and clip must be finite")
+
     def __call__(self, y):
         y = np.asarray(y, dtype=float)
         if self.clip is None:
@@ -359,8 +364,8 @@ class ShiftedForLog(TestFunction):
     floor: float = 1.0
 
     def __post_init__(self):
-        if not self.floor >= 1.0:
-            raise ValueError("floor must be >= 1")
+        if not 1.0 <= self.floor < math.inf:
+            raise ValueError("floor must be finite and >= 1")
 
     def __call__(self, y):
         return self.floor + self.base(y)
@@ -574,25 +579,31 @@ def _gauss_quad_memo(f, m, sigma):
 
 
 def apply(base, f, s, x):
-    """P_s f(x) = E f(m_s(x) + sigma_s * Z) for a TestFunction f.
-
-    The closed Gaussian expectation where f has one: every shipped family
-    and log(floor + f) for an indicator, from their atoms, and for a bump
-    (an accelerated series, see ``_LogOf``). Otherwise (a power of a function
-    whose family is not closed under powers, log(floor + f) for any other
-    f, a user's own function) the fixed breakpoint-aware rule of
-    ``_gauss_expectation_rule``, memoized per (f, m, sigma) for a hashable
-    f.
-    Non-constant test functions need d = 1. A plain callable raises
-    TypeError. ``subordinated_apply`` takes P_s f on arrays of times s
-    instead (``_expect_on_nodes``)."""
+    """P_s f(x) = E f(m_s(x) + sigma_s * Z) for a TestFunction f, by
+    ``_expect``. Non-constant test functions need d = 1. A plain callable
+    raises TypeError."""
     if not s > 0.0:
         raise ValueError(f"s must be > 0, got {s!r}")
-    m0, sigma = base.mean_sigma(s, _first_coordinate(base, f, x))
-    cf = f.gauss_expect(m0, sigma)
-    if cf is not None:
-        return cf
-    return _memoized(_gauss_quad_memo, f, f, m0, sigma)
+    return _expect(f, *base.mean_sigma(s, _first_coordinate(base, f, x)))
+
+
+def _expect(f, m, sigma):
+    """E f(m + sigma*Z) for a TestFunction: the closed Gaussian expectation
+    where f has one (every shipped family and log(floor + f) for an
+    indicator, from their atoms, and for a bump, an accelerated series, see
+    ``_LogOf``), else the fixed rule of ``_gauss_expectation_rule`` (a
+    power of a function whose family is not closed under powers, log(floor
+    + f) for any other f, a user's own function). A float sigma gives a
+    float, the rule's memoized per (f, m, sigma) for a hashable f; an array
+    of sigma (m an array of its shape or a float) an array of its shape."""
+    if isinstance(sigma, float):
+        cf = f.gauss_expect(m, sigma)
+        return _memoized(_gauss_quad_memo, f, f, m, sigma) if cf is None else cf
+    with np.errstate(over="ignore"):
+        cf = f.gauss_expect(m, sigma, np)
+    if cf is None:
+        return _gauss_expectation_rule(f, m, sigma)
+    return np.full(sigma.shape, cf)
 
 
 def _first_coordinate(base, f, x):
@@ -631,56 +642,37 @@ def subordinated_apply(base, sub, f, x, spec=QuadratureSpec()):
     TypeError.
 
     The s-integral is the law rule's one sum (``_law_sum``) for alpha, with
-    P_s f(x) evaluated on all the rule's nodes in one call: f's closed
-    Gaussian expectation on arrays where ``apply`` has one (for log(floor
-    + bump), one rows x 24 array pass of its series), or else the fixed
-    Gaussian rule of ``_gauss_expectation_rule``, block by block of nodes.
-    ``spec`` is not read; acceptance criterion 06 passes it. Where the
-    integral diverges (an unclipped ExpAffine under the heat kernel) the
-    value is inf; at alpha = 1 it is ``apply`` at s = t. For a hashable f
-    it is memoized per (base, sub, f, x), else integrated every time."""
+    P_s f(x) on all the rule's nodes from one ``_expect`` call (for
+    log(floor + bump), one rows x 24 array pass of its series); at alpha =
+    1 it is ``apply`` at s = t. ``spec`` is not read; acceptance criterion
+    06 passes it. Where the integral diverges (an unclipped ExpAffine under
+    the heat kernel) the value is inf. It is the value of the memoized pair
+    ``_subordinated_pair``."""
+    return _subordinated_pair(base, sub, f, x)[0]
+
+
+def _subordinated_pair(base, sub, f, x):
+    """(P_t^alpha f(x), log P_t^alpha f(x)), memoized per (base, sub, f, x)
+    for a hashable f, else integrated every time."""
     x0 = _first_coordinate(base, f, x)
     return _memoized(_subordinated_apply_memo, f, base, sub, f, x0)
 
 
 @lru_cache(maxsize=1 << 16)
 def _subordinated_apply_memo(base, sub, f, x0):
-    """int P_s f(x) mu_t(ds) at a point already checked by
-    ``_first_coordinate``, with x0 its first coordinate: one array pass
-    over the law rule's nodes into its sum (P_t f(x) at alpha = 1). The
-    Harnack checks ask for the same integral for every p (an indicator is
-    its own power) and every factor mode, so sweeps revisit its keys."""
-    if sub.degenerate:  # the point mass at t; P_t f(x) reads x0 alone
-        return apply(base, f, sub.t, (x0,) * base.d)
-    return _law_sum(sub, _expect_on_nodes(base, f, _law_nodes(sub), x0))
-
-
-def _log_subordinated_apply(base, sub, f, x):
-    """log P_t^alpha f(x), memoized as ``subordinated_apply`` is: at alpha =
-    1 the log-sum of f's atoms where it has them (``log_gauss_expect``), so
-    a value below float range keeps its log; else the log of the value."""
-    x0 = _first_coordinate(base, f, x)
-    return _memoized(_log_subordinated_apply_memo, f, base, sub, f, x0)
-
-
-@lru_cache(maxsize=1 << 16)
-def _log_subordinated_apply_memo(base, sub, f, x0):
-    """``_log_subordinated_apply``'s memo, keyed as ``_subordinated_apply_memo``."""
-    log_e = f.log_gauss_expect(*base.mean_sigma(sub.t, x0)) if sub.degenerate else None
-    if log_e is None:
-        return _log_or_ninf(_memoized(_subordinated_apply_memo, f, base, sub, f, x0))
-    return log_e
-
-
-def _expect_on_nodes(base, f, s, x0):
-    """P_s f(x) for a TestFunction at an array of times s: the closed form
-    on arrays, or else the fixed Gaussian rule, block by block of times."""
-    m, sigma = base.mean_sigma(s, x0, np)
-    with np.errstate(over="ignore"):
-        cf = f.gauss_expect(m, sigma, np)
-    if cf is None:
-        return _gauss_expectation_rule(f, m, sigma)
-    return np.full(sigma.shape, cf)
+    """``_subordinated_pair`` at x0, the first coordinate of a point checked
+    by ``_first_coordinate``: below alpha = 1 the law rule's sum and its
+    log; at alpha = 1 P_t f(x) by ``_expect``, and as its log the log-sum of
+    f's atoms where it has them (``log_gauss_expect``), so a value below
+    float range keeps its log. The Harnack checks ask for the same integral
+    for every p (an indicator is its own power) and every factor mode, so
+    sweeps revisit its keys."""
+    if not sub.degenerate:
+        value = _law_sum(sub, _expect(f, *base.mean_sigma(_law_nodes(sub), x0, np)))
+        return value, _log_or_ninf(value)
+    m, sigma = base.mean_sigma(sub.t, x0)
+    value, log_e = _expect(f, m, sigma), f.log_gauss_expect(m, sigma)
+    return value, _log_or_ninf(value) if log_e is None else log_e
 
 
 def subordinated_density(base, sub, x, y, spec=QuadratureSpec()):

@@ -44,7 +44,7 @@ from .semigroup import (
     _checked_pair,
     _checked_point,
     _kernel_density_at,
-    _log_subordinated_apply,
+    _subordinated_pair,
     BaseKernel,
     Constant,
     ExpAffine,
@@ -121,13 +121,14 @@ def _report(lhs, rhs, method, detail, rel_tol, params, log_lhs=math.nan,
 
 
 def _power_report(base, sub, f, p, x, y, log_factor, method, detail, rel_tol, params):
-    """Report of (P_t^alpha f(x))^p <= factor * P_t^alpha f^p(y), with rhs
-    formed in logs from ``log_factor`` and log P_t^alpha f^p(y)
-    (``_log_subordinated_apply``, closed at alpha = 1): the factor alone
-    can pass float range while log rhs stays finite, and rhs is then inf,
-    and P_t f^p(y) can fall below it while its log stays finite."""
+    """Report of (P_t^alpha f(x))^p <= factor * P_t^alpha f^p(y): lhs from
+    ``subordinated_apply``, rhs formed in logs from ``log_factor`` and
+    log P_t^alpha f^p(y), the log of ``_subordinated_pair`` (closed at
+    alpha = 1): the factor alone can pass float range while log rhs stays
+    finite, and rhs is then inf, and P_t f^p(y) can fall below it while its
+    log stays finite."""
     lhs = subordinated_apply(base, sub, f, x) ** p
-    log_rhs = log_factor + _log_subordinated_apply(base, sub, f.pow(p), y)
+    log_rhs = log_factor + _subordinated_pair(base, sub, f.pow(p), y)[1]
     return _report(lhs, _exp_or_inf(log_rhs), method, detail, rel_tol, params,
                    _log_or_ninf(lhs), log_rhs)
 

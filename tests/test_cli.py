@@ -375,6 +375,10 @@ class TestSweep:
          "checks: ['ondiag_rate']"),
         ({"ts": [-1.0]}, "config.ts"),
         ({"checks": ["ondiag_rate"], "rate_ts": [1, 2, 3]}, "config.rate_ts"),
+        # json writes and reads NaN, which the sweep once took as a slope
+        # and reported as violations with lhs = rhs = nan
+        ({"functions": [{"kind": "exp_affine", "slope": math.nan}]},
+         "config.functions[0]: slope and clip must be finite"),
     ])
     def test_config_a_check_would_abort_on_exit_1(self, capsys, tmp_path,
                                                   change, path):
