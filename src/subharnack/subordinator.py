@@ -105,10 +105,20 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class MCSpec:
+    """Draw count and stream seed of a Monte Carlo check: integers (numpy
+    ones too), so that equal specs name one stream, which a check may
+    then memoize; ``seed = None`` would draw a fresh stream each time."""
+
     n_samples: int
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_samples", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.n_samples < 2:
             raise ValueError("n_samples must be >= 2: a standard error needs two draws")
 

@@ -13,6 +13,12 @@ No check integrates adaptively: the entropy checks sum over z by one
 fixed rule (``_z_rule``), and ``entropy_cost`` takes its transport cost
 in closed form.
 
+The costly side of three checks is memoized per process, each a pure
+function of its key that holds floats only: ``laplace_mc``'s mean and
+standard error per ``(sub, x, n_samples, seed)`` below alpha = 1, and the
+entropy left sides per ``(base, sub, x, y)`` and ``(base, sub, m)``. Each
+check rebuilds its report on every call, so no two calls share one.
+
 Harnack profiles (kappa = 1 throughout), one for every base of rate K >= 0
 (Ric >= K): the sharp exponent p K rho^2 / (2(p-1)(e^(2Kt) - 1)) is at
 most its K = 0 value p rho^2 / (4(p-1)t), which H/t dominates for the
@@ -23,6 +29,7 @@ eps = 0 is its p -> infinity limit.
 import itertools
 import math
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -322,12 +329,26 @@ def check_entropy_kernel(base, sub, x, y, spec=QuadratureSpec()):
 
     The entropy int q_x log(q_x / q_y) dz is summed by the fixed z rule
     over [min(x, y, 0) - 14, max(x, y, 0) + 14], broken at x and y, with
-    both time-changed densities taken block by block of its nodes.
+    both time-changed densities taken block by block of its nodes. The
+    entropy is memoized per ``(base, sub, x, y)`` (``_entropy_kernel_lhs``,
+    a float); the report is rebuilt on every call.
     """
     x, y, rho_sq = _checked_pair(base, x, y)
     if base.kind != "ou1d":
         raise ValueError("the entropy-kernel check requires the OU base "
                          "(it needs an invariant probability measure)")
+    lhs = _entropy_kernel_lhs(base, sub, x, y)
+    profile = log_profile(base, rho_sq)
+    rhs = log_harnack_term(sub.alpha, profile.kappa, profile.epsilon,
+                           profile.H_value, sub.t)
+    params = {"check": "entropy_kernel", "alpha": sub.alpha,
+              "kappa": profile.kappa, "t": sub.t, "x": x, "y": y, "f": ""}
+    return _report(lhs, rhs, "quadrature", "", spec.rel_tol, params)
+
+
+@lru_cache(maxsize=1 << 12)
+def _entropy_kernel_lhs(base, sub, x, y):
+    """int q_x log(q_x / q_y) dz of ``check_entropy_kernel``, x and y floats."""
     z, wz = _z_rule(min(x, y, 0.0) - _Z_PAD, max(x, y, 0.0) + _Z_PAD, (x, y))
 
     def q(x0):
@@ -336,13 +357,7 @@ def check_entropy_kernel(base, sub, x, y, spec=QuadratureSpec()):
             base, s, x0, zb, xp=np), z), 1e-300)
 
     qx, qy = q(x), q(y)
-    lhs = float(wz @ (qx * np.log(qx / qy)))
-    profile = log_profile(base, rho_sq)
-    rhs = log_harnack_term(sub.alpha, profile.kappa, profile.epsilon,
-                           profile.H_value, sub.t)
-    params = {"check": "entropy_kernel", "alpha": sub.alpha,
-              "kappa": profile.kappa, "t": sub.t, "x": x, "y": y, "f": ""}
-    return _report(lhs, rhs, "quadrature", "", spec.rel_tol, params)
+    return float(wz @ (qx * np.log(qx / qy)))
 
 
 def check_entropy_cost(base, sub, shift, spec=QuadratureSpec()):
@@ -353,19 +368,16 @@ def check_entropy_cost(base, sub, shift, spec=QuadratureSpec()):
     adjoint equals the semigroup; g(z) = exp(m*z - m^2/2) is the density
     of N(m, 1) relative to N(0, 1). The entropy int phi P_t g log P_t g dz
     is summed by the fixed z rule over +-(14 + |m|), with P_t g taken
-    block by block of its nodes. The transport cost of the log profile's
-    H(a, b) = (a - b)^2/4 takes the place of H(x, y); the quantile coupling
-    of N(m, 1) and N(0, 1) moves every quantile by m, so it is m^2/4.
+    block by block of its nodes, and memoized per ``(base, sub, m)``
+    (``_entropy_cost_lhs``, a float); the report is rebuilt on every call.
+    The transport cost of the log profile's H(a, b) = (a - b)^2/4 takes
+    the place of H(x, y); the quantile coupling of N(m, 1) and N(0, 1)
+    moves every quantile by m, so it is m^2/4.
     """
     if base.kind != "ou1d":
         raise ValueError("the entropy-cost check requires the OU base")
     m = float(shift)
-    z, wz = _z_rule(-_Z_PAD - abs(m), _Z_PAD + abs(m))
-    # P_s g(z) = exp(m_s z - m_s^2/2), with m_s the kernel's mean from m
-    g = _on_z(sub, lambda s, zb: np.exp(
-        (m_s := base.mean_sigma(s, m, np)[0]) * zb - 0.5 * m_s * m_s), z)
-    phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-    lhs = float(wz @ (phi * g * np.log(np.maximum(g, 1e-300))))
+    lhs = _entropy_cost_lhs(base, sub, m)
     profile = log_profile(base, m * m)
     w_cost = profile.H_value
     rhs = log_harnack_term(sub.alpha, profile.kappa, profile.epsilon, w_cost, sub.t)
@@ -375,29 +387,31 @@ def check_entropy_cost(base, sub, shift, spec=QuadratureSpec()):
                    params)
 
 
+@lru_cache(maxsize=1 << 12)
+def _entropy_cost_lhs(base, sub, m):
+    """int phi P_t g log P_t g dz of ``check_entropy_cost``, m a float."""
+    z, wz = _z_rule(-_Z_PAD - abs(m), _Z_PAD + abs(m))
+    # P_s g(z) = exp(m_s z - m_s^2/2), with m_s the kernel's mean from m
+    g = _on_z(sub, lambda s, zb: np.exp(
+        (m_s := base.mean_sigma(s, m, np)[0]) * zb - 0.5 * m_s * m_s), z)
+    phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    return float(wz @ (phi * g * np.log(np.maximum(g, 1e-300))))
+
+
 def check_laplace_mc(sub, x_probe, mc):
     """Monte Carlo Laplace-transform identity at x_probe, 4-standard-error band.
 
-    exp(-x S) is taken in place in the array ``sample`` returns, and its
-    mean and standard error on that same array: the sum over n, then the
-    deviations squared in place, summed, over n - 1 and the root over
-    sqrt(n). These are ``np.mean`` and ``np.std(ddof=1)``'s operations in
-    their order, so both agree with them bit for bit, without their
-    draw-sized temporaries. At alpha = 1 the law is the point mass at t:
-    the estimate is exp(-x t) with standard error 0, and no stream is
-    drawn.
+    The mean of exp(-x S) over the seeded stream and its standard error
+    come from ``_laplace_mc_moments``, memoized per ``(sub, x_probe,
+    mc.n_samples, mc.seed)`` (floats only, no draws kept), so a stream is
+    drawn once per process; the report is rebuilt on every call. At
+    alpha = 1 the law is the point mass at t: the estimate is exp(-x t)
+    with standard error 0, and no stream is drawn.
     """
     if sub.degenerate:
         mean, se = math.exp(-x_probe * sub.t), 0.0
     else:
-        n = mc.n_samples
-        vals = sample(sub, np.random.default_rng(mc.seed), size=n)
-        np.multiply(vals, -x_probe, out=vals)
-        np.exp(vals, out=vals)
-        mean = float(np.sum(vals) / n)
-        vals -= mean
-        np.square(vals, out=vals)
-        se = float(np.sqrt(np.sum(vals) / (n - 1)) / math.sqrt(n))
+        mean, se = _laplace_mc_moments(sub, x_probe, mc.n_samples, mc.seed)
     exact = laplace(sub, x_probe)
     err, band = abs(mean - exact), 4.0 * se
     params = {"check": "laplace_mc", "alpha": sub.alpha, "t": sub.t,
@@ -405,6 +419,24 @@ def check_laplace_mc(sub, x_probe, mc):
     # no quadrature error to allow for: the band is the 4-SE band itself
     return _report(err, band, "monte-carlo",
                    f"mean={mean:.12g} exact={exact:.12g} se={se:.3g}", 0.0, params)
+
+
+@lru_cache(maxsize=1 << 12)
+def _laplace_mc_moments(sub, x_probe, n, seed):
+    """(mean, standard error) of exp(-x S) over n draws of the stream of
+    ``seed``. exp(-x S) is taken in place in the array ``sample`` returns,
+    and its mean and standard error on that same array: the sum over n,
+    then the deviations squared in place, summed, over n - 1 and the root
+    over sqrt(n). These are ``np.mean`` and ``np.std(ddof=1)``'s
+    operations in their order, so both agree with them bit for bit,
+    without their draw-sized temporaries."""
+    vals = sample(sub, np.random.default_rng(seed), size=n)
+    np.multiply(vals, -x_probe, out=vals)
+    np.exp(vals, out=vals)
+    mean = float(np.sum(vals) / n)
+    vals -= mean
+    np.square(vals, out=vals)
+    return mean, float(np.sqrt(np.sum(vals) / (n - 1)) / math.sqrt(n))
 
 
 # --- sweep -------------------------------------------------------------

@@ -379,6 +379,13 @@ class TestSweep:
         # and reported as violations with lhs = rhs = nan
         ({"functions": [{"kind": "exp_affine", "slope": math.nan}]},
          "config.functions[0]: slope and clip must be finite"),
+        # each once ended the sweep with a TypeError traceback from the
+        # stream seed or numpy
+        *(({"checks": ["laplace_mc"], "mc": {"n_samples": 10, **mc}},
+           f"config.mc: {name} must be an integer")
+          for mc, name in (({"seed": 1.5}, "seed"), ({"seed": None}, "seed"),
+                           ({"seed": [1, 2]}, "seed"),
+                           ({"n_samples": 1000.5}, "n_samples"))),
     ])
     def test_config_a_check_would_abort_on_exit_1(self, capsys, tmp_path,
                                                   change, path):

@@ -386,11 +386,30 @@ class TestChecks:
             SweepConfig.from_dict(small_config(checks=["laplace_mc"],
                                                mc={"n_samples": 1}))
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.5), ("seed", None), ("seed", [1, 2]), ("seed", True),
+        ("n_samples", 1000.5), ("n_samples", "1000")])
+    def test_mcspec_refuses_a_non_integer(self, field, value):
+        # n_samples and seed key the Monte Carlo memo: seed None would
+        # draw a fresh OS-entropy stream that the memo then froze
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            MCSpec(**{"n_samples": 10, "seed": 0, field: value})
+
+    def test_mcspec_refuses_a_negative_seed(self):
+        with pytest.raises(ValueError, match=r"seed must be >= 0, got -1"):
+            MCSpec(10, -1)
+
+    def test_mcspec_takes_numpy_integers(self):
+        mc = MCSpec(np.int64(10), np.uint32(7))
+        assert mc == MCSpec(10, 7) and hash(mc) == hash(MCSpec(10, 7))
+
     def test_laplace_mc_one_draw_sized_array(self):
         # the check's traced peak is the returned samples plus block-sized
-        # temporaries: whole-size temporaries took it to 3.0 x 8n bytes
+        # temporaries: whole-size temporaries took it to 3.0 x 8n bytes.
+        # The memo is cleared, so the measured call draws its stream
         n = 1_000_000
         check_laplace_mc(StableSubordinator(0.75, 0.5), 1.0, MCSpec(1_000, 0))
+        verify._laplace_mc_moments.cache_clear()
         tracemalloc.start()
         try:
             check_laplace_mc(StableSubordinator(0.75, 0.5), 1.0, MCSpec(n, 3))
@@ -744,11 +763,13 @@ class TestEntropyZRule:
         monkeypatch.setattr(verify, "_law_sum", recording)
         sub = StableSubordinator(alpha, 1.0)
         monkeypatch.setattr(subordinator, "_SAMPLE_BLOCK", 1 << 40)
+        clear_entropy_memos()
         whole = check(sub)
         one_block = list(widths)
         nodes = 1 if sub.degenerate else _law_rule(alpha).v.size
         monkeypatch.setattr(subordinator, "_SAMPLE_BLOCK", 2 * 16 * nodes)
         widths.clear()
+        clear_entropy_memos()  # else the blocked call reads the whole one back
         blocked = check(sub)
         assert max(widths) == 32 and widths[-1] == 16
         assert sum(widths) == sum(one_block)
@@ -759,9 +780,11 @@ class TestEntropyZRule:
     def test_z_integrals_stay_block_sized(self, check):
         # 352 law nodes x 464 z nodes: the whole array took the kernel
         # check's peak to 3.8 MiB of numpy buffers, and the cost check's
-        # to 2.6 MiB
+        # to 2.6 MiB. The law rule stays warm and the entropy memos are
+        # cleared, so the measured call sums its z integral
         sub = StableSubordinator(0.75, 1.0)
         check(sub)
+        clear_entropy_memos()
         tracemalloc.start()
         try:
             check(sub)
@@ -775,6 +798,64 @@ class TestEntropyZRule:
                      "warnings"):
             assert not hasattr(verify, name)
         assert not hasattr(subharnack, "wasserstein_cost_1d")
+
+
+class TestCheckMemos:
+    """laplace_mc's moments and both entropy left sides are memoized per
+    process, as floats; each report is rebuilt on every call."""
+
+    SUB = StableSubordinator(0.8, 0.7)
+    CHECKS = pytest.mark.parametrize("check", [
+        lambda: check_laplace_mc(StableSubordinator(0.7, 0.5), 1.0,
+                                 MCSpec(20_000, 17)),
+        lambda: check_entropy_kernel(ou1d(), TestCheckMemos.SUB, [0.2], [-0.4],
+                                     SPEC),
+        lambda: check_entropy_cost(ou1d(), TestCheckMemos.SUB, 0.3, SPEC),
+    ], ids=["laplace_mc", "entropy_kernel", "entropy_cost"])
+
+    @CHECKS
+    def test_second_call_computes_nothing(self, check, clear_memos, monkeypatch):
+        clear_memos()
+        first = check()
+
+        def computes(*args, **kwargs):
+            raise AssertionError("a memoized value was computed again")
+
+        monkeypatch.setattr(verify, "sample", computes)
+        monkeypatch.setattr(verify, "_on_z", computes)
+        second = check()
+        assert second is not first and second.params is not first.params
+        assert repr(second) == repr(first)
+
+    @pytest.mark.parametrize("memo, args", [
+        (verify._laplace_mc_moments, (StableSubordinator(0.7, 0.5), 1.0, 20_000, 17)),
+        (verify._entropy_kernel_lhs, (ou1d(), SUB, 0.2, -0.4)),
+        (verify._entropy_cost_lhs, (ou1d(), SUB, 0.3)),
+    ], ids=["laplace_mc", "entropy_kernel", "entropy_cost"])
+    def test_memo_equals_uncached(self, memo, args):
+        memo(*args)
+        held, uncached = memo(*args), memo.__wrapped__(*args)
+        values = held if isinstance(held, tuple) else (held,)
+        assert all(type(v) is float for v in values)  # no draws or arrays kept
+        assert repr(held) == repr(uncached)
+
+    def test_second_sweep_adds_no_miss(self, clear_memos):
+        cfg = SweepConfig.from_dict(small_config(
+            checks=list(KNOWN_CHECKS), mc={"n_samples": 1_000, "seed": 3}))
+        clear_memos()
+        cold = run_sweep(cfg)
+        misses = [memo.cache_info().misses for memo in MEMOS]
+        assert all(memo.cache_info().misses for memo in (
+            verify._laplace_mc_moments, verify._entropy_kernel_lhs,
+            verify._entropy_cost_lhs))
+        warm = run_sweep(cfg)
+        assert [memo.cache_info().misses for memo in MEMOS] == misses
+        assert list(map(repr, warm.entries)) == list(map(repr, cold.entries))
+
+
+def clear_entropy_memos():
+    verify._entropy_kernel_lhs.cache_clear()
+    verify._entropy_cost_lhs.cache_clear()
 
 
 def small_config(**overrides):
