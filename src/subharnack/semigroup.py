@@ -6,8 +6,9 @@ Ornstein-Uhlenbeck semigroup at K = 1, and each kernel formula below is
 one formula in K. P_s f is a Gaussian expectation, closed for the shipped
 test functions, each a sum of Gaussian atoms with one closed form in logs
 (``_log_atom_expect``); the time change integrates it against the
-subordinator law. P_s f takes one route, ``_expect``, on a float or an
-array of times, and P_t^alpha f and its log share one memo.
+subordinator law. Every value is the exp of its log: log P_s f takes one
+route, ``_log_expect``, on a float or an array of times, and P_t^alpha f
+and its log share one memo.
 
 P_s f is defined for a ``TestFunction`` f only: its closed Gaussian
 expectation where it has one, and otherwise one fixed Gauss-Legendre
@@ -22,7 +23,6 @@ semigroup, whose closed form is the module's independent oracle.
 
 import math
 from functools import lru_cache, reduce
-from operator import add
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,7 +32,7 @@ from scipy.special import erf, erfcx, gammaln
 
 from .specfun import _exp_or_inf, _log_or_ninf
 from .subordinator import (_LOG_HUGE, _PANEL_TABLE, QuadratureSpec, _blocks,
-                           _law_nodes, _law_rule, _law_sum, _panel_nodes)
+                           _law_logsum, _law_nodes, _law_rule, _panel_nodes)
 
 __all__ = [
     "BaseKernel",
@@ -203,26 +203,21 @@ class TestFunction:
         return None
 
     def log_gauss_expect(self, m, sigma, xp=math):
-        """log E f(m + sigma*Z), the log-sum-exp of its atoms' logs
-        (``_log_atom_expect``), or None without atoms; floats and arrays as
-        in ``gauss_expect``."""
+        """log E f(m + sigma*Z) in closed form, or None: floats with
+        ``xp=math``; with ``xp=numpy`` sigma an array, m one of its shape or a
+        float, and the result of that shape (a float where it does not depend
+        on them). Here the log-sum-exp of f's atoms' logs (``_log_atom_expect``)."""
         atoms = self.atoms()
-        log_e = atoms and reduce(np.logaddexp, [_log_atom_expect(atom, m, sigma, xp)
-                                                for atom in atoms])
+        log_e = atoms and reduce(np.logaddexp, [_log_atom_expect(a, m, sigma, xp) for a in atoms])
         return float(log_e) if xp is math and atoms else log_e
 
+    @np.errstate(over="ignore")  # inf past float range
     def gauss_expect(self, m, sigma, xp=math):
-        """E f(m + sigma*Z) in closed form, or None if unavailable. With
-        ``xp=math`` m and sigma are floats; with ``xp=numpy`` sigma is an
-        array and m an array of its shape or a float, and the result is an
-        array of that shape (or a float where it does not depend on them).
-        A constant f gives its value, exactly; atoms the sum of their
-        values, each the exp of its log, inf past float range."""
-        if self.constant:
-            return float(self(0.0))
-        atoms, exp = self.atoms(), _exp_or_inf if xp is math else np.exp
-        return atoms and reduce(add, [exp(_log_atom_expect(atom, m, sigma, xp))
-                                      for atom in atoms])
+        """E f(m + sigma*Z) by ``_value`` from ``log_gauss_expect``, or None;
+        numpy's exp, so a float and an array give the same bits."""
+        log_e = 0.0 if self.constant else self.log_gauss_expect(m, sigma, xp)
+        value = None if log_e is None else _value(self, log_e, np.exp)
+        return float(value) if xp is math and value is not None else value
 
     def breakpoints(self):
         """Points y where f has a kink or changes scale; the fixed
@@ -246,7 +241,10 @@ class Constant(TestFunction):
         return self.c * np.ones_like(np.asarray(y, dtype=float))
 
     def pow(self, p):
-        return Constant(self.c ** p)
+        try:
+            return Constant(self.c ** p)
+        except OverflowError:
+            raise ValueError(f"c ** p is past float range at c={self.c}, p={p}") from None
 
     def atoms(self):
         return ((_log_or_ninf(self.c), 0.0, 0.0, 0.0, *_LINE),)
@@ -472,12 +470,12 @@ class _LogOf(TestFunction):
         return ((_log_or_ninf(math.log(floor)), 0.0, 0.0, 0.0, *_LINE),
                 (math.log(math.log1p(1.0 / floor)), 0.0, 0.0, 0.0, base.lo, base.hi))
 
-    def gauss_expect(self, m, sigma, xp=math):
-        base = self.inner.base
-        if isinstance(base, GaussBump):
-            value = _log_shifted_bump_expect(base, self.inner.floor, m, sigma)
-            return float(value) if xp is math else value
-        return super().gauss_expect(m, sigma, xp)
+    @np.errstate(divide="ignore")  # log 0 = -inf far from the bump
+    def log_gauss_expect(self, m, sigma, xp=math):
+        if not isinstance(base := self.inner.base, GaussBump):
+            return super().log_gauss_expect(m, sigma, xp)
+        log_e = np.log(_log_shifted_bump_expect(base, self.inner.floor, m, sigma))
+        return float(log_e) if xp is math else log_e
 
     def describe(self):
         return f"log({self.inner.describe()})"
@@ -524,15 +522,16 @@ def _checked_pair(base, x, y):
     return x, y, rho_sq
 
 
-def _kernel_density_at(base, s, x0, y0, rho_sq=None, xp=math):
-    """p_s(x, y) = (2 pi sigma^2)^(-d/2) exp(-q / (2 sigma^2)) at s > 0 and
-    x0, y0, rho_sq as ``_checked_pair`` returns them, q = |y0 - m_s(x0)|^2:
-    rho_sq itself at d > 1 (K = 0 there), unread at d = 1. A float s in
-    ``math``; with ``xp=numpy``, an array of times, and at d = 1 of y0."""
+def _kernel_density_at(base, s, x0, y0, rho_sq=None, xp=math, log=False):
+    """p_s(x, y) = (2 pi sigma^2)^(-d/2) exp(-q / (2 sigma^2)), or with
+    ``log`` its log, at s > 0 and x0, y0, rho_sq as ``_checked_pair``
+    returns them, q = |y0 - m_s(x0)|^2: rho_sq itself at d > 1 (K = 0
+    there), unread at d = 1. A float s in ``math``; with ``xp=numpy``, an
+    array of times, and at d = 1 of y0."""
     m, sigma = base.mean_sigma(s, x0, xp)
     q = (y0 - m) * (y0 - m) if base.d == 1 else rho_sq
-    var = sigma ** 2
-    return (2.0 * math.pi * var) ** (-0.5 * base.d) * xp.exp(-q / (2.0 * var))
+    lead, tail = 2.0 * math.pi * sigma ** 2, -q / (2.0 * sigma ** 2)
+    return -0.5 * base.d * xp.log(lead) + tail if log else lead ** (-0.5 * base.d) * xp.exp(tail)
 
 
 # the fixed rule's 20-point panels, and its breaks in sigma around the mean
@@ -579,31 +578,36 @@ def _gauss_quad_memo(f, m, sigma):
 
 
 def apply(base, f, s, x):
-    """P_s f(x) = E f(m_s(x) + sigma_s * Z) for a TestFunction f, by
-    ``_expect``. Non-constant test functions need d = 1. A plain callable
-    raises TypeError."""
+    """P_s f(x) = E f(m_s(x) + sigma_s * Z) for a TestFunction f, the exp
+    of ``_log_expect``. Non-constant test functions need d = 1. A plain
+    callable raises TypeError."""
     if not s > 0.0:
         raise ValueError(f"s must be > 0, got {s!r}")
-    return _expect(f, *base.mean_sigma(s, _first_coordinate(base, f, x)))
+    return _value(f, _log_expect(base, f, s, _first_coordinate(base, f, x)))
 
 
-def _expect(f, m, sigma):
-    """E f(m + sigma*Z) for a TestFunction: the closed Gaussian expectation
-    where f has one (every shipped family and log(floor + f) for an
-    indicator, from their atoms, and for a bump, an accelerated series, see
-    ``_LogOf``), else the fixed rule of ``_gauss_expectation_rule`` (a
-    power of a function whose family is not closed under powers, log(floor
-    + f) for any other f, a user's own function). A float sigma gives a
-    float, the rule's memoized per (f, m, sigma) for a hashable f; an array
-    of sigma (m an array of its shape or a float) an array of its shape."""
-    if isinstance(sigma, float):
-        cf = f.gauss_expect(m, sigma)
-        return _memoized(_gauss_quad_memo, f, f, m, sigma) if cf is None else cf
-    with np.errstate(over="ignore"):
-        cf = f.gauss_expect(m, sigma, np)
-    if cf is None:
-        return _gauss_expectation_rule(f, m, sigma)
-    return np.full(sigma.shape, cf)
+def _log_expect(base, f, s, x0):
+    """log P_s f(x0) for a TestFunction, m and sigma the kernel's at s from
+    x0: the closed ``log_gauss_expect`` where f has one (every shipped
+    family, and log(floor + f) for an indicator or a bump, see ``_LogOf``),
+    else the log of the fixed rule ``_gauss_expectation_rule`` (a power
+    outside f's family, log(floor + f) for any other f, a user's own
+    function). A number s gives a float, the rule's memoized per (f, m,
+    sigma) for a hashable f; an array of times an array of its shape."""
+    xp = np if isinstance(s, np.ndarray) else math
+    m, sigma = base.mean_sigma(s, x0, xp)
+    if (log_e := f.log_gauss_expect(m, sigma, xp)) is not None:
+        return log_e if xp is math else np.full(sigma.shape, log_e)
+    if xp is math:
+        return _log_or_ninf(_memoized(_gauss_quad_memo, f, f, m, sigma))
+    with np.errstate(divide="ignore"):  # log 0 = -inf
+        return np.log(_gauss_expectation_rule(f, m, sigma))
+
+
+def _value(f, log_e, exp=_exp_or_inf):
+    """E f from log E f: its exp, inf past float range, and a constant f's
+    own value, exactly."""
+    return float(f(0.0)) if f.constant else exp(log_e)
 
 
 def _first_coordinate(base, f, x):
@@ -641,13 +645,13 @@ def subordinated_apply(base, sub, f, x, spec=QuadratureSpec()):
     checked once, not at every node s, and a plain callable raises
     TypeError.
 
-    The s-integral is the law rule's one sum (``_law_sum``) for alpha, with
-    P_s f(x) on all the rule's nodes from one ``_expect`` call (for
-    log(floor + bump), one rows x 24 array pass of its series); at alpha =
-    1 it is ``apply`` at s = t. ``spec`` is not read; acceptance criterion
-    06 passes it. Where the integral diverges (an unclipped ExpAffine under
-    the heat kernel) the value is inf. It is the value of the memoized pair
-    ``_subordinated_pair``."""
+    The s-integral is the exp of the law rule's log-sum (``_law_logsum``) of
+    log P_s f(x) on all its nodes, from one ``_log_expect`` call (for
+    log(floor + bump), one rows x 24 array pass of its series); at alpha = 1
+    it is ``apply`` at s = t. ``spec`` is not read; acceptance criterion 06
+    passes it. Where the integral diverges (an unclipped ExpAffine under the
+    heat kernel) the value is inf, its log finite. It is the value of the
+    memoized pair ``_subordinated_pair``."""
     return _subordinated_pair(base, sub, f, x)[0]
 
 
@@ -661,18 +665,15 @@ def _subordinated_pair(base, sub, f, x):
 @lru_cache(maxsize=1 << 16)
 def _subordinated_apply_memo(base, sub, f, x0):
     """``_subordinated_pair`` at x0, the first coordinate of a point checked
-    by ``_first_coordinate``: below alpha = 1 the law rule's sum and its
-    log; at alpha = 1 P_t f(x) by ``_expect``, and as its log the log-sum of
-    f's atoms where it has them (``log_gauss_expect``), so a value below
-    float range keeps its log. The Harnack checks ask for the same integral
-    for every p (an indicator is its own power) and every factor mode, so
-    sweeps revisit its keys."""
-    if not sub.degenerate:
-        value = _law_sum(sub, _expect(f, *base.mean_sigma(_law_nodes(sub), x0, np)))
-        return value, _log_or_ninf(value)
-    m, sigma = base.mean_sigma(sub.t, x0)
-    value, log_e = _expect(f, m, sigma), f.log_gauss_expect(m, sigma)
-    return value, _log_or_ninf(value) if log_e is None else log_e
+    by ``_first_coordinate``: one log per key and the value from it
+    (``_value``), so a value below float range keeps its log. Below
+    alpha = 1 the log is the law rule's log-sum of log P_s f on its nodes;
+    at alpha = 1, log P_t f at the one node, in floats. The Harnack checks
+    ask for the same integral for every p (an indicator is its own power)
+    and every factor mode, so sweeps revisit its keys."""
+    log_e = (_log_expect(base, f, sub.t, x0) if sub.degenerate else
+             _law_logsum(sub, _log_expect(base, f, _law_nodes(sub), x0)))
+    return _value(f, log_e), float(log_e)
 
 
 def subordinated_density(base, sub, x, y, spec=QuadratureSpec()):

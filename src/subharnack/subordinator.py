@@ -1004,12 +1004,16 @@ def _law_nodes(sub):
     return sub.scale * _law_rule(sub.alpha).v
 
 
-def _law_sum(sub, values):
-    """sum_i w_i h_i, h_i = values[i] at ``_law_nodes(sub)``: the one sum every
-    integral against the law ends in, a float, or an array if values has a
-    row per node (one integral per column)."""
-    total = _law_rule(sub.alpha).w @ np.asarray(values, dtype=float)
-    return float(total) if total.ndim == 0 else total
+def _law_logsum(sub, log_h):
+    """log sum_i w_i h_i from log h_i at ``_law_nodes(sub)`` (a row per node,
+    one log-sum per column), shifted by the largest term so none passes
+    float range; a column with no finite term gives its largest."""
+    terms = np.add(log_h.T, _law_rule(sub.alpha).log_w).T  # log w_i on row i
+    if terms.ndim == 1 and math.isfinite(top := float(terms.max())):  # a float shift
+        return top + np.log(np.exp(terms - top).sum())
+    shift = np.where(np.isfinite(top := terms.max(axis=0)), top, 0.0)
+    with np.errstate(divide="ignore"):  # log 0 = -inf for h = 0
+        return shift + np.log(np.exp(np.subtract(terms, shift, out=terms), out=terms).sum(axis=0))
 
 
 def integrate_against(h, sub, spec=QuadratureSpec()):
@@ -1018,13 +1022,13 @@ def integrate_against(h, sub, spec=QuadratureSpec()):
     The sum sum_i w_i h(t^(1/alpha) v_i) over the nodes v_i and weights w_i
     of ``_law_rule(alpha)`` on the standard law (336-384 nodes for alpha
     in [0.5, 0.97], up to 1,200 at alpha = 0.1), laid out and certified as
-    above, with h called once per node with a float (the library's own
-    kernels take all the nodes at once into the same sum: ``_law_nodes``,
-    ``_law_sum``); at alpha = 1 the one node t with weight 1 gives h(t).
+    above, with h called once per node with a float and summed linearly,
+    so a signed h is summed too (the library's own integrals take log h on
+    all nodes at once: ``_law_logsum``); at alpha = 1 it is h(t).
     ``spec`` is not read; acceptance criterion 01 and the benchmark pass
     it. h should vary on the scale of the panels (about one unit of log s)
     or slower. Known limit: near the exponential-moment radius
     h = exp(delta/s) grows into the far left tail faster than that, and at
     0.99 of the radius (alpha = 1/2) the sum is ~2e-4 off.
     """
-    return _law_sum(sub, [h(x) for x in _law_nodes(sub).tolist()])
+    return float(_law_rule(sub.alpha).w @ np.array([*map(h, _law_nodes(sub).tolist())]))

@@ -11,7 +11,8 @@ and counts the statuses; only ``violated`` entries count as violations.
 
 No check integrates adaptively: the entropy checks sum over z by one
 fixed rule (``_z_rule``), and ``entropy_cost`` takes its transport cost
-in closed form.
+in closed form. Every law integral enters as its log, so no side, density
+or P_t g is floored.
 
 The costly side of three checks is memoized per process, each a pure
 function of its key that holds floats only: ``laplace_mc``'s mean and
@@ -63,7 +64,7 @@ from .semigroup import (
     ou1d,
     subordinated_apply,
 )
-from .specfun import _exp_or_inf, _log_or_ninf
+from .specfun import _LOG_SQRT_2PI, _exp_or_inf
 from .subordinator import (
     MCSpec,
     QuadratureSpec,
@@ -72,7 +73,7 @@ from .subordinator import (
     _blocks,
     _law_nodes,
     _law_rule,
-    _law_sum,
+    _law_logsum,
     _panel_nodes,
     exp_moment,
     laplace,
@@ -128,16 +129,14 @@ def _report(lhs, rhs, method, detail, rel_tol, params, log_lhs=math.nan,
 
 
 def _power_report(base, sub, f, p, x, y, log_factor, method, detail, rel_tol, params):
-    """Report of (P_t^alpha f(x))^p <= factor * P_t^alpha f^p(y): lhs from
-    ``subordinated_apply``, rhs formed in logs from ``log_factor`` and
-    log P_t^alpha f^p(y), the log of ``_subordinated_pair`` (closed at
-    alpha = 1): the factor alone can pass float range while log rhs stays
-    finite, and rhs is then inf, and P_t f^p(y) can fall below it while its
-    log stays finite."""
-    lhs = subordinated_apply(base, sub, f, x) ** p
+    """Report of (P_t^alpha f(x))^p <= factor * P_t^alpha f^p(y) in logs from
+    ``_subordinated_pair``: log lhs = p log P_t^alpha f(x), log rhs =
+    ``log_factor`` + log P_t^alpha f^p(y); a side past float range is inf
+    or 0 while its log stays finite."""
+    log_lhs = p * _subordinated_pair(base, sub, f, x)[1]
     log_rhs = log_factor + _subordinated_pair(base, sub, f.pow(p), y)[1]
-    return _report(lhs, _exp_or_inf(log_rhs), method, detail, rel_tol, params,
-                   _log_or_ninf(lhs), log_rhs)
+    return _report(_exp_or_inf(log_lhs), _exp_or_inf(log_rhs), method, detail,
+                   rel_tol, params, log_lhs, log_rhs)
 
 
 def _params(x, y, f):
@@ -256,7 +255,7 @@ def check_log_harnack(base, sub, x, y, f, spec=QuadratureSpec()):
     lhs = subordinated_apply(base, sub, f.log(), x, spec)
     term = log_harnack_term(sub.alpha, profile.kappa, profile.epsilon,
                             profile.H_value, sub.t)
-    rhs = math.log(subordinated_apply(base, sub, f, y, spec)) + term
+    rhs = _subordinated_pair(base, sub, f, y)[1] + term
     params = {"check": "log_harnack", "alpha": sub.alpha, "kappa": profile.kappa,
               "t": sub.t, **_params(x, y, f)}
     return _report(lhs, rhs, "quadrature", f"additive term={term:.12g}",
@@ -313,14 +312,13 @@ def _z_rule(lo, hi, breaks=()):
 
 
 def _on_z(sub, fn, z):
-    """int fn(s, zb)[:, j] mu_t(ds) at every z node: fn maps the column of the
-    law rule's nodes s and a block zb of whole 16-node z panels (``_blocks``,
-    sized by len(s)) to a cache-sized (len(s) x zb) array, whose column sums
-    (``_law_sum``) are bit for bit those of the whole array."""
-    s = _law_nodes(sub)
-    panels = z.reshape(-1, 16)
+    """log int exp(fn(s, zb)[:, j]) mu_t(ds) at every z node: fn maps the law
+    rule's nodes s (a column) and a block zb of whole 16-node z panels
+    (``_blocks``, sized by len(s)) to a cache-sized array of logs, whose
+    column log-sums (``_law_logsum``) are bit for bit the whole array's."""
+    s, panels = _law_nodes(sub), z.reshape(-1, 16)
     return np.concatenate([
-        _law_sum(sub, fn(s[:, None], panels[block].ravel()))
+        _law_logsum(sub, fn(s[:, None], panels[block].ravel()))
         for block in _blocks(len(panels), s.size * panels.shape[1])])
 
 
@@ -329,8 +327,8 @@ def check_entropy_kernel(base, sub, x, y, spec=QuadratureSpec()):
 
     The entropy int q_x log(q_x / q_y) dz is summed by the fixed z rule
     over [min(x, y, 0) - 14, max(x, y, 0) + 14], broken at x and y, with
-    both time-changed densities taken block by block of its nodes. The
-    entropy is memoized per ``(base, sub, x, y)`` (``_entropy_kernel_lhs``,
+    both time-changed densities taken in logs block by block of its nodes.
+    The entropy is memoized per ``(base, sub, x, y)`` (``_entropy_kernel_lhs``,
     a float); the report is rebuilt on every call.
     """
     x, y, rho_sq = _checked_pair(base, x, y)
@@ -348,16 +346,12 @@ def check_entropy_kernel(base, sub, x, y, spec=QuadratureSpec()):
 
 @lru_cache(maxsize=1 << 12)
 def _entropy_kernel_lhs(base, sub, x, y):
-    """int q_x log(q_x / q_y) dz of ``check_entropy_kernel``, x and y floats."""
+    """int e^lq_x (lq_x - lq_y) dz, lq = log q, of ``check_entropy_kernel``."""
     z, wz = _z_rule(min(x, y, 0.0) - _Z_PAD, max(x, y, 0.0) + _Z_PAD, (x, y))
-
-    def q(x0):
-        # Lebesgue density of the time-changed OU kernel from x0 at every z
-        return np.maximum(_on_z(sub, lambda s, zb: _kernel_density_at(
-            base, s, x0, zb, xp=np), z), 1e-300)
-
-    qx, qy = q(x), q(y)
-    return float(wz @ (qx * np.log(qx / qy)))
+    # the log densities of the time-changed OU kernel from x and y at every z
+    lqx, lqy = (_on_z(sub, lambda s, zb: _kernel_density_at(
+        base, s, x0, zb, xp=np, log=True), z) for x0 in (x, y))
+    return float(wz @ (np.exp(lqx) * (lqx - lqy)))
 
 
 def check_entropy_cost(base, sub, shift, spec=QuadratureSpec()):
@@ -367,16 +361,17 @@ def check_entropy_cost(base, sub, shift, spec=QuadratureSpec()):
     The OU kernel is reversible w.r.t. its invariant Gaussian, so the
     adjoint equals the semigroup; g(z) = exp(m*z - m^2/2) is the density
     of N(m, 1) relative to N(0, 1). The entropy int phi P_t g log P_t g dz
-    is summed by the fixed z rule over +-(14 + |m|), with P_t g taken
+    is summed by the fixed z rule over +-(14 + |m|), with log P_t g taken
     block by block of its nodes, and memoized per ``(base, sub, m)``
     (``_entropy_cost_lhs``, a float); the report is rebuilt on every call.
     The transport cost of the log profile's H(a, b) = (a - b)^2/4 takes
     the place of H(x, y); the quantile coupling of N(m, 1) and N(0, 1)
-    moves every quantile by m, so it is m^2/4.
+    moves every quantile by m, so it is m^2/4. A shift must be finite.
     """
     if base.kind != "ou1d":
         raise ValueError("the entropy-cost check requires the OU base")
-    m = float(shift)
+    if not math.isfinite(m := float(shift)):
+        raise ValueError(f"shift must be finite, got {shift!r}")
     lhs = _entropy_cost_lhs(base, sub, m)
     profile = log_profile(base, m * m)
     w_cost = profile.H_value
@@ -389,13 +384,12 @@ def check_entropy_cost(base, sub, shift, spec=QuadratureSpec()):
 
 @lru_cache(maxsize=1 << 12)
 def _entropy_cost_lhs(base, sub, m):
-    """int phi P_t g log P_t g dz of ``check_entropy_cost``, m a float."""
+    """int e^(lg - z^2/2) lg dz / sqrt(2 pi), lg = log P_t g, of ``check_entropy_cost``."""
     z, wz = _z_rule(-_Z_PAD - abs(m), _Z_PAD + abs(m))
-    # P_s g(z) = exp(m_s z - m_s^2/2), with m_s the kernel's mean from m
-    g = _on_z(sub, lambda s, zb: np.exp(
+    # log P_s g(z) = m_s z - m_s^2/2, with m_s the kernel's mean from m
+    lg = _on_z(sub, lambda s, zb: (
         (m_s := base.mean_sigma(s, m, np)[0]) * zb - 0.5 * m_s * m_s), z)
-    phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-    return float(wz @ (phi * g * np.log(np.maximum(g, 1e-300))))
+    return float(wz @ (np.exp(lg - 0.5 * z * z - _LOG_SQRT_2PI) * lg))
 
 
 def check_laplace_mc(sub, x_probe, mc):

@@ -386,6 +386,9 @@ class TestSweep:
           for mc, name in (({"seed": 1.5}, "seed"), ({"seed": None}, "seed"),
                            ({"seed": [1, 2]}, "seed"),
                            ({"n_samples": 1000.5}, "n_samples"))),
+        # 10^400 once ended the sweep with an OverflowError traceback
+        ({"functions": [{"kind": "constant", "c": 10.0}], "ps": [400.0]},
+         "c ** p is past float range at c=10.0, p=400.0"),
     ])
     def test_config_a_check_would_abort_on_exit_1(self, capsys, tmp_path,
                                                   change, path):

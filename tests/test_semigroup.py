@@ -16,11 +16,12 @@ from subharnack.specfun import _exp_or_inf
 from subharnack.semigroup import (
     _as_point,
     _checked_pair,
-    _expect,
     _first_coordinate,
     _gauss_expectation_rule,
     _gauss_quad_memo,
     _kernel_density_at,
+    _log_atom_expect,
+    _log_expect,
     _log_shifted_bump_expect,
     _subordinated_apply_memo,
     _subordinated_pair,
@@ -42,16 +43,15 @@ from subharnack.semigroup import (
 )
 from subharnack.subordinator import (
     _LOG_HUGE,
-    _blocks,
+    _law_logsum,
     _law_nodes,
     _law_rule,
-    _law_sum,
     QuadratureSpec,
     StableSubordinator,
     integrate_against,
     log_fractional_moment,
 )
-from subharnack.verify import _on_z, _z_rule
+from subharnack.verify import _on_z, _z_rule, check_base_harnack
 
 SPEC = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
 ULP = np.finfo(float).eps
@@ -332,6 +332,14 @@ class TestApply:
     def test_constant_any_dimension(self):
         assert apply(gauss_heat(3), Constant(5.0), 1.0, [0, 0, 0]) == 5.0
 
+    def test_constant_power_past_float_range_names_c_and_p(self):
+        # 10^400 raised OverflowError out of the base Harnack check
+        assert Constant(10.0).pow(300.0) == Constant(10.0 ** 300.0)
+        with pytest.raises(ValueError, match=r"c=10\.0, p=400\.0"):
+            Constant(10.0).pow(400.0)
+        with pytest.raises(ValueError, match=r"c=10\.0, p=400\.0"):
+            check_base_harnack(gauss_heat(1), 400.0, 1.0, [0.0], [0.5], Constant(10.0))
+
     def test_contraction(self):
         # P_s is a contraction: sup P_s f <= sup f = 1 for the bump
         f = GaussBump(0.0, 1.0)
@@ -441,10 +449,11 @@ class TestLogBumpSeries:
         f = ShiftedForLog(GaussBump(0.2, 0.6), 1.5).log()
         for base in (gauss_heat(1), ou1d()):
             m, sigma = nodes_mean_sigma(base, StableSubordinator(0.7, 1.0), 0.4)
-            on_arrays = f.gauss_expect(m, sigma, np)
-            per_node = [f.gauss_expect(mi, si)
-                        for mi, si in zip(m.tolist(), sigma.tolist())]
-            assert on_arrays.tolist() == per_node
+            # the closed form is the series' log, and its value the exp of it
+            for expect in (f.log_gauss_expect, f.gauss_expect):
+                on_arrays = expect(m, sigma, np)
+                per_node = [expect(mi, si) for mi, si in zip(m.tolist(), sigma.tolist())]
+                assert on_arrays.tolist() == per_node
 
 
 class TestTestFunctions:
@@ -718,8 +727,12 @@ class TestSubordinated:
         if base.curvature_K == 0.0:
             # the heat kernel's log-sum is the same arithmetic as the array
             # kernel summed over the same rule
-            assert got == _law_sum(
-                sub, _kernel_density_at(base, _law_nodes(sub), *point, np))
+            assert got == reference_law_sum(_law_rule(sub.alpha).w, _kernel_density_at(
+                base, _law_nodes(sub), *point, np))
+        # and within a few ulp of the law rule's log-sum of the log kernel
+        log_on_rule = _law_logsum(
+            sub, _kernel_density_at(base, _law_nodes(sub), *point, np, log=True))
+        assert math.isclose(got, math.exp(log_on_rule), rel_tol=8 * ULP)
         # numpy's vectorised exp, expm1 and power may differ from libm's by
         # an ulp, so the array kernel is within a few ulp of the reference;
         # at a node exp's condition number, |log p|, scales an ulp of
@@ -924,26 +937,23 @@ def reference_law_sum(w, values):
     return float(total) if total.ndim == 0 else total
 
 
-def reference_integrate_against(h, sub, on_arrays=False):
-    """``integrate_against`` with the branch it had for an integrand marked
-    as written on arrays: such an h was called once, on all the nodes."""
+def reference_integrate_against(h, sub):
+    """``integrate_against`` as a reference: h called once per node with a
+    float, and the weights' linear sum."""
     rule = _law_rule(sub.alpha)
-    s = sub.scale * rule.v
-    if on_arrays:
-        return reference_law_sum(rule.w, h(s))
-    return reference_law_sum(rule.w, [h(x) for x in s.tolist()])
+    return reference_law_sum(rule.w, [h(x) for x in (sub.scale * rule.v).tolist()])
 
 
-def reference_on_z(sub, fn, z):
-    """The entropy checks' z integrals as they were blocked by hand, the
-    node count read from the rule."""
-    nodes = _law_rule(sub.alpha).v.size
-    panels = z.reshape(-1, 16)
-    return np.concatenate([
-        reference_integrate_against(
-            lambda s: fn(np.asarray(s)[..., None], panels[block].ravel()),
-            sub, on_arrays=True)
-        for block in _blocks(len(panels), nodes * panels.shape[1])])
+def assert_log_of_sum(log_sum, linear):
+    """A log-sum against the log of the linear sum of the same terms: within
+    1e-14 where that sum is above 1e-290, and below log(1e-290) where it is
+    not (there the linear sum has lost terms to underflow, and the log-sum
+    keeps them). The bound is 1e-14 in the value plus a few ulp of the log."""
+    log_sum, linear = np.atleast_1d(log_sum), np.atleast_1d(linear)
+    big = linear > 1e-290
+    want = np.log(linear[big])
+    assert np.all(np.abs(log_sum[big] - want) <= 1e-14 + 4 * ULP * np.abs(want))
+    assert np.all(log_sum[~big] < math.log(1e-290) + 1e-12)
 
 
 def sum_outcome(fn, *args):
@@ -958,9 +968,9 @@ def sum_outcome(fn, *args):
 
 class TestOneLawSum:
     # alpha in [0.01, 0.999] and 1 (builds slow toward the ends of (0, 1)),
-    # t log-uniform over 200 decades: every route through the one sum gives
-    # the parent's bits, or the same ValueError (an uncertified rule, a
-    # scale past float range)
+    # t log-uniform over 200 decades: the linear sum gives the parent's
+    # bits, the log-sum the log of the linear sum, and every route through
+    # it the same ValueError (an uncertified rule, a scale past float range)
     @given(st.one_of(st.floats(min_value=0.01, max_value=0.999), st.just(1.0)),
            st.floats(min_value=math.log(1e-100), max_value=math.log(1e100)),
            st.floats(min_value=math.log(1e-3), max_value=math.log(1e3)),
@@ -973,30 +983,37 @@ class TestOneLawSum:
         def per_node(s):
             return math.exp(-x * s) / (1.0 + s)
 
-        def one_column(s):
-            return np.exp(-x * s)
-
-        def many_columns(s):
-            return np.exp(-np.multiply.outer(s, xs))
-
         assert (sum_outcome(integrate_against, per_node, sub)
                 == sum_outcome(reference_integrate_against, per_node, sub))
-        for h in (one_column, lambda s: one_column(s)[:, None], many_columns):
-            assert (sum_outcome(lambda: _law_sum(sub, h(_law_nodes(sub))))
-                    == sum_outcome(reference_integrate_against, h, sub, True))
-        # the library's two array routes: P_t^alpha f and the z integrals;
-        # at alpha = 1, the point mass at t, P_t^alpha f is P_t f itself
         base, f, pair = ou1d(), GaussBump(0.2, 0.7), _subordinated_apply_memo.__wrapped__
-        assert (sum_outcome(lambda: pair(base, sub, f, x)[0])
-                == (sum_outcome(apply, base, f, sub.t, x) if sub.degenerate else
-                    sum_outcome(reference_integrate_against,
-                                lambda s: _expect(f, *base.mean_sigma(s, x, np)), sub, True)))
         z = _z_rule(-x, x + 3.0)[0]
 
         def on_z(s, zb):
-            return np.exp(-np.multiply(s, zb * zb))
+            return -np.multiply(s, zb * zb)
 
-        assert sum_outcome(_on_z, sub, on_z, z) == sum_outcome(reference_on_z, sub, on_z, z)
+        try:
+            s = _law_nodes(sub)
+        except ValueError:
+            for route in (lambda: pair(base, sub, f, x), lambda: _on_z(sub, on_z, z)):
+                assert sum_outcome(route) == "ValueError"
+            return
+        w = _law_rule(alpha).w
+        for log_h in (-x * s, -np.multiply.outer(s, xs)):
+            assert_log_of_sum(_law_logsum(sub, log_h), reference_law_sum(w, np.exp(log_h)))
+        # the library's two log routes: P_t^alpha f, the exp of its log-sum,
+        # and the z integrals; at alpha = 1, the point mass at t, P_t^alpha f
+        # is P_t f itself
+        value, log_value = pair(base, sub, f, x)
+        if sub.degenerate:
+            assert value == apply(base, f, sub.t, x)
+        else:
+            log_p = _log_expect(base, f, s, x)
+            assert log_value == _law_logsum(sub, log_p)
+            assert value == _exp_or_inf(log_value)
+            assert_log_of_sum(log_value, reference_law_sum(w, np.exp(log_p)))
+        # block by block, the z integrals are the whole array's column log-sums
+        assert (sum_outcome(_on_z, sub, on_z, z)
+                == sum_outcome(_law_logsum, sub, on_z(s[:, None], z)))
 
 
 @pytest.mark.parametrize("build", [
@@ -1199,15 +1216,16 @@ class TestPointMassThroughTheRule:
         sub = StableSubordinator(1.0, t)
         x = [shift] + [0.3] * (base.d - 1)
         y = [0.5 - shift] + [-0.2] * (base.d - 1)
-        # a plain h and an array h alike are h(t), bit for bit
+        # a plain h is h(t), and the log-sum of an array log h is log h(t),
+        # bit for bit
         want = apply(base, f, t, x)
         assert integrate_against(lambda s: apply(base, f, s, x), sub) == want
         point = _checked_pair(base, x, y)
 
         def on_arrays(s):
-            return _kernel_density_at(base, s, *point, np)
+            return _kernel_density_at(base, s, *point, np, log=True)
 
-        assert (_law_sum(sub, on_arrays(_law_nodes(sub)))
+        assert (_law_logsum(sub, on_arrays(_law_nodes(sub)))
                 == on_arrays(np.array([t]))[0])
         # P_t^alpha f at alpha = 1 is P_t f, bit for bit
         assert subordinated_apply(base, sub, f, x) == want
@@ -1262,17 +1280,43 @@ class TestSubordinatedApplyMemo:
            st.floats(min_value=0.5, max_value=2.0),
            st.floats(min_value=-2.0, max_value=2.0))
     @settings(max_examples=60, deadline=None)
-    def test_pair_log_is_the_atoms_log_sum_or_the_values_log(self, case, alpha, t, x):
-        # at alpha = 1 a family with atoms keeps its closed log-sum, so a
-        # value below float range keeps its log; elsewhere the log of the value
+    def test_pair_is_one_log_and_its_exp(self, case, alpha, t, x):
+        # one log per key: at alpha = 1 log P_t f at the one node (a family
+        # with atoms their closed log-sum, so a value below float range keeps
+        # its log), below it the law rule's log-sum of log P_s f; the value
+        # is its exp, and a constant's own value, exactly
         base, f = case
         sub = StableSubordinator(alpha, t)
         point = [x] + [0.3] * (base.d - 1)
         value, log_value = _subordinated_pair(base, sub, f, point)
         assert value == subordinated_apply(base, sub, f, point)
-        log_e = f.log_gauss_expect(*base.mean_sigma(t, x)) if alpha == 1.0 else None
-        want = math.log(value) if log_e is None else log_e
+        if alpha == 1.0:
+            want = _log_expect(base, f, t, x)
+            if f.atoms() is not None:
+                assert want == f.log_gauss_expect(*base.mean_sigma(t, x))
+        else:
+            want = _law_logsum(sub, _log_expect(base, f, _law_nodes(sub), x))
         assert log_value.hex() == want.hex()
+        assert value == (float(f(0.0)) if f.constant else _exp_or_inf(log_value))
+
+    @pytest.mark.parametrize("f", [GaussBump(0.3, 0.8), Indicator(-1.0, 0.5),
+                                   ExpAffine(0.4, clip=1.2),
+                                   ShiftedForLog(Indicator(-1.0, 1.0)),
+                                   ShiftedForLog(Indicator(-1.0, 1.0)).log()],
+                             ids=lambda f: f.describe())
+    def test_one_miss_at_alpha_one_evaluates_each_atom_once(self, f, monkeypatch):
+        # the value is the exp of the one closed log, not a second closed form
+        calls = []
+
+        def counted(atom, *args, **kwargs):
+            calls.append(atom)
+            return _log_atom_expect(atom, *args, **kwargs)
+
+        monkeypatch.setattr(semigroup, "_log_atom_expect", counted)
+        before = _subordinated_apply_memo.cache_info()
+        subordinated_apply(ou1d(), StableSubordinator(1.0, 0.7), f, [0.4])
+        assert _subordinated_apply_memo.cache_info().misses == before.misses + 1
+        assert calls == list(f.atoms())
 
     def test_same_key_is_a_hit(self):
         first = self.call(*self.KEY)
@@ -1585,6 +1629,6 @@ class TestOnArrays:
                 lambda s: float(_gauss_expectation_rule(g, *base.mean_sigma(s, 0.4))),
                 sub, SPEC)
             assert math.isclose(got, per_node, rel_tol=4 * ULP)
-            closed_on_nodes = _law_sum(
-                sub, closed(*base.mean_sigma(_law_nodes(sub), 0.4, np), np))
+            closed_on_nodes = integrate_against(
+                lambda s: closed(*base.mean_sigma(s, 0.4), math), sub)
             assert math.isclose(got, closed_on_nodes, rel_tol=1e-12)

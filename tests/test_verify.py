@@ -8,6 +8,7 @@ import math
 import pkgutil
 import re
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -16,7 +17,7 @@ from conftest import MEMOS
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import log_ndtr, ndtri
+from scipy.special import log_ndtr, logsumexp, ndtri
 
 import subharnack
 from subharnack import semigroup, subordinator, verify
@@ -43,9 +44,9 @@ from subharnack.semigroup import (
     subordinated_density,
 )
 from subharnack.subordinator import (
+    _law_logsum,
     _law_nodes,
     _law_rule,
-    _law_sum,
     MCSpec,
     QuadratureSpec,
     StableSubordinator,
@@ -695,11 +696,15 @@ def quad_entropy_kernel(sub, x, y):
 
 def quad_entropy_cost(sub, m):
     """The entropy-cost check's lhs, int phi P_t g log P_t g dz with
-    g(z) = exp(m z - m^2/2), by adaptive quadrature over +-(14 + |m|)."""
+    g(z) = exp(m z - m^2/2), by adaptive quadrature over +-(14 + |m|). The
+    integrand is formed in logs: log P_t g(z) is scipy's logsumexp of
+    log w_i + m_i z - m_i^2/2 over the law rule's nodes s_i, m_i = e^(-s_i) m,
+    so it stays finite where P_t g passes float range."""
+    log_w, m_s = _law_rule(sub.alpha).log_w, m * np.exp(-_law_nodes(sub))
+
     def integrand(z):
-        s = _law_nodes(sub)
-        g = _law_sum(sub, np.exp(m * np.exp(-s) * z - 0.5 * m * m * np.exp(-2.0 * s)))
-        return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) * g * math.log(g)
+        lg = float(logsumexp(log_w + m_s * z - 0.5 * m_s * m_s))
+        return math.exp(lg - 0.5 * z * z - 0.5 * math.log(2.0 * math.pi)) * lg
 
     val, _ = quad(integrand, -14.0 - m, 14.0 + m, epsabs=0.0, epsrel=1e-11,
                   limit=400)
@@ -755,12 +760,12 @@ class TestEntropyZRule:
         # gives, bit for bit
         widths = []
 
-        def recording(sub, values):
-            out = _law_sum(sub, values)
+        def recording(sub, log_values):
+            out = _law_logsum(sub, log_values)
             widths.append(out.size)
             return out
 
-        monkeypatch.setattr(verify, "_law_sum", recording)
+        monkeypatch.setattr(verify, "_law_logsum", recording)
         sub = StableSubordinator(alpha, 1.0)
         monkeypatch.setattr(subordinator, "_SAMPLE_BLOCK", 1 << 40)
         clear_entropy_memos()
@@ -798,6 +803,43 @@ class TestEntropyZRule:
                      "warnings"):
             assert not hasattr(verify, name)
         assert not hasattr(subharnack, "wasserstein_cost_1d")
+
+
+class TestEntropyPastFloatRange:
+    """Both entropy integrands are formed from logs, so a density that
+    leaves float range, or a P_t g that passes it, keeps a finite log."""
+
+    @pytest.fixture(autouse=True)
+    def runtime_warnings_are_errors(self, clear_memos):
+        clear_memos()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            yield
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("y", [10.0, 40.0, 100.0])
+    def test_kernel_at_alpha_one_is_the_gaussian_divergence(self, y, t):
+        # at alpha = 1 both kernels are OU Gaussians of variance 1 - e^(-2t)
+        # and means 0 and e^(-t) y; flooring both densities at 1e-300 gave
+        # 689.33 for 782.59 at y = 100, t = 1
+        rep = check_entropy_kernel(ou1d(), StableSubordinator(1.0, t), [0.0], [y], SPEC)
+        want = math.exp(-2.0 * t) * y * y / (2.0 * -math.expm1(-2.0 * t))
+        assert math.isclose(rep.lhs, want, rel_tol=1e-12)
+        assert rep.status == "holds"
+
+    @pytest.mark.parametrize("m", [30.0, 40.0, 100.0])
+    def test_cost_holds_where_p_t_g_passes_float_range(self, m):
+        # P_t g = e^(m_s z - m_s^2/2) passes float range from m ~ 27; formed
+        # in floats, inf * log inf * phi gave lhs nan and a false violated
+        sub = StableSubordinator(0.7, 1.0)
+        rep = check_entropy_cost(ou1d(), sub, m, SPEC)
+        assert math.isfinite(rep.lhs) and rep.status == "holds"
+        assert math.isclose(rep.lhs, quad_entropy_cost(sub, m), rel_tol=1e-10)
+
+    @pytest.mark.parametrize("shift", [math.nan, math.inf, -math.inf])
+    def test_cost_refuses_a_shift_that_is_not_finite(self, shift):
+        with pytest.raises(ValueError, match="shift must be finite"):
+            check_entropy_cost(ou1d(), StableSubordinator(0.7, 1.0), shift, SPEC)
 
 
 class TestCheckMemos:
