@@ -6,9 +6,10 @@ Ornstein-Uhlenbeck semigroup at K = 1, and each kernel formula below is
 one formula in K. P_s f is a Gaussian expectation, closed for the shipped
 test functions, each a sum of Gaussian atoms with one closed form in logs
 (``_log_atom_expect``); the time change integrates it against the
-subordinator law. Every value is the exp of its log: log P_s f takes one
-route, ``_log_expect``, on a float or an array of times, and P_t^alpha f
-and its log share one memo.
+subordinator law. Every value is the exp of its log: log P_s f at a time
+takes one route, ``_log_expect``; on the law rule's nodes f hands its
+summands to one law-rule log-sum (``_law_terms``), and P_t^alpha f and
+its log share one memo.
 
 P_s f is defined for a ``TestFunction`` f only: its closed Gaussian
 expectation where it has one, and otherwise one fixed Gauss-Legendre
@@ -22,13 +23,14 @@ semigroup, whose closed form is the module's independent oracle.
 """
 
 import math
+import sys
 from functools import lru_cache, reduce
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad  # unused; bench/tracer.py rebinds it here
-from scipy.special import erf, erfcx, gammaln
+from scipy.special import erf, erfcx, gammaln, logsumexp
 
 from .specfun import _exp_or_inf, _log_or_ninf
 from .subordinator import (_LOG_HUGE, _PANEL_TABLE, QuadratureSpec, _blocks,
@@ -54,6 +56,7 @@ __all__ = [
 
 _MAX_DIM = 3
 _SQRT_PI, _SQRT_2PI = math.sqrt(math.pi), math.sqrt(2.0 * math.pi)
+_SQRT_2, _SQRT_HALF = math.sqrt(2.0), math.sqrt(0.5)
 _LOG_2, _LOG_4 = math.log(2.0), math.log(4.0)
 _LOG_4PI = math.log(4.0 * math.pi)
 _RATES = {"gauss_heat": 0.0, "ou1d": 1.0}  # each kind's K
@@ -90,6 +93,14 @@ class BaseKernel:
             return x, xp.sqrt(2.0 * s)
         return xp.exp(-K * s) * x, xp.sqrt(-xp.expm1(-2.0 * K * s) / K)
 
+    def law_mean_sigma(self, sub, x):
+        """``mean_sigma`` in numpy at the nodes of ``sub``'s law rule; at
+        K = 0 sigma_i = sqrt(2 t^(1/alpha)) sqrt(v_i), one pass over the
+        rule's sqrt v, and no node t^(1/alpha) v_i is formed."""
+        if self.curvature_K == 0.0:
+            return x, (_SQRT_2 * math.sqrt(sub.scale)) * _law_rule(sub.alpha).sqrt_v
+        return self.mean_sigma(_law_nodes(sub), x, np)
+
 
 def gauss_heat(d=1):
     return BaseKernel("gauss_heat", d)
@@ -124,60 +135,77 @@ def _checked_point(x, d):
 _LINE = (-math.inf, math.inf)  # the window of a whole-line atom
 
 
-def _log_atom_expect(atom, m, sigma, xp=math):
+def _log_atom_expect(atom, m, sigma, r=None, xp=math):
     """log E atom(m + sigma Z), on floats (``xp=math``) or arrays (``xp=numpy``:
-    sigma an array, m an array of its shape or a float).
+    sigma an array, m an array of its shape or a float); r = 1/(sigma sqrt 2),
+    which a function's atoms share.
 
     The completed square tilts the law of y to a normal law of scale
-    sigma/sqrt(v), v = 1 + 2 b sigma^2, and mean y0 + mu: the log of its
-    peak less log(v)/2, plus the log of the window's mass under it, l and h
-    its edges standardised and over sqrt 2. Across the tilted mean the mass
-    is (erf(h) - erf(l))/2, two terms of one sign. On one side, mirrored to
-    [x, x + w], x >= 0, it is erfcx(x) e^(-x^2) (1 - R)/2, with e^(-x^2)
-    taken into the atom times the density at the near edge, so no exponent
-    cancels in any tail; R = erfc(x + w)/erfc(x) is 0 on a half line, else
-    log R = -(2/sqrt pi) int_x^(x+w) dt/erfcx(t) by the 16-point
-    Gauss-Legendre rule, and -expm1(log R) keeps a narrow window to
-    rounding. Sides are read off before scaling, so a float mean picks one
-    form for a whole array."""
+    sigma rho, rho = w/H with w = 1/sqrt(2b), H = hypot(w, sigma), and its
+    peak to log c + log rho - (mu/H)^2/2 + rho^2 (a mu + a^2 sigma^2/2), mu =
+    m - y0, so a bump keeps its log past sigma = 1e154 and at inf. An edge
+    e sits x_e = ((e - m) r - sigma (a - 2b(e - y0))/sqrt 2) rho tilted
+    standard deviations (over sqrt 2) from the tilted mean, a tilt formed
+    from sigma, not sigma^2. Across the mean a window's mass is (erf(x_hi) -
+    erf(x_lo))/2, two terms of one sign: on arrays the pair (log factor,
+    mass), a value ``_law_logsum`` sums as it is. Past its near edge, at
+    x >= 0, the mass is erfcx(x) e^(-x^2) (1 - R)/2, with e^(-x^2) taken into
+    the atom at that edge times the density there, so no exponent cancels
+    in a tail; R = erfc(x + w)/erfc(x) is 0 on a half line, else log R =
+    -(2/sqrt pi) int_x^(x+w) dt/erfcx(t) by the 16-point Gauss-Legendre
+    rule. A half line across the mean has 1 - erfcx(|x|) e^(-x^2)/2. A
+    tilt-free atom reads its sides off e - m, so a float mean picks one form
+    for a whole array."""
     log_c, a, b, y0, lo, hi = atom
-    log_peak, mu, v, half_log_v = log_c, m - y0, 1.0, 0.0
-    if a or b:  # the tilt, and mu the tilted law's mean less y0
-        s2 = sigma * sigma
-        if b:
-            v = 1.0 + 2.0 * b * s2
-            half_log_v = 0.5 * xp.log(v)
-        peak = a * mu + 0.5 * a * a * s2 if a else 0.0
-        log_peak = log_c + ((peak - b * mu * mu) / v - half_log_v if b else peak)
-        if lo != -math.inf or hi != math.inf:
-            mu = (a * s2 + mu) / v if b else a * s2 + mu
+    mu, log, log_rho = m - y0, (_log_or_ninf if xp is math else np.log), 0.0
+    if b:
+        w = (0.5 / b) ** 0.5
+        hyp = xp.hypot(w, sigma)
+        log_h, z = xp.log(hyp), (_SQRT_HALF * mu) / hyp
+        log_peak = (log_c + math.log(w)) - (log_h + z * z)
+        log_rho = math.log(w) - log_h if a or (lo, hi) != _LINE else 0.0
+        if a:
+            log_peak = log_peak + xp.exp(2.0 * log_rho) * a * (mu + 0.5 * a * (sigma * sigma))
+    else:
+        log_peak = log_c + (a * mu + 0.5 * a * a * (sigma * sigma)) if a else log_c
     if lo == -math.inf and hi == math.inf:
         return log_peak
-    # an infinite edge stays a float, so a half line forms no array for it
-    dl = lo - y0 - mu if lo > -math.inf else lo
-    dh = hi - y0 - mu if hi < math.inf else hi
-    scale, across = (0.5 * v) ** 0.5 / sigma, (dl <= 0.0) & (dh >= 0.0)
-    l = dl * scale if lo > -math.inf else lo
-    h = dh * scale if hi < math.inf else hi
-    if across is True or type(across) is not bool and across.all():
+    r = _SQRT_HALF / sigma if r is None else r
+    # q_e = (e - m) r, x_e, and s_e of x_e's sign; an infinite edge stays a float
+    ql = (lo - m) * r if lo != -math.inf else lo
+    qh = (hi - m) * r if hi != math.inf else hi
+    if not (a or b):
+        xl, xh, sl, sh = ql, qh, lo - m, hi - m
+    else:
+        sl = lo if lo == -math.inf else ql - (a - 2.0 * b * (lo - y0)) * _SQRT_HALF * sigma
+        sh = hi if hi == math.inf else qh - (a - 2.0 * b * (hi - y0)) * _SQRT_HALF * sigma
+        xl, xh = (sl * xp.exp(log_rho), sh * xp.exp(log_rho)) if b else (sl, sh)
+    across = (sl <= 0.0) & (sh >= 0.0)
+    every = across is True or type(across) is not bool and across.all()
+    finite = lo != -math.inf and hi != math.inf
+    if finite and every:
         if xp is math:
-            return log_peak - _LOG_2 + _log_or_ninf(math.erf(h) - math.erf(l))
-        return log_peak - _LOG_2 + np.log(erf(h) - erf(l))
-    near = hi if lo == -math.inf else lo if hi == math.inf else np.where(dh < 0, hi, lo)
-    x = abs(near - y0 - mu) * scale
-    log_mass = np.log(erfcx(x))
-    if -math.inf < lo and hi < math.inf:
+            return log_peak - _LOG_2 + log(math.erf(xh) - math.erf(xl))
+        mass = erf(xh) - erf(xl)
+        return (log_peak - _LOG_2, mass) if type(log_peak) is float else log_peak - _LOG_2 + np.log(mass)
+    if not finite or type(below := sh < 0.0) is bool:  # x: the near edge past the mean
+        near, q, x = (hi, qh, -xh) if lo == -math.inf or finite and below else (lo, ql, xl)
+    else:
+        near, q, x = np.where(below, hi, lo), np.where(below, qh, ql), np.where(below, -xh, xl)
+    ex = erfcx(abs(x))
+    if not finite and every:
+        return log_peak + xp.log1p(-0.5 * ex * xp.exp(-x * x))
+    beside = log_c + a * (near - y0) - b * (near - y0) ** 2 + log_rho - _LOG_2 - q * q + log(ex)
+    if finite:
         nodes, weights = _PANEL_TABLE
-        w = (hi - lo) * scale
-        t = np.multiply.outer(0.5 * w, 1.0 + nodes) + np.asarray(x)[..., None]
-        log_r = -(w / _SQRT_PI) * ((1.0 / erfcx(t)) @ weights)
-        log_mass = log_mass + np.log(-np.expm1(log_r))
-    u, z = near - y0, (near - m) / sigma
-    beside = log_c - half_log_v - _LOG_2 + a * u - b * u * u - 0.5 * z * z + log_mass
+        w = (hi - lo) * r / xp.exp(log_rho)
+        t = np.multiply.outer(0.5 * w, 1.0 + nodes) + np.asarray(abs(x))[..., None]
+        beside = beside + np.log(-np.expm1(-(w / _SQRT_PI) * ((1.0 / erfcx(t)) @ weights)))
     if type(across) is bool or not across.any():
         return float(beside) if xp is math else beside
-    mass = erf(np.maximum(h, 0.0)) - erf(np.minimum(l, 0.0))
-    return np.where(across, log_peak - _LOG_2 + np.log(mass), beside)
+    inside = (log_peak - _LOG_2 + np.log(erf(np.maximum(xh, 0.0)) - erf(np.minimum(xl, 0.0)))
+              if finite else log_peak + np.log1p(-0.5 * ex * np.exp(-x * x)))
+    return np.where(across, inside, beside)
 
 
 class TestFunction:
@@ -205,11 +233,27 @@ class TestFunction:
     def log_gauss_expect(self, m, sigma, xp=math):
         """log E f(m + sigma*Z) in closed form, or None: floats with
         ``xp=math``; with ``xp=numpy`` sigma an array, m one of its shape or a
-        float, and the result of that shape (a float where it does not depend
-        on them). Here the log-sum-exp of f's atoms' logs (``_log_atom_expect``)."""
-        atoms = self.atoms()
-        log_e = atoms and reduce(np.logaddexp, [_log_atom_expect(a, m, sigma, xp) for a in atoms])
-        return float(log_e) if xp is math and atoms else log_e
+        float, and the result of sigma's shape. Here the log-sum-exp of f's
+        atoms' logs (``_log_atom_expect``); on arrays, of the one list of
+        summands that a miss hands its one law-rule log-sum (``_law_terms``),
+        a window's mass logged here."""
+        if (atoms := self.atoms()) is None:
+            return None
+        if xp is math:
+            return float(reduce(np.logaddexp, [_log_atom_expect(atom, m, sigma) for atom in atoms]))
+        logs = [t[0] + np.log(t[1]) if type(t) is tuple else t for t in self._law_terms(m, sigma)]
+        return logsumexp(np.broadcast_arrays(*logs, sigma)[:-1], axis=0)
+
+    def _law_terms(self, m, sigma):
+        """P_s f at the law rule's nodes (arrays m, sigma) as the list that
+        ``_law_logsum`` sums: each atom's log, with 1/(sigma sqrt 2) formed
+        once, or one closed ``log_gauss_expect``, else the fixed rule's E f."""
+        if (atoms := self.atoms()) is not None:
+            r = _SQRT_HALF / sigma if [atom for atom in atoms if atom[4:] != _LINE] else None
+            return [_log_atom_expect(atom, m, sigma, r, np) for atom in atoms]
+        if (log_e := self.log_gauss_expect(m, sigma, np)) is not None:
+            return [log_e]
+        return [(0.0, _gauss_expectation_rule(self, m, sigma))]
 
     @np.errstate(over="ignore")  # inf past float range
     def gauss_expect(self, m, sigma, xp=math):
@@ -331,7 +375,9 @@ class ExpAffine(TestFunction):
         return np.exp(self.slope * np.minimum(y, self.clip))
 
     def pow(self, p):
-        return ExpAffine(self.slope * p, self.clip)
+        if not math.isfinite(slope := self.slope * p):
+            raise ValueError(f"slope * p is past float range at slope={self.slope}, p={p}")
+        return ExpAffine(slope, self.clip)
 
     def breakpoints(self):
         if self.clip is None:
@@ -416,29 +462,27 @@ def _alternating_weights(n):
 # first 24 powers: within 2/(3 + sqrt 8)^24 < 1e-18 relative
 _LOG1P_POWERS = np.arange(1.0, 25.0)
 _LOG1P_WEIGHTS = _alternating_weights(_LOG1P_POWERS.size)
+_LOG1P_INVERSES, _LOG1P_SERIES = 1.0 / _LOG1P_POWERS, _LOG1P_WEIGHTS / np.sqrt(_LOG1P_POWERS)
 
 
 def _log_shifted_bump_expect(bump, floor, m, sigma):
     """E log(floor + bump(m + sigma*Z)) on floats or arrays, by the series
     log floor + sum_k (-1)^(k+1) E[u^k]/k in u = bump/floor, in [0, 1] as
     floor >= 1. bump^k is the bump of width w/sqrt(k), so each term is
-    closed: E[u^k] = floor^(-k) w/sqrt(v_k) exp(-k (m - c)^2/(2 v_k)), with
-    v_k = w^2 + k sigma^2. E[u^k]/k = int_0^1 x^(k-1) P(u > x) dx is a
-    Hausdorff moment sequence, so ``_LOG1P_WEIGHTS`` sum the series to
-    within 1e-18 relative. Each row's 24 terms are summed by one reduction
-    along the row, so a float gives the bits its row in an array gives."""
-    m = np.asarray(m, dtype=float)[..., None]
-    sigma = np.asarray(sigma, dtype=float)[..., None]
-    log_floor = math.log(floor)
-    v = _LOG1P_POWERS * (sigma * sigma)
-    v += bump.width ** 2
-    e = (m - bump.center) ** 2 / (2.0 * v)
-    e += log_floor
-    e *= -_LOG1P_POWERS
-    terms = np.exp(e, out=e)
-    terms *= bump.width / np.sqrt(v)
-    terms *= _LOG1P_WEIGHTS
-    return log_floor + terms.sum(axis=-1)
+    closed: E[u^k] = floor^(-k) k^(-1/2) exp(-B/D_k)/sqrt(D_k), with D_k =
+    sigma^2/w^2 + 1/k and -B bump(m)'s exponent. E[u^k]/k = int_0^1 x^(k-1)
+    P(u > x) dx is a Hausdorff moment sequence, so ``_LOG1P_WEIGHTS`` sum
+    the series to within 1e-18 relative. Five passes over one rows x 24
+    array form the terms, and one einsum along each row, floor^(-k)
+    k^(-1/2) in its weights, sums them, so a float gives its row's bits."""
+    b = -((m - bump.center) * (m - bump.center)) / (2.0 * bump.width ** 2)
+    d = np.add.outer(np.multiply(sigma, sigma) / bump.width ** 2, _LOG1P_INVERSES)
+    # -inf / inf would be nan; a finite -B gives each term its limit, 0
+    terms = np.divide(np.maximum(b, -sys.float_info.max)[..., None], d)
+    terms = np.exp(terms, out=terms)
+    terms /= np.sqrt(d, out=d)
+    weights = _LOG1P_SERIES if floor == 1.0 else _LOG1P_SERIES * floor ** -_LOG1P_POWERS
+    return math.log(floor) + np.einsum("...k,k->...", terms, weights)
 
 
 @dataclass(frozen=True)
@@ -451,7 +495,8 @@ class _LogOf(TestFunction):
     log(1 + 1/floor) on [lo, hi]. log(floor + bump) for a ``GaussBump`` is
     the accelerated series of its closed powers
     (``_log_shifted_bump_expect``), within 1e-18 relative before rounding.
-    Any other base takes the fixed Gaussian rule."""
+    Any other base takes the fixed Gaussian rule. The series is a value: a
+    miss hands it to the law-rule log-sum as it is, never logged."""
 
     inner: ShiftedForLog
 
@@ -476,6 +521,11 @@ class _LogOf(TestFunction):
             return super().log_gauss_expect(m, sigma, xp)
         log_e = np.log(_log_shifted_bump_expect(base, self.inner.floor, m, sigma))
         return float(log_e) if xp is math else log_e
+
+    def _law_terms(self, m, sigma):
+        if not isinstance(base := self.inner.base, GaussBump):
+            return super()._law_terms(m, sigma)
+        return [(0.0, _log_shifted_bump_expect(base, self.inner.floor, m, sigma))]
 
     def describe(self):
         return f"log({self.inner.describe()})"
@@ -587,21 +637,17 @@ def apply(base, f, s, x):
 
 
 def _log_expect(base, f, s, x0):
-    """log P_s f(x0) for a TestFunction, m and sigma the kernel's at s from
-    x0: the closed ``log_gauss_expect`` where f has one (every shipped
-    family, and log(floor + f) for an indicator or a bump, see ``_LogOf``),
-    else the log of the fixed rule ``_gauss_expectation_rule`` (a power
-    outside f's family, log(floor + f) for any other f, a user's own
-    function). A number s gives a float, the rule's memoized per (f, m,
-    sigma) for a hashable f; an array of times an array of its shape."""
-    xp = np if isinstance(s, np.ndarray) else math
-    m, sigma = base.mean_sigma(s, x0, xp)
-    if (log_e := f.log_gauss_expect(m, sigma, xp)) is not None:
-        return log_e if xp is math else np.full(sigma.shape, log_e)
-    if xp is math:
-        return _log_or_ninf(_memoized(_gauss_quad_memo, f, f, m, sigma))
-    with np.errstate(divide="ignore"):  # log 0 = -inf
-        return np.log(_gauss_expectation_rule(f, m, sigma))
+    """log P_s f(x0) at a float s for a TestFunction, m and sigma the
+    kernel's at s from x0: the closed ``log_gauss_expect`` where f has one
+    (every shipped family, and log(floor + f) for an indicator or a bump,
+    see ``_LogOf``), else the log of the fixed rule
+    ``_gauss_expectation_rule``, memoized per (f, m, sigma) for a hashable f
+    (a power outside f's family, log(floor + f) for any other f, a user's
+    own function)."""
+    m, sigma = base.mean_sigma(s, x0)
+    if (log_e := f.log_gauss_expect(m, sigma)) is not None:
+        return log_e
+    return _log_or_ninf(_memoized(_gauss_quad_memo, f, f, m, sigma))
 
 
 def _value(f, log_e, exp=_exp_or_inf):
@@ -645,13 +691,12 @@ def subordinated_apply(base, sub, f, x, spec=QuadratureSpec()):
     checked once, not at every node s, and a plain callable raises
     TypeError.
 
-    The s-integral is the exp of the law rule's log-sum (``_law_logsum``) of
-    log P_s f(x) on all its nodes, from one ``_log_expect`` call (for
-    log(floor + bump), one rows x 24 array pass of its series); at alpha = 1
-    it is ``apply`` at s = t. ``spec`` is not read; acceptance criterion 06
-    passes it. Where the integral diverges (an unclipped ExpAffine under the
-    heat kernel) the value is inf, its log finite. It is the value of the
-    memoized pair ``_subordinated_pair``."""
+    The s-integral is the exp of one law-rule log-sum (``_law_logsum``) of
+    P_s f(x)'s summands on all its nodes (``_law_terms``); at alpha = 1 it
+    is ``apply`` at s = t. ``spec`` is not read; acceptance
+    criterion 06 passes it. Where the integral diverges (an unclipped
+    ExpAffine under the heat kernel) the value is inf, its log finite. It
+    is the value of the memoized pair ``_subordinated_pair``."""
     return _subordinated_pair(base, sub, f, x)[0]
 
 
@@ -667,12 +712,18 @@ def _subordinated_apply_memo(base, sub, f, x0):
     """``_subordinated_pair`` at x0, the first coordinate of a point checked
     by ``_first_coordinate``: one log per key and the value from it
     (``_value``), so a value below float range keeps its log. Below
-    alpha = 1 the log is the law rule's log-sum of log P_s f on its nodes;
-    at alpha = 1, log P_t f at the one node, in floats. The Harnack checks
-    ask for the same integral for every p (an indicator is its own power)
-    and every factor mode, so sweeps revisit its keys."""
-    log_e = (_log_expect(base, f, sub.t, x0) if sub.degenerate else
-             _law_logsum(sub, _log_expect(base, f, _law_nodes(sub), x0)))
+    alpha = 1 a miss forms m and sigma on the law rule's nodes once, and
+    f's summands of P_s f (``_law_terms``: each atom's log, a window
+    across the mean as its mass, log(floor + bump)'s series as its value)
+    make one list that one law-rule log-sum finishes (``_law_logsum``: one
+    shift, one exp, one product with w). At alpha = 1 it is log P_t f at
+    the one node, in floats. The Harnack checks ask for the same integral
+    for every p (an indicator is its own power) and every factor mode, so
+    sweeps revisit its keys."""
+    if sub.degenerate:
+        log_e = _log_expect(base, f, sub.t, x0)
+    else:
+        log_e = _law_logsum(sub, f._law_terms(*base.law_mean_sigma(sub, x0)))
     return _value(f, log_e), float(log_e)
 
 

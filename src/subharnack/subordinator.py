@@ -25,14 +25,14 @@ accuracy either.
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.integrate import quad  # unused; bench/tracer.py rebinds it here
 from scipy.special import gammaln
 
-from .specfun import _exp_or_inf, log_gamma
+from .specfun import _exp_or_inf, _log_or_ninf, log_gamma
 
 __all__ = [
     "StableSubordinator",
@@ -916,6 +916,16 @@ class _LawRule:
     certified_error: float
     _node_terms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    @cached_property
+    def sqrt_v(self):
+        """sqrt v_i, formed on first use (the heat kernel's sigma_i)."""
+        return np.sqrt(self.v)
+
+    @cached_property
+    def mass(self):
+        """sum_i w_i, formed on first use."""
+        return float(self.w.sum())
+
     def node_terms(self, d):
         """log w_i - (d/2) log v_i, the heat kernel's terms in d dimensions:
         built on first use for each d, read-only so no in-place pass alters them."""
@@ -955,7 +965,8 @@ def _law_rule(alpha):
     certified in [0.02746, 0.99992] and at 1 only; and, before any panel
     array is formed (``_panel_count``), for alpha below about 1e-4
     (~6.6/alpha bulk panels) or in (0.99992, 1) (the theta rule's
-    ~5/(1 - alpha)), past _MAX_PANELS = 65,536 in one stretch.
+    ~5/(1 - alpha)), past _MAX_PANELS = 65,536 in one stretch, and below
+    about 0.0093, where the first node is below float range.
     """
     if alpha == 1.0:
         return _LawRule(np.ones(1), np.ones(1), np.zeros(1), np.zeros(1), 0.0)
@@ -968,6 +979,9 @@ def _law_rule(alpha):
     u_end = math.log(_TAIL_SWITCH)
     width = min(1.0 / p, 1.0)
     n_left = _panel_count(u_mode - u_cut, width, alpha)
+    if u_cut < math.log(sys.float_info.min):  # no node below float range
+        raise ValueError(f"the quadrature rule for alpha = {alpha!r} needs nodes from "
+                         f"v = e^{u_cut:.4g}, below float range")
     edges = list(np.linspace(u_cut, u_mode, n_left + 1))
     while edges[-1] + width < u_end:
         edges.append(edges[-1] + width)
@@ -1005,15 +1019,43 @@ def _law_nodes(sub):
 
 
 def _law_logsum(sub, log_h):
-    """log sum_i w_i h_i from log h_i at ``_law_nodes(sub)`` (a row per node,
-    one log-sum per column), shifted by the largest term so none passes
-    float range; a column with no finite term gives its largest."""
-    terms = np.add(log_h.T, _law_rule(sub.alpha).log_w).T  # log w_i on row i
-    if terms.ndim == 1 and math.isfinite(top := float(terms.max())):  # a float shift
-        return top + np.log(np.exp(terms - top).sum())
-    shift = np.where(np.isfinite(top := terms.max(axis=0)), top, 0.0)
-    with np.errstate(divide="ignore"):  # log 0 = -inf for h = 0
-        return shift + np.log(np.exp(np.subtract(terms, shift, out=terms), out=terms).sum(axis=0))
+    """log sum_i w_i h_i over the nodes of ``_law_nodes(sub)``.
+
+    An array log_h has a row per node and one log-sum per column (a 1-D
+    log_h is one sum), each shifted by its largest term; a column with no
+    finite term gives its largest. A list holds the summands of h, each
+    an atom's P_s f: a float c (h = e^c at every node), an array of log h,
+    or a pair (c, v), h = e^c v with v >= 0 of moderate scale, summed as
+    it is. All of them take one shift, by the largest log; the arrays one
+    exp and one product with w, so no term rounds at the ulp of log w_i,
+    and each w_i is a normal float (the left cut keeps the density above
+    e^-700), so the largest term keeps its precision."""
+    rule = _law_rule(sub.alpha)
+    if type(log_h) is not list:
+        terms = np.add(log_h.T, rule.log_w).T  # log w_i on row i
+        shift = np.where(np.isfinite(top := terms.max(axis=0)), top, 0.0)
+        with np.errstate(divide="ignore"):  # log 0 = -inf for h = 0
+            return shift + np.log(np.exp(np.subtract(terms, shift, out=terms), out=terms).sum(axis=0))
+    if len(log_h) == 1 and type(log_h[0]) is tuple:  # one value: no shift
+        return log_h[0][0] + _log_or_ninf(float(rule.w @ log_h[0][1]))
+    top, pairs, logs = -math.inf, [], []
+    for term in log_h:
+        if type(term) is np.ndarray:
+            logs.append(term)
+            continue
+        pairs.append(term := (term, None) if type(term) is float else term)
+        top = max(top, term[0])
+    if logs:
+        logs = logs[0] if len(logs) == 1 else np.stack(logs)
+        top = top if (log_top := float(np.maximum.reduce(logs, None))) < top else log_top
+    if not math.isfinite(top):  # nan stays
+        return top
+    total = 0.0
+    for c, v in pairs:
+        total += math.exp(c - top) * (rule.mass if v is None else float(rule.w @ v))
+    if len(logs):
+        total += float(np.add.reduce(np.exp(logs - top) @ rule.w, None))
+    return top + _log_or_ninf(total)
 
 
 def integrate_against(h, sub, spec=QuadratureSpec()):

@@ -389,6 +389,9 @@ class TestSweep:
         # 10^400 once ended the sweep with an OverflowError traceback
         ({"functions": [{"kind": "constant", "c": 10.0}], "ps": [400.0]},
          "c ** p is past float range at c=10.0, p=400.0"),
+        # a finite slope whose power is not: named, not "must be finite"
+        ({"functions": [{"kind": "exp_affine", "slope": 1e307}], "ps": [20.0]},
+         "slope * p is past float range at slope=1e+307, p=20.0"),
     ])
     def test_config_a_check_would_abort_on_exit_1(self, capsys, tmp_path,
                                                   change, path):

@@ -1,5 +1,6 @@
 import math
 import random
+from functools import reduce
 import struct
 import tracemalloc
 import warnings
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
+from scipy.special import erf, erfcx
 
 from subharnack import semigroup, subordinator
 from subharnack.specfun import _exp_or_inf
@@ -477,6 +479,13 @@ class TestTestFunctions:
         f = ExpAffine(0.4, clip=1.2).pow(2.0)
         ys = np.linspace(-3, 3, 30)
         assert np.allclose(f(ys), ExpAffine(0.4, clip=1.2)(ys) ** 2)
+
+    @pytest.mark.parametrize("clip", [None, 1.2])
+    def test_expaffine_power_past_float_range_names_slope_and_p(self, clip):
+        # the slope the user gave is finite; its power is not
+        with pytest.raises(ValueError, match=r"slope \* p is past float range "
+                                             r"at slope=1e\+307, p=20\.0"):
+            ExpAffine(1e307, clip).pow(20.0)
 
     @pytest.mark.parametrize("slope", [0.4, 1.6])
     @pytest.mark.parametrize("sigma", [0.05, 1.0, 1e3, 1e5, 1e7])
@@ -1007,9 +1016,10 @@ class TestOneLawSum:
         if sub.degenerate:
             assert value == apply(base, f, sub.t, x)
         else:
-            log_p = _log_expect(base, f, s, x)
-            assert log_value == _law_logsum(sub, log_p)
+            m, sigma = base.law_mean_sigma(sub, x)
+            assert log_value == _law_logsum(sub, f._law_terms(m, sigma))
             assert value == _exp_or_inf(log_value)
+            log_p = f.log_gauss_expect(m, sigma, np)
             assert_log_of_sum(log_value, reference_law_sum(w, np.exp(log_p)))
         # block by block, the z integrals are the whole array's column log-sums
         assert (sum_outcome(_on_z, sub, on_z, z)
@@ -1041,22 +1051,18 @@ def test_nan_argument_is_refused(build):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestInfiniteGaussianScale:
-    """Known nans where sigma^2 or a law node passes float range: a tilted
-    atom is formed from sigma and each node as t^(1/alpha) v in floats, so
-    inf * 0 and inf - inf appear. Keeping nodes and scales in logs (ROADMAP
-    item 3) would mend them; until then each is pinned by a strict xfail."""
+    """Where sigma^2 or a law node passes float range: a tilted atom takes
+    its tilt from sigma and 1/(sigma sqrt 2), never sigma^2, and the heat
+    kernel's law nodes take sigma from sqrt t^(1/alpha) sqrt v, so each
+    value is its limit, not nan."""
 
     LIMIT = math.exp(0.48) / 2.0  # e^(0.4 clip) P(Z > 0), the sigma -> inf limit
 
-    @pytest.mark.xfail(strict=True, reason="nan at sigma = inf: the tilt is "
-                       "formed from sigma, not log sigma (ROADMAP item 3)")
     def test_clipped_exp_affine_at_infinite_time(self):
         # OU's sigma is 1 at s = inf, where the same f gives a finite 1.0397
         got = apply(gauss_heat(1), ExpAffine(0.4, clip=1.2), math.inf, [0.0])
         assert math.isclose(got, self.LIMIT, rel_tol=1e-12)
 
-    @pytest.mark.xfail(strict=True, reason="nan where a law node t^(1/alpha) v "
-                       "overflows to inf (ROADMAP item 3)")
     def test_clipped_exp_affine_past_the_largest_finite_node(self):
         # at t = e^186, alpha = 0.28125 every node's sigma is past 1e100, so
         # each P_s f is the limit to many digits
@@ -1064,12 +1070,28 @@ class TestInfiniteGaussianScale:
         got = subordinated_apply(gauss_heat(1), sub, ExpAffine(0.4, clip=1.2), [0.0])
         assert math.isclose(got, self.LIMIT, rel_tol=1e-9)
 
-    @pytest.mark.xfail(strict=True, reason="nan where sigma^2 passes float "
-                       "range: the tilt is formed from sigma (ROADMAP item 3)")
     def test_bump_where_sigma_squared_overflows(self):
         # width / sqrt(width^2 + sigma^2) e^(-(m - c)^2 / (2 sigma^2)) is
         # 8e-161 e^(-5e279), which is 0.0
         assert GaussBump(0.3, 0.8).gauss_expect(1e300, 1e160) == 0.0
+
+    @pytest.mark.parametrize("f", [GaussBump(0.3, 0.8), ShiftedForLog(GaussBump(0.3, 0.8)).log()],
+                             ids=lambda f: f.describe())
+    def test_arrays_give_the_floats_past_sigma_squared_overflow(self, f):
+        # a bump keeps its log w/sigma = -368.2 at sigma = 1e160, and its
+        # log series gives log floor, not nan, where (m - c)^2 passes too
+        m = np.array([0.0, 5.0, 1e300, -1e300])
+        for sigma in (1e160, 1e200, math.inf):
+            got = f.gauss_expect(m, np.full(4, sigma), np)
+            want = [f.gauss_expect(mi, sigma) for mi in m.tolist()]
+            assert not np.isnan(got).any() and got.tolist() == want
+
+    def test_clipped_exp_affine_where_sigma_squared_overflows(self):
+        # the lower atom's tail is erfcx at 2.8e159, not at inf, so no log 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = ExpAffine(0.4, clip=1.2).gauss_expect(0.0, 1e160)
+        assert math.isclose(got, self.LIMIT, rel_tol=1e-12)
 
 
 def std_normal_density(y):
@@ -1295,7 +1317,7 @@ class TestSubordinatedApplyMemo:
             if f.atoms() is not None:
                 assert want == f.log_gauss_expect(*base.mean_sigma(t, x))
         else:
-            want = _law_logsum(sub, _log_expect(base, f, _law_nodes(sub), x))
+            want = _law_logsum(sub, f._law_terms(*base.law_mean_sigma(sub, x)))
         assert log_value.hex() == want.hex()
         assert value == (float(f(0.0)) if f.constant else _exp_or_inf(log_value))
 
@@ -1317,6 +1339,41 @@ class TestSubordinatedApplyMemo:
         subordinated_apply(ou1d(), StableSubordinator(1.0, 0.7), f, [0.4])
         assert _subordinated_apply_memo.cache_info().misses == before.misses + 1
         assert calls == list(f.atoms())
+
+    @pytest.mark.parametrize("f", [GaussBump(0.3, 0.8), Indicator(-1.0, 0.5),
+                                   ExpAffine(0.4, clip=1.2),
+                                   ShiftedForLog(Indicator(-1.0, 1.0)),
+                                   ShiftedForLog(Indicator(-1.0, 1.0)).log(),
+                                   ShiftedForLog(GaussBump(0.0, 0.4))],
+                             ids=lambda f: f.describe())
+    @pytest.mark.parametrize("base", [gauss_heat(1), ou1d()], ids=lambda b: b.kind)
+    def test_one_miss_below_alpha_one_makes_one_law_sum(self, base, f, monkeypatch):
+        # each atom writes its row once, and one log-sum over the rule
+        # finishes the miss: no logaddexp over the atoms' node arrays
+        atoms, sums, pairs = [], [], []
+
+        def counted_atom(atom, *args, **kwargs):
+            atoms.append(atom)
+            return _log_atom_expect(atom, *args, **kwargs)
+
+        def counted_sum(*args):
+            sums.append(args)
+            return _law_logsum(*args)
+
+        def counted_logaddexp(*args, **kwargs):
+            pairs.append(any(np.ndim(a) for a in args))
+            return logaddexp(*args, **kwargs)
+
+        logaddexp = np.logaddexp
+        monkeypatch.setattr(semigroup, "_log_atom_expect", counted_atom)
+        monkeypatch.setattr(semigroup, "_law_logsum", counted_sum)
+        monkeypatch.setattr(np, "logaddexp", counted_logaddexp)
+        before = _subordinated_apply_memo.cache_info()
+        subordinated_apply(base, StableSubordinator(0.75, 1.0), f, [0.4])
+        assert _subordinated_apply_memo.cache_info().misses == before.misses + 1
+        assert atoms == list(f.atoms())
+        assert len(sums) == 1 and type(sums[0][1]) is list
+        assert not any(pairs)
 
     def test_same_key_is_a_hit(self):
         first = self.call(*self.KEY)
@@ -1398,6 +1455,107 @@ class TestSubordinatedApplyMemo:
         with pytest.raises(ValueError):
             subordinated_apply(gauss_heat(2), sub, GaussBump(), [0.4, 1.0], SPEC)
 
+
+
+
+def reference_log_atom_expect(atom, m, sigma):
+    """log E atom(m + sigma Z) on arrays as the library formed it before
+    each atom shared 1/(sigma sqrt 2) and its tilt was formed without
+    sigma^2: kept as the reference the one-array route must match."""
+    log_c, a, b, y0, lo, hi = atom
+    log_peak, mu, v, half_log_v = log_c, m - y0, 1.0, 0.0
+    if a or b:
+        s2 = sigma * sigma
+        if b:
+            v = 1.0 + 2.0 * b * s2
+            half_log_v = 0.5 * np.log(v)
+        peak = a * mu + 0.5 * a * a * s2 if a else 0.0
+        log_peak = log_c + ((peak - b * mu * mu) / v - half_log_v if b else peak)
+        if lo != -math.inf or hi != math.inf:
+            mu = (a * s2 + mu) / v if b else a * s2 + mu
+    if lo == -math.inf and hi == math.inf:
+        return np.broadcast_to(log_peak, sigma.shape)
+    dl = lo - y0 - mu if lo > -math.inf else lo
+    dh = hi - y0 - mu if hi < math.inf else hi
+    scale, across = (0.5 * v) ** 0.5 / sigma, (dl <= 0.0) & (dh >= 0.0)
+    l = dl * scale if lo > -math.inf else lo
+    h = dh * scale if hi < math.inf else hi
+    mass = erf(np.maximum(h, 0.0)) - erf(np.minimum(l, 0.0))
+    inside = log_peak - math.log(2.0) + np.log(mass)
+    near = hi if lo == -math.inf else lo if hi == math.inf else np.where(dh < 0, hi, lo)
+    x = abs(near - y0 - mu) * scale
+    log_mass = np.log(erfcx(x))
+    if -math.inf < lo and hi < math.inf:
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        w = (hi - lo) * scale
+        t = np.multiply.outer(0.5 * w, 1.0 + nodes) + np.asarray(x)[..., None]
+        log_r = -(w / math.sqrt(math.pi)) * ((1.0 / erfcx(t)) @ weights)
+        log_mass = log_mass + np.log(-np.expm1(log_r))
+    u, z = near - y0, (near - m) / sigma
+    beside = log_c - half_log_v - math.log(2.0) + a * u - b * u * u - 0.5 * z * z + log_mass
+    return np.where(across, inside, beside)
+
+
+def reference_log_shifted_bump_expect(bump, floor, m, sigma):
+    """The bump's log series on arrays as the library summed it before its
+    passes were cut: kept as the reference."""
+    m = np.asarray(m, dtype=float)[..., None]
+    sigma = np.asarray(sigma, dtype=float)[..., None]
+    powers = semigroup._LOG1P_POWERS
+    v = powers * (sigma * sigma) + bump.width ** 2
+    e = -powers * ((m - bump.center) ** 2 / (2.0 * v) + math.log(floor))
+    terms = np.exp(e) * (bump.width / np.sqrt(v)) * semigroup._LOG1P_WEIGHTS
+    return math.log(floor) + terms.sum(axis=-1)
+
+
+def reference_law_log(base, sub, f, x0):
+    """log P_t^alpha f(x0) below alpha = 1 by the route before one array per
+    miss: log P_s f per node as the logaddexp of the atoms' arrays (the
+    bump's series logged), then a one-column log-sum over the rule."""
+    m, sigma = base.mean_sigma(_law_nodes(sub), x0, np)
+    if isinstance(f, ShiftedForLog) or f.atoms() is not None:
+        with np.errstate(divide="ignore"):
+            log_p = reduce(np.logaddexp, [reference_log_atom_expect(a, m, sigma)
+                                          for a in f.atoms()])
+    else:
+        with np.errstate(divide="ignore"):
+            log_p = np.log(reference_log_shifted_bump_expect(
+                f.inner.base, f.inner.floor, m, sigma))
+    terms = log_p + _law_rule(sub.alpha).log_w
+    top = float(terms.max())
+    return top + math.log(np.exp(terms - top).sum())
+
+
+class TestOneLogArrayPerMiss:
+    """Below alpha = 1 a miss is one array of atom logs (or of the bump's
+    series values) and one law-rule sum: it matches the route it replaced
+    within a few ulp of the log, and mpmath."""
+
+    @pytest.mark.parametrize("f", MEMO_FUNCTIONS + [
+        ShiftedForLog(Indicator(-1.0, 1.0)), ShiftedForLog(Indicator(-1.0, 1.0)).log(),
+        ShiftedForLog(GaussBump(0.0, 1.0))], ids=lambda f: f.describe())
+    @pytest.mark.parametrize("base", [gauss_heat(1), ou1d()], ids=lambda b: b.kind)
+    def test_matches_the_replaced_route(self, base, f):
+        for alpha in (0.3, 0.5, 0.75, 0.95):
+            for t in (0.5, 2.0):
+                sub = StableSubordinator(alpha, t)
+                for x0 in (0.0, 0.5, 1.0):
+                    got = _subordinated_apply_memo.__wrapped__(base, sub, f, x0)[1]
+                    want = reference_law_log(base, sub, f, x0)
+                    assert abs(got - want) <= 4 * ULP * max(1.0, abs(want)), (alpha, t, x0)
+
+    @pytest.mark.parametrize("f, points", [
+        (GaussBump(0.3, 0.8), [(0.5, 0.3), (4.0, 0.05), (-2.0, 30.0)]),
+        (Indicator(-1.0, 0.5), [(0.0, 0.7), (3.0, 0.4), (-1.0, 1e3)]),
+    ], ids=["bump", "indicator"])
+    def test_array_kernels_against_mpmath(self, f, points):
+        # the three points in one array, as a miss evaluates its nodes
+        mp = pytest.importorskip("mpmath")
+        m, sigma = map(np.array, zip(*points))
+        got = f.log_gauss_expect(m, sigma, np)
+        for (mi, si), log_got in zip(points, got.tolist()):
+            log_ref = float(mp.log(_mp_gauss_expect(mp, f, mi, si)))
+            assert abs(log_got - log_ref) <= 4 * ULP * max(1.0, abs(log_ref)), (mi, si)
 
 
 @dataclass(frozen=True)

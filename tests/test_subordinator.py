@@ -1371,6 +1371,19 @@ class TestLawRule:
         with pytest.raises(ValueError, match="alpha = 0.01 certifies only"):
             integrate_against(lambda s: 1.0, StableSubordinator(0.01, 1.0), SPEC)
 
+    @pytest.mark.parametrize("alpha, reason", [
+        (1e-3, "needs nodes from v = e^-6552, below float range"),
+        (0.01, "certifies only"),
+    ])
+    def test_small_alpha_is_refused_without_a_warning(self, alpha, reason):
+        # at 1e-3 the bulk's first node e^-6552 underflows to 0, and the
+        # refusal once passed through log 0 (so, with warnings as errors,
+        # "divide by zero encountered in log" came before the ValueError)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=re.escape(f"alpha = {alpha!r} {reason}")):
+                _law_rule(alpha)
+
     @pytest.mark.parametrize("alpha", np.linspace(0.3, 0.97, 12))
     def test_tail_series_coefficients_are_computed_once(self, alpha):
         # the same terms, and so the same bits, as doubling the coefficient
