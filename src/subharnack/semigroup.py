@@ -33,8 +33,8 @@ from scipy.integrate import quad  # unused; bench/tracer.py rebinds it here
 from scipy.special import erf, erfcx, gammaln, logsumexp
 
 from .specfun import _exp_or_inf, _log_or_ninf
-from .subordinator import (_LOG_HUGE, _PANEL_TABLE, QuadratureSpec, _blocks,
-                           _law_logsum, _law_nodes, _law_rule, _panel_nodes)
+from .subordinator import (_PANEL_TABLE, QuadratureSpec, _blocks, _law_logsum,
+                           _law_nodes, _law_rule, _panel_nodes)
 
 __all__ = [
     "BaseKernel",
@@ -750,6 +750,12 @@ def subordinated_density(base, sub, x, y, spec=QuadratureSpec()):
     beyond the rule's largest node (6.2e14 at alpha = 1/2), and at d = 1,
     |x - y| = 1 the heat value is 3.5% high at t = 1e-7, 63% low at 1e-8
     and 0 from 1e-10 (OU's, from x = 0, is 74% low at 1e-8)."""
+    return _exp_or_inf(_log_subordinated_density(base, sub, x, y))
+
+
+def _log_subordinated_density(base, sub, x, y):
+    """log of ``subordinated_density``: its sum, then one log, finite
+    wherever the sum is positive, t past float range too."""
     x0, y0, rho_sq = _checked_pair(base, x, y)
     rule = _law_rule(sub.alpha)
     ell = math.log(sub.t) / sub.alpha
@@ -773,12 +779,7 @@ def subordinated_density(base, sub, x, y, spec=QuadratureSpec()):
                              f"range at t={sub.t!r}, alpha={sub.alpha!r}")
         log_terms = np.subtract(log_terms, c, out=c)
     total = float(np.exp(log_terms, out=c).sum())  # into c, or a new array
-    # a product of two floats, within an ulp or two, where the factor is a
-    # normal float; past that in logs, so a value past float range is inf
-    log_scale = -0.5 * base.d * (_LOG_4PI + lam)
-    if abs(log_scale) < _LOG_HUGE:
-        return total * math.exp(log_scale)
-    return _exp_or_inf(math.log(total) + log_scale) if total > 0.0 else 0.0
+    return _log_or_ninf(total) - 0.5 * base.d * (_LOG_4PI + lam)
 
 
 def cauchy_closed_form(d, t, x, y):

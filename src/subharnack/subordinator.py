@@ -8,8 +8,9 @@ theta per alpha, built on first use; the Levy closed form at alpha = 1/2
 is an oracle only), exact sampling (Kanter representation), negative-power
 moments and the exponential moment ``int exp(delta / s**kappa) mu_t(ds)``
 summed as a series of those moments, over the window around the peak of
-its terms. The density's accuracy (a few units of 1e-16 relative wherever
-it exceeds 1e-300) does not depend on the ``QuadratureSpec``.
+its terms. The density, in float64 on every platform, is within a few
+eps (1 + |log v|)(1 + alpha E0)/(1 - alpha) of 30-digit mpmath (see
+``_log_zolotarev_density``), whatever the ``QuadratureSpec``.
 
 ``integrate_against`` sums h against mu_t with one fixed node set per
 alpha on the standard law (``_law_rule``; at alpha = 1 the point mass's
@@ -161,9 +162,9 @@ def _kanter_log_a(theta, alpha, sin=np.sin, log=np.log):
     """log A(theta) for the Zolotarev-Kanter kernel, theta in (0, pi).
 
     A(theta) = (sin(a*th)/sin th)**(a/(1-a)) * sin((1-a)*th)/sin(th).
-    ``sin`` and ``log`` default to numpy's, for arrays of theta (longdouble
-    ones in the density's theta rule); the rule's bisection for its cut
-    passes ``math.sin`` and ``math.log`` for one float theta at a time.
+    ``sin`` and ``log`` default to numpy's, for arrays of theta (the
+    density's theta rule); the rule's bisection for its cut passes
+    ``math.sin`` and ``math.log`` for one float theta at a time.
     ``sample`` takes A's sine ratios from half-angle tangents, without logs.
     """
     a = alpha
@@ -222,12 +223,6 @@ def _tail_density_dw(alpha, w):
 #     2*(1 - alpha) wide (at most 1): near pi, log(c A) falls by 1/(1 - alpha)
 #     per unit of l, so each panel spans about two units of it. The rule
 #     stops where c A reaches _DEAD at v = _TAIL_SWITCH, where c is least.
-# log A is formed in extended precision (numpy longdouble; 80-bit on x86,
-# plain double on platforms without it, where the far left tail loses
-# digits): there the density is about exp(-E0) with E0 = c A(0) up to
-# ~1e3, so an error e in log A costs a relative error E0 * e.
-_LD = np.longdouble
-_PI_LD = _LD("3.14159265358979323846264338327950288")
 _PANEL_TABLE = np.polynomial.legendre.leggauss(16)  # nodes, weights on [-1, 1]
 # E0 = c A(0) whose peak at theta = 0 the first panel spans; where the
 # density exceeds 1e-300, E0 stays near or below it
@@ -241,10 +236,10 @@ _BLOCK = 1 << 18  # matrix elements per block of the batched density sum
 _MAX_PANELS = 1 << 16  # most panels in one stretch of a fixed rule
 
 
-def _log_a0_ld(a):
-    """log A(0) = log(alpha**(alpha/(1-alpha)) * (1-alpha)) for a longdouble
-    alpha: A(theta) tends to it as theta -> 0, and increases from it."""
-    return (a / (1 - a)) * np.log(a) + np.log1p(-a)
+def _log_a0(alpha):
+    """log A(0) = log(alpha**(alpha/(1-alpha)) * (1-alpha)): A(theta) tends
+    to it as theta -> 0, and increases from it."""
+    return (alpha / (1.0 - alpha)) * math.log(alpha) + math.log1p(-alpha)
 
 
 def _panel_nodes(edges, table=_PANEL_TABLE):
@@ -278,8 +273,7 @@ def _theta_rule(alpha):
     above _D_FLOAT go to the second sum, as far_lg = log g and far_d = d.
     Built on first use for each alpha and memoized on alpha alone.
     """
-    a = _LD(alpha)
-    la0 = _log_a0_ld(a)
+    la0 = _log_a0(alpha)
     half = math.pi / 2
     # left half: panels doubling from the left-tail peak width
     edges = [0.0]
@@ -292,36 +286,33 @@ def _theta_rule(alpha):
     # right half in l = log(pi - theta), from the cut where log(A / A(0))
     # reaches d_cut, located by bisection on the float log A (it need not
     # be exact): there c A = _DEAD at v = _TAIL_SWITCH
-    d_cut = (math.log(_DEAD) - (la0f := float(la0))
-             + (alpha / (1.0 - alpha)) * math.log(_TAIL_SWITCH))
+    d_cut = math.log(_DEAD) - la0 + (alpha / (1.0 - alpha)) * math.log(_TAIL_SWITCH)
     lo, hi = -40.0, math.log(half)
     for _ in range(40):
         mid = 0.5 * (lo + hi)
         la = _kanter_log_a(math.pi - math.exp(mid), alpha, math.sin, math.log)
-        lo, hi = (mid, hi) if la - la0f > d_cut else (lo, mid)
+        lo, hi = (mid, hi) if la - la0 > d_cut else (lo, mid)
     n = _panel_count(math.log(half) - lo, min(1.0, 2.0 * (1.0 - alpha)), alpha)
     ell, w_right = _panel_nodes(np.linspace(lo, math.log(half), n + 1))
-    theta = np.concatenate((theta.astype(_LD), _PI_LD - np.exp(ell).astype(_LD)))
-    d = _kanter_log_a(theta, a) - la0
-    w = np.concatenate((w_left, w_right * np.exp(ell))).astype(_LD) / _PI_LD
+    d = _kanter_log_a(np.concatenate((theta, math.pi - np.exp(ell))), alpha) - la0
+    w = np.concatenate((w_left, w_right * np.exp(ell))) / math.pi
     near = d <= _D_FLOAT
-    return ((w[near] * np.exp(d[near])).astype(float),
-            np.expm1(d[near]).astype(float),
-            (np.log(w[~near]) + d[~near]).astype(float),
-            d[~near].astype(float))
+    return (w[near] * np.exp(d[near]), np.expm1(d[near]),
+            np.log(w[~near]) + d[~near], d[~near])
 
 
 def _log_zolotarev_density(alpha, v):
     """Log of the standard density at a float array v of points below the
-    tail switch, as a longdouble array (-inf where the sum underflows).
+    tail switch, as a float array (-inf where the sum underflows).
 
     With p = alpha/(1-alpha) and c = v^(-p), the density is
     p v^(-1/(1-alpha)) (1/pi) int_0^pi A(theta) exp(-c A(theta)) dtheta,
     summed over the theta rule of ``_theta_rule`` for all v at once,
-    exp(-outer(E0, s)) @ g, in blocks of at most _BLOCK matrix elements.
-    The scalars are in extended precision: the density is about exp(-E0),
-    and E0 (up to ~1e3 in the left tail) needs more than a double's 16
-    digits.
+    exp(-outer(E0, s)) @ g, in blocks of at most _BLOCK matrix elements,
+    all in float64. The density is about exp(-E0), E0 = c A(0) up to ~1e3,
+    so its relative error is a few eps (1 + |log v|)(1 + alpha E0)/(1 -
+    alpha) against 30-digit mpmath (up to ~6e-12 at alpha = 0.99): the
+    rounding of log v through the density's condition number in log v.
 
     Each exponent -E0 s_j is floored at -400 - log g_j, so exp's result
     stays normal: each floored term (below e^-400, now about e^-400) moves
@@ -331,33 +322,31 @@ def _log_zolotarev_density(alpha, v):
     slowest path.
     """
     g, s, far_lg, far_d = _theta_rule(alpha)
-    a = _LD(alpha)
-    p = a / (1 - a)
-    log_v = np.log(np.asarray(v, dtype=float).astype(_LD))
-    la0 = _log_a0_ld(a)
+    p = alpha / (1.0 - alpha)
+    log_v = np.log(np.asarray(v, dtype=float))
+    la0 = _log_a0(alpha)
     log_e0 = la0 - p * log_v
-    log_pref = np.log(p) - log_v / (1 - a) + la0
+    log_pref = math.log(p) - log_v / (1.0 - alpha) + la0
     with np.errstate(over="ignore"):  # E0 = inf far in the left tail
         e0 = np.exp(log_e0)  # c A(0)
-        e0f, log_e0f = e0.astype(float)[:, None], log_e0.astype(float)[:, None]
     floor = np.where(g > math.exp(300.0), -np.inf, -400.0 - np.log(g))
-    log_total = np.empty(len(e0), dtype=_LD)
+    log_total = np.empty(len(e0))
     rows = max(1, _BLOCK // (len(s) + len(far_d)))
     for i in range(0, len(e0), rows):
         block = slice(i, i + rows)
         with np.errstate(over="ignore", divide="ignore"):  # -E0 s = -inf: floored
-            terms = -e0f[block] * s
+            terms = -e0[block, None] * s
             np.exp(np.maximum(terms, floor, out=terms), out=terms)
-            part = np.log((terms @ g).astype(_LD))
+            part = np.log(terms @ g)
         if len(far_d):
             # E0 s = exp(log E0 + d) exactly enough: expm1(d) = e^d past 700;
             # e^-inf = 0 at dead nodes, and a row of them sums to -inf
             with np.errstate(over="ignore", divide="ignore"):
-                x = far_lg - np.exp(log_e0f[block] + far_d)
+                x = far_lg - np.exp(log_e0[block, None] + far_d)
                 top = x.max(axis=1)
                 top[top == -np.inf] = 0.0
                 far = top + np.log(np.exp(x - top[:, None]).sum(axis=1))
-            part = np.logaddexp(part, far.astype(_LD))
+            part = np.logaddexp(part, far)
         log_total[block] = part
     return log_pref - e0 + log_total
 
@@ -367,10 +356,10 @@ def _standard_density(alpha, v):
     """Density at v of the standard one-sided stable law (t = 1).
 
     The convergent series of ``_tail_density_dw`` for v >= 5, otherwise
-    the Zolotarev-Kanter integral of ``_log_zolotarev_density``, to within
-    a few units of 1e-16 relative wherever the density exceeds 1e-300,
-    its far left tail included; alpha = 1/2 as well, where the Levy
-    closed form is the tests' oracle.
+    the Zolotarev-Kanter integral of ``_log_zolotarev_density``, in float64,
+    to within a few eps (1 + |log v|)(1 + alpha E0)/(1 - alpha) relative,
+    its far left tail included (see there); alpha = 1/2 as well, where the
+    Levy closed form is the tests' oracle.
 
     Memoized, though ``integrate_against`` no longer calls it: the
     benchmark (bench/tracer.py, bench/worker.py) reads its ``cache_info()``.
@@ -970,9 +959,8 @@ def _law_rule(alpha):
     """
     if alpha == 1.0:
         return _LawRule(np.ones(1), np.ones(1), np.zeros(1), np.zeros(1), 0.0)
-    a = _LD(alpha)
     p = alpha / (1.0 - alpha)
-    la0 = float(_log_a0_ld(a))
+    la0 = _log_a0(alpha)
     # bulk in u = log v
     u_cut = (la0 - math.log(_E_CUT)) / p
     u_mode = la0 / p
@@ -988,9 +976,7 @@ def _law_rule(alpha):
         width = min(2.0 * width, 1.0)
     u, wu = _panel_nodes(edges + [u_end])
     v_bulk = np.exp(u)
-    log_f = _log_zolotarev_density(alpha, v_bulk)
-    log_v = np.log(v_bulk.astype(_LD))
-    w_bulk = np.exp(log_f + log_v + np.log(wu.astype(_LD))).astype(float)
+    w_bulk = np.exp(_log_zolotarev_density(alpha, v_bulk) + u + np.log(wu))
 
     # tail in w = v^(-alpha)
     w0 = _TAIL_SWITCH ** -alpha

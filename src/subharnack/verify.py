@@ -5,9 +5,10 @@ semigroup and returns a BoundReport whose ``status`` it sets itself:
 ``out_of_domain`` where the inequality's hypotheses fail,
 ``non_converged`` where the exponential-moment series it needs diverges,
 and otherwise ``holds`` when lhs <= rhs * (1 + 10 * rel_tol) (the band of
-``passes``, since both sides carry quadrature error) and ``violated``
-when not. ``run_sweep`` runs the checks serially over a parameter grid
-and counts the statuses; only ``violated`` entries count as violations.
+``passes``, since both sides carry quadrature error; in logs where the
+report has them) and ``violated`` when not. ``run_sweep`` runs the checks
+serially over a parameter grid and counts the statuses; only ``violated``
+entries count as violations.
 
 No check integrates adaptively: the entropy checks sum over z by one
 fixed rule (``_z_rule``), and ``entropy_cost`` takes its transport cost
@@ -52,6 +53,7 @@ from .semigroup import (
     _checked_pair,
     _checked_point,
     _kernel_density_at,
+    _log_subordinated_density,
     _subordinated_pair,
     BaseKernel,
     Constant,
@@ -60,7 +62,6 @@ from .semigroup import (
     Indicator,
     ShiftedForLog,
     gauss_heat,
-    ondiag,
     ou1d,
     subordinated_apply,
 )
@@ -113,9 +114,13 @@ def log_profile(base, rho_sq):
     return HarnackProfile(kappa=1.0, epsilon=0.0, H_value=rho_sq / 4.0)
 
 
-def _verdict(lhs, rhs, rel_tol):
-    """Status of an in-domain entry: ``holds`` within the band of ``passes``."""
-    return "holds" if lhs <= rhs * (1.0 + _TOL_MULT * rel_tol) else "violated"
+def _verdict(lhs, rhs, log_lhs, log_rhs, rel_tol):
+    """Status of an in-domain entry: ``holds`` within the band of ``passes``,
+    lhs <= rhs (1 + 10 rel_tol), taken in logs where there are log sides,
+    so sides past float range (inf or 0) are judged too."""
+    band, no_logs = _TOL_MULT * rel_tol, math.isnan(log_lhs) and math.isnan(log_rhs)
+    ok = lhs <= rhs * (1.0 + band) if no_logs else log_lhs <= log_rhs + math.log1p(band)
+    return "holds" if ok else "violated"
 
 
 def _report(lhs, rhs, method, detail, rel_tol, params, log_lhs=math.nan,
@@ -124,7 +129,7 @@ def _report(lhs, rhs, method, detail, rel_tol, params, log_lhs=math.nan,
     multiplicative inequality has log sides, which ``_power_report``
     passes; an additive one leaves them nan."""
     return BoundReport(lhs=lhs, rhs=rhs, method=method,
-                       status=_verdict(lhs, rhs, rel_tol), detail=detail,
+                       status=_verdict(lhs, rhs, log_lhs, log_rhs, rel_tol), detail=detail,
                        log_lhs=log_lhs, log_rhs=log_rhs, params=params)
 
 
@@ -156,7 +161,8 @@ def _unchecked(status, method, detail, params):
 
 def passes(report, rel_tol):
     """True unless the report is an in-domain violation beyond tolerance."""
-    return not report.valid_domain or _verdict(report.lhs, report.rhs, rel_tol) == "holds"
+    return not report.valid_domain or _verdict(
+        report.lhs, report.rhs, report.log_lhs, report.log_rhs, rel_tol) == "holds"
 
 
 # --- checks ------------------------------------------------------------
@@ -266,20 +272,20 @@ def check_ondiag_rate(d, alpha, ts, spec=QuadratureSpec()):
     """On-diagonal value p_t(x, x) of the time-changed heat kernel at each t
     of the grid against its closed form (4 pi)^(-d/2) E S_t^(-d/2) =
     (4 pi)^(-d/2) Gamma(d/(2 alpha)) / (alpha Gamma(d/2)) t^(-d/(2 alpha)),
-    which implies the decay rate. lhs is the worst relative error, taken in
-    logs (inf, so violated, where the value is 0 or inf past float range),
-    and rhs the law rule's certificate; at d/2 in {0.5, 1} the value is one
-    of the moments the rule is certified on.
+    which implies the decay rate. lhs is the worst relative error, taken
+    from the value's log, finite past float range too (inf where the sum is
+    0), and rhs the law rule's certificate; at d/2 in {0.5, 1} the value is
+    one of the moments the rule is certified on.
     """
     ts = _rate_grid(ts, "ts")
     base, x, r = gauss_heat(d), (0.0,) * d, 0.5 * d
     errs = []
     for t in ts:
         sub = StableSubordinator(alpha, t)
-        value = ondiag(base, sub, x)
-        errs.append(abs(math.expm1(math.log(value) + r * math.log(4.0 * math.pi)
+        log_value = _log_subordinated_density(base, sub, x, x)
+        errs.append(abs(math.expm1(log_value + r * math.log(4.0 * math.pi)
                                    - log_fractional_moment(sub, r)))
-                    if 0.0 < value < math.inf else math.inf)
+                    if log_value > -math.inf else math.inf)
     err, t_worst = max(zip(errs, ts))
     params = {"check": "ondiag_rate", "alpha": alpha, "d": d, "t": ts[0], "f": ""}
     return _report(err, _CERT_TOL, "quadrature",

@@ -43,12 +43,17 @@ def config_path(tmp_path):
 
 
 class TestDensity:
-    def test_levy_value(self, capsys):
+    # (1e-200, 1e-300): the scale t^2 underflows; the density takes it as
+    # log t / alpha
+    @pytest.mark.parametrize("t, s", [("1", "1"), ("1e-200", "1e-300")])
+    def test_levy_value(self, capsys, t, s):
         code, out, _ = run_cli(capsys, "density", "--alpha", "0.5",
-                               "--t", "1", "--s", "1")
+                               "--t", t, "--s", s)
         assert code == 0
-        expect = (4 * math.pi) ** -0.5 * math.exp(-0.25)
-        assert math.isclose(float(out), expect, rel_tol=1e-10)
+        t, s = float(t), float(s)
+        expect = math.exp(math.log(t) - 1.5 * math.log(s) - 0.5 * math.log(4 * math.pi)
+                          - math.exp(2 * math.log(t) - math.log(4 * s)))
+        assert math.isclose(float(out), expect, rel_tol=1e-12)
 
     def test_seventeen_digit_format(self, capsys):
         code, out, _ = run_cli(capsys, "density", "--alpha", "0.5",
