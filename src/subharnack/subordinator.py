@@ -163,8 +163,8 @@ def _kanter_log_a(theta, alpha, sin=np.sin, log=np.log):
 
     A(theta) = (sin(a*th)/sin th)**(a/(1-a)) * sin((1-a)*th)/sin(th).
     ``sin`` and ``log`` default to numpy's, for arrays of theta (the
-    density's theta rule); the rule's bisection for its cut passes
-    ``math.sin`` and ``math.log`` for one float theta at a time.
+    density's theta rule); the search for the rule's cut (``_theta_cut``)
+    passes ``math.sin`` and ``math.log`` for one float theta at a time.
     ``sample`` takes A's sine ratios from half-angle tangents, without logs.
     """
     a = alpha
@@ -175,9 +175,11 @@ def _kanter_log_a(theta, alpha, sin=np.sin, log=np.log):
 
 
 _TAIL_SWITCH = 5.0  # above this the large-argument series is used
-# log k! for k = 1..128; the tail series stops by k = 32 at every alpha in
-# (0, 1), and past the table its indexing raises IndexError
-_LOG_FACTORIAL = gammaln(np.arange(2.0, 130.0))
+# k and log k! for k = 1..32: by k = 32 the tail series' terms are negligible
+# at every alpha in (0, 1) and every w <= 5^(-alpha), and a series that
+# needs more raises IndexError
+_TAIL_K = np.arange(1.0, 33.0)
+_LOG_FACTORIAL = gammaln(_TAIL_K + 1.0)
 
 
 def _tail_density_dw(alpha, w):
@@ -186,31 +188,26 @@ def _tail_density_dw(alpha, w):
     large-argument series
     f(v) = (1/pi) sum_k (-1)^(k+1) Gamma(alpha*k+1)/k! sin(pi*alpha*k) v^(-alpha*k-1)
     as a power series in w, (1/(pi alpha)) sum_k (same coefficients) w^(k-1),
-    with as many terms as its largest point needs: 16, doubled until the
-    last is negligible there. Each coefficient is computed once, by
-    ``gammaln`` on its order alpha k + 1, positive by construction, and
-    ``_LOG_FACTORIAL``; the power series is summed by Horner's rule in
-    place, as ``polyval`` sums it, bit for bit."""
-    log_w = math.log(max(float(np.max(w)), 1e-300))
-    k = np.arange(1, 17)
-    log_coef = gammaln(alpha * k + 1.0) - _LOG_FACTORIAL[k - 1]
-    while True:
-        # stop once the last term is negligible at the largest w
-        at_max = log_coef + (k - 1) * log_w
-        if at_max[-1] < at_max.max() + math.log(1e-18):
-            break
-        more = k + len(k)
-        log_coef = np.concatenate(
-            (log_coef, gammaln(alpha * more + 1.0) - _LOG_FACTORIAL[more - 1]))
-        k = np.concatenate((k, more))
-    coef = np.exp(log_coef) * np.sin(math.pi * alpha * k)
+    up to its first term below 1e-18 of its largest at the largest point
+    (the log terms are concave in k, so every later term is smaller still).
+    The coefficients come from one ``gammaln`` call on the orders
+    alpha k + 1, positive by construction, and ``_LOG_FACTORIAL``; the
+    powers w^1, w^2, ... by doubling (rows [k, 2k) are rows [0, k) times
+    w^k), each within a few ulp, and the sum is one product with them."""
+    log_w = math.log(max(float(w.max()), 1e-300))
+    log_coef = gammaln(alpha * _TAIL_K + 1.0) - _LOG_FACTORIAL
+    at_max = log_coef + (_TAIL_K - 1.0) * log_w
+    n = int(np.flatnonzero(at_max < at_max.max() + math.log(1e-18))[0]) + 1
+    coef = np.exp(log_coef[:n]) * np.sin(math.pi * alpha * _TAIL_K[:n])
     coef[1::2] = -coef[1::2]
-    acc = np.full(w.shape, coef[-1])
-    for c in coef[-2::-1].tolist():
-        acc *= w
-        acc += c
-    acc /= math.pi * alpha
-    return acc
+    powers = np.empty((n - 1, len(w)))
+    powers[0] = w
+    k = 1
+    while k < n - 1:
+        rows = powers[k:2 * k]
+        np.multiply(powers[:len(rows)], powers[k - 1], out=rows)
+        k *= 2
+    return (coef[0] + coef[1:] @ powers) / (math.pi * alpha)
 
 
 # The Zolotarev-Kanter integral below the tail switch runs over theta in
@@ -222,7 +219,9 @@ def _tail_density_dw(alpha, w):
 #   * theta in [pi/2, pi): panels uniform in l = log(pi - theta), each
 #     2*(1 - alpha) wide (at most 1): near pi, log(c A) falls by 1/(1 - alpha)
 #     per unit of l, so each panel spans about two units of it. The rule
-#     stops where c A reaches _DEAD at v = _TAIL_SWITCH, where c is least.
+#     stops where c A reaches _DEAD at v = _TAIL_SWITCH, where c is least:
+#     at the cut of ``_theta_cut``, a bisection on the float log A whose
+#     steps Newton's method from the asymptote near pi decides but the last.
 _PANEL_TABLE = np.polynomial.legendre.leggauss(16)  # nodes, weights on [-1, 1]
 # E0 = c A(0) whose peak at theta = 0 the first panel spans; where the
 # density exceeds 1e-300, E0 stays near or below it
@@ -232,6 +231,7 @@ _DEAD = 50.0  # c A beyond which exp(-c A) is dead next to the peak
 # for alpha above about 0.9975, close to v = _TAIL_SWITCH) g and s overflow,
 # and the node keeps log g and log(A / A(0)) instead.
 _D_FLOAT = 700.0
+_FAR_DEAD = 710.0  # log(E0 s) past which exp(-E0 s) = exp(-inf), as exp(710) = inf
 _BLOCK = 1 << 18  # matrix elements per block of the batched density sum
 _MAX_PANELS = 1 << 16  # most panels in one stretch of a fixed rule
 
@@ -246,9 +246,20 @@ def _panel_nodes(edges, table=_PANEL_TABLE):
     """Nodes and weights of the composite rule of ``table`` (Gauss-Legendre
     nodes, weights on [-1, 1]) on ``edges``; a rule per row of 2-D edges."""
     edges = np.asarray(edges, dtype=float)
-    half, rows = 0.5 * np.diff(edges)[..., None], (*edges.shape[:-1], -1)
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])[..., None]
+    rows = (*edges.shape[:-1], -1)
     return ((edges[..., :-1, None] + half * (table[0] + 1.0)).reshape(rows),
             (half * table[1]).reshape(rows))
+
+
+def _even_edges(lo, hi, n):
+    """n panels' edges evenly spaced from lo to hi (n >= 1): the bits of
+    np.linspace(lo, hi, n + 1), without its set-up."""
+    edges = np.arange(n + 1.0)
+    edges *= (hi - lo) / n
+    edges += lo
+    edges[-1] = hi
+    return edges
 
 
 def _panel_count(span, width, alpha):
@@ -284,21 +295,63 @@ def _theta_rule(alpha):
     theta, w_left = _panel_nodes(edges + [half])
 
     # right half in l = log(pi - theta), from the cut where log(A / A(0))
-    # reaches d_cut, located by bisection on the float log A (it need not
-    # be exact): there c A = _DEAD at v = _TAIL_SWITCH
+    # reaches d_cut (``_theta_cut``): there c A = _DEAD at v = _TAIL_SWITCH
     d_cut = math.log(_DEAD) - la0 + (alpha / (1.0 - alpha)) * math.log(_TAIL_SWITCH)
-    lo, hi = -40.0, math.log(half)
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        la = _kanter_log_a(math.pi - math.exp(mid), alpha, math.sin, math.log)
-        lo, hi = (mid, hi) if la - la0 > d_cut else (lo, mid)
+    lo = _theta_cut(alpha, la0, d_cut)
     n = _panel_count(math.log(half) - lo, min(1.0, 2.0 * (1.0 - alpha)), alpha)
-    ell, w_right = _panel_nodes(np.linspace(lo, math.log(half), n + 1))
-    d = _kanter_log_a(np.concatenate((theta, math.pi - np.exp(ell))), alpha) - la0
-    w = np.concatenate((w_left, w_right * np.exp(ell))) / math.pi
+    ell, w_right = _panel_nodes(_even_edges(lo, math.log(half), n))
+    gap = np.exp(ell)  # pi - theta
+    d = _kanter_log_a(np.concatenate((theta, math.pi - gap)), alpha) - la0
+    w = np.concatenate((w_left, w_right * gap)) / math.pi
     near = d <= _D_FLOAT
+    if near.all():  # no far node below alpha ~0.9975
+        return w * np.exp(d), np.expm1(d), d[:0], d[:0]
     return (w[near] * np.exp(d[near]), np.expm1(d[near]),
             np.log(w[~near]) + d[~near], d[~near])
+
+
+_CUT_TOL = 1e-11  # how close to Newton's root a bisection step evaluates log A
+
+
+def _theta_cut(alpha, la0, d_cut):
+    """The lower end of a 40-step bisection of [-40, log(pi/2)] for the l
+    where log(A / A(0)) at theta = pi - e^l falls to d_cut, on the float
+    log A (it need not be exact, but it sets the theta rule's panels).
+
+    Three Newton steps from the asymptote l0 = log sin(alpha pi) - (1 -
+    alpha)(d_cut + log A(0)) (0.0002-0.23 below the cut for alpha in
+    [0.03, 0.9999]) give a root r; once the float log A is seen to cross
+    d_cut within _CUT_TOL of r, a step farther from r than that takes its
+    side of r, and only the last few steps evaluate log A: the same lower
+    end, bit for bit, as a bisection that evaluates it at every step, which
+    is what runs where the check fails (alpha below ~1e-15 or above ~0.99999).
+    """
+    a, p = alpha, alpha / (1.0 - alpha)
+
+    def above(l):  # log(A / A(0)) > d_cut at theta = pi - e^l
+        return _kanter_log_a(math.pi - math.exp(l), a, math.sin, math.log) - la0 > d_cut
+
+    try:
+        root = math.log(math.sin(a * math.pi)) - (1.0 - a) * (d_cut + la0)
+        for _ in range(3):
+            th = math.pi - math.exp(root)
+            slope = (p * (a / math.tan(a * th) - 1.0 / math.tan(th))  # d log A / d theta
+                     + (1.0 - a) / math.tan((1.0 - a) * th) - 1.0 / math.tan(th))
+            excess = _kanter_log_a(th, a, math.sin, math.log) - la0 - d_cut
+            root += excess / (math.exp(root) * slope)
+        if not (above(root - _CUT_TOL) and not above(root + _CUT_TOL)):
+            root = math.nan  # every step evaluates log A
+    except (ArithmeticError, ValueError):
+        root = math.nan
+    below, beyond = root - _CUT_TOL, root + _CUT_TOL
+    lo, hi = -40.0, math.log(math.pi / 2)
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if mid < below or not mid > beyond and above(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def _log_zolotarev_density(alpha, v):
@@ -332,20 +385,28 @@ def _log_zolotarev_density(alpha, v):
     floor = np.where(g > math.exp(300.0), -np.inf, -400.0 - np.log(g))
     log_total = np.empty(len(e0))
     rows = max(1, _BLOCK // (len(s) + len(far_d)))
+    rising = -far_d
     for i in range(0, len(e0), rows):
         block = slice(i, i + rows)
         with np.errstate(over="ignore", divide="ignore"):  # -E0 s = -inf: floored
-            terms = -e0[block, None] * s
+            terms = np.einsum("i,j->ij", -e0[block], s)  # -E0 s, 2x the broadcast's speed
             np.exp(np.maximum(terms, floor, out=terms), out=terms)
             part = np.log(terms @ g)
-        if len(far_d):
-            # E0 s = exp(log E0 + d) exactly enough: expm1(d) = e^d past 700;
-            # e^-inf = 0 at dead nodes, and a row of them sums to -inf
+        # E0 s = exp(log E0 + d) exactly enough: expm1(d) = e^d past 700.
+        # Where log E0 + d > _FAR_DEAD that is inf and the node is dead
+        # (e^-inf = 0); d falls along the rule, so the nodes dead on every
+        # row of the block come first, and they enter the sum as zeros
+        # without an exp, which keeps its order. A row with no live node
+        # sums to -inf
+        dead = np.searchsorted(rising, log_e0[block].min() - _FAR_DEAD) if len(far_d) else 0
+        if dead < len(far_d):
             with np.errstate(over="ignore", divide="ignore"):
-                x = far_lg - np.exp(log_e0[block, None] + far_d)
+                x = far_lg[dead:] - np.exp(log_e0[block, None] + far_d[dead:])
                 top = x.max(axis=1)
                 top[top == -np.inf] = 0.0
-                far = top + np.log(np.exp(x - top[:, None]).sum(axis=1))
+                terms = np.zeros((len(x), len(far_d)))
+                np.exp(x - top[:, None], out=terms[:, dead:])
+                far = top + np.log(terms.sum(axis=1))
             part = np.logaddexp(part, far)
         log_total[block] = part
     return log_pref - e0 + log_total
@@ -970,26 +1031,25 @@ def _law_rule(alpha):
     if u_cut < math.log(sys.float_info.min):  # no node below float range
         raise ValueError(f"the quadrature rule for alpha = {alpha!r} needs nodes from "
                          f"v = e^{u_cut:.4g}, below float range")
-    edges = list(np.linspace(u_cut, u_mode, n_left + 1))
-    while edges[-1] + width < u_end:
-        edges.append(edges[-1] + width)
+    top, past_mode = u_mode, []
+    while top + width < u_end:
+        past_mode.append(top := top + width)
         width = min(2.0 * width, 1.0)
-    u, wu = _panel_nodes(edges + [u_end])
-    v_bulk = np.exp(u)
-    w_bulk = np.exp(_log_zolotarev_density(alpha, v_bulk) + u + np.log(wu))
+    u, wu = _panel_nodes(np.concatenate((_even_edges(u_cut, u_mode, n_left),
+                                         past_mode, [u_end])))
 
-    # tail in w = v^(-alpha)
+    # tail in w = v^(-alpha), its nodes last, in decreasing w
     w0 = _TAIL_SWITCH ** -alpha
     step = min(math.log(_TAIL_RATIO), _TAIL_U * alpha)  # panel width in log w
     ww, wt = _panel_nodes([0.0] + [w0 * math.exp(-step * k)
                                    for k in range(_TAIL_PANELS, -1, -1)])
-    w_tail = wt * _tail_density_dw(alpha, ww)
-    v_tail = np.exp(-np.log(ww) / alpha)
-
-    v = np.concatenate((v_bulk, v_tail[::-1]))
-    w = np.concatenate((w_bulk, w_tail[::-1]))
-    keep = w > 0.0
-    v, w = v[keep], w[keep]
+    v_bulk = np.exp(u)
+    w_bulk = np.exp(_log_zolotarev_density(alpha, v_bulk) + u + np.log(wu))
+    v = np.concatenate((v_bulk, np.exp(-np.log(ww) / alpha)[::-1]))
+    w = np.concatenate((w_bulk, (wt * _tail_density_dw(alpha, ww))[::-1]))
+    if not w.all():  # drop the nodes whose weight underflows
+        keep = w > 0.0
+        v, w = v[keep], w[keep]
     log_v = np.log(v)
     error = _certify(alpha, v, w, log_v)
     if not error <= _CERT_TOL:

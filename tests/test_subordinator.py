@@ -30,6 +30,7 @@ from subharnack.subordinator import (
     _ratio_bound,
     _standard_density,
     _tail_density_dw,
+    _theta_cut,
     _theta_rule,
     _TAIL_SWITCH,
     MCSpec,
@@ -1432,29 +1433,37 @@ class TestLawRule:
 
     @pytest.mark.parametrize("alpha", np.linspace(0.3, 0.97, 12))
     def test_tail_series_coefficients_are_computed_once(self, alpha):
-        # the same terms, and so the same bits, as doubling the coefficient
-        # array from scratch until the last term is negligible
+        # one gammaln call over the terms up to the first negligible one:
+        # the sum of the reference, which doubles the coefficient array from
+        # scratch until the last term is negligible, to within TAIL_ULP
         top = _TAIL_SWITCH ** -alpha
         for w in (np.linspace(0.0, top, 33), np.array([top]), np.array([1e-3])):
-            assert np.array_equal(_tail_density_dw(alpha, w),
-                                  reference_tail_density_dw(alpha, w))
+            got, want = _tail_density_dw(alpha, w), reference_tail_density_dw(alpha, w)
+            assert np.all(np.abs(got - want) <= TAIL_ULP * np.spacing(want))
 
     @pytest.mark.parametrize("alpha", np.linspace(0.05, 0.99, 48).tolist())
-    def test_tail_series_horner_in_place_is_polyval(self, alpha):
-        # the in-place Horner pass and the log k! table give polyval's sum
-        # of gammaln's coefficients byte for byte, on a grid of [0, 5^-alpha]
-        # as long as the law rule's 176 tail nodes and at points drawn over it
+    def test_tail_series_product_is_polyval(self, alpha):
+        # the powers of w by doubling and one product with the coefficients
+        # give polyval's sum of gammaln's coefficients to within TAIL_ULP, on
+        # a grid of [0, 5^-alpha] as long as the law rule's 176 tail nodes
+        # and at points drawn over it
         top = _TAIL_SWITCH ** -alpha
         drawn = np.random.default_rng(11).uniform(0.0, top, 257)
         for w in (np.linspace(0.0, top, 176), drawn, np.array([top]),
                   np.array([0.0])):
-            got = _tail_density_dw(alpha, w)
-            assert got.tobytes() == reference_tail_density_dw(alpha, w).tobytes()
+            got, want = _tail_density_dw(alpha, w), reference_tail_density_dw(alpha, w)
+            assert np.all(np.abs(got - want) <= TAIL_ULP * np.spacing(want))
 
     def test_extra_breaks_is_gone(self):
         with pytest.raises(TypeError):
             integrate_against(lambda s: 1.0, StableSubordinator(0.7, 1.0), SPEC,
                               extra_breaks=(0.25,))
+
+
+# ulp of the polyval reference within which the tail series' product sum
+# lies: at most 7 measured over 4,000 alpha drawn in [0.05, 0.99] on these
+# grids (Horner's rule in place, before it, had polyval's bits)
+TAIL_ULP = 8
 
 
 def reference_tail_density_dw(alpha, w):
@@ -1473,6 +1482,150 @@ def reference_tail_density_dw(alpha, w):
     coef = np.exp(log_coef) * np.sin(math.pi * alpha * k)
     coef[1::2] = -coef[1::2]
     return np.polynomial.polynomial.polyval(w, coef) / (math.pi * alpha)
+
+
+# The builder of the fixed rules as it was before its set-up was cut: the
+# theta rule's cut by a 40-step bisection that evaluates log A at every
+# step, the panels' edges as lists, -E0 s by broadcasting, every far node
+# summed (dead ones too), and the tail series summed by polyval.
+
+def reference_panel_nodes(edges):
+    edges = np.asarray(edges, dtype=float)
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    half = 0.5 * np.diff(edges)[:, None]
+    return (edges[:-1, None] + half * (nodes + 1.0)).ravel(), (half * weights).ravel()
+
+
+def reference_theta_cut(alpha, la0, d_cut):
+    lo, hi = -40.0, math.log(math.pi / 2)
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        la = _kanter_log_a(math.pi - math.exp(mid), alpha, math.sin, math.log)
+        lo, hi = (mid, hi) if la - la0 > d_cut else (lo, mid)
+    return lo
+
+
+def reference_theta_rule(alpha):
+    la0 = _log_a0(alpha)
+    half = math.pi / 2
+    edges = [0.0]
+    x = 1.0 / math.sqrt(1000.0 * alpha / 2.0)
+    while x < half / 1.25:
+        edges.append(x)
+        x *= 2.0
+    theta, w_left = reference_panel_nodes(edges + [half])
+    d_cut = math.log(50.0) - la0 + (alpha / (1.0 - alpha)) * math.log(5.0)
+    lo = reference_theta_cut(alpha, la0, d_cut)
+    n = math.ceil((math.log(half) - lo) / min(1.0, 2.0 * (1.0 - alpha)))
+    ell, w_right = reference_panel_nodes(np.linspace(lo, math.log(half), n + 1))
+    d = _kanter_log_a(np.concatenate((theta, math.pi - np.exp(ell))), alpha) - la0
+    w = np.concatenate((w_left, w_right * np.exp(ell))) / math.pi
+    near = d <= 700.0
+    return (w[near] * np.exp(d[near]), np.expm1(d[near]),
+            np.log(w[~near]) + d[~near], d[~near])
+
+
+def reference_log_zolotarev_density(alpha, v, theta_rule):
+    g, s, far_lg, far_d = theta_rule
+    p = alpha / (1.0 - alpha)
+    log_v = np.log(np.asarray(v, dtype=float))
+    la0 = _log_a0(alpha)
+    log_e0 = la0 - p * log_v
+    log_pref = math.log(p) - log_v / (1.0 - alpha) + la0
+    with np.errstate(over="ignore"):
+        e0 = np.exp(log_e0)
+    floor = np.where(g > math.exp(300.0), -np.inf, -400.0 - np.log(g))
+    log_total = np.empty(len(e0))
+    rows = max(1, _BLOCK // (len(s) + len(far_d)))
+    for i in range(0, len(e0), rows):
+        block = slice(i, i + rows)
+        with np.errstate(over="ignore", divide="ignore"):
+            terms = -e0[block, None] * s
+            part = np.log(np.exp(np.maximum(terms, floor)) @ g)
+            if len(far_d):
+                x = far_lg - np.exp(log_e0[block, None] + far_d)
+                top = x.max(axis=1)
+                top[top == -np.inf] = 0.0
+                far = top + np.log(np.exp(x - top[:, None]).sum(axis=1))
+                part = np.logaddexp(part, far)
+        log_total[block] = part
+    return log_pref - e0 + log_total
+
+
+def reference_law_rule(alpha):
+    """Nodes and weights of the law rule, before the certificate."""
+    p = alpha / (1.0 - alpha)
+    la0 = _log_a0(alpha)
+    u_cut, u_mode, u_end = (la0 - math.log(700.0)) / p, la0 / p, math.log(5.0)
+    width = min(1.0 / p, 1.0)
+    edges = list(np.linspace(u_cut, u_mode, math.ceil((u_mode - u_cut) / width) + 1))
+    while edges[-1] + width < u_end:
+        edges.append(edges[-1] + width)
+        width = min(2.0 * width, 1.0)
+    u, wu = reference_panel_nodes(edges + [u_end])
+    v_bulk = np.exp(u)
+    log_f = reference_log_zolotarev_density(alpha, v_bulk, reference_theta_rule(alpha))
+    w_bulk = np.exp(log_f + u + np.log(wu))
+    w0 = 5.0 ** -alpha
+    step = min(math.log(3.0), 3.0 * alpha)
+    ww, wt = reference_panel_nodes([0.0] + [w0 * math.exp(-step * k)
+                                            for k in range(10, -1, -1)])
+    w_tail = wt * reference_tail_density_dw(alpha, ww)
+    v = np.concatenate((v_bulk, np.exp(-np.log(ww) / alpha)[::-1]))
+    w = np.concatenate((w_bulk, w_tail[::-1]))
+    keep = w > 0.0
+    return v[keep], w[keep]
+
+
+class TestReferenceBuilder:
+    """The fixed rules' builder against the reference builder above."""
+
+    @given(st.floats(min_value=0.03, max_value=0.999))
+    @settings(max_examples=20, deadline=None)
+    @example(0.02746)
+    @example(0.5)
+    @example(0.99992)
+    def test_law_rule_is_the_reference_rule(self, alpha):
+        rule = _law_rule(alpha)
+        v, w = reference_law_rule(alpha)
+        assert len(rule.v) == len(v)
+        assert np.all(np.abs(rule.v - v) <= 1e-14 * v)
+        assert np.all(np.abs(rule.w - w) <= 1e-14 * w)
+        assert rule.certified_error <= 1e-12
+
+    @given(st.floats(min_value=5e-324, max_value=1.0, exclude_max=True))
+    @settings(max_examples=200, deadline=None)
+    @example(5e-324)
+    @example(1e-16)
+    @example(0.02746)
+    @example(0.99992)
+    @example(0.99999)
+    @example(0.9999999999999999)
+    def test_theta_cut_is_the_bisection(self, alpha):
+        # Newton's root decides the steps away from it; where it cannot be
+        # checked (alpha below ~1e-15, above ~0.99999) every step bisects
+        la0 = _log_a0(alpha)
+        d_cut = math.log(50.0) - la0 + (alpha / (1.0 - alpha)) * math.log(5.0)
+        assert _theta_cut(alpha, la0, d_cut) == reference_theta_cut(alpha, la0, d_cut)
+
+    @pytest.mark.parametrize("alpha", [0.9, 0.97, 0.998])
+    def test_theta_rule_is_the_reference_rule(self, alpha):
+        for got, want in zip(_theta_rule(alpha), reference_theta_rule(alpha)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("alpha", [0.998, 0.999, 0.9999])
+    def test_dead_far_nodes_are_skipped_bit_for_bit(self, alpha):
+        # the mode's neighbourhood, where the far nodes live, a far-left-tail
+        # grid with E0 = c A(0) from 1 to 1e4, and a grid over the bulk; the
+        # dead far nodes' zeros keep the sum's order, so every bit stays
+        p, la0 = alpha / (1.0 - alpha), _log_a0(alpha)
+        v = np.concatenate((np.geomspace(0.9, 4.99, 24),
+                            np.exp((la0 - np.log(np.geomspace(1.0, 1e4, 12))) / p),
+                            np.geomspace(1e-8, 4.99, 12)))
+        rule = _theta_rule(alpha)
+        assert len(rule[3])  # far nodes there are
+        got = _log_zolotarev_density(alpha, v)
+        assert np.array_equal(got, reference_log_zolotarev_density(alpha, v, rule))
 
 
 def test_mcspec_fields():
