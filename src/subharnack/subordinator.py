@@ -252,16 +252,6 @@ def _panel_nodes(edges, table=_PANEL_TABLE):
             (half * table[1]).reshape(rows))
 
 
-def _even_edges(lo, hi, n):
-    """n panels' edges evenly spaced from lo to hi (n >= 1): the bits of
-    np.linspace(lo, hi, n + 1), without its set-up."""
-    edges = np.arange(n + 1.0)
-    edges *= (hi - lo) / n
-    edges += lo
-    edges[-1] = hi
-    return edges
-
-
 def _panel_count(span, width, alpha):
     """ceil(span / width) panels of a fixed rule for alpha, before any is
     formed; ValueError naming alpha past _MAX_PANELS (inf and nan too)."""
@@ -299,7 +289,7 @@ def _theta_rule(alpha):
     d_cut = math.log(_DEAD) - la0 + (alpha / (1.0 - alpha)) * math.log(_TAIL_SWITCH)
     lo = _theta_cut(alpha, la0, d_cut)
     n = _panel_count(math.log(half) - lo, min(1.0, 2.0 * (1.0 - alpha)), alpha)
-    ell, w_right = _panel_nodes(_even_edges(lo, math.log(half), n))
+    ell, w_right = _panel_nodes(np.linspace(lo, math.log(half), n + 1))
     gap = np.exp(ell)  # pi - theta
     d = _kanter_log_a(np.concatenate((theta, math.pi - gap)), alpha) - la0
     w = np.concatenate((w_left, w_right * gap)) / math.pi
@@ -404,9 +394,9 @@ def _log_zolotarev_density(alpha, v):
                 x = far_lg[dead:] - np.exp(log_e0[block, None] + far_d[dead:])
                 top = x.max(axis=1)
                 top[top == -np.inf] = 0.0
-                terms = np.zeros((len(x), len(far_d)))
-                np.exp(x - top[:, None], out=terms[:, dead:])
-                far = top + np.log(terms.sum(axis=1))
+                far_terms = np.zeros((len(x), len(far_d)))
+                np.exp(x - top[:, None], out=far_terms[:, dead:])
+                far = top + np.log(far_terms.sum(axis=1))
             part = np.logaddexp(part, far)
         log_total[block] = part
     return log_pref - e0 + log_total
@@ -1035,7 +1025,7 @@ def _law_rule(alpha):
     while top + width < u_end:
         past_mode.append(top := top + width)
         width = min(2.0 * width, 1.0)
-    u, wu = _panel_nodes(np.concatenate((_even_edges(u_cut, u_mode, n_left),
+    u, wu = _panel_nodes(np.concatenate((np.linspace(u_cut, u_mode, n_left + 1),
                                          past_mode, [u_end])))
 
     # tail in w = v^(-alpha), its nodes last, in decreasing w
@@ -1047,8 +1037,8 @@ def _law_rule(alpha):
     w_bulk = np.exp(_log_zolotarev_density(alpha, v_bulk) + u + np.log(wu))
     v = np.concatenate((v_bulk, np.exp(-np.log(ww) / alpha)[::-1]))
     w = np.concatenate((w_bulk, (wt * _tail_density_dw(alpha, ww))[::-1]))
-    if not w.all():  # drop the nodes whose weight underflows
-        keep = w > 0.0
+    keep = w > 0.0
+    if not keep.all():  # drop the nodes whose weight underflows
         v, w = v[keep], w[keep]
     log_v = np.log(v)
     error = _certify(alpha, v, w, log_v)
