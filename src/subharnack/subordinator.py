@@ -175,9 +175,8 @@ def _kanter_log_a(theta, alpha, sin=np.sin, log=np.log):
 
 
 _TAIL_SWITCH = 5.0  # above this the large-argument series is used
-# k and log k! for k = 1..32: by k = 32 the tail series' terms are negligible
-# at every alpha in (0, 1) and every w <= 5^(-alpha), and a series that
-# needs more raises IndexError
+# k and log k!, k = 1..32: past 32 no term of the tail series counts at any
+# alpha in (0, 1), and a series that needs more raises IndexError
 _TAIL_K = np.arange(1.0, 33.0)
 _LOG_FACTORIAL = gammaln(_TAIL_K + 1.0)
 
@@ -188,12 +187,11 @@ def _tail_density_dw(alpha, w):
     large-argument series
     f(v) = (1/pi) sum_k (-1)^(k+1) Gamma(alpha*k+1)/k! sin(pi*alpha*k) v^(-alpha*k-1)
     as a power series in w, (1/(pi alpha)) sum_k (same coefficients) w^(k-1),
-    up to its first term below 1e-18 of its largest at the largest point
-    (the log terms are concave in k, so every later term is smaller still).
-    The coefficients come from one ``gammaln`` call on the orders
-    alpha k + 1, positive by construction, and ``_LOG_FACTORIAL``; the
-    powers w^1, w^2, ... by doubling (rows [k, 2k) are rows [0, k) times
-    w^k), each within a few ulp, and the sum is one product with them."""
+    up to its first term below 1e-18 of its largest at the largest point (the
+    log terms are concave in k, so every later one is smaller still). The
+    coefficients take one ``gammaln`` call on the orders alpha k + 1,
+    positive by construction; the powers of w are formed by doubling (rows
+    [k, 2k) are rows [0, k) times w^k), and the sum is one product."""
     log_w = math.log(max(float(w.max()), 1e-300))
     log_coef = gammaln(alpha * _TAIL_K + 1.0) - _LOG_FACTORIAL
     at_max = log_coef + (_TAIL_K - 1.0) * log_w
@@ -219,9 +217,7 @@ def _tail_density_dw(alpha, w):
 #   * theta in [pi/2, pi): panels uniform in l = log(pi - theta), each
 #     2*(1 - alpha) wide (at most 1): near pi, log(c A) falls by 1/(1 - alpha)
 #     per unit of l, so each panel spans about two units of it. The rule
-#     stops where c A reaches _DEAD at v = _TAIL_SWITCH, where c is least:
-#     at the cut of ``_theta_cut``, a bisection on the float log A whose
-#     steps Newton's method from the asymptote near pi decides but the last.
+#     stops where c A reaches _DEAD at v = _TAIL_SWITCH, where c is least.
 _PANEL_TABLE = np.polynomial.legendre.leggauss(16)  # nodes, weights on [-1, 1]
 # E0 = c A(0) whose peak at theta = 0 the first panel spans; where the
 # density exceeds 1e-300, E0 stays near or below it
@@ -231,7 +227,6 @@ _DEAD = 50.0  # c A beyond which exp(-c A) is dead next to the peak
 # for alpha above about 0.9975, close to v = _TAIL_SWITCH) g and s overflow,
 # and the node keeps log g and log(A / A(0)) instead.
 _D_FLOAT = 700.0
-_FAR_DEAD = 710.0  # log(E0 s) past which exp(-E0 s) = exp(-inf), as exp(710) = inf
 _BLOCK = 1 << 18  # matrix elements per block of the batched density sum
 _MAX_PANELS = 1 << 16  # most panels in one stretch of a fixed rule
 
@@ -246,8 +241,7 @@ def _panel_nodes(edges, table=_PANEL_TABLE):
     """Nodes and weights of the composite rule of ``table`` (Gauss-Legendre
     nodes, weights on [-1, 1]) on ``edges``; a rule per row of 2-D edges."""
     edges = np.asarray(edges, dtype=float)
-    half = 0.5 * (edges[..., 1:] - edges[..., :-1])[..., None]
-    rows = (*edges.shape[:-1], -1)
+    half, rows = 0.5 * np.diff(edges)[..., None], (*edges.shape[:-1], -1)
     return ((edges[..., :-1, None] + half * (table[0] + 1.0)).reshape(rows),
             (half * table[1]).reshape(rows))
 
@@ -284,8 +278,7 @@ def _theta_rule(alpha):
         x *= 2.0
     theta, w_left = _panel_nodes(edges + [half])
 
-    # right half in l = log(pi - theta), from the cut where log(A / A(0))
-    # reaches d_cut (``_theta_cut``): there c A = _DEAD at v = _TAIL_SWITCH
+    # right half in l = log(pi - theta), from the cut where c A = _DEAD at v = 5
     d_cut = math.log(_DEAD) - la0 + (alpha / (1.0 - alpha)) * math.log(_TAIL_SWITCH)
     lo = _theta_cut(alpha, la0, d_cut)
     n = _panel_count(math.log(half) - lo, min(1.0, 2.0 * (1.0 - alpha)), alpha)
@@ -294,46 +287,35 @@ def _theta_rule(alpha):
     d = _kanter_log_a(np.concatenate((theta, math.pi - gap)), alpha) - la0
     w = np.concatenate((w_left, w_right * gap)) / math.pi
     near = d <= _D_FLOAT
-    if near.all():  # no far node below alpha ~0.9975
-        return w * np.exp(d), np.expm1(d), d[:0], d[:0]
     return (w[near] * np.exp(d[near]), np.expm1(d[near]),
             np.log(w[~near]) + d[~near], d[~near])
 
 
-_CUT_TOL = 1e-11  # how close to Newton's root a bisection step evaluates log A
-
-
 def _theta_cut(alpha, la0, d_cut):
     """The lower end of a 40-step bisection of [-40, log(pi/2)] for the l
-    where log(A / A(0)) at theta = pi - e^l falls to d_cut, on the float
-    log A (it need not be exact, but it sets the theta rule's panels).
-
-    Three Newton steps from the asymptote l0 = log sin(alpha pi) - (1 -
-    alpha)(d_cut + log A(0)) (0.0002-0.23 below the cut for alpha in
-    [0.03, 0.9999]) give a root r; once the float log A is seen to cross
-    d_cut within _CUT_TOL of r, a step farther from r than that takes its
-    side of r, and only the last few steps evaluate log A: the same lower
-    end, bit for bit, as a bisection that evaluates it at every step, which
-    is what runs where the check fails (alpha below ~1e-15 or above ~0.99999).
-    """
+    where log(A / A(0)) at theta = pi - e^l falls to d_cut, on the float log A.
+    Three Newton steps from the asymptote log sin(alpha pi) - (1 - alpha)
+    (d_cut + log A(0)), 0.0002-0.23 below it, give a root r; once log A is
+    seen to cross d_cut within 1e-11 of r, each step farther from r takes its
+    side of r, and only the last evaluate log A (all do where that check
+    fails: alpha below ~1e-15 or above ~0.99999)."""
     a, p = alpha, alpha / (1.0 - alpha)
 
     def above(l):  # log(A / A(0)) > d_cut at theta = pi - e^l
         return _kanter_log_a(math.pi - math.exp(l), a, math.sin, math.log) - la0 > d_cut
 
+    below, beyond = -math.inf, math.inf
     try:
-        root = math.log(math.sin(a * math.pi)) - (1.0 - a) * (d_cut + la0)
+        r = math.log(math.sin(a * math.pi)) - (1.0 - a) * (d_cut + la0)
         for _ in range(3):
-            th = math.pi - math.exp(root)
-            slope = (p * (a / math.tan(a * th) - 1.0 / math.tan(th))  # d log A / d theta
-                     + (1.0 - a) / math.tan((1.0 - a) * th) - 1.0 / math.tan(th))
-            excess = _kanter_log_a(th, a, math.sin, math.log) - la0 - d_cut
-            root += excess / (math.exp(root) * slope)
-        if not (above(root - _CUT_TOL) and not above(root + _CUT_TOL)):
-            root = math.nan  # every step evaluates log A
+            th = math.pi - math.exp(r)
+            slope = (p * a / math.tan(a * th) + (1.0 - a) / math.tan((1.0 - a) * th)
+                     - (p + 1.0) / math.tan(th))  # d log A / d theta
+            r += (_kanter_log_a(th, a, math.sin, math.log) - la0 - d_cut) / (math.exp(r) * slope)
+        if above(r - 1e-11) and not above(r + 1e-11):
+            below, beyond = r - 1e-11, r + 1e-11
     except (ArithmeticError, ValueError):
-        root = math.nan
-    below, beyond = root - _CUT_TOL, root + _CUT_TOL
+        pass
     lo, hi = -40.0, math.log(math.pi / 2)
     for _ in range(40):
         mid = 0.5 * (lo + hi)
@@ -375,24 +357,22 @@ def _log_zolotarev_density(alpha, v):
     floor = np.where(g > math.exp(300.0), -np.inf, -400.0 - np.log(g))
     log_total = np.empty(len(e0))
     rows = max(1, _BLOCK // (len(s) + len(far_d)))
-    rising = -far_d
     for i in range(0, len(e0), rows):
         block = slice(i, i + rows)
         with np.errstate(over="ignore", divide="ignore"):  # -E0 s = -inf: floored
             terms = np.einsum("i,j->ij", -e0[block], s)  # -E0 s, 2x the broadcast's speed
             np.exp(np.maximum(terms, floor, out=terms), out=terms)
             part = np.log(terms @ g)
-        # E0 s = exp(log E0 + d) exactly enough: expm1(d) = e^d past 700.
-        # Where log E0 + d > _FAR_DEAD that is inf and the node is dead
-        # (e^-inf = 0); d falls along the rule, so the nodes dead on every
-        # row of the block come first, and they enter the sum as zeros
-        # without an exp, which keeps its order. A row with no live node
-        # sums to -inf
-        dead = np.searchsorted(rising, log_e0[block].min() - _FAR_DEAD) if len(far_d) else 0
-        if dead < len(far_d):
+        if len(far_d):
+            # E0 s = exp(log E0 + d) exactly enough: expm1(d) = e^d past 700.
+            # d falls along the rule, so the nodes dead on every row (E0 s =
+            # inf past log E0 + d = 710, e^-inf = 0) come first; they enter the
+            # sum as zeros with no exp, which keeps its order, and a row of
+            # dead nodes sums to -inf
+            dead = np.searchsorted(-far_d, log_e0[block].min() - 710.0)
             with np.errstate(over="ignore", divide="ignore"):
                 x = far_lg[dead:] - np.exp(log_e0[block, None] + far_d[dead:])
-                top = x.max(axis=1)
+                top = x.max(axis=1, initial=-np.inf)
                 top[top == -np.inf] = 0.0
                 far_terms = np.zeros((len(x), len(far_d)))
                 np.exp(x - top[:, None], out=far_terms[:, dead:])
