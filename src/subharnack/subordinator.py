@@ -202,8 +202,7 @@ def _tail_density_dw(alpha, w):
     powers[0] = w
     k = 1
     while k < n - 1:
-        rows = powers[k:2 * k]
-        np.multiply(powers[:len(rows)], powers[k - 1], out=rows)
+        np.multiply(powers[:min(k, n - 1 - k)], powers[k - 1], out=powers[k:2 * k])
         k *= 2
     return (coef[0] + coef[1:] @ powers) / (math.pi * alpha)
 
@@ -246,6 +245,13 @@ def _panel_nodes(edges, table=_PANEL_TABLE):
             (half * table[1]).reshape(rows))
 
 
+def _even_edges(lo, hi, n):
+    """np.linspace(lo, hi, n + 1) for n >= 1, bit for bit, without its set-up."""
+    edges = np.arange(n + 1.0) * ((hi - lo) / n) + lo
+    edges[-1] = hi
+    return edges
+
+
 def _panel_count(span, width, alpha):
     """ceil(span / width) panels of a fixed rule for alpha, before any is
     formed; ValueError naming alpha past _MAX_PANELS (inf and nan too)."""
@@ -282,11 +288,13 @@ def _theta_rule(alpha):
     d_cut = math.log(_DEAD) - la0 + (alpha / (1.0 - alpha)) * math.log(_TAIL_SWITCH)
     lo = _theta_cut(alpha, la0, d_cut)
     n = _panel_count(math.log(half) - lo, min(1.0, 2.0 * (1.0 - alpha)), alpha)
-    ell, w_right = _panel_nodes(np.linspace(lo, math.log(half), n + 1))
+    ell, w_right = _panel_nodes(_even_edges(lo, math.log(half), n))
     gap = np.exp(ell)  # pi - theta
     d = _kanter_log_a(np.concatenate((theta, math.pi - gap)), alpha) - la0
     w = np.concatenate((w_left, w_right * gap)) / math.pi
     near = d <= _D_FLOAT
+    if near.all():  # no far node below alpha ~0.9975
+        return w * np.exp(d), np.expm1(d), d[:0], d[:0]
     return (w[near] * np.exp(d[near]), np.expm1(d[near]),
             np.log(w[~near]) + d[~near], d[~near])
 
@@ -1005,7 +1013,7 @@ def _law_rule(alpha):
     while top + width < u_end:
         past_mode.append(top := top + width)
         width = min(2.0 * width, 1.0)
-    u, wu = _panel_nodes(np.concatenate((np.linspace(u_cut, u_mode, n_left + 1),
+    u, wu = _panel_nodes(np.concatenate((_even_edges(u_cut, u_mode, n_left),
                                          past_mode, [u_end])))
 
     # tail in w = v^(-alpha), its nodes last, in decreasing w
