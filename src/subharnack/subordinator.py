@@ -1015,14 +1015,14 @@ def _law_rule(alpha):
         width = min(2.0 * width, 1.0)
     u, wu = _panel_nodes(np.concatenate((_even_edges(u_cut, u_mode, n_left),
                                          past_mode, [u_end])))
+    v_bulk = np.exp(u)
+    w_bulk = np.exp(_log_zolotarev_density(alpha, v_bulk) + u + np.log(wu))
 
     # tail in w = v^(-alpha), its nodes last, in decreasing w
     w0 = _TAIL_SWITCH ** -alpha
     step = min(math.log(_TAIL_RATIO), _TAIL_U * alpha)  # panel width in log w
     ww, wt = _panel_nodes([0.0] + [w0 * math.exp(-step * k)
                                    for k in range(_TAIL_PANELS, -1, -1)])
-    v_bulk = np.exp(u)
-    w_bulk = np.exp(_log_zolotarev_density(alpha, v_bulk) + u + np.log(wu))
     v = np.concatenate((v_bulk, np.exp(-np.log(ww) / alpha)[::-1]))
     w = np.concatenate((w_bulk, (wt * _tail_density_dw(alpha, ww))[::-1]))
     keep = w > 0.0

@@ -27,6 +27,7 @@ from subharnack.subordinator import (
     _log_a0,
     _log_concave_from,
     _log_zolotarev_density,
+    _panel_nodes,
     _ratio_bound,
     _standard_density,
     _tail_density_dw,
@@ -1462,7 +1463,7 @@ class TestLawRule:
 
 # ulp of the polyval reference within which the tail series' product sum
 # lies: at most 7 measured over 4,000 alpha drawn in [0.05, 0.99] on these
-# grids (Horner's rule in place, before it, had polyval's bits)
+# grids (a Horner pass would have polyval's bits, at two ufunc calls a term)
 TAIL_ULP = 8
 
 
@@ -1489,13 +1490,6 @@ def reference_tail_density_dw(alpha, w):
 # step, the panels' edges as lists, -E0 s by broadcasting, every far node
 # summed (dead ones too), and the tail series summed by polyval.
 
-def reference_panel_nodes(edges):
-    edges = np.asarray(edges, dtype=float)
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    half = 0.5 * np.diff(edges)[:, None]
-    return (edges[:-1, None] + half * (nodes + 1.0)).ravel(), (half * weights).ravel()
-
-
 def reference_theta_cut(alpha, la0, d_cut):
     lo, hi = -40.0, math.log(math.pi / 2)
     for _ in range(40):
@@ -1513,11 +1507,11 @@ def reference_theta_rule(alpha):
     while x < half / 1.25:
         edges.append(x)
         x *= 2.0
-    theta, w_left = reference_panel_nodes(edges + [half])
+    theta, w_left = _panel_nodes(edges + [half])
     d_cut = math.log(50.0) - la0 + (alpha / (1.0 - alpha)) * math.log(5.0)
     lo = reference_theta_cut(alpha, la0, d_cut)
     n = math.ceil((math.log(half) - lo) / min(1.0, 2.0 * (1.0 - alpha)))
-    ell, w_right = reference_panel_nodes(np.linspace(lo, math.log(half), n + 1))
+    ell, w_right = _panel_nodes(np.linspace(lo, math.log(half), n + 1))
     d = _kanter_log_a(np.concatenate((theta, math.pi - np.exp(ell))), alpha) - la0
     w = np.concatenate((w_left, w_right * np.exp(ell))) / math.pi
     near = d <= 700.0
@@ -1562,13 +1556,13 @@ def reference_law_rule(alpha):
     while edges[-1] + width < u_end:
         edges.append(edges[-1] + width)
         width = min(2.0 * width, 1.0)
-    u, wu = reference_panel_nodes(edges + [u_end])
+    u, wu = _panel_nodes(edges + [u_end])
     v_bulk = np.exp(u)
     log_f = reference_log_zolotarev_density(alpha, v_bulk, reference_theta_rule(alpha))
     w_bulk = np.exp(log_f + u + np.log(wu))
     w0 = 5.0 ** -alpha
     step = min(math.log(3.0), 3.0 * alpha)
-    ww, wt = reference_panel_nodes([0.0] + [w0 * math.exp(-step * k)
+    ww, wt = _panel_nodes([0.0] + [w0 * math.exp(-step * k)
                                             for k in range(10, -1, -1)])
     w_tail = wt * reference_tail_density_dw(alpha, ww)
     v = np.concatenate((v_bulk, np.exp(-np.log(ww) / alpha)[::-1]))
