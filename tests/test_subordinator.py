@@ -1563,7 +1563,7 @@ def reference_law_rule(alpha):
     w0 = 5.0 ** -alpha
     step = min(math.log(3.0), 3.0 * alpha)
     ww, wt = _panel_nodes([0.0] + [w0 * math.exp(-step * k)
-                                            for k in range(10, -1, -1)])
+                                   for k in range(10, -1, -1)])
     w_tail = wt * reference_tail_density_dw(alpha, ww)
     v = np.concatenate((v_bulk, np.exp(-np.log(ww) / alpha)[::-1]))
     w = np.concatenate((w_bulk, w_tail[::-1]))
@@ -1617,7 +1617,7 @@ class TestReferenceBuilder:
                             np.exp((la0 - np.log(np.geomspace(1.0, 1e4, 12))) / p),
                             np.geomspace(1e-8, 4.99, 12)))
         rule = _theta_rule(alpha)
-        assert len(rule[3])  # far nodes there are
+        assert len(rule[3])  # the theta rule has far nodes at these alpha
         got = _log_zolotarev_density(alpha, v)
         assert np.array_equal(got, reference_log_zolotarev_density(alpha, v, rule))
 
