@@ -240,7 +240,7 @@ def _panel_nodes(edges, table=_PANEL_TABLE):
     """Nodes and weights of the composite rule of ``table`` (Gauss-Legendre
     nodes, weights on [-1, 1]) on ``edges``; a rule per row of 2-D edges."""
     edges = np.asarray(edges, dtype=float)
-    half, rows = 0.5 * np.diff(edges)[..., None], (*edges.shape[:-1], -1)
+    half, rows = 0.5 * (edges[..., 1:, None] - edges[..., :-1, None]), (*edges.shape[:-1], -1)
     return ((edges[..., :-1, None] + half * (table[0] + 1.0)).reshape(rows),
             (half * table[1]).reshape(rows))
 
